@@ -1,5 +1,6 @@
-//! Explicit 4-lane micro-kernels for the MLP hot loops, with a scalar
-//! fallback behind the same dispatch.
+//! Explicit 4-lane micro-kernels for the MLP hot loops — reductions and
+//! the output-tiled dense layer — with a scalar fallback behind the same
+//! dispatch.
 //!
 //! # The canonical reduction order
 //!
@@ -18,6 +19,37 @@
 //!
 //! An affine output unit is `bias + dot(w, x)` — the bias joins *after*
 //! the reduction, never as the lane seed.
+//!
+//! # The output-tiled layer kernel
+//!
+//! A dense layer is `out_dim` such units over one `x`.  [`affine_layer`]
+//! does not run them as `out_dim` dot products — one dependent vector-add
+//! chain and one horizontal reduction each — but **tiles the outputs**.
+//! Layer weights are held input-major (`w[i * out_dim + o]`), so for a
+//! tile of `T` outputs the weights of input `i` are one contiguous run.
+//! The kernel keeps the four lane accumulators *of every output in the
+//! tile* in registers and sweeps the inputs once:
+//!
+//! ```text
+//!              outputs o .. o+T   (T = 24: three 8-wide vectors per row)
+//!            ┌──────────────────────────┐
+//!   lane 0   │ += w[4k  ][o..o+T] · x[4k  ]   (x broadcast)
+//!   lane 1   │ += w[4k+1][o..o+T] · x[4k+1]
+//!   lane 2   │ += w[4k+2][o..o+T] · x[4k+2]        for k = 0, 1, …
+//!   lane 3   │ += w[4k+3][o..o+T] · x[4k+3]
+//!   tail     │ += w[i   ][o..o+T] · x[i]           for the last in_dim % 4
+//!            └──────────────────────────┘
+//!   out[o..o+T] = bias[o..o+T] + (((lane0 + lane1) + (lane2 + lane3)) + tail)
+//! ```
+//!
+//! Column `j` of that block is exactly `dot`'s four lanes and tail for
+//! output `o + j` — the same multiplies and adds in the same order — so
+//! tiling changes how many outputs share a sweep, never a bit of any of
+//! them.  What it buys is `4 × T/8` independent vector chains in flight
+//! instead of one, no horizontal reduction, and one load of `x[i]` per
+//! tile instead of per output.  `out_dim % 24` is finished with an 8-wide
+//! tile and then single outputs (the model's layers are 48 = 2 × 24,
+//! 32 = 24 + 8 and 1 wide).
 //!
 //! Fixing the order buys two properties at once:
 //!
@@ -39,7 +71,8 @@
 //! [`active_kernel`] reads the `ZSDB_KERNEL` environment variable once
 //! per process (`scalar` selects the fallback; anything else — including
 //! unset — selects SIMD).  The scalar fallback performs the *same*
-//! operations in the *same* order through plain scalar code, so switching
+//! operations in the *same* order through plain scalar code (one output
+//! at a time, striding down its weight column), so switching
 //! kernels never changes a single output bit — the property the
 //! `simd ≡ scalar` tests pin.  The fallback exists for pathological
 //! targets where the blocked loops pessimise, and as the reference
@@ -102,10 +135,150 @@ pub fn dot(kind: KernelKind, a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-/// One affine output unit: `bias + dot(w, x)` in canonical order.
+/// Every output unit of one dense layer over **input-major** weights
+/// (`w[i * out_dim + o]`, `out_dim = bias.len()`), for one example:
+/// `out[o] = bias[o] + dot(w[·][o], x)`, each output reduced in the
+/// canonical order.  The example is read through `x(i)`, and finished
+/// outputs are handed over in ascending runs as `emit(o, &out[o..])`, so
+/// the same kernel serves a contiguous vector and one column of a
+/// feature-major batch.  See the module docs for the tile shape.
 #[inline]
-pub fn affine(kind: KernelKind, bias: f64, w: &[f64], x: &[f64]) -> f64 {
-    bias + dot(kind, w, x)
+pub fn affine_layer(
+    kind: KernelKind,
+    w: &[f64],
+    bias: &[f64],
+    in_dim: usize,
+    x: impl Fn(usize) -> f64 + Copy,
+    mut emit: impl FnMut(usize, &[f64]),
+) {
+    debug_assert_eq!(w.len(), in_dim * bias.len());
+    match kind {
+        KernelKind::Simd => affine_layer_tiled(w, bias, in_dim, x, &mut emit),
+        KernelKind::Scalar => affine_layer_scalar(w, bias, in_dim, x, &mut emit),
+    }
+}
+
+/// Output units per register tile of [`affine_layer`]'s SIMD kernel:
+/// `LANES × TILE_O` lane accumulators plus `TILE_O` tail accumulators,
+/// fifteen AVX-512 vectors.
+const TILE_O: usize = 24;
+
+/// Narrow tile for the `out_dim % TILE_O` remainder (one AVX-512 vector
+/// per lane); what is left after it runs one output at a time.
+const TILE_O_NARROW: usize = 8;
+
+/// Output-tiled GEMV: outputs in tiles of [`TILE_O`], then
+/// [`TILE_O_NARROW`], then singly.  The tile width never changes what an
+/// output computes — only how many outputs share one sweep over `x`.
+#[inline]
+fn affine_layer_tiled(
+    w: &[f64],
+    bias: &[f64],
+    in_dim: usize,
+    x: impl Fn(usize) -> f64 + Copy,
+    emit: &mut impl FnMut(usize, &[f64]),
+) {
+    let out_dim = bias.len();
+    let mut o = 0;
+    while o + TILE_O <= out_dim {
+        affine_tile::<TILE_O>(w, bias, in_dim, x, o, emit);
+        o += TILE_O;
+    }
+    while o + TILE_O_NARROW <= out_dim {
+        affine_tile::<TILE_O_NARROW>(w, bias, in_dim, x, o, emit);
+        o += TILE_O_NARROW;
+    }
+    while o < out_dim {
+        affine_tile::<1>(w, bias, in_dim, x, o, emit);
+        o += 1;
+    }
+}
+
+/// Outputs `o..o + T` of [`affine_layer`].  Lane `l` of output `o + j`
+/// accumulates `w[4k + l][o + j] · x[4k + l]` over ascending `k` —
+/// exactly [`dot`]'s lane `l` for that output's weight column — so one
+/// broadcast of `x[i]` feeds `T` independent chains reading the
+/// contiguous run `w[i][o..o + T]`.
+///
+/// The four lanes are separately named arrays on purpose: indexing one
+/// `[[f64; T]; LANES]` block by a loop variable made the compiler keep
+/// it on the stack, slower than the dot-per-output kernel it replaces.
+#[inline(always)]
+fn affine_tile<const T: usize>(
+    w: &[f64],
+    bias: &[f64],
+    in_dim: usize,
+    x: impl Fn(usize) -> f64,
+    o: usize,
+    emit: &mut impl FnMut(usize, &[f64]),
+) {
+    let out_dim = bias.len();
+    let run = |i: usize| -> &[f64; T] {
+        w[i * out_dim + o..][..T]
+            .try_into()
+            .expect("slice of tile length")
+    };
+    let (mut l0, mut l1, mut l2, mut l3) = ([0.0f64; T], [0.0f64; T], [0.0f64; T], [0.0f64; T]);
+    let chunks = in_dim / LANES;
+    for k in 0..chunks {
+        let i = LANES * k;
+        let (w0, w1, w2, w3) = (run(i), run(i + 1), run(i + 2), run(i + 3));
+        let (x0, x1, x2, x3) = (x(i), x(i + 1), x(i + 2), x(i + 3));
+        for j in 0..T {
+            l0[j] += w0[j] * x0;
+        }
+        for j in 0..T {
+            l1[j] += w1[j] * x1;
+        }
+        for j in 0..T {
+            l2[j] += w2[j] * x2;
+        }
+        for j in 0..T {
+            l3[j] += w3[j] * x3;
+        }
+    }
+    let mut tail = [0.0f64; T];
+    for i in LANES * chunks..in_dim {
+        let (wi, xi) = (run(i), x(i));
+        for j in 0..T {
+            tail[j] += wi[j] * xi;
+        }
+    }
+    let bias: &[f64; T] = bias[o..][..T].try_into().expect("slice of tile length");
+    let mut tile = [0.0f64; T];
+    for j in 0..T {
+        tile[j] = bias[j] + (((l0[j] + l1[j]) + (l2[j] + l3[j])) + tail[j]);
+    }
+    emit(o, &tile);
+}
+
+/// Scalar [`affine_layer`]: one output at a time, four named scalar
+/// accumulators striding down the output's weight column — operation for
+/// operation `bias[o] + dot_scalar(column o, x)`.
+fn affine_layer_scalar(
+    w: &[f64],
+    bias: &[f64],
+    in_dim: usize,
+    x: impl Fn(usize) -> f64,
+    emit: &mut impl FnMut(usize, &[f64]),
+) {
+    let out_dim = bias.len();
+    let chunks = in_dim / LANES;
+    for (o, &b) in bias.iter().enumerate() {
+        let (mut l0, mut l1, mut l2, mut l3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        for k in 0..chunks {
+            let i = LANES * k;
+            l0 += w[i * out_dim + o] * x(i);
+            l1 += w[(i + 1) * out_dim + o] * x(i + 1);
+            l2 += w[(i + 2) * out_dim + o] * x(i + 2);
+            l3 += w[(i + 3) * out_dim + o] * x(i + 3);
+        }
+        let mut tail = 0.0;
+        for i in LANES * chunks..in_dim {
+            tail += w[i * out_dim + o] * x(i);
+        }
+        emit(o, &[b + (((l0 + l1) + (l2 + l3)) + tail)]);
+    }
 }
 
 /// SIMD-shaped canonical sum: a `[f64; LANES]` accumulator block the
@@ -232,19 +405,83 @@ mod tests {
         assert_eq!(sum(KernelKind::Scalar, &v).to_bits(), expected.to_bits());
     }
 
+    /// `affine_layer` against its definition: output `o` is
+    /// `bias[o] + dot(column o of w, x)`, bit for bit, under both kernels.
+    fn assert_affine_layer_matches_dot(in_dim: usize, out_dim: usize, seed: u64) {
+        // Magnitudes spread over six decades so a changed summation
+        // order changes the rounded result.
+        let spread = |v: Vec<f64>| -> Vec<f64> {
+            v.iter()
+                .enumerate()
+                .map(|(i, a)| a * 10f64.powi((i * 7 + seed as usize) as i32 % 6 - 3))
+                .collect()
+        };
+        let w = spread(noisy(in_dim * out_dim, seed));
+        let bias = noisy(out_dim, seed + 1);
+        let x = spread(noisy(in_dim, seed + 2));
+        let mut tiled = vec![f64::NAN; out_dim];
+        let mut scalar = vec![f64::NAN; out_dim];
+        for (kind, out) in [
+            (KernelKind::Simd, &mut tiled),
+            (KernelKind::Scalar, &mut scalar),
+        ] {
+            affine_layer(
+                kind,
+                &w,
+                &bias,
+                in_dim,
+                |i| x[i],
+                |o, run| out[o..o + run.len()].copy_from_slice(run),
+            );
+        }
+        for o in 0..out_dim {
+            let column: Vec<f64> = (0..in_dim).map(|i| w[i * out_dim + o]).collect();
+            let expected = bias[o] + dot(KernelKind::Scalar, &column, &x);
+            assert_eq!(
+                tiled[o].to_bits(),
+                expected.to_bits(),
+                "tiled {in_dim}x{out_dim} output {o}"
+            );
+            assert_eq!(
+                scalar[o].to_bits(),
+                expected.to_bits(),
+                "scalar {in_dim}x{out_dim} output {o}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The ranges cover `in_dim % 4 != 0`, `out_dim` below one tile,
+        /// `out_dim % 8 != 0` and every tile-count combination up to two
+        /// wide tiles plus remainders.
+        #[test]
+        fn affine_layer_equals_bias_plus_dot_per_output(
+            in_dim in 0usize..101,
+            out_dim in 1usize..71,
+            seed in 0u64..1_000,
+        ) {
+            assert_affine_layer_matches_dot(in_dim, out_dim, seed);
+        }
+    }
+
+    /// The zero-shot model's own layer shapes (node encoders, combine,
+    /// output head).
     #[test]
-    fn affine_adds_bias_after_the_reduction() {
-        let w = noisy(9, 1);
-        let x = noisy(9, 2);
-        let expected = 0.37 + dot_simd(&w, &x);
-        assert_eq!(
-            affine(KernelKind::Simd, 0.37, &w, &x).to_bits(),
-            expected.to_bits()
-        );
-        assert_eq!(
-            affine(KernelKind::Scalar, 0.37, &w, &x).to_bits(),
-            expected.to_bits()
-        );
+    fn affine_layer_equals_bias_plus_dot_on_the_model_shapes() {
+        for (in_dim, out_dim) in [
+            (5, 48),
+            (11, 48),
+            (22, 48),
+            (35, 48),
+            (40, 48),
+            (96, 48),
+            (48, 32),
+            (32, 1),
+        ] {
+            assert_affine_layer_matches_dot(in_dim, out_dim, 9);
+        }
     }
 
     #[test]

@@ -18,13 +18,29 @@
 //! micro-kernels — the two are bit-identical, and the process-wide choice
 //! comes from the `ZSDB_KERNEL` environment variable (see
 //! [`crate::kernel::active_kernel`]).
+//!
+//! # Weight layout
+//!
+//! A layer's weights live **input-major** in memory: `w[i * out_dim + o]`,
+//! for the values, the gradient and both Adam moments.  That is the
+//! layout the per-example forward wants — [`kernel::affine_layer`] holds
+//! a tile of outputs in registers and reads each input's weights as one
+//! contiguous run — and every other kernel in this file indexes the same
+//! buffer.  It is the only layout in memory; nothing keeps a second copy.
+//! Outside this file it does not show: seeded construction draws in
+//! output-major order and transposes, and the serde impls of the layer
+//! transpose on the way out and in, so a seed yields the same model and a
+//! model the same JSON as when weights were output-major.  The per-example
+//! forward also serves single columns of a batch — the `n % 8` examples
+//! the SIMD batch tiles leave over, and every example under the scalar
+//! kernel.
 
 use crate::batch::Batch;
 use crate::kernel::{self, active_kernel, KernelKind, LANES};
 use crate::param::ParamBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Activation function applied after every hidden layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,9 +89,14 @@ impl Activation {
     }
 }
 
-/// One dense layer `y = W x + b` with `W` stored row-major
-/// (`out_dim × in_dim`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One dense layer `y = W x + b` with `W` held **input-major** in memory
+/// (`w[i * out_dim + o]` — data, gradient and Adam moments alike), the
+/// layout [`kernel::affine_layer`] reads as contiguous output runs.
+///
+/// Construction draws and the serialized form stay output-major
+/// (`out_dim × in_dim`, the layout of every artifact written so far):
+/// [`Linear::new`] and the serde impls transpose at the boundary.
+#[derive(Debug, Clone, PartialEq)]
 struct Linear {
     in_dim: usize,
     out_dim: usize,
@@ -83,33 +104,109 @@ struct Linear {
     b: ParamBuf,
 }
 
+/// Transpose a row-major `rows × cols` matrix.
+fn transpose(m: &[f64], rows: usize, cols: usize) -> Vec<f64> {
+    debug_assert_eq!(m.len(), rows * cols);
+    let mut t = Vec::with_capacity(m.len());
+    for c in 0..cols {
+        t.extend((0..rows).map(|r| m[r * cols + c]));
+    }
+    t
+}
+
+/// Transpose all four vectors of a `rows × cols` weight buffer.
+fn transpose_param(p: &ParamBuf, rows: usize, cols: usize) -> ParamBuf {
+    ParamBuf {
+        data: transpose(&p.data, rows, cols),
+        grad: transpose(&p.grad, rows, cols),
+        m: transpose(&p.m, rows, cols),
+        v: transpose(&p.v, rows, cols),
+    }
+}
+
+/// The serialized form of a [`Linear`]: the same fields with `w`
+/// output-major (`out_dim × in_dim`).
+#[derive(Serialize, Deserialize)]
+struct LinearRepr {
+    in_dim: usize,
+    out_dim: usize,
+    w: ParamBuf,
+    b: ParamBuf,
+}
+
+impl Serialize for Linear {
+    fn to_value(&self) -> Value {
+        LinearRepr {
+            in_dim: self.in_dim,
+            out_dim: self.out_dim,
+            w: transpose_param(&self.w, self.in_dim, self.out_dim),
+            b: self.b.clone(),
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for Linear {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let LinearRepr {
+            in_dim,
+            out_dim,
+            w,
+            b,
+        } = LinearRepr::from_value(value)?;
+        // The kernels index by `in_dim`/`out_dim` without re-checking, so
+        // a file whose vectors disagree with its dims is refused here.
+        let has_len =
+            |p: &ParamBuf, n: usize| [&p.data, &p.grad, &p.m, &p.v].iter().all(|v| v.len() == n);
+        if in_dim.checked_mul(out_dim).is_none_or(|n| !has_len(&w, n)) || !has_len(&b, out_dim) {
+            return Err(serde::Error::custom(format!(
+                "layer parameters do not match dims {in_dim}x{out_dim}"
+            )));
+        }
+        Ok(Linear {
+            in_dim,
+            out_dim,
+            w: transpose_param(&w, out_dim, in_dim),
+            b,
+        })
+    }
+}
+
 impl Linear {
     fn new(in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
         // He-style initialisation keeps ReLU activations well-scaled.
         let scale = (2.0 / in_dim.max(1) as f64).sqrt();
-        let w: Vec<f64> = (0..in_dim * out_dim)
+        // Drawn output-major (the order every seeded model has been
+        // drawn in), then transposed into the in-memory layout.
+        let drawn: Vec<f64> = (0..in_dim * out_dim)
             .map(|_| (rng.random::<f64>() * 2.0 - 1.0) * scale)
             .collect();
         Linear {
             in_dim,
             out_dim,
-            w: ParamBuf::new(w),
+            w: ParamBuf::new(transpose(&drawn, out_dim, in_dim)),
             b: ParamBuf::zeros(out_dim),
         }
     }
 
-    /// Per-example forward: `out[o] = b[o] + dot(w[o], x)` in the
+    /// Per-example forward: `out[o] = b[o] + dot(w[·][o], x)` in the
     /// canonical 4-lane reduction order of [`crate::kernel`] — the same
     /// order every batched kernel uses, which is what keeps batched and
     /// per-example outputs bit-identical.
     fn forward(&self, kind: KernelKind, x: &[f64], out: &mut Vec<f64>) {
-        debug_assert_eq!(x.len(), self.in_dim);
+        // One hard length check here instead of one per element inside
+        // the kernel's input sweep.
+        let x = &x[..self.in_dim];
         out.clear();
-        out.reserve(self.out_dim);
-        for o in 0..self.out_dim {
-            let row = &self.w.data[o * self.in_dim..(o + 1) * self.in_dim];
-            out.push(kernel::affine(kind, self.b.data[o], row, x));
-        }
+        out.resize(self.out_dim, 0.0);
+        kernel::affine_layer(
+            kind,
+            &self.w.data,
+            &self.b.data,
+            self.in_dim,
+            |i| x[i],
+            |o, run| out[o..o + run.len()].copy_from_slice(run),
+        );
     }
 
     /// Accumulate parameter gradients for this layer given the input `x`
@@ -119,19 +216,23 @@ impl Linear {
         // Hard assert: a short `dy` would otherwise silently skip gradient
         // accumulation for the tail output units in release builds.
         assert_eq!(dy.len(), self.out_dim);
+        for (bg, &g) in self.b.grad.iter_mut().zip(dy) {
+            *bg += g;
+        }
+        // `dx[i]` sums over output units sequentially in ascending `o`.
         let mut dx = vec![0.0; self.in_dim];
-        for (o, &g) in dy.iter().enumerate() {
-            self.b.grad[o] += g;
-            let row_start = o * self.in_dim;
-            for i in 0..self.in_dim {
-                self.w.grad[row_start + i] += g * x[i];
-                dx[i] += g * self.w.data[row_start + i];
+        for (i, dxi) in dx.iter_mut().enumerate() {
+            let run = i * self.out_dim..(i + 1) * self.out_dim;
+            let wgrad = &mut self.w.grad[run.clone()];
+            for ((wg, &w_io), &g) in wgrad.iter_mut().zip(&self.w.data[run]).zip(dy) {
+                *wg += g * x[i];
+                *dxi += g * w_io;
             }
         }
         dx
     }
 
-    /// Batched forward: `out[o][e] = b[o] + dot(w[o], x[·][e])` with the
+    /// Batched forward: `out[o][e] = b[o] + dot(w[·][o], x[·][e])` with the
     /// dot product reduced in the canonical 4-lane order — exactly the
     /// operation order of the per-example [`Linear::forward`], so each
     /// column of `out` is bit-identical to a per-example forward of that
@@ -140,32 +241,49 @@ impl Linear {
         debug_assert_eq!(x.dim(), self.in_dim);
         debug_assert_eq!(out.dim(), self.out_dim);
         debug_assert_eq!(x.n(), out.n());
-        match kind {
-            KernelKind::Simd => self.forward_batch_simd(x, out),
-            KernelKind::Scalar => self.forward_batch_unblocked(x, out, 0),
+        let tiled_until = match kind {
+            KernelKind::Simd => self.forward_batch_tiles(x, out),
+            KernelKind::Scalar => 0,
+        };
+        // What the example tiles do not cover — the `n % TILE_E` tail
+        // under SIMD, every column under the scalar kernel — goes through
+        // the per-example kernel one column at a time.
+        for e in tiled_until..x.n() {
+            kernel::affine_layer(
+                kind,
+                &self.w.data,
+                &self.b.data,
+                self.in_dim,
+                |i| x.get(i, e),
+                |o, run| {
+                    for (j, &v) in run.iter().enumerate() {
+                        out.set(o + j, e, v);
+                    }
+                },
+            );
         }
     }
 
-    /// SIMD-shaped batched forward: for each output unit, a register
-    /// block of [`LANES`] lane-accumulator rows × [`TILE_E`] examples
-    /// (`LANES × TILE_E` f64 accumulators, i.e. eight AVX2 vectors) sweeps
-    /// the input in lane-interleaved order.  Lane `l` of example `e`
-    /// accumulates `w[o][4k+l] · x[4k+l][e]` over ascending `k`; lanes
-    /// combine pairwise and the `in_dim % 4` tail is added last — the
-    /// canonical order, vectorised across the example tile.
-    fn forward_batch_simd(&self, x: &Batch, out: &mut Batch) {
+    /// The whole [`TILE_E`]-example tiles of the SIMD batched forward;
+    /// returns the number of examples covered.  For each output unit, a
+    /// register block of [`LANES`] lane-accumulator rows × [`TILE_E`]
+    /// examples (`LANES × TILE_E` f64 accumulators, i.e. eight AVX2
+    /// vectors) sweeps the input in lane-interleaved order.  Lane `l` of
+    /// example `e` accumulates `w[4k+l][o] · x[4k+l][e]` over ascending
+    /// `k`; lanes combine pairwise and the `in_dim % 4` tail is added
+    /// last — the canonical order, vectorised across the example tile.
+    fn forward_batch_tiles(&self, x: &Batch, out: &mut Batch) -> usize {
         let n = x.n();
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
         let chunks = in_dim / LANES;
         let mut e = 0;
         while e + TILE_E <= n {
             for o in 0..out_dim {
-                let wrow = &self.w.data[o * in_dim..(o + 1) * in_dim];
                 let mut lanes = [[0.0f64; TILE_E]; LANES];
                 for k in 0..chunks {
                     for (l, lane) in lanes.iter_mut().enumerate() {
                         let i = LANES * k + l;
-                        let w_oi = wrow[i];
+                        let w_oi = self.w.data[i * out_dim + o];
                         let xv: &[f64; TILE_E] =
                             x.feature_row(i)[e..e + TILE_E].try_into().expect("tile");
                         for (a, &xe) in lane.iter_mut().zip(xv) {
@@ -174,7 +292,8 @@ impl Linear {
                     }
                 }
                 let mut tail = [0.0f64; TILE_E];
-                for (i, &w_oi) in wrow.iter().enumerate().skip(LANES * chunks) {
+                for i in LANES * chunks..in_dim {
+                    let w_oi = self.w.data[i * out_dim + o];
                     let xv: &[f64; TILE_E] =
                         x.feature_row(i)[e..e + TILE_E].try_into().expect("tile");
                     for (a, &xe) in tail.iter_mut().zip(xv) {
@@ -190,36 +309,7 @@ impl Linear {
             }
             e += TILE_E;
         }
-        // Remaining examples: unblocked canonical-order accumulation.
-        self.forward_batch_unblocked(x, out, e);
-    }
-
-    /// Unblocked batched forward over examples `e0..n`, one example ×
-    /// output unit at a time in the canonical lane order.  Serves as the
-    /// scalar kernel (from `e0 = 0`) and as the `n % TILE_E` remainder of
-    /// the SIMD kernel — identical operations, identical order.
-    fn forward_batch_unblocked(&self, x: &Batch, out: &mut Batch, e0: usize) {
-        let n = x.n();
-        let (in_dim, out_dim) = (self.in_dim, self.out_dim);
-        let chunks = in_dim / LANES;
-        for e in e0..n {
-            for o in 0..out_dim {
-                let wrow = &self.w.data[o * in_dim..(o + 1) * in_dim];
-                let (mut l0, mut l1, mut l2, mut l3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-                for k in 0..chunks {
-                    let base = LANES * k;
-                    l0 += wrow[base] * x.feature_row(base)[e];
-                    l1 += wrow[base + 1] * x.feature_row(base + 1)[e];
-                    l2 += wrow[base + 2] * x.feature_row(base + 2)[e];
-                    l3 += wrow[base + 3] * x.feature_row(base + 3)[e];
-                }
-                let mut tail = 0.0;
-                for (i, &w_oi) in wrow.iter().enumerate().skip(LANES * chunks) {
-                    tail += w_oi * x.feature_row(i)[e];
-                }
-                out.feature_row_mut(o)[e] = self.b.data[o] + (((l0 + l1) + (l2 + l3)) + tail);
-            }
-        }
+        e
     }
 
     /// Batched backward: accumulate parameter gradients over the whole
@@ -244,7 +334,7 @@ impl Linear {
             for i in 0..self.in_dim {
                 let xrow = x.feature_row(i);
                 for ob in 0..GRAD_TILE_O {
-                    self.w.grad[(o + ob) * self.in_dim + i] +=
+                    self.w.grad[i * self.out_dim + o + ob] +=
                         kernel::dot(kind, dy.feature_row(o + ob), xrow);
                 }
             }
@@ -253,9 +343,8 @@ impl Linear {
         while o < self.out_dim {
             let dyrow = dy.feature_row(o);
             self.b.grad[o] += kernel::sum(kind, dyrow);
-            let row_start = o * self.in_dim;
             for i in 0..self.in_dim {
-                self.w.grad[row_start + i] += kernel::dot(kind, dyrow, x.feature_row(i));
+                self.w.grad[i * self.out_dim + o] += kernel::dot(kind, dyrow, x.feature_row(i));
             }
             o += 1;
         }
@@ -286,7 +375,7 @@ impl Linear {
                     let gv: &[f64; TILE_E] =
                         dy.feature_row(o)[e..e + TILE_E].try_into().expect("tile");
                     for (ib, row) in acc.iter_mut().enumerate() {
-                        let w_oi = self.w.data[o * in_dim + i + ib];
+                        let w_oi = self.w.data[(i + ib) * out_dim + o];
                         for (a, &ge) in row.iter_mut().zip(gv) {
                             *a += w_oi * ge;
                         }
@@ -302,7 +391,7 @@ impl Linear {
                 for o in 0..out_dim {
                     let gv: &[f64; TILE_E] =
                         dy.feature_row(o)[e..e + TILE_E].try_into().expect("tile");
-                    let w_oi = self.w.data[o * in_dim + i];
+                    let w_oi = self.w.data[i * out_dim + o];
                     for (a, &ge) in acc.iter_mut().zip(gv) {
                         *a += w_oi * ge;
                     }
@@ -325,7 +414,7 @@ impl Linear {
             for i in 0..in_dim {
                 let mut acc = 0.0;
                 for o in 0..out_dim {
-                    acc += self.w.data[o * in_dim + i] * dy.feature_row(o)[e];
+                    acc += self.w.data[i * out_dim + o] * dy.feature_row(o)[e];
                 }
                 dx.feature_row_mut(i)[e] = acc;
             }
@@ -695,7 +784,8 @@ impl Mlp {
 
     /// Read-only access to every parameter buffer, in the same order as
     /// [`Mlp::params_mut`] (weights then bias, layer by layer) — the fixed
-    /// order used for flat gradient export/reduction.
+    /// order used for flat gradient export/reduction.  A weight buffer is
+    /// in its in-memory order, input-major (`w[i * out_dim + o]`).
     pub fn params(&self) -> Vec<&ParamBuf> {
         self.layers.iter().flat_map(|l| [&l.w, &l.b]).collect()
     }
@@ -1178,6 +1268,69 @@ mod tests {
             let got = mlp.forward_batch_with(kind, &batch).get(0, 0);
             assert_eq!(got.to_bits(), expected.to_bits(), "batched {kind:?}");
         }
+    }
+
+    /// JSON of `Mlp::new(&[3, 4, 2], LeakyRelu, 7)`, captured on the
+    /// commit before weights went input-major in memory.
+    const SEEDED_MLP_JSON: &str = concat!(
+        r#"{"layers":[{"in_dim":3,"out_dim":4,"w":{"data":[-0.17990726751694827,-0.7890814107640318,0.6544394509715775,0.13542460142552037,-0.07766206023707582,-0.40917661068881034,-0.05233252496205821,-0.2807495093278539,-0.5972536970511834,-0.14183950406508666,-0.6473838950712111,0.750971222358449],"#,
+        r#""grad":[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"m":[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"v":[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0]},"#,
+        r#""b":{"data":[0.0,0.0,0.0,0.0],"grad":[0.0,0.0,0.0,0.0],"m":[0.0,0.0,0.0,0.0],"v":[0.0,0.0,0.0,0.0]}},"#,
+        r#"{"in_dim":4,"out_dim":2,"w":{"data":[0.5911689666512352,0.5251424109575606,0.514784572823333,0.06828871944762324,0.5368548396478581,-0.24556220229550907,0.16846196973075875,0.3639082372158392],"#,
+        r#""grad":[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"m":[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"v":[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0]},"#,
+        r#""b":{"data":[0.0,0.0],"grad":[0.0,0.0],"m":[0.0,0.0],"v":[0.0,0.0]}}],"activation":"LeakyRelu"}"#,
+    );
+
+    /// FNV-1a of the JSON of that model after one batched backward, one
+    /// Adam step and a second backward (so data, grad, m and v are all
+    /// non-trivial) — captured on the same commit, identical under both
+    /// kernels.
+    const TRAINED_MLP_JSON_FNV1A: u64 = 0x6503_40f7_c16f_b6c5;
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The in-memory weight layout is invisible outside `Linear`: RNG
+    /// draw order, serialized layout of all four parameter vectors, and
+    /// the batched forward/backward bits are those of the output-major
+    /// implementation.
+    #[test]
+    fn serialized_form_is_byte_identical_to_the_output_major_implementation() {
+        let fresh = Mlp::new(&[3, 4, 2], Activation::LeakyRelu, 7);
+        assert_eq!(serde_json::to_string(&fresh).unwrap(), SEEDED_MLP_JSON);
+        assert_eq!(serde_json::from_str::<Mlp>(SEEDED_MLP_JSON).unwrap(), fresh);
+
+        let examples = trial_examples(3, 11);
+        let batch = Batch::from_examples(3, examples.iter().map(|v| v.as_slice()));
+        for kind in [KernelKind::Simd, KernelKind::Scalar] {
+            let mut mlp = fresh.clone();
+            let mut adam = crate::optim::Adam::new(0.01);
+            for round in 0..2 {
+                let (out, cache) = mlp.forward_batch_cached_with(kind, batch.clone());
+                let mut d_out = Batch::zeros(2, 11);
+                for e in 0..11 {
+                    d_out.set(0, e, 2.0 * (out.get(0, e) - (e as f64 * 0.21).sin()));
+                    d_out.set(1, e, out.get(1, e) + 0.5);
+                }
+                mlp.backward_batch_with(kind, &cache, &d_out);
+                if round == 0 {
+                    adam.step(&mut mlp.params_mut());
+                }
+            }
+            let json = serde_json::to_string(&mlp).unwrap();
+            assert_eq!(fnv1a(json.as_bytes()), TRAINED_MLP_JSON_FNV1A, "{kind:?}");
+            assert_eq!(serde_json::from_str::<Mlp>(&json).unwrap(), mlp, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn parameters_that_disagree_with_the_dims_are_refused() {
+        let short = SEEDED_MLP_JSON.replacen("\"in_dim\":3", "\"in_dim\":4", 1);
+        let err = serde_json::from_str::<Mlp>(&short).unwrap_err();
+        assert!(err.to_string().contains("do not match dims 4x4"), "{err}");
     }
 
     #[test]

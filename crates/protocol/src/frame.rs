@@ -37,6 +37,12 @@ pub const HEADER_LEN: usize = 20;
 /// [`ProtocolError::PayloadTooLarge`].
 pub const MAX_PAYLOAD_LEN: u32 = 32 * 1024 * 1024;
 
+/// Upper bound on the payload of a connection's first frame, enforced by
+/// the gateway through [`read_frame_limited`].  A `Hello` is a tenant id
+/// and a version number; until it has been accepted the peer is anonymous
+/// and gets to make the server buffer and parse no more than this.
+pub const MAX_HANDSHAKE_PAYLOAD_LEN: u32 = 4 * 1024;
+
 /// One protocol frame: a request id plus a typed message, optionally
 /// tagged with a request-scoped trace id.
 #[derive(Debug, Clone, PartialEq)]
@@ -253,6 +259,17 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtocolError>
 /// Returns `Ok(None)` on a clean end-of-stream at a frame boundary and
 /// [`ProtocolError::Truncated`] when the stream ends mid-frame.
 pub fn read_frame<R: Read>(reader: &mut R) -> Result<Option<Frame>, ProtocolError> {
+    read_frame_limited(reader, MAX_PAYLOAD_LEN)
+}
+
+/// [`read_frame`] with a tighter payload bound: a header declaring more
+/// than `payload_limit` bytes fails with
+/// [`ProtocolError::PayloadTooLarge`] before any of the payload is
+/// buffered or parsed.
+pub fn read_frame_limited<R: Read>(
+    reader: &mut R,
+    payload_limit: u32,
+) -> Result<Option<Frame>, ProtocolError> {
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;
     while filled < HEADER_LEN {
@@ -275,8 +292,14 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Option<Frame>, ProtocolErro
         }
         None => {
             let ext_len = header_ext_len(header[4], u16::from_le_bytes([header[6], header[7]]));
-            let payload_len =
-                u32::from_le_bytes(header[16..20].try_into().expect("4-byte slice")) as usize;
+            let declared = u32::from_le_bytes(header[16..20].try_into().expect("4-byte slice"));
+            if declared > payload_limit {
+                return Err(ProtocolError::PayloadTooLarge {
+                    declared,
+                    limit: payload_limit,
+                });
+            }
+            let payload_len = declared as usize;
             let mut buf = Vec::with_capacity(HEADER_LEN + ext_len + payload_len);
             buf.extend_from_slice(&header);
             buf.resize(HEADER_LEN + ext_len + payload_len, 0);
@@ -510,6 +533,33 @@ mod tests {
             decode_frame(&oversize),
             Err(ProtocolError::PayloadTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn limited_read_refuses_from_the_header_alone() {
+        let hello = Frame::new(
+            3,
+            Message::Hello(HelloRequest {
+                protocol_version: PROTOCOL_VERSION,
+                tenant: "t".repeat(64),
+            }),
+        );
+        let bytes = encode_frame(&hello).unwrap();
+        let payload_len = (bytes.len() - HEADER_LEN) as u32;
+        // At the limit the frame reads; one byte under it, the header is
+        // enough to refuse — the reader holds no payload byte at all.
+        let mut at_limit = bytes.as_slice();
+        assert_eq!(
+            read_frame_limited(&mut at_limit, payload_len).unwrap(),
+            Some(hello)
+        );
+        let mut header_only = &bytes[..HEADER_LEN];
+        match read_frame_limited(&mut header_only, payload_len - 1) {
+            Err(ProtocolError::PayloadTooLarge { declared, limit }) => {
+                assert_eq!((declared, limit), (payload_len, payload_len - 1));
+            }
+            other => panic!("expected PayloadTooLarge, got {other:?}"),
+        }
     }
 
     #[test]

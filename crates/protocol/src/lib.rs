@@ -74,8 +74,9 @@ pub mod message;
 
 pub use error::ProtocolError;
 pub use frame::{
-    decode_frame, encode_frame, read_frame, write_frame, Frame, FLAG_TRACE_ID, HEADER_LEN, MAGIC,
-    MAX_PAYLOAD_LEN, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, TRACE_ID_EXT_LEN,
+    decode_frame, encode_frame, read_frame, read_frame_limited, write_frame, Frame, FLAG_TRACE_ID,
+    HEADER_LEN, MAGIC, MAX_HANDSHAKE_PAYLOAD_LEN, MAX_PAYLOAD_LEN, MIN_PROTOCOL_VERSION,
+    PROTOCOL_VERSION, TRACE_ID_EXT_LEN,
 };
 pub use message::{
     ErrorCode, ErrorResponse, ExplainRequest, GatewayMetrics, HealthResponse, HelloAck,

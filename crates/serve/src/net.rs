@@ -10,9 +10,10 @@
 //!   pipelined: the reader admits work without waiting for earlier
 //!   answers, and the client matches responses by request id.
 //! * **Tenant handshake** — the first frame must be `Hello` carrying a
-//!   tenant id.  Unknown tenants (when no default policy is configured)
-//!   and empty tenant ids are turned away with `Unauthenticated` before
-//!   any prediction work is possible.
+//!   tenant id, in a payload of at most `MAX_HANDSHAKE_PAYLOAD_LEN`
+//!   bytes.  Unknown tenants (when no default policy is configured) and
+//!   empty tenant ids are turned away with `Unauthenticated` before any
+//!   prediction work is possible.
 //! * **Two-level admission control** — each request first charges the
 //!   tenant's in-flight quota ([`TenantPolicy::max_in_flight`], answered
 //!   with `QuotaExceeded` when full), then enters the worker pool
@@ -53,8 +54,8 @@ use zsdb_engine::PlanNode;
 use zsdb_obs::{ActiveTrace, LatencyWindow, Trace, Tracer};
 use zsdb_protocol::{
     decode_frame, encode_frame, ErrorCode, ErrorResponse, Frame, GatewayMetrics, HealthResponse,
-    HelloAck, Message, ProtocolError, TenantMetrics, WirePrediction, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    HelloAck, Message, ProtocolError, TenantMetrics, WirePrediction, MAX_HANDSHAKE_PAYLOAD_LEN,
+    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 
 /// Per-tenant latency samples retained for the percentile estimates
@@ -634,7 +635,9 @@ fn serve_connection(shared: &Arc<NetShared>, mut stream: TcpStream) -> io::Resul
 
     // --- Handshake -------------------------------------------------------
     stream.set_read_timeout(Some(shared.config.handshake_timeout))?;
-    let hello = match zsdb_protocol::read_frame(&mut stream) {
+    // The peer is still anonymous: it gets a handshake-sized payload, not
+    // the 32 MiB a tenant's `PredictBatch` may need.
+    let hello = match zsdb_protocol::read_frame_limited(&mut stream, MAX_HANDSHAKE_PAYLOAD_LEN) {
         Ok(Some(frame)) => frame,
         Ok(None) => return Ok(()), // connected and left silently
         Err(ProtocolError::Io(e))

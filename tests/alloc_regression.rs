@@ -8,12 +8,17 @@
 //! mark, then replay the hot path and assert the allocation counter does
 //! not move.
 //!
+//! The counter is **per thread**: libtest runs this file's tests on
+//! parallel threads, and a process-wide counter would charge one test's
+//! cold setup (database generation, model training) to another test's
+//! measured window.
+//!
 //! Integration tests are separate crates, so installing a global
 //! allocator (and the `unsafe` it requires) here does not relax the
 //! `#![forbid(unsafe_code)]` contract of any library crate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use zero_shot_db::catalog::presets;
 use zero_shot_db::serve::FeatureCache;
@@ -22,25 +27,36 @@ use zero_shot_db::zeroshot::features::featurize_plan_into;
 use zero_shot_db::zeroshot::{plan_fingerprint, GraphArena, InferenceScratch};
 use zsdb_bench::tiny_serving_fixture;
 
-/// Pass-through allocator that counts every allocation (fresh and
-/// growing reallocations both count — the hot path must do neither).
+/// Pass-through allocator that counts every allocation of the calling
+/// thread (fresh and growing reallocations both count — the hot path
+/// must do neither).
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates or registers anything.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread that is tearing down may still free and
+    // allocate after its thread-locals are gone.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -52,8 +68,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

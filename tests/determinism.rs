@@ -78,3 +78,35 @@ fn same_seed_executes_to_identical_observations() {
         assert_eq!(a.plan, b.plan);
     }
 }
+
+/// The serving fixture's predictions, summed in plan order, pinned to the
+/// bit.  The golden was captured on the commit before `zsdb_nn` moved to
+/// input-major weights and an output-tiled forward: any change to a
+/// reduction order, an activation, the featurizer or the training loop
+/// moves it, under either kernel and on either forward path.
+#[test]
+fn serving_fixture_prediction_sum_bits_are_pinned() {
+    use zero_shot_db::catalog::presets;
+    use zero_shot_db::zeroshot::features::featurize_plan;
+
+    const GOLDEN_SUM_BITS: u64 = 0x4043_7a30_fb0e_84bd;
+
+    let db = Database::generate(presets::imdb_like(0.02), 11);
+    let (model, plans) = zsdb_bench::tiny_serving_fixture(&db, 40, 5);
+    let graphs: Vec<_> = plans
+        .iter()
+        .map(|plan| featurize_plan(db.catalog(), plan, model.featurizer))
+        .collect();
+
+    let refs: Vec<_> = graphs.iter().collect();
+    let per_example: f64 = graphs.iter().map(|g| model.model.predict(g)).sum();
+    let batched: f64 = model.model.predict_batch(&refs).iter().sum();
+    for (path, sum) in [("per-example", per_example), ("batched", batched)] {
+        assert_eq!(
+            sum.to_bits(),
+            GOLDEN_SUM_BITS,
+            "{path} sum {sum} = {:016x}",
+            sum.to_bits()
+        );
+    }
+}

@@ -564,3 +564,70 @@ fn concurrent_recording_under_snapshot_pressure_loses_nothing() {
     drop(beta);
     gateway.shutdown();
 }
+
+/// ROADMAP do-first (b): before the `Hello` is accepted the peer is
+/// anonymous, so the gateway buffers and parses at most
+/// `MAX_HANDSHAKE_PAYLOAD_LEN` bytes for it.  The frame that used to
+/// abort the process — a 2 MB `Hello` of `[` — is refused from its header
+/// alone, a nested payload that fits the cap gets the parser's depth
+/// error, and in both cases the connection is closed and the gateway
+/// keeps serving.
+#[test]
+fn hostile_handshakes_are_refused_and_the_gateway_survives() {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use zero_shot_db::protocol::{
+        read_frame, Message, HEADER_LEN, MAGIC, MAX_HANDSHAKE_PAYLOAD_LEN,
+    };
+
+    let db = Database::generate(presets::imdb_like(0.02), 11);
+    let (model, plans) = tiny_serving_fixture(&db, 4, 5);
+    let gateway = NetServer::start(
+        "127.0.0.1:0",
+        PredictionServer::start(model, db.catalog().clone(), ServerConfig::default()),
+        NetServerConfig::default().with_tenant("alpha", TenantPolicy { max_in_flight: 8 }),
+    )
+    .expect("bind gateway");
+    let addr = gateway.local_addr();
+
+    let within_cap = MAX_HANDSHAKE_PAYLOAD_LEN as usize - 1;
+    for (declared_len, sent_len) in [(2_000_000, 0), (within_cap, within_cap)] {
+        let mut stream = TcpStream::connect(addr).expect("connect raw");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // A version-1 `Hello` (opcode 0x01) header, request id 7.  The
+        // oversized frame stops after its header: the refusal must not
+        // wait for a payload, and with nothing left unread the gateway's
+        // close cannot reset the connection under its own error frame.
+        let mut frame = Vec::with_capacity(HEADER_LEN + sent_len);
+        frame.extend_from_slice(&MAGIC);
+        frame.extend_from_slice(&[1, 0x01, 0, 0]);
+        frame.extend_from_slice(&7u64.to_le_bytes());
+        frame.extend_from_slice(&(declared_len as u32).to_le_bytes());
+        assert_eq!(frame.len(), HEADER_LEN);
+        frame.resize(HEADER_LEN + sent_len, b'[');
+        stream.write_all(&frame).expect("send hello");
+
+        let reply = read_frame(&mut stream)
+            .expect("refusal frame")
+            .expect("refusal before close");
+        match reply.message {
+            Message::Error(e) => assert_eq!(e.code, ErrorCode::BadRequest, "{e:?}"),
+            other => panic!(
+                "{declared_len}-byte Hello answered with {}",
+                other.op_name()
+            ),
+        }
+        assert!(
+            matches!(read_frame(&mut stream), Ok(None)),
+            "connection must be closed after a refused handshake"
+        );
+    }
+
+    let alpha = Client::connect(addr, ClientConfig::tenant("alpha")).expect("gateway alive");
+    let served = alpha
+        .predict(&plans[0])
+        .expect("prediction after the attack");
+    assert!(served.runtime_secs.is_finite());
+}
