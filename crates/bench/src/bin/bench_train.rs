@@ -2,8 +2,10 @@
 //! with the pre-refactor per-example trainer and with the batched
 //! (level, kind)-scheduled trainer, and emits a machine-readable
 //! `BENCH_train.json` report (graphs/sec for both engines, speedup,
-//! epochs-to-convergence, final median q-error, and the batched-vs-
-//! per-example bit-equivalence check).
+//! epochs-to-convergence, final median q-error, the batched-vs-
+//! per-example bit-equivalence check, the active kernel and an FNV-1a of
+//! the batched engine's trained weights — which neither the kernel choice
+//! nor the thread count may move for a given corpus and configuration).
 //!
 //! Measurement methodology: both engines are timed over their **whole
 //! training loop**, exactly as a user experiences them.  That includes
@@ -83,6 +85,8 @@ struct TrainBenchReport {
     microbatch_size: usize,
     threads: usize,
     hidden_dim: usize,
+    /// Active MLP kernel (`"simd"` or `"scalar"`, from `ZSDB_KERNEL`).
+    kernel: &'static str,
     per_example: EngineReport,
     batched: EngineReport,
     speedup: f64,
@@ -92,6 +96,10 @@ struct TrainBenchReport {
     /// Whether batched predictions of the trained model are bit-identical
     /// to per-example predictions over the training corpus.
     equivalence_bit_identical: bool,
+    /// FNV-1a (64-bit, hex) of the batched engine's trained model JSON:
+    /// two runs of one configuration agree exactly when they trained the
+    /// same weights, whatever the kernel and the thread count.
+    weights_fnv1a: String,
 }
 
 fn engine_report(trained: &TrainedModel, graphs_trained_on: usize, wall_secs: f64) -> EngineReport {
@@ -189,6 +197,13 @@ fn main() {
         .zip(&batched_predictions)
         .all(|(g, p)| p.to_bits() == trained.model.predict(g).to_bits());
 
+    let mut weights_hash = zsdb_engine::fingerprint::Fnv64::new();
+    trained
+        .model
+        .to_json()
+        .bytes()
+        .for_each(|b| weights_hash.write_u8(b));
+
     let speedup = batched.graphs_per_sec / per_example.graphs_per_sec.max(1e-12);
     let report = TrainBenchReport {
         corpus_graphs: graphs.len(),
@@ -199,21 +214,25 @@ fn main() {
         microbatch_size: args.microbatch,
         threads: training_config.effective_threads(),
         hidden_dim: args.hidden,
+        kernel: zsdb_nn::active_kernel().name(),
         per_example,
         batched,
         speedup,
         epochs_to_convergence,
         equivalence_bit_identical,
+        weights_fnv1a: format!("{:016x}", weights_hash.finish()),
     };
 
     println!(
         "\nspeedup: {:.2}x (batched {:.0} vs per-example {:.0} graphs/sec) · \
-         epochs-to-convergence {:?} · bit-identical {}",
+         epochs-to-convergence {:?} · bit-identical {} · {} kernel · weights {}",
         report.speedup,
         report.batched.graphs_per_sec,
         report.per_example.graphs_per_sec,
         report.epochs_to_convergence,
-        report.equivalence_bit_identical
+        report.equivalence_bit_identical,
+        report.kernel,
+        report.weights_fnv1a
     );
     // Fail loudly in CI if the batched engine ever regresses below the
     // equivalence guarantee.

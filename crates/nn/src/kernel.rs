@@ -51,6 +51,27 @@
 //! tile and then single outputs (the model's layers are 48 = 2 × 24,
 //! 32 = 24 + 8 and 1 wide).
 //!
+//! # One kernel, three callers
+//!
+//! The example is read through a closure and finished outputs leave
+//! through another, so nothing in the kernel says what the "weights", the
+//! "input" and the "bias" are.  `zsdb_nn::mlp` calls it three ways:
+//!
+//! ```text
+//!                      w (in_dim × out_dim)  x(i)           bias        reduces over
+//! per-example forward  layer weights         the vector     layer bias  inputs
+//! batched forward      layer weights         column e of x  layer bias  inputs
+//! weight gradient      dyᵀ (n × out_dim)     row i of x     grad row i  examples
+//! ```
+//!
+//! The third row is `w.grad[i][o] += dot(dy[o][·], x[i][·])` with the
+//! roles rotated: the batch's output gradient, transposed to
+//! example-major, is an input-major matrix over `n` "inputs"; one feature
+//! row of the batch is the "example"; and because the bias joins after
+//! the reduction, seeding it with the gradient row's current value yields
+//! `grad + dot` — the additions of `grad += dot(..)`, `out_dim` cells to
+//! a sweep.  No caller needs a second copy of the weights.
+//!
 //! Fixing the order buys two properties at once:
 //!
 //! * **Speed.**  Four independent accumulator chains map directly onto

@@ -11,10 +11,11 @@
 //! of the zero-shot model easy to reason about and fast enough on a CPU.
 //!
 //! Every MLP also runs in **batched** mode ([`batch::Batch`],
-//! [`Mlp::forward_batch`], [`Mlp::backward_batch`]): one fused loop per
-//! layer over a whole mini-batch, bit-identical per example to the
-//! per-example forward, with a fixed ascending-example gradient reduction
-//! order so training stays deterministic.
+//! [`Mlp::forward_batch`], [`Mlp::backward_batch`]): one call per layer
+//! for a whole mini-batch, through the same output-tiled kernel
+//! ([`kernel::affine_layer`]) as the per-example forward and bit-identical
+//! to it per example, with a fixed gradient reduction order over examples
+//! so training stays deterministic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,13 +5,11 @@
 //! * **per-example** (`forward`, `forward_cached`, `backward`) — one
 //!   vector at a time, the original training/inference path;
 //! * **batched** (`forward_batch`, `forward_batch_cached`,
-//!   `backward_batch`) — a whole [`Batch`] of examples through one fused
-//!   loop per layer.  For a fixed `(example, output unit)` pair the
-//!   accumulation order over input units is identical to the per-example
-//!   path, so batched *forward* outputs are bit-identical to per-example
-//!   outputs; the batched layout additionally lets the inner loops run
-//!   over independent per-example accumulators in contiguous memory,
-//!   which is what makes batching fast on a CPU.
+//!   `backward_batch`) — a whole [`Batch`] of examples per layer call.
+//!   Each column goes through the very kernel call the per-example path
+//!   makes, so batched *forward* outputs are bit-identical to per-example
+//!   outputs; what batching buys is one schedule, one cache and one
+//!   backward per group of examples instead of one per example.
 //!
 //! Every dot product in both modes reduces in the canonical 4-lane order
 //! of [`crate::kernel`], executed by either the SIMD-shaped or the scalar
@@ -23,20 +21,41 @@
 //!
 //! A layer's weights live **input-major** in memory: `w[i * out_dim + o]`,
 //! for the values, the gradient and both Adam moments.  That is the
-//! layout the per-example forward wants — [`kernel::affine_layer`] holds
-//! a tile of outputs in registers and reads each input's weights as one
-//! contiguous run — and every other kernel in this file indexes the same
-//! buffer.  It is the only layout in memory; nothing keeps a second copy.
-//! Outside this file it does not show: seeded construction draws in
-//! output-major order and transposes, and the serde impls of the layer
-//! transpose on the way out and in, so a seed yields the same model and a
-//! model the same JSON as when weights were output-major.  The per-example
-//! forward also serves single columns of a batch — the `n % 8` examples
-//! the SIMD batch tiles leave over, and every example under the scalar
-//! kernel.
+//! layout [`kernel::affine_layer`] wants — it holds a tile of outputs in
+//! registers and reads each input's weights as one contiguous run — and
+//! every other kernel in this file indexes the same buffer.  It is the
+//! only layout in memory; nothing keeps a second copy.  Outside this file
+//! it does not show: seeded construction draws in output-major order and
+//! transposes, and the serde impls of the layer transpose on the way out
+//! and in, so a seed yields the same model and a model the same JSON as
+//! when weights were output-major.
+//!
+//! # One dense kernel
+//!
+//! [`kernel::affine_layer`] runs every dense product of a layer but one:
+//!
+//! * the **per-example forward** — `out[o] = b[o] + dot(w[·][o], x)`;
+//! * the **batched forward** — the same call per column `e`, reading
+//!   `x[·][e]` in place from the feature-major batch;
+//! * the **weight gradient** of the batched backward,
+//!   `w.grad[i][o] += dot(dy[o][·], x[i][·])`, with the roles rotated:
+//!   `dy` transposed to example-major (`n × out_dim`, one small transpose
+//!   per layer call) is the "weight" matrix, feature row `x[i][·]` the
+//!   "input", gradient row `i`'s current value the "bias", and the
+//!   reduction runs over examples in `dot`'s lane order — cell for cell
+//!   the multiplies and adds of `grad += kernel::dot(dy row, x row)`,
+//!   `out_dim` cells to a sweep instead of one.
+//!
+//! The exception is the **input gradient**, `dx[i][e] = Σ_o w[i][o] ·
+//! dy[o][e]`, whose sum over output units is sequential in ascending `o`
+//! (that order is what the trained bits are).  Under SIMD it runs in
+//! register tiles of 4 inputs × 8 examples; the `n % 8` examples left
+//! over are copied into one zero-padded tile of `dy` and take the same
+//! tile code, so no column falls to a strided scalar loop.  The unblocked
+//! loop remains as the scalar kernel's path and the oracle.
 
 use crate::batch::Batch;
-use crate::kernel::{self, active_kernel, KernelKind, LANES};
+use crate::kernel::{self, active_kernel, KernelKind};
 use crate::param::ParamBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -232,23 +251,18 @@ impl Linear {
         dx
     }
 
-    /// Batched forward: `out[o][e] = b[o] + dot(w[·][o], x[·][e])` with the
-    /// dot product reduced in the canonical 4-lane order — exactly the
-    /// operation order of the per-example [`Linear::forward`], so each
-    /// column of `out` is bit-identical to a per-example forward of that
-    /// column, under either kernel.
+    /// Batched forward: `out[o][e] = b[o] + dot(w[·][o], x[·][e])`, every
+    /// column through the same [`kernel::affine_layer`] call as the
+    /// per-example [`Linear::forward`] (the column is read in place, no
+    /// gather), so column `e` of `out` is that example's per-example
+    /// forward by construction, under either kernel.
     fn forward_batch(&self, kind: KernelKind, x: &Batch, out: &mut Batch) {
-        debug_assert_eq!(x.dim(), self.in_dim);
-        debug_assert_eq!(out.dim(), self.out_dim);
-        debug_assert_eq!(x.n(), out.n());
-        let tiled_until = match kind {
-            KernelKind::Simd => self.forward_batch_tiles(x, out),
-            KernelKind::Scalar => 0,
-        };
-        // What the example tiles do not cover — the `n % TILE_E` tail
-        // under SIMD, every column under the scalar kernel — goes through
-        // the per-example kernel one column at a time.
-        for e in tiled_until..x.n() {
+        assert_eq!(
+            (x.dim(), out.dim(), out.n()),
+            (self.in_dim, self.out_dim, x.n()),
+            "forward_batch: x / out shapes against the layer's dims and each other"
+        );
+        for e in 0..x.n() {
             kernel::affine_layer(
                 kind,
                 &self.w.data,
@@ -264,153 +278,121 @@ impl Linear {
         }
     }
 
-    /// The whole [`TILE_E`]-example tiles of the SIMD batched forward;
-    /// returns the number of examples covered.  For each output unit, a
-    /// register block of [`LANES`] lane-accumulator rows × [`TILE_E`]
-    /// examples (`LANES × TILE_E` f64 accumulators, i.e. eight AVX2
-    /// vectors) sweeps the input in lane-interleaved order.  Lane `l` of
-    /// example `e` accumulates `w[4k+l][o] · x[4k+l][e]` over ascending
-    /// `k`; lanes combine pairwise and the `in_dim % 4` tail is added
-    /// last — the canonical order, vectorised across the example tile.
-    fn forward_batch_tiles(&self, x: &Batch, out: &mut Batch) -> usize {
-        let n = x.n();
-        let (in_dim, out_dim) = (self.in_dim, self.out_dim);
-        let chunks = in_dim / LANES;
-        let mut e = 0;
-        while e + TILE_E <= n {
-            for o in 0..out_dim {
-                let mut lanes = [[0.0f64; TILE_E]; LANES];
-                for k in 0..chunks {
-                    for (l, lane) in lanes.iter_mut().enumerate() {
-                        let i = LANES * k + l;
-                        let w_oi = self.w.data[i * out_dim + o];
-                        let xv: &[f64; TILE_E] =
-                            x.feature_row(i)[e..e + TILE_E].try_into().expect("tile");
-                        for (a, &xe) in lane.iter_mut().zip(xv) {
-                            *a += w_oi * xe;
-                        }
-                    }
-                }
-                let mut tail = [0.0f64; TILE_E];
-                for i in LANES * chunks..in_dim {
-                    let w_oi = self.w.data[i * out_dim + o];
-                    let xv: &[f64; TILE_E] =
-                        x.feature_row(i)[e..e + TILE_E].try_into().expect("tile");
-                    for (a, &xe) in tail.iter_mut().zip(xv) {
-                        *a += w_oi * xe;
-                    }
-                }
-                let bias = self.b.data[o];
-                let orow = &mut out.feature_row_mut(o)[e..e + TILE_E];
-                for (j, dst) in orow.iter_mut().enumerate() {
-                    *dst = bias
-                        + (((lanes[0][j] + lanes[1][j]) + (lanes[2][j] + lanes[3][j])) + tail[j]);
-                }
-            }
-            e += TILE_E;
-        }
-        e
-    }
-
     /// Batched backward: accumulate parameter gradients over the whole
-    /// batch (reduced with the canonical 4-lane order of
-    /// [`kernel::sum`] / [`kernel::dot`] — deterministic for any batch)
-    /// and write the input gradients to `dx`.
+    /// batch (each cell reduced over examples in the canonical 4-lane
+    /// order of [`kernel::sum`] / [`kernel::dot`] — deterministic for any
+    /// batch) and write the input gradients to `dx`.
     fn backward_batch(&mut self, kind: KernelKind, x: &Batch, dy: &Batch, dx: &mut Batch) {
-        debug_assert_eq!(x.dim(), self.in_dim);
-        debug_assert_eq!(dy.dim(), self.out_dim);
-        debug_assert_eq!(dx.dim(), self.in_dim);
-        debug_assert_eq!(x.n(), dy.n());
-        debug_assert_eq!(x.n(), dx.n());
-        // Parameter gradients: block over output units so each input row
-        // is streamed once per GRAD_TILE_O outputs.  Every (o, i) cell is
-        // an independent canonical-order reduction over examples, so the
-        // blocking never affects a single bit.
-        let mut o = 0;
-        while o + GRAD_TILE_O <= self.out_dim {
-            for ob in 0..GRAD_TILE_O {
-                self.b.grad[o + ob] += kernel::sum(kind, dy.feature_row(o + ob));
-            }
-            for i in 0..self.in_dim {
-                let xrow = x.feature_row(i);
-                for ob in 0..GRAD_TILE_O {
-                    self.w.grad[i * self.out_dim + o + ob] +=
-                        kernel::dot(kind, dy.feature_row(o + ob), xrow);
-                }
-            }
-            o += GRAD_TILE_O;
-        }
-        while o < self.out_dim {
-            let dyrow = dy.feature_row(o);
-            self.b.grad[o] += kernel::sum(kind, dyrow);
-            for i in 0..self.in_dim {
-                self.w.grad[i * self.out_dim + o] += kernel::dot(kind, dyrow, x.feature_row(i));
-            }
-            o += 1;
+        // Hard assert, as in `Linear::backward`: in release a `dy` wider
+        // than `x` would otherwise be truncated into a wrong gradient.
+        assert_eq!(
+            (x.dim(), dy.dim(), dx.dim(), dy.n(), dx.n()),
+            (self.in_dim, self.out_dim, self.in_dim, x.n(), x.n()),
+            "backward_batch: x / dy / dx shapes against the layer's dims and each other"
+        );
+        let (n, out_dim) = (x.n(), self.out_dim);
+        for (o, bg) in self.b.grad.iter_mut().enumerate() {
+            *bg += kernel::sum(kind, dy.feature_row(o));
         }
 
-        // Input gradients (`dx[i][e] = Σ_o w[o][i] · dy[o][e]`, summed
+        // Weight gradient, `w.grad[i][o] += dot(dy[o][·], x[i][·])`: the
+        // layer kernel with the roles rotated.  `dy` transposed to
+        // example-major is an input-major "weight" matrix over `n`
+        // "inputs", feature row `x[i][·]` is the "example", and the
+        // gradient row's current value is the "bias" — so row `i` comes
+        // out as `grad + dot` per cell, the reduction over examples in
+        // `dot`'s own lane order, `out_dim` cells to a sweep.
+        let dy_t = transpose(dy.data(), out_dim, n);
+        let mut seed = vec![0.0; out_dim];
+        for i in 0..self.in_dim {
+            let grad_row = &mut self.w.grad[i * out_dim..(i + 1) * out_dim];
+            seed.copy_from_slice(grad_row);
+            let x_row = x.feature_row(i);
+            kernel::affine_layer(
+                kind,
+                &dy_t,
+                &seed,
+                n,
+                |e| x_row[e],
+                |o, run| grad_row[o..o + run.len()].copy_from_slice(run),
+            );
+        }
+
+        // Input gradients (`dx[i][e] = Σ_o w[i][o] · dy[o][e]`, summed
         // sequentially in ascending `o` under either kernel — the sum
         // runs over *output units*, not lanes, so it keeps the
         // pre-existing sequential order).
-        dx.data_mut().fill(0.0);
         match kind {
             KernelKind::Simd => self.input_grad_simd(dy, dx),
-            KernelKind::Scalar => self.input_grad_unblocked(dy, dx, 0),
+            KernelKind::Scalar => self.input_grad_unblocked(dy, dx),
         }
     }
 
-    /// SIMD-shaped input-gradient accumulation: register tiles of
-    /// `GRAD_TILE_O` input features × [`TILE_E`] examples, streaming each
-    /// `dy` row once per tile.
+    /// SIMD-shaped input gradients: every column goes through
+    /// [`Linear::input_grad_tile`].  The `n % TILE_E` remainder is copied
+    /// into one zero-padded tile of `dy` first (the padding lanes compute
+    /// sums nobody reads), so no column falls to a strided scalar loop.
     fn input_grad_simd(&self, dy: &Batch, dx: &mut Batch) {
         let n = dx.n();
-        let (in_dim, out_dim) = (self.in_dim, self.out_dim);
-        let mut e = 0;
-        while e + TILE_E <= n {
-            let mut i = 0;
-            while i + GRAD_TILE_O <= in_dim {
-                let mut acc = [[0.0f64; TILE_E]; GRAD_TILE_O];
-                for o in 0..out_dim {
-                    let gv: &[f64; TILE_E] =
-                        dy.feature_row(o)[e..e + TILE_E].try_into().expect("tile");
-                    for (ib, row) in acc.iter_mut().enumerate() {
-                        let w_oi = self.w.data[(i + ib) * out_dim + o];
-                        for (a, &ge) in row.iter_mut().zip(gv) {
-                            *a += w_oi * ge;
-                        }
-                    }
-                }
-                for (ib, row) in acc.iter().enumerate() {
-                    dx.feature_row_mut(i + ib)[e..e + TILE_E].copy_from_slice(row);
-                }
-                i += GRAD_TILE_O;
-            }
-            while i < in_dim {
-                let mut acc = [0.0f64; TILE_E];
-                for o in 0..out_dim {
-                    let gv: &[f64; TILE_E] =
-                        dy.feature_row(o)[e..e + TILE_E].try_into().expect("tile");
-                    let w_oi = self.w.data[i * out_dim + o];
-                    for (a, &ge) in acc.iter_mut().zip(gv) {
-                        *a += w_oi * ge;
-                    }
-                }
-                dx.feature_row_mut(i)[e..e + TILE_E].copy_from_slice(&acc);
-                i += 1;
-            }
-            e += TILE_E;
+        let whole = n - n % TILE_E;
+        for e in (0..whole).step_by(TILE_E) {
+            self.input_grad_tile(&dy.data()[e..], n, dx, e, TILE_E);
         }
-        self.input_grad_unblocked(dy, dx, e);
+        if whole < n {
+            let mut padded = vec![0.0; self.out_dim * TILE_E];
+            for (o, tile_row) in padded.chunks_exact_mut(TILE_E).enumerate() {
+                tile_row[..n - whole].copy_from_slice(&dy.feature_row(o)[whole..]);
+            }
+            self.input_grad_tile(&padded, TILE_E, dx, whole, n - whole);
+        }
     }
 
-    /// Unblocked input gradients over examples `e0..n` — the scalar
-    /// kernel and the SIMD remainder path (same sequential-over-`o`
-    /// order).
-    fn input_grad_unblocked(&self, dy: &Batch, dx: &mut Batch, e0: usize) {
-        let n = dx.n();
+    /// One example tile of the input gradient: register tiles of
+    /// [`TILE_I`] input features × [`TILE_E`] examples, streaming each
+    /// `dy` tile row once per register tile.  `dy` is feature-major with
+    /// row length `stride` and starts at the tile's first example; of
+    /// examples `e..e + TILE_E` of `dx` the first `width` exist and are
+    /// written.
+    fn input_grad_tile(&self, dy: &[f64], stride: usize, dx: &mut Batch, e: usize, width: usize) {
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
-        for e in e0..n {
+        let dy_tile =
+            |o: usize| -> &[f64; TILE_E] { dy[o * stride..][..TILE_E].try_into().expect("tile") };
+        let mut i = 0;
+        while i + TILE_I <= in_dim {
+            let mut acc = [[0.0f64; TILE_E]; TILE_I];
+            for o in 0..out_dim {
+                let gv = dy_tile(o);
+                for (ib, row) in acc.iter_mut().enumerate() {
+                    let w_io = self.w.data[(i + ib) * out_dim + o];
+                    for (a, &ge) in row.iter_mut().zip(gv) {
+                        *a += w_io * ge;
+                    }
+                }
+            }
+            for (ib, row) in acc.iter().enumerate() {
+                dx.feature_row_mut(i + ib)[e..e + width].copy_from_slice(&row[..width]);
+            }
+            i += TILE_I;
+        }
+        while i < in_dim {
+            let mut acc = [0.0f64; TILE_E];
+            for o in 0..out_dim {
+                let w_io = self.w.data[i * out_dim + o];
+                for (a, &ge) in acc.iter_mut().zip(dy_tile(o)) {
+                    *a += w_io * ge;
+                }
+            }
+            dx.feature_row_mut(i)[e..e + width].copy_from_slice(&acc[..width]);
+            i += 1;
+        }
+    }
+
+    /// Unblocked input gradients — the scalar kernel's path and the
+    /// oracle the tiles are tested against (same sequential-over-`o`
+    /// order).
+    fn input_grad_unblocked(&self, dy: &Batch, dx: &mut Batch) {
+        let (in_dim, out_dim) = (self.in_dim, self.out_dim);
+        for e in 0..dx.n() {
             for i in 0..in_dim {
                 let mut acc = 0.0;
                 for o in 0..out_dim {
@@ -422,15 +404,15 @@ impl Linear {
     }
 }
 
-/// Examples per register tile of the batched kernels (one AVX-512 f64
-/// vector, two AVX2 vectors).
+/// Examples per register tile of the input-gradient kernel (one AVX-512
+/// f64 vector, two AVX2 vectors).
 const TILE_E: usize = 8;
 
-/// Feature/output units per register tile of the gradient kernels:
-/// `GRAD_TILE_O × TILE_E` accumulators stay in registers, so every
-/// streamed row is loaded once per `GRAD_TILE_O` units instead of once
-/// per unit.
-const GRAD_TILE_O: usize = 4;
+/// Input features per register tile of the input-gradient kernel:
+/// `TILE_I × TILE_E` accumulators stay in registers, so every streamed
+/// `dy` row is loaded once per `TILE_I` features instead of once per
+/// feature.
+const TILE_I: usize = 4;
 
 /// Reusable ping-pong buffers for allocation-free inference through an
 /// [`Mlp`] (see [`Mlp::forward_into`]).
@@ -1245,6 +1227,159 @@ mod tests {
         }
         assert_eq!(results[0].0, results[1].0, "parameter gradient bits");
         assert_eq!(results[0].1, results[1].1, "input gradient bits");
+    }
+
+    /// `len` values with magnitudes spread over six decades, so a changed
+    /// summation order changes the rounded result.
+    fn spread(len: usize, seed: u64) -> Vec<f64> {
+        (0..len)
+            .map(|i| {
+                ((i as f64 + seed as f64 * 0.71).sin() * 1.9)
+                    * 10f64.powi((i * 7 + seed as usize) as i32 % 6 - 3)
+            })
+            .collect()
+    }
+
+    fn spread_batch(dim: usize, n: usize, seed: u64) -> Batch {
+        let mut batch = Batch::zeros(dim, n);
+        batch.data_mut().copy_from_slice(&spread(dim * n, seed));
+        batch
+    }
+
+    /// One layer's batched kernels against their definitions, bit for bit
+    /// under both kernels: from a non-zero starting gradient, every
+    /// `w.grad` cell is `old + dot(dy row, x row)`, every `b.grad` cell
+    /// `old + sum(dy row)`, every `dx` cell the sequential-over-`o` sum,
+    /// and column `e` of `forward_batch` the per-example forward of
+    /// example `e`.
+    fn assert_batched_layer_matches_definitions(
+        in_dim: usize,
+        out_dim: usize,
+        n: usize,
+        seed: u64,
+    ) {
+        let mut fresh = Linear::new(in_dim, out_dim, &mut StdRng::seed_from_u64(seed));
+        fresh.b.data = spread(out_dim, seed + 1);
+        fresh.w.grad = spread(in_dim * out_dim, seed + 2);
+        fresh.b.grad = spread(out_dim, seed + 3);
+        let x = spread_batch(in_dim, n, seed + 4);
+        let dy = spread_batch(out_dim, n, seed + 5);
+        for kind in [KernelKind::Simd, KernelKind::Scalar] {
+            let shape = format!("{kind:?} {in_dim}x{out_dim} n={n}");
+            let mut layer = fresh.clone();
+            let mut dx = Batch::zeros(in_dim, n);
+            dx.data_mut().fill(f64::NAN);
+            layer.backward_batch(kind, &x, &dy, &mut dx);
+            for o in 0..out_dim {
+                let dy_row = dy.feature_row(o);
+                let expected = fresh.b.grad[o] + kernel::sum(KernelKind::Scalar, dy_row);
+                assert_eq!(
+                    layer.b.grad[o].to_bits(),
+                    expected.to_bits(),
+                    "{shape} b.grad {o}"
+                );
+                for i in 0..in_dim {
+                    let cell = i * out_dim + o;
+                    let expected = fresh.w.grad[cell]
+                        + kernel::dot(KernelKind::Scalar, dy_row, x.feature_row(i));
+                    assert_eq!(
+                        layer.w.grad[cell].to_bits(),
+                        expected.to_bits(),
+                        "{shape} w.grad ({i},{o})"
+                    );
+                }
+            }
+            for i in 0..in_dim {
+                for e in 0..n {
+                    let expected = (0..out_dim).fold(0.0, |acc, o| {
+                        acc + fresh.w.data[i * out_dim + o] * dy.get(o, e)
+                    });
+                    assert_eq!(
+                        dx.get(i, e).to_bits(),
+                        expected.to_bits(),
+                        "{shape} dx ({i},{e})"
+                    );
+                }
+            }
+
+            let mut out = Batch::zeros(out_dim, n);
+            out.data_mut().fill(f64::NAN);
+            fresh.forward_batch(kind, &x, &mut out);
+            let mut column = Vec::new();
+            for e in 0..n {
+                fresh.forward(KernelKind::Scalar, &x.example(e), &mut column);
+                for (o, expected) in column.iter().enumerate() {
+                    assert_eq!(
+                        out.get(o, e).to_bits(),
+                        expected.to_bits(),
+                        "{shape} out ({o},{e})"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The ranges cover empty batches and inputs, `n` below, at and
+        /// past one example tile with every remainder, `in_dim % 4 != 0`,
+        /// and every output-tile combination up to two wide tiles plus
+        /// remainders.
+        #[test]
+        fn batched_layer_kernels_equal_their_definitions(
+            in_dim in 0usize..101,
+            out_dim in 1usize..71,
+            n in 0usize..41,
+            seed in 0u64..1_000,
+        ) {
+            assert_batched_layer_matches_definitions(in_dim, out_dim, n, seed);
+        }
+    }
+
+    /// The zero-shot model's own layer shapes (node encoders, combine,
+    /// output head) at batch widths around the example tile.
+    #[test]
+    fn batched_layer_kernels_equal_their_definitions_on_the_model_shapes() {
+        for (in_dim, out_dim) in [
+            (5, 48),
+            (11, 48),
+            (22, 48),
+            (35, 48),
+            (40, 48),
+            (48, 48),
+            (96, 48),
+            (48, 32),
+            (32, 1),
+        ] {
+            for n in [1, 7, 8, 13, 32] {
+                assert_batched_layer_matches_definitions(in_dim, out_dim, n, 9);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "forward_batch: x / out shapes")]
+    fn forward_batch_refuses_an_output_of_another_width() {
+        let layer = Linear::new(3, 4, &mut StdRng::seed_from_u64(1));
+        layer.forward_batch(
+            KernelKind::Simd,
+            &Batch::zeros(3, 5),
+            &mut Batch::zeros(4, 6),
+        );
+    }
+
+    /// In release this used to be a silently truncated (wrong) gradient.
+    #[test]
+    #[should_panic(expected = "backward_batch: x / dy / dx shapes")]
+    fn backward_batch_refuses_a_dy_wider_than_x() {
+        let mut layer = Linear::new(3, 4, &mut StdRng::seed_from_u64(1));
+        layer.backward_batch(
+            KernelKind::Simd,
+            &Batch::zeros(3, 5),
+            &Batch::zeros(4, 6),
+            &mut Batch::zeros(3, 5),
+        );
     }
 
     /// Pin the canonical order itself: with a catastrophic-cancellation

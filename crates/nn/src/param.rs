@@ -48,18 +48,28 @@ impl ParamBuf {
         self.grad.iter_mut().for_each(|g| *g = 0.0);
     }
 
-    /// Apply one Adam update with bias correction for step `t` (1-based).
+    /// Apply one Adam update with bias correction for step `t` (1-based;
+    /// past `i32::MAX` steps the correction has long been 1 and `t`
+    /// saturates).
     pub fn adam_step(&mut self, lr: f64, beta1: f64, beta2: f64, eps: f64, t: u64) {
-        let t = t.max(1) as i32;
+        let t = i32::try_from(t.max(1)).unwrap_or(i32::MAX);
         let bc1 = 1.0 - beta1.powi(t);
         let bc2 = 1.0 - beta2.powi(t);
-        for i in 0..self.data.len() {
-            let g = self.grad[i];
-            self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g;
-            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * g * g;
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
-            self.data[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+        // One length check, so the zipped sweep below covers every
+        // parameter and carries no bounds checks.
+        let n = self.data.len();
+        assert_eq!(
+            (self.grad.len(), self.m.len(), self.v.len()),
+            (n, n, n),
+            "grad / m / v must be as long as data"
+        );
+        let moments = self.m.iter_mut().zip(&mut self.v);
+        for ((x, &g), (m, v)) in self.data.iter_mut().zip(&self.grad).zip(moments) {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *x -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 
@@ -82,6 +92,28 @@ mod tests {
         p.adam_step(0.1, 0.9, 0.999, 1e-8, 1);
         assert!(p.data[0] < 1.0);
         assert!(p.data[1] > -1.0);
+    }
+
+    #[test]
+    fn adam_step_count_saturates_instead_of_wrapping() {
+        // Under `t as i32`, step `2^32 + 1` wrapped to step 1 and got the
+        // first step's bias correction back.
+        let stepped = |t: u64| {
+            let mut p = ParamBuf::new(vec![1.0]);
+            p.grad = vec![0.5];
+            p.adam_step(0.1, 0.9, 0.999, 1e-8, t);
+            p.data[0].to_bits()
+        };
+        assert_eq!(stepped((1 << 32) + 1), stepped(i32::MAX as u64));
+        assert_ne!(stepped((1 << 32) + 1), stepped(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "as long as data")]
+    fn adam_step_refuses_ragged_buffers() {
+        let mut p = ParamBuf::zeros(3);
+        p.v.pop();
+        p.adam_step(0.1, 0.9, 0.999, 1e-8, 1);
     }
 
     #[test]

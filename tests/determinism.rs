@@ -110,3 +110,76 @@ fn serving_fixture_prediction_sum_bits_are_pinned() {
         );
     }
 }
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut hash = zero_shot_db::engine::fingerprint::Fnv64::new();
+    bytes.into_iter().for_each(|b| hash.write_u8(b));
+    hash.finish()
+}
+
+/// The trained weights and the accumulated gradient of the default
+/// 48-wide model, pinned to the bit.  Both goldens were captured on the
+/// commit before the batched backward and forward moved onto
+/// `kernel::affine_layer`: any change to a reduction order in the batched
+/// forward, either gradient kernel, the shard reduction or Adam moves
+/// them, under either kernel and any thread count.
+#[test]
+fn trained_weights_and_batch_gradient_bits_are_pinned() {
+    use zero_shot_db::zeroshot::{
+        collect_training_corpus, FeaturizerConfig, ModelConfig, Trainer, TrainingConfig,
+        TrainingDataConfig, ZeroShotCostModel,
+    };
+
+    const GOLDEN_TRAINED_JSON_FNV1A: u64 = 0xbf91_5727_8c05_8b4a;
+    const GOLDEN_GRADIENT_FNV1A: u64 = 0x1919_7c59_f3de_28b2;
+
+    let trainer = |threads: usize| {
+        Trainer::new(
+            ModelConfig::default(),
+            TrainingConfig {
+                epochs: 2,
+                threads,
+                ..TrainingConfig::default()
+            },
+            FeaturizerConfig::exact(),
+        )
+    };
+
+    // The tiny corpus: 3 databases × 80 queries.
+    let data = TrainingDataConfig::tiny();
+    let schemas = SchemaGenerator::new(data.schema_config.clone()).generate_corpus(
+        "train",
+        data.num_databases,
+        data.seed,
+    );
+    let graphs = trainer(1).featurize_corpus(&collect_training_corpus(&data), |name| {
+        schemas
+            .iter()
+            .find(|s| s.name == name)
+            .expect("catalog for corpus database")
+    });
+
+    for threads in [1, 2] {
+        let trained = trainer(threads).train(&graphs);
+        let hash = fnv1a(trained.model.to_json().bytes());
+        assert_eq!(
+            hash, GOLDEN_TRAINED_JSON_FNV1A,
+            "{threads} thread(s): trained model JSON hashes to {hash:#018x}"
+        );
+    }
+
+    let mut model = ZeroShotCostModel::new(ModelConfig::default());
+    let refs: Vec<_> = graphs.iter().take(8).collect();
+    let targets: Vec<f64> = refs
+        .iter()
+        .map(|g| g.runtime_secs.expect("corpus graphs carry labels"))
+        .collect();
+    model.accumulate_gradients_batch(&refs, &targets);
+    let mut gradient = Vec::new();
+    model.export_gradients(&mut gradient);
+    let hash = fnv1a(gradient.iter().flat_map(|g| g.to_bits().to_le_bytes()));
+    assert_eq!(
+        hash, GOLDEN_GRADIENT_FNV1A,
+        "flat gradient of 8 graphs hashes to {hash:#018x}"
+    );
+}
