@@ -3,11 +3,32 @@
 //! The executor evaluates a physical plan against the column store
 //! **batch-at-a-time**: a [`ColumnBatch`] — column-major typed vectors plus
 //! a *select vector* of live lanes — flows between operators instead of
-//! row-major `Vec<Vec<Value>>` relations.  Scans slice batches straight out
-//! of the column store, predicates are evaluated column-at-a-time into the
-//! select vector (filtered-out tuples are never materialised), hash joins
-//! build from and probe on key-column slices producing gather lists, and
-//! aggregation folds over selected column slices.
+//! row-major `Vec<Vec<Value>>` relations.
+//!
+//! **Needed columns.**  Every operator is built with the set of columns its
+//! parent reads (the root asks for the aggregates' columns, a join adds its
+//! own keys to what it asks of its children) and emits only those: a scan
+//! copies the needed columns of a batch, a join stores and gathers the
+//! needed columns of each side, and a `COUNT(*)` pipeline carries no column
+//! at all — which is why a batch has an explicit row count.  The *logical*
+//! tuple an operator produces is still every column of every base table
+//! below it: a batch schema keeps that width apart from the carried
+//! columns, so `output_bytes` / `build_bytes` — the labels — do not depend
+//! on what happens to be carried.
+//!
+//! **Predicates** are evaluated straight over the typed value and null
+//! slices of the column store, one loop per (column type, operator), into
+//! the select vector; filtered-out tuples are never materialised.  Values
+//! are compared through their `f64` view, like
+//! [`zsdb_query::Predicate::matches`], and an incomparable pair (NaN) fails
+//! every operator including `<>`.
+//!
+//! **Hash joins** keep the build keys in one flat table: a vector of keys,
+//! a power-of-two `heads` array and one `next` link per build row.  The
+//! chains are threaded back to front, so walking one visits equal keys in
+//! insertion order.  That order is a contract, not a nicety: it fixes the
+//! order of the join's output rows, hence the order in which a `SUM` above
+//! it adds floats, hence the bits of the aggregate.
 //!
 //! Per operator the executor records both the *true* output cardinality and
 //! a set of [`WorkMetrics`] (tuples, pages, probes, comparisons, bytes).
@@ -21,10 +42,9 @@
 
 use crate::physical::{PhysOperator, PhysOperatorKind, PlanNode};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use zsdb_catalog::table::TUPLE_OVERHEAD_BYTES;
 use zsdb_catalog::{ColumnRef, DataType, TableId, Value, PAGE_SIZE_BYTES};
-use zsdb_query::{AggFunc, Aggregate, Predicate};
+use zsdb_query::{AggFunc, Aggregate, CmpOp, Predicate};
 use zsdb_storage::{ColumnData, Database, TableData};
 
 /// Number of rows per [`ColumnBatch`] emitted by scans.
@@ -139,10 +159,13 @@ pub struct QueryResult {
 /// aggregation) only touch selected lanes.
 #[derive(Debug)]
 pub struct ColumnBatch {
-    /// Column data, all of equal length.
+    /// The carried columns — those some operator above reads — each
+    /// `rows` long.
     pub columns: Vec<ColumnData>,
     /// Indices of live lanes, ascending.
     pub select: Vec<u32>,
+    /// Physical number of rows (live or not); a batch may carry no column.
+    pub rows: usize,
 }
 
 impl ColumnBatch {
@@ -153,7 +176,7 @@ impl ColumnBatch {
 
     /// Physical number of rows in the batch (live or not).
     pub fn num_rows(&self) -> usize {
-        self.columns.first().map(|c| c.len()).unwrap_or(0)
+        self.rows
     }
 }
 
@@ -240,7 +263,7 @@ impl<'a> Executor<'a> {
         match &plan.op {
             PhysOperator::Aggregate { aggregates } => self.execute_aggregate_root(plan, aggregates),
             _ => {
-                let (mut op, _) = build_operator(self.db, plan);
+                let (mut op, _) = build_operator(self.db, plan, &[]);
                 while op.next_batch().is_some() {}
                 QueryResult {
                     aggregates: Vec::new(),
@@ -251,26 +274,22 @@ impl<'a> Executor<'a> {
     }
 
     fn execute_aggregate_root(&self, plan: &PlanNode, aggregates: &[Aggregate]) -> QueryResult {
-        let (mut child, schema) = build_operator(self.db, &plan.children[0]);
+        let needed = aggregated_columns(aggregates);
+        let (mut child, schema) = build_operator(self.db, &plan.children[0], &needed);
         let positions: Vec<Option<usize>> = aggregates
             .iter()
             .map(|a| a.column.map(|c| schema.position(c)))
             .collect();
         let mut accs = vec![AggAccumulator::new(); aggregates.len()];
         let mut input_rows = 0u64;
-        let mut fvals: Vec<f64> = Vec::with_capacity(BATCH_ROWS);
-        let mut fnulls: Vec<bool> = Vec::with_capacity(BATCH_ROWS);
         while let Some(batch) = child.next_batch() {
             input_rows += batch.num_live() as u64;
-            for (agg_idx, pos) in positions.iter().enumerate() {
+            for (acc, pos) in accs.iter_mut().zip(&positions) {
                 let Some(pos) = pos else { continue };
                 let column = &batch.columns[*pos];
-                column.f64_range_into(0, column.len(), &mut fvals, &mut fnulls);
-                let acc = &mut accs[agg_idx];
                 for &lane in &batch.select {
-                    let lane = lane as usize;
-                    if !fnulls[lane] {
-                        acc.fold(fvals[lane]);
+                    if let Some(v) = column.as_f64(lane as usize) {
+                        acc.fold(v);
                     }
                 }
             }
@@ -352,10 +371,13 @@ impl AggAccumulator {
     }
 }
 
-/// Column refs and logical types of the batches an operator produces.
+/// The batches an operator produces: the columns they carry, and the types
+/// of the logical tuple — every column of every base table below the
+/// operator — whose width the work counters are charged with.
 struct BatchSchema {
     columns: Vec<ColumnRef>,
     types: Vec<DataType>,
+    logical_types: Vec<DataType>,
 }
 
 impl BatchSchema {
@@ -367,25 +389,121 @@ impl BatchSchema {
     }
 
     fn width_bytes(&self) -> u64 {
-        row_width_bytes(&self.types)
+        row_width_bytes(&self.logical_types)
     }
 
-    fn concat(&self, other: &BatchSchema) -> BatchSchema {
-        let mut columns = self.columns.clone();
-        columns.extend(other.columns.iter().copied());
-        let mut types = self.types.clone();
-        types.extend(other.types.iter().copied());
-        BatchSchema { columns, types }
+    /// The carried columns in the storage of the one table they come from.
+    fn storage<'a>(&self, data: &'a TableData) -> Vec<&'a ColumnData> {
+        let stored = |c: &ColumnRef| data.column(c.column);
+        self.columns.iter().map(stored).collect()
     }
 }
 
-fn table_schema(db: &Database, table: TableId) -> BatchSchema {
+fn push_unique(columns: &mut Vec<ColumnRef>, column: ColumnRef) {
+    if !columns.contains(&column) {
+        columns.push(column);
+    }
+}
+
+/// The distinct columns a root aggregate reads: what it needs of its child.
+fn aggregated_columns(aggregates: &[Aggregate]) -> Vec<ColumnRef> {
+    let mut columns = Vec::new();
+    let read = aggregates.iter().filter_map(|a| a.column);
+    read.for_each(|column| push_unique(&mut columns, column));
+    columns
+}
+
+/// Schema of a scan of `table` that carries the `needed` columns of it.
+fn scan_schema(db: &Database, table: TableId, needed: &[ColumnRef]) -> BatchSchema {
     let meta = db.catalog().table(table);
+    let type_of = |c: &ColumnRef| meta.columns[c.column.index()].data_type;
+    let columns: Vec<ColumnRef> = needed
+        .iter()
+        .copied()
+        .filter(|c| c.table == table)
+        .collect();
     BatchSchema {
-        columns: (0..meta.num_columns())
-            .map(|i| ColumnRef::new(table, zsdb_catalog::ColumnId(i as u32)))
-            .collect(),
-        types: meta.columns.iter().map(|c| c.data_type).collect(),
+        types: columns.iter().map(type_of).collect(),
+        columns,
+        logical_types: meta.columns.iter().map(|c| c.data_type).collect(),
+    }
+}
+
+/// What a join reads from and emits of its two children (in plan order).
+struct JoinLayout {
+    /// Position of the join key among each child's carried columns.
+    key_pos: [usize; 2],
+    /// Positions of the carried columns of each child that the join's
+    /// parent reads; the output carries these, first child first.
+    out_pos: [Vec<usize>; 2],
+    /// Types of the `out_pos` columns.
+    out_types: [Vec<DataType>; 2],
+    /// Join keys can only match when both key columns live in the same
+    /// typed key space (see [`join_key_tag`]).
+    tags_match: bool,
+    /// Logical tuple width of each child and of the output.
+    child_width: [u64; 2],
+    width: u64,
+}
+
+type JoinInputs<'a> = ([Box<dyn BatchOperator + 'a>; 2], JoinLayout, BatchSchema);
+
+/// Build both children of a join asking each for what the parent needs plus
+/// the join's own key, and lay out what the join keeps of them.
+fn join_inputs<'a>(
+    db: &'a Database,
+    plan: &'a PlanNode,
+    keys: [ColumnRef; 2],
+    needed: &[ColumnRef],
+) -> JoinInputs<'a> {
+    let mut below = needed.to_vec();
+    keys.iter().for_each(|key| push_unique(&mut below, *key));
+    let (left, left_schema) = build_operator(db, &plan.children[0], &below);
+    let (right, right_schema) = build_operator(db, &plan.children[1], &below);
+    let children = [&left_schema, &right_schema];
+    let key_pos = [0, 1].map(|i| children[i].position(keys[i]));
+    let tags = [0, 1].map(|i| join_key_tag(children[i].types[key_pos[i]]));
+    let out_pos = children.map(|schema| -> Vec<usize> {
+        (0..schema.columns.len())
+            .filter(|&pos| needed.contains(&schema.columns[pos]))
+            .collect()
+    });
+    let kept = |i: usize| {
+        let schema = children[i];
+        out_pos[i]
+            .iter()
+            .map(move |&pos| (schema.columns[pos], schema.types[pos]))
+    };
+    let (columns, types) = kept(0).chain(kept(1)).unzip();
+    let schema = BatchSchema {
+        columns,
+        types,
+        logical_types: [
+            &children[0].logical_types[..],
+            &children[1].logical_types[..],
+        ]
+        .concat(),
+    };
+    let layout = JoinLayout {
+        key_pos,
+        out_types: [0, 1].map(|i| kept(i).map(|(_, data_type)| data_type).collect()),
+        out_pos,
+        tags_match: tags[0].is_some() && tags[0] == tags[1],
+        child_width: children.map(BatchSchema::width_bytes),
+        width: schema.width_bytes(),
+    };
+    ([left, right], layout, schema)
+}
+
+/// The executed node of `plan` given its own work and its executed children.
+fn executed(plan: &PlanNode, work: WorkMetrics, children: Vec<ExecutedNode>) -> ExecutedNode {
+    ExecutedNode {
+        kind: plan.op.kind(),
+        est_cardinality: plan.est_cardinality,
+        actual_cardinality: work.output_tuples,
+        output_width: plan.output_width,
+        work,
+        children,
     }
 }
 
@@ -397,14 +515,18 @@ trait BatchOperator {
     fn finish(self: Box<Self>) -> ExecutedNode;
 }
 
+/// Build the operator tree of `plan`.  `needed` (duplicate-free) is what
+/// the parent reads; the batches carry exactly those of them that come from
+/// a table below `plan`.
 fn build_operator<'a>(
     db: &'a Database,
     plan: &'a PlanNode,
+    needed: &[ColumnRef],
 ) -> (Box<dyn BatchOperator + 'a>, BatchSchema) {
     match &plan.op {
         PhysOperator::SeqScan { table, predicates } => {
-            let schema = table_schema(db, *table);
-            let op = SeqScanBatches::new(db, plan, *table, predicates, schema.width_bytes());
+            let schema = scan_schema(db, *table, needed);
+            let op = SeqScanBatches::new(db, plan, *table, predicates, &schema);
             (Box::new(op), schema)
         }
         PhysOperator::IndexScan {
@@ -414,54 +536,32 @@ fn build_operator<'a>(
             hi,
             residual,
         } => {
-            let schema = table_schema(db, *table);
-            let op = IndexScanBatches::new(
-                db,
-                plan,
-                *table,
-                *index_column,
-                *lo,
-                *hi,
-                residual,
-                schema.width_bytes(),
-            );
+            let schema = scan_schema(db, *table, needed);
+            let op =
+                IndexScanBatches::new(db, plan, *table, *index_column, *lo, *hi, residual, &schema);
             (Box::new(op), schema)
         }
         PhysOperator::HashJoin {
             build_key,
             probe_key,
         } => {
-            let (build, build_schema) = build_operator(db, &plan.children[0]);
-            let (probe, probe_schema) = build_operator(db, &plan.children[1]);
-            let schema = build_schema.concat(&probe_schema);
-            let op = HashJoinBatches::new(
-                plan,
-                build,
-                probe,
-                &build_schema,
-                &probe_schema,
-                *build_key,
-                *probe_key,
-            );
-            (Box::new(op), schema)
+            let (children, layout, schema) =
+                join_inputs(db, plan, [*build_key, *probe_key], needed);
+            (
+                Box::new(HashJoinBatches::new(plan, children, layout)),
+                schema,
+            )
         }
         PhysOperator::NestedLoopJoin {
             outer_key,
             inner_key,
         } => {
-            let (outer, outer_schema) = build_operator(db, &plan.children[0]);
-            let (inner, inner_schema) = build_operator(db, &plan.children[1]);
-            let schema = outer_schema.concat(&inner_schema);
-            let op = NestedLoopBatches::new(
-                plan,
-                outer,
-                inner,
-                &outer_schema,
-                &inner_schema,
-                *outer_key,
-                *inner_key,
-            );
-            (Box::new(op), schema)
+            let (children, layout, schema) =
+                join_inputs(db, plan, [*outer_key, *inner_key], needed);
+            (
+                Box::new(NestedLoopBatches::new(plan, children, layout)),
+                schema,
+            )
         }
         PhysOperator::Aggregate { .. } => {
             panic!("Aggregate operators are only supported at the plan root")
@@ -469,17 +569,127 @@ fn build_operator<'a>(
     }
 }
 
-/// Sequential scan: batches sliced straight from the column store,
-/// predicates evaluated column-at-a-time into the select vector.
+/// Typed predicate kernel: narrow `select` to the lanes of rows
+/// `[start, start + len)` of `column` (lane 0 = row `start`) that satisfy
+/// `p`.  The `first` predicate of a conjunction considers every lane and
+/// writes `select` from scratch; later ones only shrink it.  Same outcome
+/// lane for lane as [`Predicate::matches`]: values compare through their
+/// `f64` view, and a NULL value, a NULL literal or a NaN on either side
+/// fails every operator.
+fn filter_rows(
+    p: &Predicate,
+    column: &ColumnData,
+    start: usize,
+    len: usize,
+    first: bool,
+    select: &mut Vec<u32>,
+) {
+    let Some(lit) = p.value.as_f64() else {
+        return select.clear();
+    };
+    let (op, end) = (p.op, start + len);
+    match column {
+        ColumnData::Int { values, nulls } => {
+            let (v, n) = (&values[start..end], &nulls[start..end]);
+            filter_typed(op, lit, v, n, first, select, |v| v as f64)
+        }
+        ColumnData::Float { values, nulls } => {
+            let (v, n) = (&values[start..end], &nulls[start..end]);
+            filter_typed(op, lit, v, n, first, select, |v| v)
+        }
+        ColumnData::Cat { values, nulls, .. } => {
+            let (v, n) = (&values[start..end], &nulls[start..end]);
+            filter_typed(op, lit, v, n, first, select, |v| v as f64)
+        }
+        ColumnData::Bool { values, nulls } => {
+            let (v, n) = (&values[start..end], &nulls[start..end]);
+            filter_typed(op, lit, v, n, first, select, |v| v as u8 as f64)
+        }
+    }
+}
+
+/// One monomorphic loop per (column type, operator).  `<>` is spelled
+/// `a < b || a > b` so that it is false for NaN like the other five.
+fn filter_typed<T: Copy>(
+    op: CmpOp,
+    lit: f64,
+    values: &[T],
+    nulls: &[bool],
+    first: bool,
+    select: &mut Vec<u32>,
+    num: impl Fn(T) -> f64 + Copy,
+) {
+    match op {
+        CmpOp::Eq => filter_lanes(values, nulls, first, select, |v| num(v) == lit),
+        CmpOp::Neq => filter_lanes(values, nulls, first, select, |v| {
+            num(v) < lit || num(v) > lit
+        }),
+        CmpOp::Lt => filter_lanes(values, nulls, first, select, |v| num(v) < lit),
+        CmpOp::Leq => filter_lanes(values, nulls, first, select, |v| num(v) <= lit),
+        CmpOp::Gt => filter_lanes(values, nulls, first, select, |v| num(v) > lit),
+        CmpOp::Geq => filter_lanes(values, nulls, first, select, |v| num(v) >= lit),
+    }
+}
+
+#[inline]
+fn filter_lanes<T: Copy>(
+    values: &[T],
+    nulls: &[bool],
+    first: bool,
+    select: &mut Vec<u32>,
+    keep: impl Fn(T) -> bool,
+) {
+    if first {
+        // Branch-free compaction: every lane is written, survivors advance.
+        select.clear();
+        select.resize(values.len(), 0);
+        let mut live = 0;
+        for (lane, (&v, &null)) in values.iter().zip(nulls).enumerate() {
+            select[live] = lane as u32;
+            live += (!null && keep(v)) as usize;
+        }
+        select.truncate(live);
+    } else {
+        select.retain(|&lane| !nulls[lane as usize] && keep(values[lane as usize]));
+    }
+}
+
+/// Select vector of a `len`-row batch under the conjunction `predicates`,
+/// `filter` being [`filter_rows`] bound to the scan's storage.  Each
+/// predicate only runs on lanes that survived the previous ones, matching
+/// the row-at-a-time per-row early exit count for count (`evals`).
+fn select_lanes(
+    predicates: &[Predicate],
+    len: usize,
+    evals: &mut u64,
+    filter: impl Fn(&Predicate, bool, &mut Vec<u32>),
+) -> Vec<u32> {
+    let Some((first, rest)) = predicates.split_first() else {
+        return (0..len as u32).collect();
+    };
+    let mut select = Vec::new();
+    *evals += len as u64;
+    filter(first, true, &mut select);
+    for p in rest {
+        if select.is_empty() {
+            break;
+        }
+        *evals += select.len() as u64;
+        filter(p, false, &mut select);
+    }
+    select
+}
+
+/// Sequential scan: predicates evaluated over table storage into the select
+/// vector, then the needed columns of the batch copied out of it.
 struct SeqScanBatches<'a> {
     data: &'a TableData,
     predicates: &'a [Predicate],
     plan: &'a PlanNode,
+    carried: Vec<&'a ColumnData>,
     width: u64,
     cursor: usize,
     work: WorkMetrics,
-    fvals: Vec<f64>,
-    fnulls: Vec<bool>,
 }
 
 impl<'a> SeqScanBatches<'a> {
@@ -488,7 +698,7 @@ impl<'a> SeqScanBatches<'a> {
         plan: &'a PlanNode,
         table: TableId,
         predicates: &'a [Predicate],
-        width: u64,
+        schema: &BatchSchema,
     ) -> Self {
         let data = db.table_data(table);
         let meta = db.catalog().table(table);
@@ -501,11 +711,10 @@ impl<'a> SeqScanBatches<'a> {
             data,
             predicates,
             plan,
-            width,
+            carried: schema.storage(data),
+            width: schema.width_bytes(),
             cursor: 0,
             work,
-            fvals: Vec::with_capacity(BATCH_ROWS),
-            fnulls: Vec::with_capacity(BATCH_ROWS),
         }
     }
 }
@@ -521,55 +730,42 @@ impl BatchOperator for SeqScanBatches<'_> {
             let start = self.cursor;
             self.cursor += len;
 
-            let mut select: Vec<u32> = (0..len as u32).collect();
-            for p in self.predicates {
-                if select.is_empty() {
-                    break;
-                }
-                // Conjunction short-circuit: each predicate only runs on
-                // lanes that survived the previous ones, matching the
-                // row-at-a-time per-row early exit count for count.
-                self.work.predicate_evals += select.len() as u64;
-                let column = self.data.column(p.column.column);
-                column.f64_range_into(start, len, &mut self.fvals, &mut self.fnulls);
-                p.filter_batch(&self.fvals, &self.fnulls, &mut select);
-            }
+            let data = self.data;
+            let evals = &mut self.work.predicate_evals;
+            let select = select_lanes(self.predicates, len, evals, |p, first, select| {
+                filter_rows(p, data.column(p.column.column), start, len, first, select)
+            });
             if select.is_empty() {
                 continue; // fully filtered: nothing to materialise
             }
             self.work.output_tuples += select.len() as u64;
             self.work.output_bytes += select.len() as u64 * self.width;
+            let columns = self.carried.iter().map(|c| c.slice_range(start, len));
             return Some(ColumnBatch {
-                columns: self.data.slice_columns(start, len),
+                columns: columns.collect(),
                 select,
+                rows: len,
             });
         }
     }
 
     fn finish(self: Box<Self>) -> ExecutedNode {
-        ExecutedNode {
-            kind: PhysOperatorKind::SeqScan,
-            est_cardinality: self.plan.est_cardinality,
-            actual_cardinality: self.work.output_tuples,
-            output_width: self.plan.output_width,
-            work: self.work,
-            children: Vec::new(),
-        }
+        executed(self.plan, self.work, Vec::new())
     }
 }
 
-/// Index scan: the index yields matched row ids; heap rows are gathered a
-/// batch at a time and residual predicates run column-at-a-time.
+/// Index scan: the index yields matched row ids; a batch at a time the
+/// residual predicates run over their column gathered at those rows, then
+/// the needed columns are gathered.
 struct IndexScanBatches<'a> {
     data: &'a TableData,
     residual: &'a [Predicate],
     plan: &'a PlanNode,
+    carried: Vec<&'a ColumnData>,
     matched: Vec<u32>,
     width: u64,
     cursor: usize,
     work: WorkMetrics,
-    fvals: Vec<f64>,
-    fnulls: Vec<bool>,
 }
 
 impl<'a> IndexScanBatches<'a> {
@@ -582,7 +778,7 @@ impl<'a> IndexScanBatches<'a> {
         lo: Option<f64>,
         hi: Option<f64>,
         residual: &'a [Predicate],
-        width: u64,
+        schema: &BatchSchema,
     ) -> Self {
         let index_id = db
             .index_on(index_column)
@@ -602,12 +798,11 @@ impl<'a> IndexScanBatches<'a> {
             data,
             residual,
             plan,
+            carried: schema.storage(data),
             matched,
-            width,
+            width: schema.width_bytes(),
             cursor: 0,
             work,
-            fvals: Vec::with_capacity(BATCH_ROWS),
-            fnulls: Vec::with_capacity(BATCH_ROWS),
         }
     }
 }
@@ -623,58 +818,102 @@ impl BatchOperator for IndexScanBatches<'_> {
             let rows = &self.matched[self.cursor..self.cursor + len];
             self.cursor += len;
 
-            let columns = self.data.gather_columns(rows);
-            let mut select: Vec<u32> = (0..len as u32).collect();
-            for p in self.residual {
-                if select.is_empty() {
-                    break;
-                }
-                self.work.predicate_evals += select.len() as u64;
-                let column = &columns[p.column.column.index()];
-                column.f64_range_into(0, len, &mut self.fvals, &mut self.fnulls);
-                p.filter_batch(&self.fvals, &self.fnulls, &mut select);
-            }
+            let data = self.data;
+            let evals = &mut self.work.predicate_evals;
+            let select = select_lanes(self.residual, len, evals, |p, first, select| {
+                let column = data.column(p.column.column).gather(rows);
+                filter_rows(p, &column, 0, len, first, select)
+            });
             if select.is_empty() {
                 continue;
             }
             self.work.output_tuples += select.len() as u64;
             self.work.output_bytes += select.len() as u64 * self.width;
-            return Some(ColumnBatch { columns, select });
+            return Some(ColumnBatch {
+                columns: self.carried.iter().map(|c| c.gather(rows)).collect(),
+                select,
+                rows: len,
+            });
         }
     }
 
     fn finish(self: Box<Self>) -> ExecutedNode {
-        ExecutedNode {
-            kind: PhysOperatorKind::IndexScan,
-            est_cardinality: self.plan.est_cardinality,
-            actual_cardinality: self.work.output_tuples,
-            output_width: self.plan.output_width,
-            work: self.work,
-            children: Vec::new(),
-        }
+        executed(self.plan, self.work, Vec::new())
     }
 }
 
-/// Hash join: the build side is drained into columnar key → row-id lists,
-/// then probe batches are matched key-column-at-a-time and survivor pairs
-/// are materialised through gather lists.
+/// End of a [`JoinTable`] chain.
+const NIL: u32 = u32::MAX;
+
+/// Build side of a hash join: row `r` of the build side has key `keys[r]`,
+/// bucket `b` chains the rows `heads[b]`, `next[heads[b]]`, … up to [`NIL`].
+/// Chains ascend in row number, so [`JoinTable::matches`] yields equal keys
+/// in insertion order (see the module docs for why that matters).
+struct JoinTable {
+    keys: Vec<i64>,
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    shift: u32,
+}
+
+impl JoinTable {
+    /// Index the keys of the (fully drained) build side: a power of two of
+    /// buckets, at least two per key, threaded back to front.
+    fn new(keys: Vec<i64>) -> Self {
+        assert!(keys.len() < NIL as usize, "hash join build side too large");
+        let buckets = (2 * keys.len()).next_power_of_two().max(2);
+        let mut table = JoinTable {
+            heads: vec![NIL; buckets],
+            next: vec![NIL; keys.len()],
+            shift: 64 - buckets.trailing_zeros(),
+            keys,
+        };
+        for row in (0..table.keys.len()).rev() {
+            let bucket = table.bucket(table.keys[row]);
+            table.next[row] = table.heads[bucket];
+            table.heads[bucket] = row as u32;
+        }
+        table
+    }
+
+    /// Fibonacci hashing: the high bits of `key × 2⁶⁴/φ`.
+    #[inline]
+    fn bucket(&self, key: i64) -> usize {
+        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Build rows whose key equals `key`, in insertion order.
+    #[inline]
+    fn matches(&self, key: i64) -> impl Iterator<Item = u32> + '_ {
+        let mut row = self.heads[self.bucket(key)];
+        std::iter::from_fn(move || {
+            while row != NIL {
+                let candidate = row;
+                row = self.next[candidate as usize];
+                if self.keys[candidate as usize] == key {
+                    return Some(candidate);
+                }
+            }
+            None
+        })
+    }
+}
+
+/// Hash join: the build side is drained into its needed columns plus a
+/// [`JoinTable`] over its keys, then probe batches are matched
+/// key-column-at-a-time and survivor pairs are materialised through gather
+/// lists.
 struct HashJoinBatches<'a> {
     plan: &'a PlanNode,
     build: Option<Box<dyn BatchOperator + 'a>>,
     probe: Option<Box<dyn BatchOperator + 'a>>,
     build_node: Option<ExecutedNode>,
-    build_pos: usize,
-    probe_pos: usize,
-    /// Join keys can only match when both key columns live in the same
-    /// typed key space (see [`join_key_tag`]).
-    tags_match: bool,
-    width: u64,
-    build_width: u64,
-    /// Keyed build rows, columnar (rows without a join key are counted but
-    /// never stored — they cannot match).
+    layout: JoinLayout,
+    /// Needed columns of the keyed build rows (rows without a join key are
+    /// counted but never stored — they cannot match).
     build_cols: Vec<ColumnData>,
-    table: HashMap<i64, Vec<u32>>,
-    built: bool,
+    /// `None` until the build side has been drained.
+    table: Option<JoinTable>,
     work: WorkMetrics,
     keyed_scratch: Vec<u32>,
     out_build_rows: Vec<u32>,
@@ -684,35 +923,20 @@ struct HashJoinBatches<'a> {
 impl<'a> HashJoinBatches<'a> {
     fn new(
         plan: &'a PlanNode,
-        build: Box<dyn BatchOperator + 'a>,
-        probe: Box<dyn BatchOperator + 'a>,
-        build_schema: &BatchSchema,
-        probe_schema: &BatchSchema,
-        build_key: ColumnRef,
-        probe_key: ColumnRef,
+        [build, probe]: [Box<dyn BatchOperator + 'a>; 2],
+        layout: JoinLayout,
     ) -> Self {
-        let build_pos = build_schema.position(build_key);
-        let probe_pos = probe_schema.position(probe_key);
-        let build_tag = join_key_tag(build_schema.types[build_pos]);
-        let probe_tag = join_key_tag(probe_schema.types[probe_pos]);
-        let build_cols = build_schema
-            .types
-            .iter()
-            .map(|t| ColumnData::new(*t))
-            .collect();
         HashJoinBatches {
             plan,
             build: Some(build),
             probe: Some(probe),
             build_node: None,
-            build_pos,
-            probe_pos,
-            tags_match: build_tag.is_some() && build_tag == probe_tag,
-            width: build_schema.concat(probe_schema).width_bytes(),
-            build_width: build_schema.width_bytes(),
-            build_cols,
-            table: HashMap::new(),
-            built: false,
+            build_cols: layout.out_types[0]
+                .iter()
+                .map(|t| ColumnData::new(*t))
+                .collect(),
+            layout,
+            table: None,
             work: WorkMetrics::default(),
             keyed_scratch: Vec::with_capacity(BATCH_ROWS),
             out_build_rows: Vec::new(),
@@ -721,28 +945,30 @@ impl<'a> HashJoinBatches<'a> {
     }
 
     fn ensure_built(&mut self) {
-        if self.built {
+        if self.table.is_some() {
             return;
         }
-        self.built = true;
         let mut build = self.build.take().expect("build side consumed twice");
-        let mut next_row = 0u32;
+        let mut keys = Vec::new();
         while let Some(batch) = build.next_batch() {
             self.work.hash_build_tuples += batch.num_live() as u64;
-            let key_col = &batch.columns[self.build_pos];
+            if !self.layout.tags_match {
+                continue; // drained for the counters; nothing stored can match
+            }
+            let key_col = &batch.columns[self.layout.key_pos[0]];
             self.keyed_scratch.clear();
             for &lane in &batch.select {
                 if let Some(key) = key_col.join_key(lane as usize) {
-                    self.table.entry(key).or_default().push(next_row);
-                    next_row += 1;
+                    keys.push(key);
                     self.keyed_scratch.push(lane);
                 }
             }
-            for (dst, src) in self.build_cols.iter_mut().zip(&batch.columns) {
-                dst.append_gather(src, &self.keyed_scratch);
+            for (dst, &pos) in self.build_cols.iter_mut().zip(&self.layout.out_pos[0]) {
+                dst.append_gather(&batch.columns[pos], &self.keyed_scratch);
             }
         }
-        self.work.build_bytes = self.work.hash_build_tuples * (self.build_width + 16);
+        self.table = Some(JoinTable::new(keys));
+        self.work.build_bytes = self.work.hash_build_tuples * (self.layout.child_width[0] + 16);
         self.build_node = Some(build.finish());
     }
 }
@@ -750,21 +976,20 @@ impl<'a> HashJoinBatches<'a> {
 impl BatchOperator for HashJoinBatches<'_> {
     fn next_batch(&mut self) -> Option<ColumnBatch> {
         self.ensure_built();
+        let table = self.table.as_ref().expect("build side drained above");
         loop {
             let probe = self.probe.as_mut().expect("probe side consumed twice");
             let batch = probe.next_batch()?;
             self.work.hash_probe_tuples += batch.num_live() as u64;
             self.out_build_rows.clear();
             self.out_probe_lanes.clear();
-            if self.tags_match {
-                let key_col = &batch.columns[self.probe_pos];
+            if self.layout.tags_match {
+                let key_col = &batch.columns[self.layout.key_pos[1]];
                 for &lane in &batch.select {
                     if let Some(key) = key_col.join_key(lane as usize) {
-                        if let Some(matches) = self.table.get(&key) {
-                            for &build_row in matches {
-                                self.out_build_rows.push(build_row);
-                                self.out_probe_lanes.push(lane);
-                            }
+                        for build_row in table.matches(key) {
+                            self.out_build_rows.push(build_row);
+                            self.out_probe_lanes.push(lane);
                         }
                     }
                 }
@@ -773,18 +998,20 @@ impl BatchOperator for HashJoinBatches<'_> {
                 continue;
             }
             let n = self.out_build_rows.len();
-            let mut columns = Vec::with_capacity(self.build_cols.len() + batch.columns.len());
-            for col in &self.build_cols {
-                columns.push(col.gather(&self.out_build_rows));
-            }
-            for col in &batch.columns {
-                columns.push(col.gather(&self.out_probe_lanes));
-            }
+            let build_cols = self.build_cols.iter();
+            let probe_cols = self.layout.out_pos[1]
+                .iter()
+                .map(|&pos| &batch.columns[pos]);
+            let columns = build_cols
+                .map(|col| col.gather(&self.out_build_rows))
+                .chain(probe_cols.map(|col| col.gather(&self.out_probe_lanes)))
+                .collect();
             self.work.output_tuples += n as u64;
-            self.work.output_bytes += n as u64 * self.width;
+            self.work.output_bytes += n as u64 * self.layout.width;
             return Some(ColumnBatch {
                 columns,
                 select: (0..n as u32).collect(),
+                rows: n,
             });
         }
     }
@@ -798,30 +1025,19 @@ impl BatchOperator for HashJoinBatches<'_> {
             .expect("probe side consumed twice")
             .finish();
         self.work.input_tuples = self.work.hash_build_tuples + self.work.hash_probe_tuples;
-        ExecutedNode {
-            kind: PhysOperatorKind::HashJoin,
-            est_cardinality: self.plan.est_cardinality,
-            actual_cardinality: self.work.output_tuples,
-            output_width: self.plan.output_width,
-            work: self.work,
-            children: vec![build_node, probe_node],
-        }
+        executed(self.plan, self.work, vec![build_node, probe_node])
     }
 }
 
-/// Nested-loop join: the inner side is materialised columnar once; outer
-/// batches stream through, comparing key slices against the inner key
-/// column.
+/// Nested-loop join: the needed columns and the keys of the inner side are
+/// materialised once; outer batches stream through, comparing key slices
+/// against the inner keys.
 struct NestedLoopBatches<'a> {
     plan: &'a PlanNode,
     outer: Option<Box<dyn BatchOperator + 'a>>,
     inner: Option<Box<dyn BatchOperator + 'a>>,
     inner_node: Option<ExecutedNode>,
-    outer_pos: usize,
-    tags_match: bool,
-    width: u64,
-    inner_width: u64,
-    inner_pos: usize,
+    layout: JoinLayout,
     inner_cols: Vec<ColumnData>,
     inner_keys: Vec<Option<i64>>,
     inner_done: bool,
@@ -834,33 +1050,19 @@ struct NestedLoopBatches<'a> {
 impl<'a> NestedLoopBatches<'a> {
     fn new(
         plan: &'a PlanNode,
-        outer: Box<dyn BatchOperator + 'a>,
-        inner: Box<dyn BatchOperator + 'a>,
-        outer_schema: &BatchSchema,
-        inner_schema: &BatchSchema,
-        outer_key: ColumnRef,
-        inner_key: ColumnRef,
+        [outer, inner]: [Box<dyn BatchOperator + 'a>; 2],
+        layout: JoinLayout,
     ) -> Self {
-        let outer_pos = outer_schema.position(outer_key);
-        let inner_pos = inner_schema.position(inner_key);
-        let outer_tag = join_key_tag(outer_schema.types[outer_pos]);
-        let inner_tag = join_key_tag(inner_schema.types[inner_pos]);
-        let inner_cols = inner_schema
-            .types
-            .iter()
-            .map(|t| ColumnData::new(*t))
-            .collect();
         NestedLoopBatches {
             plan,
             outer: Some(outer),
             inner: Some(inner),
             inner_node: None,
-            outer_pos,
-            tags_match: outer_tag.is_some() && outer_tag == inner_tag,
-            width: outer_schema.concat(inner_schema).width_bytes(),
-            inner_width: inner_schema.width_bytes(),
-            inner_pos,
-            inner_cols,
+            inner_cols: layout.out_types[1]
+                .iter()
+                .map(|t| ColumnData::new(*t))
+                .collect(),
+            layout,
             inner_keys: Vec::new(),
             inner_done: false,
             outer_rows: 0,
@@ -877,15 +1079,15 @@ impl<'a> NestedLoopBatches<'a> {
         self.inner_done = true;
         let mut inner = self.inner.take().expect("inner side consumed twice");
         while let Some(batch) = inner.next_batch() {
-            let key_col = &batch.columns[self.inner_pos];
+            let key_col = &batch.columns[self.layout.key_pos[1]];
             for &lane in &batch.select {
                 self.inner_keys.push(key_col.join_key(lane as usize));
             }
-            for (dst, src) in self.inner_cols.iter_mut().zip(&batch.columns) {
-                dst.append_gather(src, &batch.select);
+            for (dst, &pos) in self.inner_cols.iter_mut().zip(&self.layout.out_pos[1]) {
+                dst.append_gather(&batch.columns[pos], &batch.select);
             }
         }
-        self.work.build_bytes = self.inner_keys.len() as u64 * self.inner_width;
+        self.work.build_bytes = self.inner_keys.len() as u64 * self.layout.child_width[1];
         self.inner_node = Some(inner.finish());
     }
 }
@@ -901,9 +1103,9 @@ impl BatchOperator for NestedLoopBatches<'_> {
             self.work.comparisons += live * self.inner_keys.len() as u64;
             self.out_outer_lanes.clear();
             self.out_inner_rows.clear();
-            let key_col = &batch.columns[self.outer_pos];
+            let key_col = &batch.columns[self.layout.key_pos[0]];
             for &lane in &batch.select {
-                let outer_key = if self.tags_match {
+                let outer_key = if self.layout.tags_match {
                     key_col.join_key(lane as usize)
                 } else {
                     None
@@ -920,18 +1122,23 @@ impl BatchOperator for NestedLoopBatches<'_> {
                 continue;
             }
             let n = self.out_outer_lanes.len();
-            let mut columns = Vec::with_capacity(batch.columns.len() + self.inner_cols.len());
-            for col in &batch.columns {
-                columns.push(col.gather(&self.out_outer_lanes));
-            }
-            for col in &self.inner_cols {
-                columns.push(col.gather(&self.out_inner_rows));
-            }
+            let outer_cols = self.layout.out_pos[0]
+                .iter()
+                .map(|&pos| &batch.columns[pos]);
+            let columns = outer_cols
+                .map(|col| col.gather(&self.out_outer_lanes))
+                .chain(
+                    self.inner_cols
+                        .iter()
+                        .map(|col| col.gather(&self.out_inner_rows)),
+                )
+                .collect();
             self.work.output_tuples += n as u64;
-            self.work.output_bytes += n as u64 * self.width;
+            self.work.output_bytes += n as u64 * self.layout.width;
             return Some(ColumnBatch {
                 columns,
                 select: (0..n as u32).collect(),
+                rows: n,
             });
         }
     }
@@ -947,14 +1154,7 @@ impl BatchOperator for NestedLoopBatches<'_> {
         // The inner relation is rescanned once per outer tuple; charging
         // only one pass made the runtime simulator undercount NLJ work.
         self.work.input_tuples = self.outer_rows + self.outer_rows * self.inner_keys.len() as u64;
-        ExecutedNode {
-            kind: PhysOperatorKind::NestedLoopJoin,
-            est_cardinality: self.plan.est_cardinality,
-            actual_cardinality: self.work.output_tuples,
-            output_width: self.plan.output_width,
-            work: self.work,
-            children: vec![outer_node, inner_node],
-        }
+        executed(self.plan, self.work, vec![outer_node, inner_node])
     }
 }
 
@@ -1221,5 +1421,342 @@ mod tests {
         assert_eq!(typed_join_key(&Value::Float(1.0)), None);
         // Date columns are Int-backed and share the integer key space.
         assert_eq!(join_key_tag(DataType::Date), join_key_tag(DataType::Int));
+    }
+
+    fn column_of(values: &[Value], data_type: DataType) -> ColumnData {
+        let mut column = ColumnData::new(data_type);
+        values.iter().for_each(|v| column.push(*v));
+        column
+    }
+
+    #[test]
+    fn predicate_kernel_agrees_with_scalar_matches() {
+        let floats = [
+            1.0,
+            5.0,
+            -3.0,
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let with_null =
+            |values: Vec<Value>| [vec![Value::Null], values, vec![Value::Null]].concat();
+        let columns = [
+            (
+                DataType::Int,
+                with_null([1, 5, -3, 0, i64::MIN, i64::MAX].map(Value::Int).to_vec()),
+            ),
+            (
+                DataType::Float,
+                with_null(floats.map(Value::Float).to_vec()),
+            ),
+            (
+                DataType::Categorical,
+                with_null([0, 1, 5, u32::MAX - 1].map(Value::Cat).to_vec()),
+            ),
+            (
+                DataType::Bool,
+                with_null([true, false].map(Value::Bool).to_vec()),
+            ),
+        ];
+        let literals = [
+            Value::Int(5),
+            Value::Int(0),
+            Value::Float(-3.0),
+            Value::Float(-0.0),
+            Value::Float(1.0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Null,
+        ];
+        let at = ColumnRef::new(TableId(0), zsdb_catalog::ColumnId(0));
+        for (data_type, values) in &columns {
+            // Two filler rows in front: the kernel must honour `start`.
+            let padded = [&[Value::Null, values[1]], &values[..]].concat();
+            let column = column_of(&padded, *data_type);
+            for (op, lit) in CmpOp::ALL
+                .iter()
+                .flat_map(|op| literals.map(|lit| (*op, lit)))
+            {
+                let p = Predicate::new(at, op, lit);
+                let survivors = |incoming: &[u32]| -> Vec<u32> {
+                    let keeps = |lane: &u32| p.matches(values[*lane as usize]);
+                    incoming.iter().copied().filter(keeps).collect()
+                };
+                let all: Vec<u32> = (0..values.len() as u32).collect();
+                let mut select = vec![7, 7, 7]; // stale content is overwritten
+                filter_rows(&p, &column, 2, values.len(), true, &mut select);
+                assert_eq!(select, survivors(&all), "{data_type:?} {op} {lit} first");
+
+                let incoming: Vec<u32> = all.iter().copied().filter(|l| l % 3 != 1).collect();
+                let mut select = incoming.clone();
+                filter_rows(&p, &column, 2, values.len(), false, &mut select);
+                assert_eq!(
+                    select,
+                    survivors(&incoming),
+                    "{data_type:?} {op} {lit} later"
+                );
+            }
+        }
+    }
+
+    /// A canned operator: replays batches, reports nothing.
+    struct Feed(std::vec::IntoIter<ColumnBatch>);
+
+    impl BatchOperator for Feed {
+        fn next_batch(&mut self) -> Option<ColumnBatch> {
+            self.0.next()
+        }
+
+        fn finish(self: Box<Self>) -> ExecutedNode {
+            ExecutedNode {
+                kind: PhysOperatorKind::SeqScan,
+                est_cardinality: 0.0,
+                actual_cardinality: 0,
+                output_width: 0.0,
+                work: WorkMetrics::default(),
+                children: Vec::new(),
+            }
+        }
+    }
+
+    /// Cut `(key, live)` rows into [`BATCH_ROWS`]-row batches of two
+    /// columns: the key, and the row's number in the input.
+    fn feed(rows: &[(Option<i64>, bool)]) -> Box<dyn BatchOperator> {
+        let ids: Vec<Value> = (0..rows.len() as i64).map(Value::Int).collect();
+        let batches: Vec<ColumnBatch> = rows
+            .chunks(BATCH_ROWS)
+            .zip(ids.chunks(BATCH_ROWS))
+            .map(|(rows, ids)| {
+                let keys: Vec<Value> = rows
+                    .iter()
+                    .map(|(key, _)| key.map_or(Value::Null, Value::Int))
+                    .collect();
+                let live = |lane: &u32| rows[*lane as usize].1;
+                ColumnBatch {
+                    columns: vec![
+                        column_of(&keys, DataType::Int),
+                        column_of(ids, DataType::Int),
+                    ],
+                    select: (0..rows.len() as u32).filter(live).collect(),
+                    rows: rows.len(),
+                }
+            })
+            .collect();
+        Box::new(Feed(batches.into_iter()))
+    }
+
+    /// `(build row, probe row)` pairs a hash join emits, in emission order.
+    fn hash_join_pairs(
+        build: &[(Option<i64>, bool)],
+        probe: &[(Option<i64>, bool)],
+    ) -> Vec<(i64, i64)> {
+        let plan = PlanNode::leaf(
+            PhysOperator::HashJoin {
+                build_key: ColumnRef::new(TableId(0), zsdb_catalog::ColumnId(0)),
+                probe_key: ColumnRef::new(TableId(1), zsdb_catalog::ColumnId(0)),
+            },
+            0.0,
+            0.0,
+            0.0,
+        );
+        let layout = JoinLayout {
+            key_pos: [0, 0],
+            out_pos: [vec![1], vec![1]],
+            out_types: [vec![DataType::Int], vec![DataType::Int]],
+            tags_match: true,
+            child_width: [16, 16],
+            width: 32,
+        };
+        let mut join = HashJoinBatches::new(&plan, [feed(build), feed(probe)], layout);
+        let mut pairs = Vec::new();
+        while let Some(batch) = join.next_batch() {
+            assert_eq!(batch.columns.len(), 2);
+            assert_eq!(batch.num_rows(), batch.num_live());
+            for &lane in &batch.select {
+                let id = |side: usize| batch.columns[side].join_key(lane as usize).unwrap();
+                pairs.push((id(0), id(1)));
+            }
+        }
+        let live = |rows: &[(Option<i64>, bool)]| rows.iter().filter(|r| r.1).count() as u64;
+        let node = Box::new(join).finish();
+        assert_eq!(node.work.hash_build_tuples, live(build));
+        assert_eq!(node.work.hash_probe_tuples, live(probe));
+        assert_eq!(node.actual_cardinality, pairs.len() as u64);
+        pairs
+    }
+
+    /// The table this executor used before the flat one, as the oracle.
+    fn hash_map_pairs(
+        build: &[(Option<i64>, bool)],
+        probe: &[(Option<i64>, bool)],
+    ) -> Vec<(i64, i64)> {
+        let mut table: std::collections::HashMap<i64, Vec<i64>> = Default::default();
+        for (row, (key, live)) in build.iter().enumerate() {
+            if let (Some(key), true) = (key, live) {
+                table.entry(*key).or_default().push(row as i64);
+            }
+        }
+        let mut pairs = Vec::new();
+        for (lane, (key, live)) in probe.iter().enumerate() {
+            if let (Some(key), true) = (key, live) {
+                let matches = table.get(key).into_iter().flatten();
+                pairs.extend(matches.map(|row| (*row, lane as i64)));
+            }
+        }
+        pairs
+    }
+
+    /// Different keys that all hash to bucket 0 of any table with fewer
+    /// than 2⁶⁴ / `count` buckets: multiples of the inverse of the
+    /// Fibonacci multiplier.
+    fn colliding_keys(count: i64) -> Vec<i64> {
+        const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut inverse = MULTIPLIER; // Newton: doubles the correct low bits
+        for _ in 0..6 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(MULTIPLIER.wrapping_mul(inverse)));
+        }
+        assert_eq!(MULTIPLIER.wrapping_mul(inverse), 1);
+        (0..count)
+            .map(|i| inverse.wrapping_mul(i as u64) as i64)
+            .collect()
+    }
+
+    #[test]
+    fn colliding_keys_share_one_chain() {
+        let keys = colliding_keys(300);
+        let table = JoinTable::new(keys.clone());
+        assert!(keys.iter().all(|k| table.bucket(*k) == 0));
+        assert_eq!(table.heads.iter().filter(|h| **h != NIL).count(), 1);
+        for (row, key) in keys.iter().enumerate() {
+            assert_eq!(table.matches(*key).collect::<Vec<_>>(), [row as u32]);
+        }
+        assert_eq!(table.matches(-1).count(), 0);
+        assert_eq!(JoinTable::new(Vec::new()).matches(0).count(), 0);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(320))]
+
+        /// The flat join table against the `HashMap<i64, Vec<u32>>` it
+        /// replaced: the same `(build row, probe row)` pairs in the same
+        /// order, whatever the keys, the NULLs, the dead lanes and the
+        /// batch boundaries.
+        #[test]
+        fn flat_join_table_matches_hash_map_order(
+            seed in 0u64..u64::MAX,
+            key_mode in 0usize..5,
+            size_mode in 0usize..8,
+            null_mode in 0usize..3,
+        ) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let build_len = match size_mode {
+                0 => 0,
+                1 => 1,
+                2 => BATCH_ROWS - 1,
+                3 => BATCH_ROWS,
+                4 => BATCH_ROWS + 1,
+                _ => rng.random_range(2..3 * BATCH_ROWS),
+            };
+            let probe_len = rng.random_range(0..2 * BATCH_ROWS + 2);
+            let buckets = (2 * build_len).next_power_of_two().max(2) as i64;
+            let chain = colliding_keys(40);
+            let edges = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+            let mut side = |len: usize| -> Vec<(Option<i64>, bool)> {
+                (0..len)
+                    .map(|_| {
+                        let key = match key_mode {
+                            0 => rng.random_range(-2i64..3), // heavy duplicates
+                            1 => edges[rng.random_range(0..edges.len())],
+                            2 => buckets * rng.random_range(-20i64..20), // same low bits
+                            3 => chain[rng.random_range(0..chain.len())], // one long chain
+                            _ => rng.random_range(i64::MIN..i64::MAX),
+                        };
+                        let null = null_mode > 0 && rng.random_range(0..4 * null_mode) >= 3;
+                        let dead = null_mode == 2 && rng.random_range(0..5) == 0;
+                        ((!null).then_some(key), !dead)
+                    })
+                    .collect()
+            };
+            let (build, probe) = (side(build_len), side(probe_len));
+            let (flat, oracle) = (hash_join_pairs(&build, &probe), hash_map_pairs(&build, &probe));
+            let first_difference = flat.iter().zip(&oracle).position(|(a, b)| a != b);
+            prop_assert!(
+                flat.len() == oracle.len() && first_difference.is_none(),
+                "{} pairs for the oracle's {}, first difference at {:?}",
+                flat.len(),
+                oracle.len(),
+                first_difference
+            );
+        }
+    }
+
+    /// `title ⋈ movie_companies ⋈ movie_info_idx` under the given
+    /// aggregates: the number of columns every batch reaching the root
+    /// carries.  Checks on the way that the batches' row counts hold up
+    /// and add up to what the row oracle counts.
+    fn columns_reaching_root(aggregates: Vec<Aggregate>) -> usize {
+        let db = imdb_db();
+        let catalog = db.catalog();
+        let title_id = catalog.resolve_column("title", "id").unwrap();
+        let joins = ["movie_companies", "movie_info_idx"]
+            .map(|t| JoinCondition::new(catalog.resolve_column(t, "movie_id").unwrap(), title_id));
+        let q = Query {
+            tables: vec![title_id.table, joins[0].left.table, joins[1].left.table],
+            joins: joins.to_vec(),
+            predicates: vec![],
+            aggregates,
+        };
+        let est = PostgresLikeEstimator::new(catalog.clone());
+        let plan = Optimizer::new(&db, EngineConfig::default(), &est).plan(&q);
+        assert_eq!(plan.children[0].scanned_tables().len(), 3);
+        let PhysOperator::Aggregate { aggregates } = &plan.op else {
+            panic!("optimizer plans end in an aggregate");
+        };
+        let needed = aggregated_columns(aggregates);
+        let (mut op, schema) = build_operator(&db, &plan.children[0], &needed);
+        assert_eq!(schema.columns, needed);
+        let mut live = 0;
+        while let Some(batch) = op.next_batch() {
+            assert_eq!(batch.columns.len(), needed.len());
+            assert!(batch.columns.iter().all(|c| c.len() == batch.num_rows()));
+            assert!(batch
+                .select
+                .iter()
+                .all(|l| (*l as usize) < batch.num_rows()));
+            live += batch.num_live() as u64;
+        }
+        let oracle = crate::exec_row::RowExecutor::new(&db).execute(&plan);
+        assert_eq!(live, oracle.root.children[0].actual_cardinality);
+        assert_eq!(op.finish(), oracle.root.children[0]);
+        needed.len()
+    }
+
+    #[test]
+    fn batches_carry_only_what_the_root_reads() {
+        let db = imdb_db();
+        let info = db
+            .catalog()
+            .resolve_column("movie_info_idx", "info")
+            .unwrap();
+        let title_id = db.catalog().resolve_column("title", "id").unwrap();
+        assert_eq!(columns_reaching_root(vec![Aggregate::count_star()]), 0);
+        assert_eq!(
+            columns_reaching_root(vec![Aggregate::over(AggFunc::Sum, info)]),
+            1
+        );
+        // A join key below that is also aggregated above is carried once,
+        // however often the root names it.
+        let twice = vec![
+            Aggregate::over(AggFunc::Min, title_id),
+            Aggregate::over(AggFunc::Max, title_id),
+            Aggregate::count_star(),
+        ];
+        assert_eq!(columns_reaching_root(twice), 1);
     }
 }

@@ -106,29 +106,13 @@ impl Predicate {
     }
 
     /// Evaluate the predicate against the numeric view of a value
-    /// (`None` = NULL).  This is the single comparison kernel shared by the
-    /// scalar [`Predicate::matches`] path and the vectorized
-    /// [`Predicate::filter_batch`] path, so both agree by construction.
+    /// (`None` = NULL).  The engine's typed batch kernel is pinned lane by
+    /// lane against this scalar definition.
     #[inline]
     pub fn matches_f64(&self, value: Option<f64>) -> bool {
         match (value, self.value.as_f64()) {
             (Some(a), Some(b)) => self.op.compare_f64(a, b),
             _ => false,
-        }
-    }
-
-    /// Vectorized evaluation over one column of a batch: `values` and
-    /// `nulls` are the batch column's numeric view and null mask, `select`
-    /// holds the indices of the batch lanes still alive.  Lanes whose value
-    /// fails the predicate are removed from `select` in place (relative
-    /// order preserved); no rows are materialised.
-    pub fn filter_batch(&self, values: &[f64], nulls: &[bool], select: &mut Vec<u32>) {
-        match self.value.as_f64() {
-            None => select.clear(),
-            Some(lit) => select.retain(|&lane| {
-                let lane = lane as usize;
-                !nulls[lane] && self.op.compare_f64(values[lane], lit)
-            }),
         }
     }
 }
@@ -287,41 +271,5 @@ mod tests {
     fn display_formats() {
         assert_eq!(CmpOp::Geq.to_string(), ">=");
         assert_eq!(AggFunc::Avg.to_string(), "AVG");
-    }
-
-    #[test]
-    fn filter_batch_agrees_with_scalar_matches() {
-        let values = [1.0, 5.0, 10.0, 10.0, -3.0, f64::NAN];
-        let nulls = [false, false, false, true, false, false];
-        let as_value = |lane: usize| {
-            if nulls[lane] {
-                Value::Null
-            } else {
-                Value::Float(values[lane])
-            }
-        };
-        for op in CmpOp::ALL {
-            for lit in [Value::Int(5), Value::Float(-3.0), Value::Null] {
-                let p = Predicate::new(col(), op, lit);
-                let mut select: Vec<u32> = (0..values.len() as u32).collect();
-                p.filter_batch(&values, &nulls, &mut select);
-                let expected: Vec<u32> = (0..values.len())
-                    .filter(|&lane| p.matches(as_value(lane)))
-                    .map(|lane| lane as u32)
-                    .collect();
-                assert_eq!(select, expected, "op {op} lit {lit} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn filter_batch_respects_incoming_selection() {
-        let values = [1.0, 2.0, 3.0, 4.0];
-        let nulls = [false; 4];
-        let p = Predicate::new(col(), CmpOp::Gt, Value::Int(1));
-        // Lane 2 was already filtered out by an earlier predicate.
-        let mut select = vec![0, 1, 3];
-        p.filter_batch(&values, &nulls, &mut select);
-        assert_eq!(select, vec![1, 3]);
     }
 }

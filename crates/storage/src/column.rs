@@ -306,45 +306,6 @@ impl ColumnData {
         }
     }
 
-    /// Write the numeric view (see [`ColumnData::as_f64`]) and null mask of
-    /// rows `[start, start + len)` into the given scratch vectors, which are
-    /// cleared first.  This is the column-at-a-time input of vectorized
-    /// predicate evaluation and aggregation: one typed pass, no per-row
-    /// enum materialisation.
-    pub fn f64_range_into(
-        &self,
-        start: usize,
-        len: usize,
-        values_out: &mut Vec<f64>,
-        nulls_out: &mut Vec<bool>,
-    ) {
-        values_out.clear();
-        nulls_out.clear();
-        let end = start + len;
-        match self {
-            ColumnData::Int { values, nulls } => {
-                values_out.extend(values[start..end].iter().map(|&v| v as f64));
-                nulls_out.extend_from_slice(&nulls[start..end]);
-            }
-            ColumnData::Float { values, nulls } => {
-                values_out.extend_from_slice(&values[start..end]);
-                nulls_out.extend_from_slice(&nulls[start..end]);
-            }
-            ColumnData::Cat { values, nulls, .. } => {
-                values_out.extend(values[start..end].iter().map(|&v| v as f64));
-                nulls_out.extend_from_slice(&nulls[start..end]);
-            }
-            ColumnData::Bool { values, nulls } => {
-                values_out.extend(
-                    values[start..end]
-                        .iter()
-                        .map(|&v| if v { 1.0 } else { 0.0 }),
-                );
-                nulls_out.extend_from_slice(&nulls[start..end]);
-            }
-        }
-    }
-
     /// Number of non-null rows.
     pub fn non_null_count(&self) -> usize {
         let nulls = match self {
@@ -473,18 +434,5 @@ mod tests {
         let mut a = ColumnData::new(DataType::Int);
         let b = ColumnData::new(DataType::Float);
         a.append_gather(&b, &[]);
-    }
-
-    #[test]
-    fn f64_range_matches_per_row_view() {
-        let mut col = ColumnData::new(DataType::Bool);
-        for v in [Value::Bool(true), Value::Null, Value::Bool(false)] {
-            col.push(v);
-        }
-        let (mut values, mut nulls) = (Vec::new(), Vec::new());
-        col.f64_range_into(0, 3, &mut values, &mut nulls);
-        for row in 0..3 {
-            assert_eq!((!nulls[row]).then_some(values[row]), col.as_f64(row));
-        }
     }
 }

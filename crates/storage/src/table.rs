@@ -73,22 +73,6 @@ impl TableData {
     pub fn row(&self, row: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c.get(row)).collect()
     }
-
-    /// Slice rows `[start, start + len)` of every column — the unit of
-    /// batch-at-a-time sequential scans (one typed copy per column, no
-    /// per-row materialisation).
-    pub fn slice_columns(&self, start: usize, len: usize) -> Vec<ColumnData> {
-        self.columns
-            .iter()
-            .map(|c| c.slice_range(start, len))
-            .collect()
-    }
-
-    /// Gather the given rows of every column (index scans fetching the
-    /// rows matched by an index range).
-    pub fn gather_columns(&self, rows: &[u32]) -> Vec<ColumnData> {
-        self.columns.iter().map(|c| c.gather(rows)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -133,23 +117,6 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut data = TableData::empty(&meta());
         data.push_row(&[Value::Int(0)]);
-    }
-
-    #[test]
-    fn batch_accessors_agree_with_row_reads() {
-        let mut data = TableData::empty(&meta());
-        for i in 0..5 {
-            data.push_row(&[Value::Int(i), Value::Float(i as f64 / 2.0)]);
-        }
-        let sliced = data.slice_columns(1, 3);
-        assert_eq!(sliced.len(), 2);
-        for (lane, row) in (1..4).enumerate() {
-            assert_eq!(sliced[0].get(lane), data.value(row, ColumnId(0)));
-            assert_eq!(sliced[1].get(lane), data.value(row, ColumnId(1)));
-        }
-        let gathered = data.gather_columns(&[4, 0]);
-        assert_eq!(gathered[0].get(0), Value::Int(4));
-        assert_eq!(gathered[0].get(1), Value::Int(0));
     }
 
     #[test]

@@ -183,3 +183,86 @@ fn trained_weights_and_batch_gradient_bits_are_pinned() {
         "flat gradient of 8 graphs hashes to {hash:#018x}"
     );
 }
+
+/// Everything the model is trained on, pinned to the bit: the simulated
+/// runtime, every aggregate and, per operator, the true cardinality and
+/// all eleven work counters of a small executed workload with joins,
+/// index scans and NULL-heavy columns.  The golden was captured on the
+/// commit before the executor moved to needed-column batches, the flat
+/// join table and the typed predicate kernel; `exec_equivalence` compares
+/// the two executors with each other, this compares the executor with
+/// yesterday.
+#[test]
+fn executed_labels_are_pinned() {
+    use zero_shot_db::catalog::{presets, Value};
+    use zero_shot_db::engine::fingerprint::Fnv64;
+    use zero_shot_db::engine::PhysOperatorKind;
+
+    const GOLDEN_LABELS_FNV1A: u64 = 0xd9cf_8154_5cf1_06a7;
+
+    let null_heavy = GeneratorConfig {
+        max_null_fraction: 0.9,
+        ..GeneratorConfig::tiny()
+    };
+    let mut tiny = Database::generate(
+        SchemaGenerator::new(null_heavy).generate("label_db", 21),
+        22,
+    );
+    tiny.create_random_indexes(2, 23);
+    let mut imdb = Database::generate(presets::imdb_like(0.02), 24);
+    imdb.create_random_indexes(4, 25);
+
+    let mut hash = Fnv64::new();
+    let mut kinds = std::collections::BTreeSet::new();
+    for (db, seed) in [(&tiny, 26u64), (&imdb, 27)] {
+        let queries = WorkloadGenerator::with_defaults().generate(db.catalog(), 30, seed);
+        for execution in QueryRunner::with_defaults(db).run_workload(&queries, seed) {
+            hash.write_f64(execution.runtime_secs);
+            for value in &execution.aggregates {
+                match *value {
+                    Value::Null => hash.write_u8(0),
+                    Value::Int(v) => hash.write_u64(v as u64),
+                    Value::Float(v) => hash.write_f64(v),
+                    Value::Cat(v) => hash.write_u32(v),
+                    Value::Bool(v) => hash.write_u8(v as u8 + 1),
+                }
+            }
+            for node in execution.executed.iter() {
+                kinds.insert(node.kind as u8);
+                let w = &node.work;
+                for counter in [
+                    node.actual_cardinality,
+                    w.input_tuples,
+                    w.output_tuples,
+                    w.pages_seq,
+                    w.pages_random,
+                    w.index_entries,
+                    w.hash_build_tuples,
+                    w.hash_probe_tuples,
+                    w.comparisons,
+                    w.predicate_evals,
+                    w.build_bytes,
+                    w.output_bytes,
+                ] {
+                    hash.write_u64(counter);
+                }
+            }
+        }
+    }
+    for kind in [
+        PhysOperatorKind::IndexScan,
+        PhysOperatorKind::HashJoin,
+        PhysOperatorKind::NestedLoopJoin,
+    ] {
+        assert!(
+            kinds.contains(&(kind as u8)),
+            "workload never ran a {kind:?}"
+        );
+    }
+    assert_eq!(
+        hash.finish(),
+        GOLDEN_LABELS_FNV1A,
+        "executed labels hash to {:#018x}",
+        hash.finish()
+    );
+}

@@ -15,15 +15,15 @@
 use proptest::prelude::*;
 use zero_shot_db::cardest::PostgresLikeEstimator;
 use zero_shot_db::catalog::{
-    presets, ColumnMeta, ColumnStatistics, DataType, Distribution, GeneratorConfig, SchemaCatalog,
-    SchemaGenerator, TableMeta, Value,
+    presets, ColumnId, ColumnMeta, ColumnRef, ColumnStatistics, DataType, Distribution,
+    GeneratorConfig, SchemaCatalog, SchemaGenerator, TableId, TableMeta, Value,
 };
 use zero_shot_db::engine::{
     EngineConfig, Executor, Optimizer, PhysOperator, PhysOperatorKind, PlanNode, QueryRunner,
     RowExecutor,
 };
 use zero_shot_db::query::{
-    Aggregate, CmpOp, JoinCondition, Predicate, Query, WorkloadGenerator, WorkloadSpec,
+    AggFunc, Aggregate, CmpOp, JoinCondition, Predicate, Query, WorkloadGenerator, WorkloadSpec,
 };
 use zero_shot_db::storage::{Database, TableData};
 
@@ -35,6 +35,26 @@ fn assert_equivalent(db: &Database, q: &Query) {
     let optimizer = Optimizer::new(db, EngineConfig::default(), &est);
     let plan = optimizer.plan(q);
     assert_plan_equivalent(db, &plan);
+    if let Some(plan) = aggregating_below_the_deepest_join(db, plan) {
+        assert_plan_equivalent(db, &plan);
+    }
+}
+
+/// The same plan with its root aggregating over every column of the table
+/// scanned on the build (first) side of the deepest join — the column that
+/// has the longest way up through stored build sides and gather lists.
+/// `None` for plans without a join.
+fn aggregating_below_the_deepest_join(db: &Database, mut plan: PlanNode) -> Option<PlanNode> {
+    let is_join = |n: &&PlanNode| n.children.len() == 2;
+    let deepest = plan.iter().filter(is_join).find(|n| n.depth() == 2)?;
+    let table = deepest.children[0].op.scanned_table()?;
+    let aggregates = (0..db.catalog().table(table).num_columns())
+        .map(|c| ColumnRef::new(table, ColumnId(c as u32)))
+        .flat_map(|column| [AggFunc::Sum, AggFunc::Min].map(|f| Aggregate::over(f, column)))
+        .chain([Aggregate::count_star()])
+        .collect();
+    plan.op = PhysOperator::Aggregate { aggregates };
+    Some(plan)
 }
 
 fn assert_plan_equivalent(db: &Database, plan: &PlanNode) {
@@ -44,7 +64,7 @@ fn assert_plan_equivalent(db: &Database, plan: &PlanNode) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random schemas × random workloads: both executors agree on every
     /// optimizer plan.
@@ -87,13 +107,9 @@ proptest! {
         // Index every table's first non-key column.
         let num_tables = db.catalog().tables().len();
         for t in 0..num_tables {
-            let table = zero_shot_db::catalog::TableId(t as u32);
+            let table = TableId(t as u32);
             if db.catalog().table(table).num_columns() > 1 {
-                let col = zero_shot_db::catalog::ColumnRef::new(
-                    table,
-                    zero_shot_db::catalog::ColumnId(1),
-                );
-                db.create_index(col);
+                db.create_index(ColumnRef::new(table, ColumnId(1)));
             }
         }
         let queries = WorkloadGenerator::with_defaults().generate(db.catalog(), 4, seed);
@@ -117,9 +133,9 @@ fn all_filtered_batches_are_equivalent() {
     for aggregates in [
         vec![Aggregate::count_star()],
         vec![
-            Aggregate::over(zero_shot_db::query::AggFunc::Sum, year),
-            Aggregate::over(zero_shot_db::query::AggFunc::Min, year),
-            Aggregate::over(zero_shot_db::query::AggFunc::Count, year),
+            Aggregate::over(AggFunc::Sum, year),
+            Aggregate::over(AggFunc::Min, year),
+            Aggregate::over(AggFunc::Count, year),
         ],
     ] {
         let q = Query {
@@ -149,6 +165,59 @@ fn join_workloads_are_equivalent() {
     for q in &queries {
         assert_equivalent(&db, q);
     }
+}
+
+#[test]
+fn float_sum_above_a_build_side_with_repeated_keys_is_bit_identical() {
+    // movie_info_idx ⋈ movie_companies on movie_id is many-to-many: each
+    // probe lane matches a run of build rows, and the order that run comes
+    // out in decides the order SUM(info) adds its floats in.
+    let db = Database::generate(presets::imdb_like(0.03), 19);
+    let catalog = db.catalog();
+    let info = catalog.resolve_column("movie_info_idx", "info").unwrap();
+    let build_key = catalog
+        .resolve_column("movie_info_idx", "movie_id")
+        .unwrap();
+    let probe_key = catalog
+        .resolve_column("movie_companies", "movie_id")
+        .unwrap();
+    let node = |op, children| PlanNode {
+        op,
+        children,
+        est_cardinality: 1.0,
+        est_cost: 1.0,
+        output_width: 8.0,
+    };
+    let scan = |table| {
+        let predicates = vec![];
+        node(PhysOperator::SeqScan { table, predicates }, vec![])
+    };
+    let join = node(
+        PhysOperator::HashJoin {
+            build_key,
+            probe_key,
+        },
+        vec![scan(build_key.table), scan(probe_key.table)],
+    );
+    let aggregates = vec![
+        Aggregate::over(AggFunc::Sum, info),
+        Aggregate::over(AggFunc::Avg, info),
+    ];
+    let plan = node(PhysOperator::Aggregate { aggregates }, vec![join]);
+    let batched = Executor::new(&db).execute(&plan);
+    assert_eq!(batched, RowExecutor::new(&db).execute(&plan));
+    let Value::Float(sum) = batched.aggregates[0] else {
+        panic!("SUM over a float column is a float");
+    };
+    assert!(
+        sum.is_finite() && sum.fract() != 0.0,
+        "degenerate sum {sum}"
+    );
+    let join = &batched.root.children[0];
+    assert!(
+        join.actual_cardinality > 2 * join.children[0].actual_cardinality,
+        "build keys do not repeat"
+    );
 }
 
 #[test]
@@ -283,10 +352,19 @@ fn mistyped_join_keys_never_match() {
             est_cost: 1.0,
             output_width: 16.0,
         };
+        let is_hash_join = matches!(join.op, PhysOperator::HashJoin { .. });
         let batched = Executor::new(&db).execute(&join);
         let row = RowExecutor::new(&db).execute(&join);
         assert_eq!(batched, row);
         assert_eq!(batched.root.actual_cardinality, 0);
+        if is_hash_join {
+            // The build side is drained and charged although nothing of it
+            // is kept: 4 tuples of Int + Int + header + 16 B per entry.
+            let work = batched.root.work;
+            assert_eq!(work.hash_build_tuples, 4);
+            assert_eq!(work.hash_probe_tuples, 4);
+            assert_eq!(work.build_bytes, 4 * (8 + 8 + 24 + 16));
+        }
     }
 }
 
