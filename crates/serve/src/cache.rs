@@ -217,31 +217,6 @@ impl FeatureCache {
         inner.map.insert(full_key, slot);
     }
 
-    /// Fetch the graph for `(version, key)`, computing and inserting it
-    /// on a miss.  Returns the graph and whether the lookup was a cache
-    /// hit.
-    ///
-    /// The featurization closure runs *outside* the cache lock, so
-    /// concurrent misses never serialise on each other; two threads
-    /// missing the same key may both featurize, with one result winning —
-    /// harmless, because featurization is deterministic.
-    pub fn get_or_insert_with<F>(
-        &self,
-        version: u32,
-        key: u64,
-        featurize: F,
-    ) -> (Arc<PlanGraph>, bool)
-    where
-        F: FnOnce() -> PlanGraph,
-    {
-        if let Some(graph) = self.get(version, key) {
-            return (graph, true);
-        }
-        let graph = Arc::new(featurize());
-        self.insert(version, key, Arc::clone(&graph));
-        (graph, false)
-    }
-
     /// Current cache statistics.
     pub fn stats(&self) -> CacheStats {
         let len = self.inner.lock().expect("feature cache poisoned").map.len();
@@ -361,35 +336,21 @@ mod tests {
     }
 
     #[test]
-    fn get_or_insert_with_featurizes_once_per_shape() {
-        let cache = FeatureCache::new(8);
-        let mut featurizations = 0;
-        for _ in 0..5 {
-            let (g, _hit) = cache.get_or_insert_with(1, 42, || {
-                featurizations += 1;
-                graph(42.0)
-            });
-            assert_eq!(g.nodes[0].features[0], 42.0);
-        }
-        assert_eq!(featurizations, 1);
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 4);
-        assert_eq!(stats.misses, 1);
-    }
-
-    #[test]
     fn entries_are_scoped_to_their_model_version() {
         let cache = FeatureCache::new(8);
-        let (_, hit) = cache.get_or_insert_with(1, 7, || graph(1.0));
-        assert!(!hit);
+        cache.insert(1, 7, Arc::new(graph(1.0)));
         // The same fingerprint under another version is a distinct
         // entry: a late insert from a worker still holding the old
         // version can never be served to the new one.
-        let (g, hit) = cache.get_or_insert_with(2, 7, || graph(2.0));
-        assert!(!hit, "version 2 must not see version 1's graph");
-        assert_eq!(g.nodes[0].features[0], 2.0);
-        let (g, hit) = cache.get_or_insert_with(1, 7, || graph(9.0));
-        assert!(hit, "version 1's own entry is still there");
+        assert!(
+            cache.get(2, 7).is_none(),
+            "version 2 must not see version 1's graph"
+        );
+        cache.insert(2, 7, Arc::new(graph(2.0)));
+        assert_eq!(cache.get(2, 7).unwrap().nodes[0].features[0], 2.0);
+        let g = cache
+            .get(1, 7)
+            .expect("version 1's own entry is still there");
         assert_eq!(g.nodes[0].features[0], 1.0);
         assert_eq!(cache.stats().len, 2);
     }
@@ -397,20 +358,17 @@ mod tests {
     #[test]
     fn invalidate_clears_entries_but_keeps_lifetime_counters() {
         let cache = FeatureCache::new(8);
-        let (_, hit) = cache.get_or_insert_with(1, 1, || graph(1.0));
-        assert!(!hit);
-        let (_, hit) = cache.get_or_insert_with(1, 1, || graph(1.0));
-        assert!(hit);
+        cache.insert(1, 1, Arc::new(graph(1.0)));
+        assert!(cache.get(1, 1).is_some());
         cache.invalidate();
         let stats = cache.stats();
         assert_eq!(stats.len, 0, "entries dropped");
         assert_eq!(stats.hits, 1, "lifetime hits survive");
         assert_eq!(stats.invalidations, 1);
         // The same key misses again and repopulates cleanly.
-        let (_, hit) = cache.get_or_insert_with(1, 1, || graph(2.0));
-        assert!(!hit);
-        let (g, hit) = cache.get_or_insert_with(1, 1, || graph(3.0));
-        assert!(hit);
+        assert!(cache.get(1, 1).is_none());
+        cache.insert(1, 1, Arc::new(graph(2.0)));
+        let g = cache.get(1, 1).expect("repopulated");
         assert_eq!(g.nodes[0].features[0], 2.0, "post-invalidation value wins");
     }
 
@@ -418,10 +376,8 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let cache = FeatureCache::new(0);
         assert_eq!(cache.capacity(), 0);
-        let (_, hit) = cache.get_or_insert_with(1, 7, || graph(7.0));
-        assert!(!hit);
-        let (_, hit) = cache.get_or_insert_with(1, 7, || graph(7.0));
-        assert!(!hit);
+        cache.insert(1, 7, Arc::new(graph(7.0)));
+        assert!(cache.get(1, 7).is_none());
         assert_eq!(cache.stats().len, 0);
     }
 
@@ -473,8 +429,11 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..200u64 {
                     let key = (t * 31 + i) % 100;
-                    let (g, _) = cache.get_or_insert_with(1, key, || graph(key as f64));
-                    assert_eq!(g.nodes[0].features[0], key as f64);
+                    // What a worker does: look up, publish on a miss.
+                    match cache.get(1, key) {
+                        Some(g) => assert_eq!(g.nodes[0].features[0], key as f64),
+                        None => cache.insert(1, key, Arc::new(graph(key as f64))),
+                    }
                 }
             }));
         }

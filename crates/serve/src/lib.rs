@@ -10,18 +10,25 @@
 //!   (architecture, featurizer mode) and *integrity probes*: recorded
 //!   prediction bit-patterns that every load re-verifies, so a corrupted
 //!   or drifted artifact is rejected before it serves a single request.
-//! * [`server`] — a concurrent inference engine sharded thread-per-core:
-//!   each worker owns a **bounded** run queue (backpressure instead of
-//!   unbounded growth), a feature-cache slice and preallocated inference
-//!   scratch; requests are routed to shards by plan fingerprint, idle
-//!   workers steal from loaded ones, and every request is answered
-//!   bit-identically to the single-threaded path regardless of shard
-//!   count or stealing.
-//! * [`multitask`] — the same worker-pool serving for multi-task models
-//!   (`zsdb_multitask`): one submitted plan answers **every** task head
-//!   (cost, root cardinality, per-operator cardinalities) from a single
-//!   shared-encoder pass; the registry stores multi-task artifacts with
-//!   per-head integrity probes.
+//! * [`server`] — the one concurrent inference engine, [`Server<M>`],
+//!   generic over the [`Servable`] model it serves and sharded
+//!   thread-per-core: each worker owns a **bounded** run queue
+//!   (backpressure instead of unbounded growth), a feature-cache slice
+//!   and the model's forward scratch; requests are routed to shards by
+//!   plan fingerprint, idle workers steal from loaded ones, and every
+//!   request is answered bit-identically to the single-threaded path
+//!   regardless of shard count or stealing.  [`PredictionServer`] is its
+//!   instantiation for the zero-shot cost model, whose preallocated
+//!   [`InferenceScratch`](zsdb_core::InferenceScratch) makes that
+//!   instantiation's warm path allocation-free — a property of the
+//!   model's scratch, not of the engine.
+//! * [`multitask`] — the same engine instantiated for multi-task models
+//!   (`zsdb_multitask`), [`MultiTaskPredictionServer`]: one submitted
+//!   plan answers **every** task head (cost, root cardinality,
+//!   per-operator cardinalities) from a single shared-encoder pass.  The
+//!   module is the answer type and the model's [`Servable`] impl, nothing
+//!   else; the registry stores multi-task artifacts with per-head
+//!   integrity probes.
 //! * [`cache`] — an LRU feature cache keyed by the structural plan
 //!   fingerprint ([`zsdb_core::fingerprint`]), so repeated query shapes
 //!   skip featurization entirely.
@@ -39,10 +46,10 @@
 //!   per traced prediction: plan fingerprint, serving model name +
 //!   version, cache hit/miss, home vs executing shard (work stealing is
 //!   visible), per-stage breakdown and the predicted value — queryable
-//!   in-process (`explain`/`slow_log`/`slo_status` on both servers) and
-//!   over the wire via the v2 `Explain`/`SlowLog`/`SloStatus` ops.
-//!   Assembly is cold-path only; the warm cache-hit request stays
-//!   zero-allocation.
+//!   in-process (`explain`/`slow_log`/`slo_status` on every [`Server`])
+//!   and over the wire via the v2 `Explain`/`SlowLog`/`SloStatus` ops.
+//!   Assembly is cold-path only; it adds no allocation to a warm
+//!   cache-hit request.
 //! * [`net`] — a TCP front-end over the worker pool: the framed
 //!   [`zsdb_protocol`] wire protocol, a tenant handshake, per-tenant
 //!   admission quotas on top of the bounded queue's load shedding,
@@ -105,6 +112,6 @@ pub use registry::{
     MultiTaskIntegrityProbe, ARTIFACT_FORMAT_VERSION,
 };
 pub use server::{
-    BatchPredictionTicket, Prediction, PredictionServer, PredictionTicket, RejectedBatch,
-    RejectedRequest, ServedModel, ServerConfig,
+    BatchPredictionTicket, BatchTicket, Placement, Prediction, PredictionServer, PredictionTicket,
+    RejectedBatch, RejectedRequest, Servable, ServedModel, Server, ServerConfig, Ticket,
 };

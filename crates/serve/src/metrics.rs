@@ -3,8 +3,9 @@
 //!
 //! Recording is wait-free on the hot path: every mutable piece of
 //! [`ServeMetrics`] is either a plain atomic or a per-thread striped
-//! structure from [`zsdb_obs`] (counters, the queue-depth gauge, the
-//! latency window, the per-stage histograms), so no worker thread ever
+//! structure from [`zsdb_obs`] (counters, the per-shard queue-depth
+//! gauges, the latency window, the per-stage histograms), so no worker
+//! thread ever
 //! takes a lock shared with another worker to record a sample.  The old
 //! design — a global `Mutex<LatencyRing>` hit on every request — was the
 //! named bottleneck past a few hundred thousand q/s; shards are now
@@ -140,15 +141,12 @@ pub struct ServeMetrics {
     rejected: Counter,
     /// Recent latencies (per-thread rings) + lifetime min/max.
     window: LatencyWindow,
-    /// Jobs currently sitting in the bounded queue (enqueue/dequeue
-    /// deltas, possibly from different threads).
-    queue_depth: Gauge,
     /// Batch-size histogram (see [`BATCH_SIZE_BUCKET_LABELS`]).
     batch_sizes: [AtomicU64; BATCH_SIZE_BUCKET_LABELS.len()],
     /// Model hot-swaps performed over the server's lifetime.
     swaps: Counter,
-    /// Named registry behind the counters/gauge/stage histograms — the
-    /// source of the Prometheus exposition.
+    /// Named registry behind the counters, shard queue gauges and stage
+    /// histograms — the source of the Prometheus exposition.
     registry: Registry,
     stages: StageRecorder,
     /// Slow-request flight recorder: classifies every completion on the
@@ -175,7 +173,6 @@ impl ServeMetrics {
             "serve.rejected_total",
             "Requests turned away at admission (queue full or server closed)",
         );
-        registry.describe("serve.queue_depth", "Jobs in the bounded request queues");
         registry.describe(
             "serve.model_swaps_total",
             "Model hot-swaps over the server lifetime",
@@ -188,7 +185,6 @@ impl ServeMetrics {
             completed: registry.counter("serve.requests_total"),
             rejected: registry.counter("serve.rejected_total"),
             window: LatencyWindow::new(LATENCY_WINDOW),
-            queue_depth: registry.gauge("serve.queue_depth"),
             batch_sizes: std::array::from_fn(|_| AtomicU64::new(0)),
             swaps: registry.counter("serve.model_swaps_total"),
             registry,
@@ -297,31 +293,17 @@ impl ServeMetrics {
         }
     }
 
-    /// Handle on the queue-depth gauge (incremented at enqueue,
-    /// decremented at dequeue — possibly by different threads).
-    pub fn queue_gauge(&self) -> Gauge {
-        self.queue_depth.clone()
-    }
-
     /// Handle on the queue-depth gauge of one server shard, registered
-    /// as `serve.shard.N.queue_depth`.  The sharded server increments it
-    /// when a job enters shard `N`'s queue and decrements it at dequeue
-    /// (by the owning worker or a stealer); the gauges surface both in
-    /// the Prometheus exposition and, ordered by shard index, in
-    /// [`MetricsSnapshot::shard_queue_depths`].
+    /// as `serve.shard.N.queue_depth` — the only gauge a queue has.  The
+    /// server moves it under shard `N`'s queue lock (up at enqueue, down
+    /// at dequeue by the owning worker or a stealer), so it never reads
+    /// below zero; the gauges surface in the Prometheus exposition,
+    /// ordered by shard index in
+    /// [`MetricsSnapshot::shard_queue_depths`], and summed in
+    /// [`MetricsSnapshot::queue_depth`].
     pub fn shard_queue_gauge(&self, shard: usize) -> Gauge {
         self.registry
             .gauge(&format!("serve.shard.{shard}.queue_depth"))
-    }
-
-    /// One job entered the bounded queue.
-    pub fn queue_inc(&self) {
-        self.queue_depth.inc();
-    }
-
-    /// One job left the bounded queue (dequeued by a worker).
-    pub fn queue_dec(&self) {
-        self.queue_depth.dec();
     }
 
     /// Handle on the per-stage histogram recorder.
@@ -329,8 +311,8 @@ impl ServeMetrics {
         self.stages.clone()
     }
 
-    /// The named-metric registry behind this recorder (counters, queue
-    /// gauge, stage histograms) — snapshot it for custom exports.
+    /// The named-metric registry behind this recorder (counters, shard
+    /// queue gauges, stage histograms) — snapshot it for custom exports.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -362,8 +344,7 @@ impl ServeMetrics {
             (elapsed - (first_ns - 1) as f64 / 1e9).max(0.0)
         };
         // Per-shard queue depths, collected from the registry's
-        // `serve.shard.N.queue_depth` gauges and ordered by shard index
-        // (empty for unsharded recorders like the multi-task server).
+        // `serve.shard.N.queue_depth` gauges and ordered by shard index.
         let mut shard_depths: Vec<(usize, u64)> = self
             .registry
             .snapshot()
@@ -390,7 +371,7 @@ impl ServeMetrics {
             } else {
                 0.0
             },
-            queue_depth: self.queue_depth.value().max(0) as u64,
+            queue_depth: shard_depths.iter().map(|&(_, depth)| depth).sum(),
             latency_p50_ms: percentile_of_sorted(&latencies_ms, 50.0),
             latency_p95_ms: percentile_of_sorted(&latencies_ms, 95.0),
             latency_p99_ms: percentile_of_sorted(&latencies_ms, 99.0),
@@ -422,9 +403,9 @@ impl ServeMetrics {
     }
 
     /// Render everything as Prometheus text exposition: the registry
-    /// (request counters, queue gauge, per-stage histograms) plus derived
-    /// summary series (percentiles, throughput, cache stats, the labelled
-    /// batch-size histogram).
+    /// (request counters, shard queue gauges, per-stage histograms) plus
+    /// derived summary series (percentiles, throughput, total queue depth,
+    /// cache stats, the labelled batch-size histogram).
     pub fn prometheus_text(&self, cache: CacheStats, workers: usize) -> String {
         use std::fmt::Write as _;
         let snap = self.snapshot(cache, workers);
@@ -452,6 +433,7 @@ impl ServeMetrics {
         gauge("serve_window_capacity", snap.window_capacity as f64);
         gauge("serve_cache_hit_rate", snap.cache_hit_rate);
         gauge("serve_workers", snap.workers as f64);
+        gauge("serve_queue_depth", snap.queue_depth as f64);
         let _ = writeln!(out, "# TYPE serve_cache_hits_total counter");
         let _ = writeln!(out, "serve_cache_hits_total {}", snap.cache_hits);
         let _ = writeln!(out, "# TYPE serve_cache_misses_total counter");
@@ -546,7 +528,8 @@ pub struct MetricsSnapshot {
     /// request (0 before any traffic) — idle time before the first
     /// request does not dilute the rate.
     pub throughput_qps: f64,
-    /// Requests sitting in the bounded queue right now (live gauge).
+    /// Jobs sitting in the bounded queues right now: the sum of
+    /// `shard_queue_depths`.
     pub queue_depth: u64,
     /// Median request latency (enqueue → response) in milliseconds.
     pub latency_p50_ms: f64,
@@ -578,7 +561,6 @@ pub struct MetricsSnapshot {
     pub workers: usize,
     /// Live queue depth of each server shard, ordered by shard index —
     /// shard `i` corresponds to the `serve.shard.i.queue_depth` gauge.
-    /// Empty for unsharded recorders (e.g. the multi-task server).
     pub shard_queue_depths: Vec<u64>,
     /// Batch-size histogram: bucket `i` counts completed batches whose
     /// size falls in `BATCH_SIZE_BUCKET_LABELS[i]` (single requests are
@@ -798,18 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_gauge_tracks_enqueue_dequeue_across_threads() {
-        let metrics = ServeMetrics::new();
-        let gauge = metrics.queue_gauge();
-        gauge.inc();
-        gauge.inc();
-        gauge.inc();
-        let dec_side = metrics.queue_gauge();
-        std::thread::spawn(move || dec_side.dec()).join().unwrap();
-        assert_eq!(metrics.snapshot(cache_stats(0, 0), 1).queue_depth, 2);
-    }
-
-    #[test]
     fn shard_queue_gauges_surface_in_snapshot_ordered_by_index() {
         let metrics = ServeMetrics::new();
         // Register out of order to prove the snapshot sorts by index
@@ -825,12 +795,15 @@ mod tests {
         g2.inc();
         let snap = metrics.snapshot(cache_stats(0, 0), 3);
         assert_eq!(snap.shard_queue_depths, vec![1, 2, 3]);
-        // An unsharded recorder reports no shard depths.
+        assert_eq!(snap.queue_depth, 1 + 2 + 3, "the total is their sum");
+        // A recorder no server registered shards on reports none.
         let plain = ServeMetrics::new().snapshot(cache_stats(0, 0), 1);
         assert!(plain.shard_queue_depths.is_empty());
-        // The gauges also ride along in the Prometheus exposition.
+        // The gauges also ride along in the Prometheus exposition, next
+        // to the derived total.
         let text = metrics.prometheus_text(cache_stats(0, 0), 3);
         assert!(text.contains("serve_shard_1_queue_depth 2"), "{text}");
+        assert!(text.contains("serve_queue_depth 6"), "{text}");
     }
 
     #[test]
@@ -975,6 +948,7 @@ mod tests {
         assert_eq!(class, FlightClass::SlowThreshold);
         let seed = crate::provenance::ProvenanceSeed {
             fingerprint: 7,
+            model_name: crate::provenance::MODEL_NAME,
             model_version: 2,
             cache_hit: false,
             home_shard: 0,

@@ -1,51 +1,28 @@
-//! Concurrent serving of multi-task models: one submitted plan, **all**
-//! task heads answered.
+//! Serving multi-task models: one submitted plan, **all** task heads
+//! answered.
 //!
-//! Same architecture as the single-task [`PredictionServer`]: a
-//! `std::thread` worker pool over a bounded MPSC queue (blocking
-//! backpressure on [`MultiTaskPredictionServer::submit`]), one shared
-//! read-only model, the fingerprint-keyed LRU [`FeatureCache`] so repeated
-//! plan shapes skip featurization, and the same [`ServeMetrics`].  A
-//! request is featurized **once** and pushed through the shared encoder
-//! **once**; the cost, root-cardinality and per-operator heads all read
-//! that single pass — which is the point of the multi-task subsystem: the
-//! marginal cost of an extra task at serving time is one tiny head MLP,
-//! not another model.
+//! There is no second server here.  [`MultiTaskPredictionServer`] is the
+//! sharded engine of [`server`](crate::server) — fingerprint-routed
+//! bounded queues, work stealing, per-shard cache slices, arena
+//! featurization, hot-swap, tracing, provenance, the whole submission API
+//! — instantiated for [`TrainedMultiTaskModel`]; this module holds only
+//! the answer type and the model's [`Servable`] impl.  A request is
+//! featurized **once** and pushed through the shared encoder **once**;
+//! the cost, root-cardinality and per-operator heads all read that single
+//! pass — which is the point of the multi-task subsystem: the marginal
+//! cost of an extra task at serving time is one tiny head MLP, not
+//! another model.
 //!
 //! Served predictions are bit-identical to the single-threaded
-//! `model.predict(featurize_plan(…))` path, for every head.
-//!
-//! Implementation note: this module deliberately mirrors the worker-pool
-//! machinery of [`server`](crate::server) instead of making that server
-//! generic — the single-task `Prediction`/ticket types are pinned public
-//! API.  When changing queue handling, metrics recording or shutdown
-//! ordering in either module, mirror the change in the other.
-//!
-//! [`PredictionServer`]: crate::PredictionServer
+//! `model.predict(featurize_plan(…))` path, for every head.  Unlike the
+//! cost model's, this model's forward allocates (its scratch is `()`).
 
-use crate::cache::{CacheStats, FeatureCache};
-use crate::error::ServeError;
-use crate::metrics::{
-    MetricsSnapshot, ObservabilityConfig, ServeMetrics, STAGE_CACHE_LOOKUP, STAGE_FEATURIZE,
-    STAGE_FORWARD, STAGE_QUEUE_WAIT,
-};
 use crate::provenance::ProvenanceSeed;
-use crate::server::{RejectedRequest, ServerConfig};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-use zsdb_catalog::SchemaCatalog;
-use zsdb_core::features::featurize_plan;
-use zsdb_core::fingerprint::plan_fingerprint;
-use zsdb_core::PlanGraph;
-use zsdb_engine::PlanNode;
+use crate::server::{BatchTicket, Placement, Servable, ServedModel, Server, Ticket};
+use std::time::Duration;
+use zsdb_core::{FeaturizerConfig, PlanGraph};
 use zsdb_multitask::{MultiTaskPrediction, TrainedMultiTaskModel};
-use zsdb_obs::{ActiveTrace, FlightClass, FlightRecorder, Trace, Tracer};
-use zsdb_protocol::{ProvenanceRecord, WireSloStatus};
-
-/// Traces retained by the in-process tracer ring (per thread).
-const TRACE_RING: usize = 256;
+use zsdb_obs::FlightClass;
 
 /// One answered multi-task request: every head's output from one submit.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,600 +38,93 @@ pub struct ServedMultiTaskPrediction {
     pub latency: Duration,
     /// Version of the model that answered (changes across hot-swaps).
     pub model_version: u32,
+    /// Shard the plan's fingerprint routes to (its cache home).
+    pub home_shard: u32,
+    /// Shard whose worker executed the request — differs from
+    /// `home_shard` when the job was work-stolen.
+    pub executed_shard: u32,
+    /// Whether the request was stolen off its home queue.
+    pub stolen: bool,
     /// The flight recorder's verdict on this request's latency.
     pub flight_class: FlightClass,
 }
 
 impl ServedMultiTaskPrediction {
     /// The provenance seed of this prediction (see
-    /// [`Prediction::provenance_seed`](crate::Prediction::provenance_seed)).
-    /// The multi-task pool is unsharded, so the shard placement fields
-    /// are zero and nothing is ever stolen; the recorded predicted value
-    /// is the cost head's runtime.
+    /// [`Prediction::provenance_seed`](crate::Prediction::provenance_seed));
+    /// the recorded predicted value is the cost head's runtime.
     pub fn provenance_seed(&self) -> ProvenanceSeed {
         ProvenanceSeed {
             fingerprint: self.fingerprint,
+            model_name: TrainedMultiTaskModel::NAME,
             model_version: self.model_version,
             cache_hit: self.cache_hit,
-            home_shard: 0,
-            executed_shard: 0,
-            stolen: false,
+            home_shard: self.home_shard,
+            executed_shard: self.executed_shard,
+            stolen: self.stolen,
             predicted_secs: self.tasks.runtime_secs,
             class: self.flight_class,
         }
     }
 }
 
-/// A versioned, immutable served multi-task model — the unit of an atomic
-/// hot-swap (the multi-task mirror of
-/// [`ServedModel`](crate::server::ServedModel)).
-#[derive(Debug)]
-pub struct ServedMultiTaskModel {
-    /// Registry version of this model.
-    pub version: u32,
-    /// The model itself.
-    pub model: TrainedMultiTaskModel,
-}
+impl Servable for TrainedMultiTaskModel {
+    const NAME: &'static str = "zero-shot-multitask";
+    type Scratch = ();
+    type Output = MultiTaskPrediction;
+    type Prediction = ServedMultiTaskPrediction;
 
-/// Claim ticket for an in-flight multi-task request; redeem with
-/// [`MultiTaskPredictionTicket::wait`].
-#[derive(Debug)]
-pub struct MultiTaskPredictionTicket {
-    rx: mpsc::Receiver<(ServedMultiTaskPrediction, Option<ActiveTrace>)>,
-}
-
-impl MultiTaskPredictionTicket {
-    /// Block until the prediction is ready.  Fails with
-    /// [`ServeError::Closed`] if the server shut down before answering.
-    pub fn wait(self) -> Result<ServedMultiTaskPrediction, ServeError> {
-        self.wait_traced().map(|(prediction, _)| prediction)
+    fn featurizer(&self) -> FeaturizerConfig {
+        self.featurizer
     }
 
-    /// [`MultiTaskPredictionTicket::wait`], also yielding the in-flight
-    /// trace (if the request was traced) so the caller can close the
-    /// respond stage.
-    pub fn wait_traced(
-        self,
-    ) -> Result<(ServedMultiTaskPrediction, Option<ActiveTrace>), ServeError> {
-        self.rx.recv().map_err(|_| ServeError::Closed)
-    }
-}
-
-/// Claim ticket for an in-flight multi-task batch; redeem with
-/// [`MultiTaskBatchTicket::wait`].
-#[derive(Debug)]
-pub struct MultiTaskBatchTicket {
-    parts: Vec<mpsc::Receiver<(Vec<ServedMultiTaskPrediction>, Option<ActiveTrace>)>>,
-}
-
-impl MultiTaskBatchTicket {
-    /// Block until all predictions of the batch are ready, in submission
-    /// order.
-    pub fn wait(self) -> Result<Vec<ServedMultiTaskPrediction>, ServeError> {
-        self.wait_traced().map(|(predictions, _)| predictions)
+    fn forward(&self, graph: &PlanGraph, _scratch: &mut ()) -> MultiTaskPrediction {
+        self.predict(graph)
     }
 
-    /// [`MultiTaskBatchTicket::wait`], also yielding the in-flight trace
-    /// (carried by the first traced chunk, if any).
-    pub fn wait_traced(
-        self,
-    ) -> Result<(Vec<ServedMultiTaskPrediction>, Option<ActiveTrace>), ServeError> {
-        let mut predictions = Vec::new();
-        let mut trace = None;
-        for part in self.parts {
-            let (chunk, chunk_trace) = part.recv().map_err(|_| ServeError::Closed)?;
-            predictions.extend(chunk);
-            trace = trace.or(chunk_trace);
-        }
-        Ok((predictions, trace))
-    }
-}
-
-enum Job {
-    Single {
-        plan: PlanNode,
-        enqueued: Instant,
-        trace: Option<ActiveTrace>,
-        reply: mpsc::Sender<(ServedMultiTaskPrediction, Option<ActiveTrace>)>,
-    },
-    Batch {
-        plans: Vec<PlanNode>,
-        enqueued: Instant,
-        trace: Option<ActiveTrace>,
-        reply: mpsc::Sender<(Vec<ServedMultiTaskPrediction>, Option<ActiveTrace>)>,
-    },
-}
-
-struct Shared {
-    /// The currently served model, swappable at runtime (see
-    /// [`MultiTaskPredictionServer::swap_model`]).
-    model: RwLock<Arc<ServedMultiTaskModel>>,
-    catalog: SchemaCatalog,
-    cache: FeatureCache,
-    metrics: ServeMetrics,
-    tracer: Tracer,
-}
-
-impl Shared {
-    fn current(&self) -> Arc<ServedMultiTaskModel> {
-        Arc::clone(&self.model.read().expect("served model lock poisoned"))
-    }
-}
-
-/// A running all-heads prediction service over one trained multi-task
-/// model and one database catalog.
-pub struct MultiTaskPredictionServer {
-    sender: Option<SyncSender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    shared: Arc<Shared>,
-    config: ServerConfig,
-}
-
-impl MultiTaskPredictionServer {
-    /// Spawn the worker pool and start accepting requests.  Reuses the
-    /// single-task [`ServerConfig`] tunables.
-    pub fn start(
-        model: TrainedMultiTaskModel,
-        catalog: SchemaCatalog,
-        config: ServerConfig,
-    ) -> Self {
-        MultiTaskPredictionServer::start_versioned(model, 1, catalog, config)
+    fn forward_batch(&self, graphs: &[&PlanGraph]) -> Vec<MultiTaskPrediction> {
+        self.predict_batch(graphs)
     }
 
-    /// [`MultiTaskPredictionServer::start`] with an explicit initial
-    /// model version (use the registry version the model was loaded
-    /// from).
-    pub fn start_versioned(
-        model: TrainedMultiTaskModel,
-        version: u32,
-        catalog: SchemaCatalog,
-        config: ServerConfig,
-    ) -> Self {
-        MultiTaskPredictionServer::start_observed(
-            model,
-            version,
-            catalog,
-            config,
-            ObservabilityConfig::default(),
-        )
-    }
-
-    /// [`MultiTaskPredictionServer::start_versioned`] with explicit
-    /// observability tuning (flight-recorder retention + SLO objective),
-    /// mirroring
-    /// [`PredictionServer::start_observed`](crate::PredictionServer::start_observed).
-    pub fn start_observed(
-        model: TrainedMultiTaskModel,
-        version: u32,
-        catalog: SchemaCatalog,
-        config: ServerConfig,
-        observability: ObservabilityConfig,
-    ) -> Self {
-        assert!(config.workers > 0, "a server needs at least one worker");
-        assert!(
-            config.queue_capacity > 0,
-            "a zero-capacity queue would reject every request"
-        );
-        let shared = Arc::new(Shared {
-            model: RwLock::new(Arc::new(ServedMultiTaskModel { version, model })),
-            catalog,
-            cache: FeatureCache::new(config.cache_capacity),
-            metrics: ServeMetrics::with_observability(observability),
-            tracer: Tracer::new(TRACE_RING),
-        });
-        let (sender, receiver) = mpsc::sync_channel::<Job>(config.queue_capacity);
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..config.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let receiver = Arc::clone(&receiver);
-                std::thread::Builder::new()
-                    .name(format!("zsdb-serve-mt-{i}"))
-                    .spawn(move || worker_loop(&shared, &receiver))
-                    .expect("failed to spawn serving worker")
-            })
-            .collect();
-        MultiTaskPredictionServer {
-            sender: Some(sender),
-            workers,
-            shared,
-            config,
+    fn answer(tasks: MultiTaskPrediction, placement: Placement) -> ServedMultiTaskPrediction {
+        ServedMultiTaskPrediction {
+            tasks,
+            fingerprint: placement.fingerprint,
+            cache_hit: placement.cache_hit,
+            latency: placement.latency,
+            model_version: placement.model_version,
+            home_shard: placement.home_shard,
+            executed_shard: placement.executed_shard,
+            stolen: placement.stolen,
+            flight_class: placement.flight_class,
         }
     }
 
-    /// Enqueue a prediction request, blocking while the queue is full
-    /// (backpressure).  One submit answers **every** task head.
-    pub fn submit(&self, plan: PlanNode) -> Result<MultiTaskPredictionTicket, ServeError> {
-        self.submit_traced(plan, None)
-    }
-
-    /// [`MultiTaskPredictionServer::submit`] carrying an in-flight trace:
-    /// workers mark the queue-wait/cache/featurize/forward stages on it,
-    /// and the trace comes back through
-    /// [`MultiTaskPredictionTicket::wait_traced`].
-    pub fn submit_traced(
-        &self,
-        plan: PlanNode,
-        trace: Option<ActiveTrace>,
-    ) -> Result<MultiTaskPredictionTicket, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        let job = Job::Single {
-            plan,
-            enqueued: Instant::now(),
-            trace,
-            reply,
-        };
-        self.sender
-            .as_ref()
-            .ok_or(ServeError::Closed)?
-            .send(job)
-            .map_err(|_| ServeError::Closed)?;
-        self.shared.metrics.queue_inc();
-        Ok(MultiTaskPredictionTicket { rx })
-    }
-
-    /// Enqueue a batch of plans (split into
-    /// [`ServerConfig::max_batch_size`] chunks, each one bounded-queue
-    /// slot); a worker featurizes each chunk in one cache-assisted sweep
-    /// and answers all heads with a single shared-encoder batched pass.
-    pub fn submit_batch(&self, plans: Vec<PlanNode>) -> Result<MultiTaskBatchTicket, ServeError> {
-        let max = self.config.max_batch_size.max(1);
-        let mut parts = Vec::with_capacity(plans.len().div_ceil(max).max(1));
-        let mut remaining = plans;
-        while !remaining.is_empty() {
-            let rest = if remaining.len() > max {
-                remaining.split_off(max)
-            } else {
-                Vec::new()
-            };
-            let chunk = std::mem::replace(&mut remaining, rest);
-            let (reply, rx) = mpsc::channel();
-            let job = Job::Batch {
-                plans: chunk,
-                enqueued: Instant::now(),
-                trace: None,
-                reply,
-            };
-            self.sender
-                .as_ref()
-                .ok_or(ServeError::Closed)?
-                .send(job)
-                .map_err(|_| ServeError::Closed)?;
-            self.shared.metrics.queue_inc();
-            parts.push(rx);
-        }
-        Ok(MultiTaskBatchTicket { parts })
-    }
-
-    /// Enqueue a prediction request without blocking; fails with a
-    /// [`RejectedRequest`] carrying [`ServeError::Overloaded`] when the
-    /// queue is full, returning the plan to the caller for retry — the
-    /// multi-task mirror of
-    /// [`PredictionServer::try_submit`](crate::PredictionServer::try_submit).
-    /// Every rejection is counted in
-    /// [`MetricsSnapshot::rejected_requests`](crate::MetricsSnapshot).
-    pub fn try_submit(&self, plan: PlanNode) -> Result<MultiTaskPredictionTicket, RejectedRequest> {
-        self.try_submit_traced(plan, None)
-    }
-
-    /// [`MultiTaskPredictionServer::try_submit`] carrying an in-flight
-    /// trace (see
-    /// [`submit_traced`](MultiTaskPredictionServer::submit_traced)).  A
-    /// rejected request's trace is dropped unfinished.
-    pub fn try_submit_traced(
-        &self,
-        plan: PlanNode,
-        trace: Option<ActiveTrace>,
-    ) -> Result<MultiTaskPredictionTicket, RejectedRequest> {
-        let sender = match self.sender.as_ref() {
-            Some(s) => s,
-            None => {
-                self.shared.metrics.record_rejection();
-                return Err(RejectedRequest::new(plan, ServeError::Closed));
-            }
-        };
-        let (reply, rx) = mpsc::channel();
-        let job = Job::Single {
-            plan,
-            enqueued: Instant::now(),
-            trace,
-            reply,
-        };
-        let take_plan = |job: Job| match job {
-            Job::Single { plan, .. } => plan,
-            Job::Batch { .. } => unreachable!("single submission cannot hold a batch"),
-        };
-        match sender.try_send(job) {
-            Ok(()) => {
-                self.shared.metrics.queue_inc();
-                Ok(MultiTaskPredictionTicket { rx })
-            }
-            Err(TrySendError::Full(job)) => {
-                self.shared.metrics.record_rejection();
-                Err(RejectedRequest::new(take_plan(job), ServeError::Overloaded))
-            }
-            Err(TrySendError::Disconnected(job)) => {
-                self.shared.metrics.record_rejection();
-                Err(RejectedRequest::new(take_plan(job), ServeError::Closed))
-            }
-        }
-    }
-
-    /// Submit and wait for the all-heads answer.
-    pub fn predict_blocking(
-        &self,
-        plan: PlanNode,
-    ) -> Result<ServedMultiTaskPrediction, ServeError> {
-        self.submit(plan)?.wait()
-    }
-
-    /// Atomically replace the served model with a new version (see
-    /// [`PredictionServer::swap_model`](crate::PredictionServer::swap_model)
-    /// — identical semantics: in-flight batches finish on the old
-    /// weights, the feature cache is invalidated, no request is lost).
-    pub fn swap_model(&self, model: TrainedMultiTaskModel, version: u32) {
-        let next = Arc::new(ServedMultiTaskModel { version, model });
-        *self
-            .shared
-            .model
-            .write()
-            .expect("served model lock poisoned") = next;
-        self.shared.cache.invalidate();
-        self.shared.metrics.record_swap();
-        self.shared.tracer.event(
-            "serve.model_swap",
-            f64::from(version),
-            format!("hot-swapped to multi-task model version {version}"),
-        );
-    }
-
-    /// The currently served model (and its version), pinned.
-    pub fn model(&self) -> Arc<ServedMultiTaskModel> {
-        self.shared.current()
-    }
-
-    /// Version of the currently served model.
-    pub fn model_version(&self) -> u32 {
-        self.shared.current().version
-    }
-
-    /// The catalog requests are featurized against.
-    pub fn catalog(&self) -> &SchemaCatalog {
-        &self.shared.catalog
-    }
-
-    /// Current serving metrics.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared
-            .metrics
-            .snapshot(self.shared.cache.stats(), self.config.workers)
-    }
-
-    /// Feature-cache statistics.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.stats()
-    }
-
-    /// The server's trace collector: begin traces to attach to
-    /// [`submit_traced`](MultiTaskPredictionServer::submit_traced), look
-    /// finished ones up by id, and record standalone events.
-    pub fn tracer(&self) -> &Tracer {
-        &self.shared.tracer
-    }
-
-    /// The slow-request flight recorder (see
-    /// [`PredictionServer::flight_recorder`](crate::PredictionServer::flight_recorder)).
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        self.shared.metrics.flight()
-    }
-
-    /// Finish a traced request end to end: closes the trace, records its
-    /// per-stage breakdown, feeds the flight recorder and stores the
-    /// prediction's [`ProvenanceRecord`] for [`explain`](Self::explain).
-    pub fn complete_traced(
-        &self,
-        prediction: &ServedMultiTaskPrediction,
-        trace: ActiveTrace,
-    ) -> Trace {
-        let done = self.shared.tracer.finish(trace);
-        self.shared
-            .metrics
-            .record_completed_trace(&prediction.provenance_seed(), &done);
-        done
-    }
-
-    /// Full provenance of one served prediction by trace id (see
-    /// [`PredictionServer::explain`](crate::PredictionServer::explain)).
-    pub fn explain(&self, trace_id: u64) -> Option<ProvenanceRecord> {
-        self.shared.metrics.provenance().find(trace_id)
-    }
-
-    /// The retained slow/failed requests' provenance, worst first, up to
-    /// `limit` records.
-    pub fn slow_log(&self, limit: usize) -> Vec<ProvenanceRecord> {
-        self.shared.metrics.provenance().slow_log(limit)
-    }
-
-    /// Current SLO position: objective, target and the rolling windows'
-    /// burn rates.
-    pub fn slo_status(&self) -> WireSloStatus {
-        self.shared.metrics.slo_status()
-    }
-
-    /// The live metrics recorder behind [`metrics`](Self::metrics) —
-    /// exposes the queue gauge, per-stage histogram recorder and the
-    /// named-metric registry.
-    pub fn recorder(&self) -> &ServeMetrics {
-        &self.shared.metrics
-    }
-
-    /// Prometheus text exposition of the serving metrics.
-    pub fn prometheus_text(&self) -> String {
-        self.shared
-            .metrics
-            .prometheus_text(self.shared.cache.stats(), self.config.workers)
-    }
-
-    /// The server's configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
-    /// Drain the queue, stop all workers and return the final metrics.
-    pub fn shutdown(mut self) -> MetricsSnapshot {
-        self.stop_workers();
-        self.metrics()
-    }
-
-    fn stop_workers(&mut self) {
-        drop(self.sender.take());
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+    fn provenance_seed(prediction: &ServedMultiTaskPrediction) -> ProvenanceSeed {
+        prediction.provenance_seed()
     }
 }
 
-impl Drop for MultiTaskPredictionServer {
-    fn drop(&mut self) {
-        self.stop_workers();
-    }
-}
-
-fn featurize_cached(
-    shared: &Shared,
-    served: &ServedMultiTaskModel,
-    plan: &PlanNode,
-) -> (Arc<PlanGraph>, u64, bool) {
-    let fingerprint = plan_fingerprint(plan);
-    let (graph, cache_hit) = shared
-        .cache
-        .get_or_insert_with(served.version, fingerprint, || {
-            featurize_plan(&shared.catalog, plan, served.model.featurizer)
-        });
-    (graph, fingerprint, cache_hit)
-}
-
-fn worker_loop(shared: &Shared, receiver: &Mutex<Receiver<Job>>) {
-    loop {
-        // Hold the receiver lock only while dequeuing, never during
-        // inference.
-        let job = match receiver.lock().expect("job queue poisoned").recv() {
-            Ok(job) => job,
-            Err(_) => return, // all senders dropped: shutdown
-        };
-        shared.metrics.queue_dec();
-        match job {
-            Job::Single {
-                plan,
-                enqueued,
-                mut trace,
-                reply,
-            } => {
-                if let Some(t) = trace.as_mut() {
-                    t.mark(STAGE_QUEUE_WAIT);
-                }
-                // Pin the current model for the whole job: a concurrent
-                // hot-swap never changes weights mid-request.
-                let served = shared.current();
-                let fingerprint = plan_fingerprint(&plan);
-                let (graph, cache_hit) = {
-                    // On a miss the closure runs: its entry checkpoint
-                    // closes the cache-lookup stage, so featurization gets
-                    // its own stage below.
-                    let miss_trace = &mut trace;
-                    shared
-                        .cache
-                        .get_or_insert_with(served.version, fingerprint, || {
-                            if let Some(t) = miss_trace.as_mut() {
-                                t.mark(STAGE_CACHE_LOOKUP);
-                            }
-                            featurize_plan(&shared.catalog, &plan, served.model.featurizer)
-                        })
-                };
-                if let Some(t) = trace.as_mut() {
-                    if cache_hit {
-                        t.mark(STAGE_CACHE_LOOKUP);
-                    } else {
-                        t.mark(STAGE_FEATURIZE);
-                    }
-                }
-                let tasks = served.model.predict(&graph);
-                if let Some(t) = trace.as_mut() {
-                    t.mark(STAGE_FORWARD);
-                }
-                let latency = enqueued.elapsed();
-                let flight_class = shared.metrics.record(latency);
-                let _ = reply.send((
-                    ServedMultiTaskPrediction {
-                        tasks,
-                        fingerprint,
-                        cache_hit,
-                        latency,
-                        model_version: served.version,
-                        flight_class,
-                    },
-                    trace,
-                ));
-            }
-            Job::Batch {
-                plans,
-                enqueued,
-                mut trace,
-                reply,
-            } => {
-                if let Some(t) = trace.as_mut() {
-                    t.mark(STAGE_QUEUE_WAIT);
-                }
-                let served = shared.current();
-                let mut fingerprints = Vec::with_capacity(plans.len());
-                let mut cache_hits = Vec::with_capacity(plans.len());
-                let mut graphs = Vec::with_capacity(plans.len());
-                for plan in &plans {
-                    let (graph, fingerprint, cache_hit) = featurize_cached(shared, &served, plan);
-                    fingerprints.push(fingerprint);
-                    cache_hits.push(cache_hit);
-                    graphs.push(graph);
-                }
-                if let Some(t) = trace.as_mut() {
-                    // Lookups and featurization interleave across the
-                    // sweep, so the whole sweep is one featurize stage.
-                    t.mark(STAGE_FEATURIZE);
-                }
-                let refs: Vec<&PlanGraph> = graphs.iter().map(|g| g.as_ref()).collect();
-                let all_tasks = served.model.predict_batch(&refs);
-                if let Some(t) = trace.as_mut() {
-                    t.mark(STAGE_FORWARD);
-                }
-                let latency = enqueued.elapsed();
-                let flight_class = shared.metrics.record_batch(plans.len(), latency);
-                let predictions = all_tasks
-                    .into_iter()
-                    .zip(fingerprints)
-                    .zip(cache_hits)
-                    .map(
-                        |((tasks, fingerprint), cache_hit)| ServedMultiTaskPrediction {
-                            tasks,
-                            fingerprint,
-                            cache_hit,
-                            latency,
-                            model_version: served.version,
-                            flight_class,
-                        },
-                    )
-                    .collect();
-                let _ = reply.send((predictions, trace));
-            }
-        }
-    }
-}
+/// The engine serving a multi-task model: one submit answers **every**
+/// task head.
+pub type MultiTaskPredictionServer = Server<TrainedMultiTaskModel>;
+/// A versioned, immutable served multi-task model.
+pub type ServedMultiTaskModel = ServedModel<TrainedMultiTaskModel>;
+/// Claim ticket of a [`MultiTaskPredictionServer`] request.
+pub type MultiTaskPredictionTicket = Ticket<ServedMultiTaskPrediction>;
+/// Claim ticket of a [`MultiTaskPredictionServer`] batch.
+pub type MultiTaskBatchTicket = BatchTicket<ServedMultiTaskPrediction>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zsdb_catalog::presets;
-    use zsdb_core::features::FeaturizerConfig;
+    use crate::metrics::{STAGE_CACHE_LOOKUP, STAGE_FORWARD, STAGE_QUEUE_WAIT};
+    use crate::server::ServerConfig;
+    use zsdb_catalog::{presets, SchemaCatalog};
+    use zsdb_core::features::featurize_plan;
+    use zsdb_core::fingerprint::plan_fingerprint;
     use zsdb_core::TrainingConfig;
-    use zsdb_engine::QueryRunner;
+    use zsdb_engine::{PlanNode, QueryRunner};
     use zsdb_multitask::{sample_from_execution, MultiTaskConfig, MultiTaskTrainer};
     use zsdb_query::WorkloadGenerator;
     use zsdb_storage::Database;
@@ -813,6 +283,8 @@ mod tests {
         // provenance record.
         assert_eq!(server.tracer().find(id).expect("retained").id, id);
         let record = server.explain(id).expect("provenance retained");
+        assert_eq!(record.model_name, TrainedMultiTaskModel::NAME);
+        assert_ne!(record.model_name, crate::MODEL_NAME, "not the cost model");
         assert_eq!(record.model_version, prediction.model_version);
         assert_eq!(record.fingerprint, prediction.fingerprint);
         assert!(record.cache_hit);
@@ -820,63 +292,54 @@ mod tests {
             record.predicted_secs.to_bits(),
             prediction.tasks.runtime_secs.to_bits()
         );
-        assert_eq!((record.home_shard, record.executed_shard), (0, 0));
+        // Default config: four shards, routed by fingerprint.
+        assert_eq!(u64::from(record.home_shard), prediction.fingerprint % 4);
+        assert_eq!(record.executed_shard, prediction.executed_shard);
     }
 
     #[test]
-    fn queue_depth_gauge_returns_to_zero_after_drain() {
+    fn a_stolen_request_says_so_in_its_provenance() {
         let (model, catalog, plans, _) = fixture();
-        let server = MultiTaskPredictionServer::start(model, catalog, ServerConfig::default());
-        let tickets: Vec<_> = (0..16)
-            .map(|_| server.submit(plans[0].clone()).unwrap())
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        let batch = server.submit_batch(plans.clone()).unwrap();
-        batch.wait().unwrap();
-        assert_eq!(server.metrics().queue_depth, 0, "all dequeued");
-    }
-
-    #[test]
-    fn try_submit_sheds_load_and_counts_rejections() {
-        let (model, catalog, plans, _) = fixture();
+        // One plan shape, so every job routes to one shard whose queue
+        // holds a single job: the other three workers can only work by
+        // stealing (the engine's hot-fingerprint set-up).
         let server = MultiTaskPredictionServer::start(
             model,
             catalog,
             ServerConfig {
-                workers: 1,
-                queue_capacity: 1,
+                workers: 4,
+                queue_capacity: 4,
                 cache_capacity: 0,
                 ..ServerConfig::default()
             },
         );
-        let mut overloaded = 0u64;
-        let mut tickets = Vec::new();
-        for _ in 0..200 {
-            match server.try_submit(plans[1].clone()) {
-                Ok(t) => tickets.push(t),
-                Err(RejectedRequest {
-                    plan,
-                    reason: ServeError::Overloaded,
-                }) => {
-                    overloaded += 1;
-                    assert_eq!(&*plan, &plans[1], "plan returned for retry");
+        let home = (plan_fingerprint(&plans[0]) % 4) as u32;
+        let mut stolen = None;
+        for _ in 0..50 {
+            let tickets: Vec<_> = (0..200)
+                .map(|_| {
+                    let trace = server.tracer().begin();
+                    server.submit_traced(plans[0].clone(), trace).unwrap()
+                })
+                .collect();
+            for ticket in tickets {
+                let (prediction, trace) = ticket.wait_traced().unwrap();
+                assert_eq!(prediction.home_shard, home);
+                assert_eq!(prediction.stolen, prediction.executed_shard != home);
+                if prediction.stolen && stolen.is_none() {
+                    stolen = Some((prediction, trace.expect("trace rides the job")));
                 }
-                Err(e) => panic!("unexpected error: {e}"),
+            }
+            if stolen.is_some() {
+                break;
             }
         }
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        assert!(overloaded > 0, "a 200-request burst should overflow");
-        assert_eq!(server.metrics().rejected_requests, overloaded);
-
-        // A closed server rejects (and counts) too.
-        let mut server = server;
-        server.stop_workers();
-        let rejected = server.try_submit(plans[0].clone()).unwrap_err();
-        assert!(matches!(rejected.reason, ServeError::Closed));
-        assert_eq!(server.metrics().rejected_requests, overloaded + 1);
+        let (prediction, trace) = stolen.expect("a hot shard with one slot is stolen from");
+        let id = server.complete_traced(&prediction, trace).id;
+        let record = server.explain(id).expect("provenance retained");
+        assert!(record.stolen);
+        assert_eq!(record.home_shard, home);
+        assert_eq!(record.executed_shard, prediction.executed_shard);
+        assert_ne!(record.executed_shard, home);
     }
 }

@@ -17,9 +17,11 @@ use std::sync::{Arc, Mutex};
 use zsdb_obs::{FlightClass, Trace};
 use zsdb_protocol::{ProvenanceRecord, ProvenanceStage};
 
-/// Name of the serving model family, reported in every
-/// [`ProvenanceRecord`] (the registry versions models; this names what
-/// the versions are *of*).
+/// Name of the zero-shot cost model family — the
+/// [`Servable::NAME`](crate::Servable::NAME) of
+/// [`TrainedModel`](zsdb_core::train::TrainedModel), reported in every
+/// [`ProvenanceRecord`] its server assembles (the registry versions
+/// models; this names what the versions are *of*).
 pub const MODEL_NAME: &str = "zero-shot-cost";
 
 /// Everything the worker knows about a prediction before its trace
@@ -29,6 +31,9 @@ pub const MODEL_NAME: &str = "zero-shot-cost";
 pub struct ProvenanceSeed {
     /// Structural fingerprint of the predicted plan.
     pub fingerprint: u64,
+    /// Family name of the model that answered (its
+    /// [`Servable::NAME`](crate::Servable::NAME)).
+    pub model_name: &'static str,
     /// Version of the model that answered.
     pub model_version: u32,
     /// Whether featurization was skipped thanks to the feature cache.
@@ -51,7 +56,7 @@ impl ProvenanceSeed {
         ProvenanceRecord {
             trace_id: done.id,
             fingerprint: self.fingerprint,
-            model_name: MODEL_NAME.to_string(),
+            model_name: self.model_name.to_string(),
             model_version: self.model_version,
             cache_hit: self.cache_hit,
             home_shard: self.home_shard,
@@ -172,6 +177,7 @@ mod tests {
     fn seed(class: FlightClass) -> ProvenanceSeed {
         ProvenanceSeed {
             fingerprint: 0xF00D,
+            model_name: MODEL_NAME,
             model_version: 3,
             cache_hit: true,
             home_shard: 1,

@@ -1,12 +1,25 @@
-//! Concurrent prediction server: a thread-per-core **sharded** worker
-//! pool with fingerprint-routed queues and work stealing.
+//! One serving engine, any model: a thread-per-core **sharded** worker
+//! pool with fingerprint-routed queues and work stealing, generic over
+//! what it serves.
+//!
+//! [`Server<M>`] owns everything that is not the model — the shards
+//! (queue, cache slice, depth gauge), routing, stealing, the hot-swap
+//! lock, tickets, tracing, metrics, provenance and shutdown.  A
+//! [`Servable`] model supplies only what differs between models: its
+//! [`FeaturizerConfig`], the per-request and batched forward passes (with
+//! the per-worker scratch the former reuses), and how a forward output
+//! plus its [`Placement`] becomes the public answer type.
+//! [`PredictionServer`] (the zero-shot cost model) and
+//! [`MultiTaskPredictionServer`](crate::MultiTaskPredictionServer) are the
+//! two instantiations; the engine is monomorphised per model and never
+//! branches on which one it serves.
 //!
 //! Design notes:
 //!
 //! * **Thread-per-core shards** — the server spawns
 //!   [`ServerConfig::workers`] shards, each owning its *own* bounded
 //!   `VecDeque` job queue, its own [`FeatureCache`] slice, and its own
-//!   inference scratch (an [`InferenceScratch`] plus a
+//!   scratch (the model's [`Servable::Scratch`] plus a
 //!   [`GraphArena`]-backed featurization buffer).  A request is routed to
 //!   shard `fingerprint % N` at submission, so every repetition of a plan
 //!   shape lands on the shard that cached its features — there is no
@@ -18,24 +31,27 @@
 //!   feature cache (keyed by fingerprint), preserving the one-home-per-
 //!   shape cache invariant; only the scratch buffers are the stealer's.
 //! * **Backpressure, not unbounded queueing** — every shard queue is
-//!   bounded at `queue_capacity / N` (rounded up).
-//!   [`PredictionServer::submit`] blocks the producer while the target
-//!   shard is full; [`PredictionServer::try_submit`] sheds load
-//!   immediately with [`ServeError::Overloaded`].
-//! * **Shared-read model** — the trained model is behind an `Arc` and only
+//!   bounded at `queue_capacity / N` (rounded up).  [`Server::submit`]
+//!   blocks the producer while the target shard is full;
+//!   [`Server::try_submit`] sheds load immediately with
+//!   [`ServeError::Overloaded`].
+//! * **Shared-read model** — the served model is behind an `Arc` and only
 //!   ever read; each worker owns private scratch, so steady-state
-//!   inference takes no shard-crossing locks, and a warm cache hit (or
-//!   arena-warm featurization) performs no heap allocation.
+//!   inference takes no shard-crossing locks.  The engine's own warm path
+//!   (queue hop, cache hit or arena-warm featurization, metrics) performs
+//!   no heap allocation; whether the *forward* allocates is a property of
+//!   the model's [`Servable::Scratch`] — zero for
+//!   [`TrainedModel`]'s [`InferenceScratch`], not for a model whose
+//!   scratch is `()`.
 //! * **Deterministic results** — workers featurize with the model's own
-//!   [`FeaturizerConfig`](zsdb_core::FeaturizerConfig) and predict with
-//!   the same floating-point operations as the single-threaded path, so a
-//!   served prediction is bit-identical to
+//!   [`FeaturizerConfig`] and run the same floating-point operations as
+//!   the single-threaded path, so a served answer is bit-identical to
 //!   `model.predict(featurize_plan(...))` — independent of the shard
 //!   count, the routing, and whether the job was stolen.
-//! * **Batched submission** — [`PredictionServer::submit_batch`] enqueues
-//!   a batch as one queue entry per [`ServerConfig::max_batch_size`]
-//!   chunk (routed by its first plan's fingerprint); a worker featurizes
-//!   each chunk in one cache-assisted sweep and answers it with a single
+//! * **Batched submission** — [`Server::submit_batch`] enqueues a batch
+//!   as one queue entry per [`ServerConfig::max_batch_size`] chunk
+//!   (routed by its first plan's fingerprint); a worker featurizes each
+//!   chunk in one cache-assisted sweep and answers it with a single
 //!   batched forward pass ([`zsdb_core::batch`]), amortising per-request
 //!   overhead while staying bit-identical to per-request submission —
 //!   and since every chunk occupies a bounded-queue slot,
@@ -47,7 +63,7 @@ use crate::metrics::{
     MetricsSnapshot, ObservabilityConfig, ServeMetrics, STAGE_CACHE_LOOKUP, STAGE_FEATURIZE,
     STAGE_FORWARD, STAGE_QUEUE_WAIT,
 };
-use crate::provenance::ProvenanceSeed;
+use crate::provenance::{ProvenanceSeed, MODEL_NAME};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -58,7 +74,7 @@ use zsdb_core::features::{featurize_plan_into, PlanGraph};
 use zsdb_core::fingerprint::plan_fingerprint;
 use zsdb_core::model::InferenceScratch;
 use zsdb_core::train::TrainedModel;
-use zsdb_core::GraphArena;
+use zsdb_core::{FeaturizerConfig, GraphArena};
 use zsdb_engine::PlanNode;
 use zsdb_obs::{ActiveTrace, FlightClass, FlightRecorder, Gauge, Trace, Tracer};
 use zsdb_protocol::{ProvenanceRecord, WireSloStatus};
@@ -73,7 +89,7 @@ const TRACE_RING: usize = 256;
 /// an idle pool burns negligible CPU.
 const STEAL_PARK: Duration = Duration::from_micros(500);
 
-/// Tunables of a [`PredictionServer`].
+/// Tunables of a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Number of worker threads — equivalently, the number of shards:
@@ -107,6 +123,62 @@ impl Default for ServerConfig {
     }
 }
 
+/// Where and how the engine answered one request — everything about an
+/// answer that does not depend on the model.  [`Servable::answer`] folds
+/// it, together with the forward output, into the public answer type.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Placement {
+    /// Structural fingerprint of the request plan.
+    pub fingerprint: u64,
+    /// Whether featurization was skipped thanks to the feature cache.
+    pub cache_hit: bool,
+    /// Enqueue-to-response latency.
+    pub latency: Duration,
+    /// Version of the model that answered (changes across hot-swaps).
+    pub model_version: u32,
+    /// Shard the plan's fingerprint routes to (its cache home).
+    pub home_shard: u32,
+    /// Shard whose worker executed the request — differs from
+    /// `home_shard` when the job was work-stolen.
+    pub executed_shard: u32,
+    /// Whether the request was stolen off its home queue.
+    pub stolen: bool,
+    /// The flight recorder's verdict on this request's latency.
+    pub flight_class: FlightClass,
+}
+
+/// What a model supplies to be served by the one engine, [`Server`].
+///
+/// The engine is monomorphised over the implementation: it owns queues,
+/// caches, routing, stealing, hot-swap, metrics and tracing, and calls
+/// into the model only through these items.
+pub trait Servable: Send + Sync + Sized + 'static {
+    /// Model family name stamped on every [`ProvenanceRecord`] this
+    /// model's server assembles (the registry versions models; this names
+    /// what the versions are *of*).
+    const NAME: &'static str;
+    /// Per-worker buffers the per-request forward reuses across requests
+    /// (`()` for a model that allocates in its forward).
+    type Scratch: Default;
+    /// What one forward pass yields for one plan.
+    type Output;
+    /// The public answer type: a forward output plus its [`Placement`].
+    type Prediction: Send + 'static;
+
+    /// The featurization requests must be given to match training.
+    fn featurizer(&self) -> FeaturizerConfig;
+    /// Forward one featurized plan through the worker's scratch.
+    fn forward(&self, graph: &PlanGraph, scratch: &mut Self::Scratch) -> Self::Output;
+    /// Forward a batch in one pass, bit-identical per graph to
+    /// [`Servable::forward`], outputs in input order.
+    fn forward_batch(&self, graphs: &[&PlanGraph]) -> Vec<Self::Output>;
+    /// Assemble the public answer.
+    fn answer(output: Self::Output, placement: Placement) -> Self::Prediction;
+    /// The provenance seed of an answer: its placement, [`Servable::NAME`]
+    /// and the predicted runtime.
+    fn provenance_seed(prediction: &Self::Prediction) -> ProvenanceSeed;
+}
+
 /// One answered prediction request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
@@ -138,6 +210,7 @@ impl Prediction {
     pub fn provenance_seed(&self) -> ProvenanceSeed {
         ProvenanceSeed {
             fingerprint: self.fingerprint,
+            model_name: TrainedModel::NAME,
             model_version: self.model_version,
             cache_hit: self.cache_hit,
             home_shard: self.home_shard,
@@ -149,69 +222,107 @@ impl Prediction {
     }
 }
 
+/// The zero-shot cost model: the forward runs allocation-free through the
+/// worker's [`InferenceScratch`], so this instantiation's warm path never
+/// touches the allocator.
+impl Servable for TrainedModel {
+    const NAME: &'static str = MODEL_NAME;
+    type Scratch = InferenceScratch;
+    type Output = f64;
+    type Prediction = Prediction;
+
+    fn featurizer(&self) -> FeaturizerConfig {
+        self.featurizer
+    }
+
+    fn forward(&self, graph: &PlanGraph, scratch: &mut InferenceScratch) -> f64 {
+        self.model.predict_with(graph, scratch)
+    }
+
+    fn forward_batch(&self, graphs: &[&PlanGraph]) -> Vec<f64> {
+        self.model.predict_batch(graphs)
+    }
+
+    fn answer(runtime_secs: f64, placement: Placement) -> Prediction {
+        Prediction {
+            runtime_secs,
+            fingerprint: placement.fingerprint,
+            cache_hit: placement.cache_hit,
+            latency: placement.latency,
+            model_version: placement.model_version,
+            home_shard: placement.home_shard,
+            executed_shard: placement.executed_shard,
+            stolen: placement.stolen,
+            flight_class: placement.flight_class,
+        }
+    }
+
+    fn provenance_seed(prediction: &Prediction) -> ProvenanceSeed {
+        prediction.provenance_seed()
+    }
+}
+
 /// A versioned, immutable served model — the unit of an atomic hot-swap.
 ///
-/// Workers pin the current `Arc<ServedModel>` per dequeued job, so a
-/// concurrent [`PredictionServer::swap_model`] never changes the weights
-/// under an in-flight request or batch: work that already started
-/// finishes on the old version, work dequeued after the swap runs on the
-/// new one.
+/// Workers pin the current `Arc<ServedModel<M>>` per dequeued job, so a
+/// concurrent [`Server::swap_model`] never changes the weights under an
+/// in-flight request or batch: work that already started finishes on the
+/// old version, work dequeued after the swap runs on the new one.
 #[derive(Debug)]
-pub struct ServedModel {
+pub struct ServedModel<M> {
     /// Registry version of this model (1 for a model served directly
     /// without a registry).
     pub version: u32,
     /// The model itself.
-    pub model: TrainedModel,
+    pub model: M,
 }
 
-/// Claim ticket for an in-flight request; redeem with
-/// [`PredictionTicket::wait`].
+/// Claim ticket for an in-flight request; redeem with [`Ticket::wait`].
 #[derive(Debug)]
-pub struct PredictionTicket {
-    rx: mpsc::Receiver<(Prediction, Option<ActiveTrace>)>,
+pub struct Ticket<P> {
+    rx: mpsc::Receiver<(P, Option<ActiveTrace>)>,
 }
 
-impl PredictionTicket {
+impl<P> Ticket<P> {
     /// Block until the prediction is ready.  Fails with
     /// [`ServeError::Closed`] if the server shut down before answering.
-    pub fn wait(self) -> Result<Prediction, ServeError> {
+    pub fn wait(self) -> Result<P, ServeError> {
         self.wait_traced().map(|(prediction, _)| prediction)
     }
 
-    /// Like [`PredictionTicket::wait`], but also hands back the request's
-    /// in-flight trace (when the request was submitted with one) so the
-    /// caller can mark its own final stages and finish it.
-    pub fn wait_traced(self) -> Result<(Prediction, Option<ActiveTrace>), ServeError> {
+    /// Like [`Ticket::wait`], but also hands back the request's in-flight
+    /// trace (when the request was submitted with one) so the caller can
+    /// mark its own final stages and finish it.
+    pub fn wait_traced(self) -> Result<(P, Option<ActiveTrace>), ServeError> {
         self.rx.recv().map_err(|_| ServeError::Closed)
     }
 }
 
 /// Claim ticket for an in-flight batch request; redeem with
-/// [`BatchPredictionTicket::wait`].
+/// [`BatchTicket::wait`].
 ///
 /// A submission larger than
 /// [`max_batch_size`](ServerConfig::max_batch_size) is answered in
 /// several chunks (possibly by different workers); the ticket stitches
 /// them back together in submission order.
 #[derive(Debug)]
-pub struct BatchPredictionTicket {
-    parts: Vec<mpsc::Receiver<(Vec<Prediction>, Option<ActiveTrace>)>>,
+pub struct BatchTicket<P> {
+    parts: Vec<mpsc::Receiver<(Vec<P>, Option<ActiveTrace>)>>,
 }
 
-impl BatchPredictionTicket {
+impl<P> BatchTicket<P> {
     /// Block until all predictions of the batch are ready and return them
     /// in submission order.  Fails with [`ServeError::Closed`] if the
     /// server shut down before answering.
-    pub fn wait(self) -> Result<Vec<Prediction>, ServeError> {
+    pub fn wait(self) -> Result<Vec<P>, ServeError> {
         self.wait_traced().map(|(predictions, _)| predictions)
     }
 
-    /// Like [`BatchPredictionTicket::wait`], but also hands back the
-    /// batch's in-flight trace.  A traced batch submission attaches its
-    /// trace to the first chunk; the returned trace is the first one any
-    /// chunk carried.
-    pub fn wait_traced(self) -> Result<(Vec<Prediction>, Option<ActiveTrace>), ServeError> {
+    /// Like [`BatchTicket::wait`], but also hands back the batch's
+    /// in-flight trace.  A traced batch submission attaches its trace to
+    /// the first chunk; the returned trace is the first one any chunk
+    /// carried.
+    pub fn wait_traced(self) -> Result<(Vec<P>, Option<ActiveTrace>), ServeError> {
         let mut predictions = Vec::new();
         let mut trace = None;
         for part in self.parts {
@@ -223,9 +334,9 @@ impl BatchPredictionTicket {
     }
 }
 
-/// A request that [`PredictionServer::try_submit`] could not enqueue: the
-/// plan comes back (boxed, to keep the `Err` variant small) together with
-/// the rejection reason so the caller can retry or shed it.
+/// A request that [`Server::try_submit`] could not enqueue: the plan
+/// comes back (boxed, to keep the `Err` variant small) together with the
+/// rejection reason so the caller can retry or shed it.
 #[derive(Debug)]
 pub struct RejectedRequest {
     /// The plan that was not enqueued.
@@ -233,15 +344,6 @@ pub struct RejectedRequest {
     /// Why it was rejected ([`ServeError::Overloaded`] or
     /// [`ServeError::Closed`]).
     pub reason: ServeError,
-}
-
-impl RejectedRequest {
-    pub(crate) fn new(plan: PlanNode, reason: ServeError) -> Self {
-        RejectedRequest {
-            plan: Box::new(plan),
-            reason,
-        }
-    }
 }
 
 impl std::fmt::Display for RejectedRequest {
@@ -256,15 +358,14 @@ impl std::error::Error for RejectedRequest {
     }
 }
 
-/// A batch that [`PredictionServer::try_submit_batch`] could not fully
-/// enqueue.
+/// A batch that [`Server::try_submit_batch`] could not fully enqueue.
 ///
 /// Chunked admission cannot be undone once a chunk is in the queue, so a
 /// partial failure is reported honestly: [`RejectedBatch::plans`] holds
 /// the unsent remainder (in submission order, for retry) and
 /// [`RejectedBatch::answered`] the ticket for chunks that *were*
 /// admitted before the queue filled up — `None` when nothing was.
-pub struct RejectedBatch {
+pub struct RejectedBatch<P> {
     /// The plans that were not enqueued, in submission order.
     pub plans: Vec<PlanNode>,
     /// Why admission stopped ([`ServeError::Overloaded`] or
@@ -272,24 +373,10 @@ pub struct RejectedBatch {
     pub reason: ServeError,
     /// Ticket for the prefix of the batch that was admitted before the
     /// rejection, if any.
-    pub answered: Option<BatchPredictionTicket>,
+    pub answered: Option<BatchTicket<P>>,
 }
 
-impl RejectedBatch {
-    fn new(
-        plans: Vec<PlanNode>,
-        reason: ServeError,
-        parts: Vec<mpsc::Receiver<(Vec<Prediction>, Option<ActiveTrace>)>>,
-    ) -> Self {
-        RejectedBatch {
-            plans,
-            reason,
-            answered: (!parts.is_empty()).then_some(BatchPredictionTicket { parts }),
-        }
-    }
-}
-
-impl std::fmt::Debug for RejectedBatch {
+impl<P> std::fmt::Debug for RejectedBatch<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RejectedBatch")
             .field("plans", &self.plans.len())
@@ -299,7 +386,7 @@ impl std::fmt::Debug for RejectedBatch {
     }
 }
 
-impl std::fmt::Display for RejectedBatch {
+impl<P> std::fmt::Display for RejectedBatch<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -312,33 +399,33 @@ impl std::fmt::Display for RejectedBatch {
 
 /// A unit of queued work: one plan (with its routing fingerprint,
 /// computed once at submission), or a whole batch of plans that shares
-/// one featurization/inference pass.
-enum Job {
+/// one featurization/inference pass.  `P` is the answer type sent back.
+enum Job<P> {
     Single {
         plan: PlanNode,
         fingerprint: u64,
         enqueued: Instant,
-        reply: mpsc::Sender<(Prediction, Option<ActiveTrace>)>,
+        reply: mpsc::Sender<(P, Option<ActiveTrace>)>,
         trace: Option<ActiveTrace>,
     },
     Batch {
         plans: Vec<PlanNode>,
         enqueued: Instant,
-        reply: mpsc::Sender<(Vec<Prediction>, Option<ActiveTrace>)>,
+        reply: mpsc::Sender<(Vec<P>, Option<ActiveTrace>)>,
         trace: Option<ActiveTrace>,
     },
 }
 
 /// Mutable half of a shard's queue, behind its mutex.
-struct ShardState {
-    jobs: VecDeque<Job>,
+struct ShardState<P> {
+    jobs: VecDeque<Job<P>>,
     closed: bool,
 }
 
 /// What a worker got when it asked its own queue for work.
-enum Dequeued {
+enum Dequeued<P> {
     /// A job to run.
-    Job(Box<Job>),
+    Job(Box<Job<P>>),
     /// Queue empty and the server is shutting down: exit.
     Closed,
     /// Queue empty, park timed out: go try a steal pass.
@@ -349,22 +436,23 @@ enum Dequeued {
 /// slice of the feature cache, and its queue-depth gauge.  Shard `i` is
 /// owned by worker `i`; other workers touch its queue only to steal and
 /// its cache only for fingerprints that route here.
-struct Shard {
-    state: Mutex<ShardState>,
+struct Shard<P> {
+    state: Mutex<ShardState<P>>,
     /// Signalled on push; the owning worker parks here when idle.
     not_empty: Condvar,
     /// Signalled on pop; blocking producers park here when the shard is
     /// full.
     not_full: Condvar,
     capacity: usize,
-    /// The `serve.shard.N.queue_depth` gauge.
+    /// The `serve.shard.N.queue_depth` gauge, moved under the queue lock
+    /// so it never reads below zero.
     depth: Gauge,
     /// This shard's slice of the feature cache: every fingerprint that
     /// routes here is cached here and nowhere else.
     cache: FeatureCache,
 }
 
-impl Shard {
+impl<P> Shard<P> {
     fn new(capacity: usize, cache_capacity: usize, depth: Gauge) -> Self {
         Shard {
             state: Mutex::new(ShardState {
@@ -379,31 +467,20 @@ impl Shard {
         }
     }
 
-    /// Enqueue, blocking while the shard is full (backpressure).  Returns
-    /// the job (boxed — the error path is cold and `Job` is large) if the
-    /// server closed before a slot opened.
-    fn push_wait(&self, job: Job) -> Result<(), Box<Job>> {
+    /// Enqueue; a full shard blocks the producer when `wait` is set
+    /// (backpressure) and rejects with [`ServeError::Overloaded`]
+    /// otherwise.  [`ServeError::Closed`] wins over `Overloaded`: a full
+    /// queue on a closed server will never have room again.  On failure
+    /// the job comes back (boxed — the error path is cold and `Job` is
+    /// large) with the reason.
+    fn push(&self, job: Job<P>, wait: bool) -> Result<(), (Box<Job<P>>, ServeError)> {
         let mut state = self.state.lock().expect("shard queue poisoned");
-        while !state.closed && state.jobs.len() >= self.capacity {
+        while wait && !state.closed && state.jobs.len() >= self.capacity {
             state = self
                 .not_full
                 .wait(state)
                 .expect("shard queue poisoned while waiting");
         }
-        if state.closed {
-            return Err(Box::new(job));
-        }
-        state.jobs.push_back(job);
-        self.depth.inc();
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Non-blocking enqueue; on failure the job comes back with the
-    /// rejection reason ([`ServeError::Closed`] wins over `Overloaded`,
-    /// matching the unsharded server's admission order).
-    fn try_push(&self, job: Job) -> Result<(), (Box<Job>, ServeError)> {
-        let mut state = self.state.lock().expect("shard queue poisoned");
         if state.closed {
             return Err((Box::new(job), ServeError::Closed));
         }
@@ -418,7 +495,7 @@ impl Shard {
 
     /// Non-blocking dequeue of the oldest job — used by the owning
     /// worker's fast path and by stealers.
-    fn try_pop(&self) -> Option<Job> {
+    fn try_pop(&self) -> Option<Job<P>> {
         let mut state = self.state.lock().expect("shard queue poisoned");
         let job = state.jobs.pop_front()?;
         self.depth.dec();
@@ -429,7 +506,7 @@ impl Shard {
     /// Dequeue for the owning worker: pop a job, report shutdown once
     /// the queue is drained and closed, or park for at most `park`
     /// before the caller's next steal pass.
-    fn pop_or_park(&self, park: Duration) -> Dequeued {
+    fn pop_or_park(&self, park: Duration) -> Dequeued<P> {
         let mut state = self.state.lock().expect("shard queue poisoned");
         if let Some(job) = state.jobs.pop_front() {
             self.depth.dec();
@@ -464,58 +541,70 @@ impl Shard {
     }
 }
 
-struct Shared {
+struct Shared<M: Servable> {
     /// The currently served model, swappable at runtime.  Workers take
     /// the read lock only long enough to clone the `Arc`; a swap takes
     /// the write lock only long enough to replace it — neither ever
     /// blocks on inference.
-    model: RwLock<Arc<ServedModel>>,
+    model: RwLock<Arc<ServedModel<M>>>,
     catalog: SchemaCatalog,
-    shards: Vec<Shard>,
+    shards: Vec<Shard<M::Prediction>>,
     metrics: ServeMetrics,
     tracer: Tracer,
 }
 
-impl Shared {
-    fn current(&self) -> Arc<ServedModel> {
+impl<M: Servable> Shared<M> {
+    fn current(&self) -> Arc<ServedModel<M>> {
         Arc::clone(&self.model.read().expect("served model lock poisoned"))
     }
 
-    /// The shard a fingerprint routes to — the home of its queue slot
-    /// and its cache entry.
-    fn shard_of(&self, fingerprint: u64) -> &Shard {
-        &self.shards[(fingerprint % self.shards.len() as u64) as usize]
+    /// Index of the shard a fingerprint routes to — the home of its
+    /// queue slot and its cache entry.
+    fn home_of(&self, fingerprint: u64) -> usize {
+        (fingerprint % self.shards.len() as u64) as usize
+    }
+
+    fn shard_of(&self, fingerprint: u64) -> &Shard<M::Prediction> {
+        &self.shards[self.home_of(fingerprint)]
     }
 }
 
-/// A running prediction service over one trained model and one database
-/// catalog.
-pub struct PredictionServer {
+/// A running prediction service over one [`Servable`] model and one
+/// database catalog — the engine behind [`PredictionServer`] and
+/// [`MultiTaskPredictionServer`](crate::MultiTaskPredictionServer).
+pub struct Server<M: Servable> {
     workers: Vec<JoinHandle<()>>,
-    shared: Arc<Shared>,
+    shared: Arc<Shared<M>>,
     config: ServerConfig,
 }
 
-impl PredictionServer {
+/// The engine serving the zero-shot cost model.
+pub type PredictionServer = Server<TrainedModel>;
+/// Claim ticket of a [`PredictionServer`] request.
+pub type PredictionTicket = Ticket<Prediction>;
+/// Claim ticket of a [`PredictionServer`] batch.
+pub type BatchPredictionTicket = BatchTicket<Prediction>;
+
+impl<M: Servable> Server<M> {
     /// Spawn the worker pool and start accepting requests.
     ///
     /// The catalog must describe the database the request plans were
     /// optimised for — it supplies the table/column statistics the
     /// transferable featurization reads.
-    pub fn start(model: TrainedModel, catalog: SchemaCatalog, config: ServerConfig) -> Self {
-        PredictionServer::start_versioned(model, 1, catalog, config)
+    pub fn start(model: M, catalog: SchemaCatalog, config: ServerConfig) -> Self {
+        Self::start_versioned(model, 1, catalog, config)
     }
 
-    /// [`PredictionServer::start`] with an explicit initial model version
-    /// (use the registry version the model was loaded from, so
-    /// [`Prediction::model_version`] matches the registry lifecycle).
+    /// [`Server::start`] with an explicit initial model version (use the
+    /// registry version the model was loaded from, so the answers'
+    /// `model_version` matches the registry lifecycle).
     pub fn start_versioned(
-        model: TrainedModel,
+        model: M,
         version: u32,
         catalog: SchemaCatalog,
         config: ServerConfig,
     ) -> Self {
-        PredictionServer::start_observed(
+        Self::start_observed(
             model,
             version,
             catalog,
@@ -524,11 +613,11 @@ impl PredictionServer {
         )
     }
 
-    /// [`PredictionServer::start_versioned`] with explicit observability
-    /// tuning: the flight recorder's retention thresholds and the SLO
-    /// objective the burn-rate windows grade against.
+    /// [`Server::start_versioned`] with explicit observability tuning:
+    /// the flight recorder's retention thresholds and the SLO objective
+    /// the burn-rate windows grade against.
     pub fn start_observed(
-        model: TrainedModel,
+        model: M,
         version: u32,
         catalog: SchemaCatalog,
         config: ServerConfig,
@@ -568,27 +657,21 @@ impl PredictionServer {
                     .expect("failed to spawn serving worker")
             })
             .collect();
-        PredictionServer {
+        Server {
             workers,
             shared,
             config,
         }
     }
 
-    /// Enqueue a prediction request, blocking while the queue is full
-    /// (backpressure).
-    pub fn submit(&self, plan: PlanNode) -> Result<PredictionTicket, ServeError> {
-        self.submit_traced(plan, None)
-    }
-
-    /// [`PredictionServer::submit`] carrying an in-flight trace: workers
-    /// mark the queue-wait/cache/featurize/forward stages on it, and the
-    /// trace comes back through [`PredictionTicket::wait_traced`].
-    pub fn submit_traced(
+    /// The one admission path for single requests: `wait` blocks on a
+    /// full shard, `!wait` sheds (and counts the rejection).
+    fn enqueue(
         &self,
         plan: PlanNode,
         trace: Option<ActiveTrace>,
-    ) -> Result<PredictionTicket, ServeError> {
+        wait: bool,
+    ) -> Result<Ticket<M::Prediction>, RejectedRequest> {
         // The fingerprint both routes the request (cache affinity) and
         // keys the cache — computed once here, carried in the job.
         let fingerprint = plan_fingerprint(&plan);
@@ -600,34 +683,36 @@ impl PredictionServer {
             reply,
             trace,
         };
-        self.shared
-            .shard_of(fingerprint)
-            .push_wait(job)
-            .map_err(|_| ServeError::Closed)?;
-        self.shared.metrics.queue_inc();
-        Ok(PredictionTicket { rx })
+        match self.shared.shard_of(fingerprint).push(job, wait) {
+            Ok(()) => Ok(Ticket { rx }),
+            Err((job, reason)) => {
+                if !wait {
+                    self.shared.metrics.record_rejection();
+                }
+                let Job::Single { plan, .. } = *job else {
+                    unreachable!("single submission cannot hold a batch")
+                };
+                Err(RejectedRequest {
+                    plan: Box::new(plan),
+                    reason,
+                })
+            }
+        }
     }
 
-    /// Enqueue a batch of plans, blocking while the queue is full
-    /// (backpressure).
-    ///
-    /// The batch is split into chunks of at most
-    /// [`ServerConfig::max_batch_size`] plans; each chunk occupies one
-    /// bounded-queue slot and is answered by a single worker in one
-    /// pass — one featurization sweep (cache-assisted) and one batched
-    /// forward through the model's (level, kind) schedule — so
-    /// per-request overhead is amortised across the batch while
-    /// `queue_capacity` still bounds in-flight work.  Every prediction
-    /// is bit-identical to submitting the same plan through
-    /// [`PredictionServer::submit`]; results come back in submission
-    /// order.
-    pub fn submit_batch(&self, plans: Vec<PlanNode>) -> Result<BatchPredictionTicket, ServeError> {
+    /// The one admission path for batches (see [`Server::enqueue`]).
+    fn enqueue_batch(
+        &self,
+        plans: Vec<PlanNode>,
+        mut trace: Option<ActiveTrace>,
+        wait: bool,
+    ) -> Result<BatchTicket<M::Prediction>, RejectedBatch<M::Prediction>> {
         // Split oversized submissions into max_batch_size chunks, each a
         // bounded-queue entry of its own: queue_capacity keeps bounding
         // in-flight work, and an over-large batch experiences the same
-        // blocking backpressure as a burst of single requests.
+        // backpressure as a burst of single requests.
         let max = self.config.max_batch_size.max(1);
-        let mut parts = Vec::with_capacity(plans.len().div_ceil(max).max(1));
+        let mut parts = Vec::with_capacity(plans.len().div_ceil(max));
         let mut remaining = plans;
         while !remaining.is_empty() {
             let rest = if remaining.len() > max {
@@ -645,16 +730,64 @@ impl PredictionServer {
                 plans: chunk,
                 enqueued: Instant::now(),
                 reply,
-                trace: None,
+                trace: trace.take(),
             };
-            self.shared
-                .shard_of(fingerprint)
-                .push_wait(job)
-                .map_err(|_| ServeError::Closed)?;
-            self.shared.metrics.queue_inc();
+            if let Err((job, reason)) = self.shared.shard_of(fingerprint).push(job, wait) {
+                if !wait {
+                    self.shared.metrics.record_rejection();
+                }
+                let Job::Batch {
+                    plans: mut unsent, ..
+                } = *job
+                else {
+                    unreachable!("batch submission cannot hold a single")
+                };
+                unsent.append(&mut remaining);
+                return Err(RejectedBatch {
+                    plans: unsent,
+                    reason,
+                    answered: (!parts.is_empty()).then_some(BatchTicket { parts }),
+                });
+            }
             parts.push(rx);
         }
-        Ok(BatchPredictionTicket { parts })
+        Ok(BatchTicket { parts })
+    }
+
+    /// Enqueue a prediction request, blocking while the queue is full
+    /// (backpressure).
+    pub fn submit(&self, plan: PlanNode) -> Result<Ticket<M::Prediction>, ServeError> {
+        self.submit_traced(plan, None)
+    }
+
+    /// [`Server::submit`] carrying an in-flight trace: workers mark the
+    /// queue-wait/cache/featurize/forward stages on it, and the trace
+    /// comes back through [`Ticket::wait_traced`].
+    pub fn submit_traced(
+        &self,
+        plan: PlanNode,
+        trace: Option<ActiveTrace>,
+    ) -> Result<Ticket<M::Prediction>, ServeError> {
+        self.enqueue(plan, trace, true).map_err(|r| r.reason)
+    }
+
+    /// Enqueue a batch of plans, blocking while the queue is full
+    /// (backpressure).
+    ///
+    /// The batch is split into chunks of at most
+    /// [`ServerConfig::max_batch_size`] plans; each chunk occupies one
+    /// bounded-queue slot and is answered by a single worker in one
+    /// pass — one featurization sweep (cache-assisted) and one batched
+    /// forward through the model's (level, kind) schedule — so
+    /// per-request overhead is amortised across the batch while
+    /// `queue_capacity` still bounds in-flight work.  Every prediction
+    /// is bit-identical to submitting the same plan through
+    /// [`Server::submit`]; results come back in submission order.
+    pub fn submit_batch(
+        &self,
+        plans: Vec<PlanNode>,
+    ) -> Result<BatchTicket<M::Prediction>, ServeError> {
+        self.enqueue_batch(plans, None, true).map_err(|r| r.reason)
     }
 
     /// Enqueue a prediction request without blocking; fails with a
@@ -662,114 +795,57 @@ impl PredictionServer {
     /// queue is full, returning the plan to the caller for retry.  Every
     /// rejection is counted in
     /// [`MetricsSnapshot::rejected_requests`](crate::MetricsSnapshot).
-    pub fn try_submit(&self, plan: PlanNode) -> Result<PredictionTicket, RejectedRequest> {
+    pub fn try_submit(&self, plan: PlanNode) -> Result<Ticket<M::Prediction>, RejectedRequest> {
         self.try_submit_traced(plan, None)
     }
 
-    /// [`PredictionServer::try_submit`] carrying an in-flight trace (see
-    /// [`submit_traced`](PredictionServer::submit_traced)).  A rejected
-    /// request's trace is dropped unfinished.
+    /// [`Server::try_submit`] carrying an in-flight trace (see
+    /// [`submit_traced`](Server::submit_traced)).  A rejected request's
+    /// trace is dropped unfinished.
     pub fn try_submit_traced(
         &self,
         plan: PlanNode,
         trace: Option<ActiveTrace>,
-    ) -> Result<PredictionTicket, RejectedRequest> {
-        let fingerprint = plan_fingerprint(&plan);
-        let (reply, rx) = mpsc::channel();
-        let job = Job::Single {
-            plan,
-            fingerprint,
-            enqueued: Instant::now(),
-            reply,
-            trace,
-        };
-        let take_plan = |job: Job| match job {
-            Job::Single { plan, .. } => plan,
-            Job::Batch { .. } => unreachable!("single submission cannot hold a batch"),
-        };
-        match self.shared.shard_of(fingerprint).try_push(job) {
-            Ok(()) => {
-                self.shared.metrics.queue_inc();
-                Ok(PredictionTicket { rx })
-            }
-            Err((job, reason)) => {
-                self.shared.metrics.record_rejection();
-                Err(RejectedRequest::new(take_plan(*job), reason))
-            }
-        }
+    ) -> Result<Ticket<M::Prediction>, RejectedRequest> {
+        self.enqueue(plan, trace, false)
     }
 
     /// Enqueue a batch of plans without blocking — the load-shedding
-    /// sibling of [`PredictionServer::submit_batch`].
+    /// sibling of [`Server::submit_batch`].
     ///
     /// The batch is split into `max_batch_size` chunks exactly like
-    /// `submit_batch`, but each chunk is enqueued with a non-blocking
-    /// `try_send`.  On the first full-queue (or closed-server) chunk the
-    /// submission stops and the *unsent remainder* comes back in
-    /// [`RejectedBatch::plans`]; chunks already enqueued keep running and
-    /// are claimable through [`RejectedBatch::answered`], so no accepted
-    /// work is lost and no rejected plan is silently dropped.  A batch
-    /// no larger than `max_batch_size` is a single chunk, making the
-    /// admission decision all-or-nothing.  Each rejection counts once in
+    /// `submit_batch`, but no chunk waits for room.  On the first
+    /// full-queue (or closed-server) chunk the submission stops and the
+    /// *unsent remainder* comes back in [`RejectedBatch::plans`]; chunks
+    /// already enqueued keep running and are claimable through
+    /// [`RejectedBatch::answered`], so no accepted work is lost and no
+    /// rejected plan is silently dropped.  A batch no larger than
+    /// `max_batch_size` is a single chunk, making the admission decision
+    /// all-or-nothing.  Each rejection counts once in
     /// [`MetricsSnapshot::rejected_requests`](crate::MetricsSnapshot).
     pub fn try_submit_batch(
         &self,
         plans: Vec<PlanNode>,
-    ) -> Result<BatchPredictionTicket, RejectedBatch> {
+    ) -> Result<BatchTicket<M::Prediction>, RejectedBatch<M::Prediction>> {
         self.try_submit_batch_traced(plans, None)
     }
 
-    /// [`PredictionServer::try_submit_batch`] carrying an in-flight
-    /// trace.  The trace rides on the first chunk (a batch within
-    /// `max_batch_size` is exactly one chunk) and comes back through
-    /// [`BatchPredictionTicket::wait_traced`]; if the first chunk is
-    /// rejected the trace is dropped unfinished.
+    /// [`Server::try_submit_batch`] carrying an in-flight trace.  The
+    /// trace rides on the first chunk (a batch within `max_batch_size` is
+    /// exactly one chunk) and comes back through
+    /// [`BatchTicket::wait_traced`]; if the first chunk is rejected the
+    /// trace is dropped unfinished.
     pub fn try_submit_batch_traced(
         &self,
         plans: Vec<PlanNode>,
-        mut trace: Option<ActiveTrace>,
-    ) -> Result<BatchPredictionTicket, RejectedBatch> {
-        let max = self.config.max_batch_size.max(1);
-        let mut parts = Vec::with_capacity(plans.len().div_ceil(max));
-        let mut remaining = plans;
-        while !remaining.is_empty() {
-            let rest = if remaining.len() > max {
-                remaining.split_off(max)
-            } else {
-                Vec::new()
-            };
-            let chunk = std::mem::replace(&mut remaining, rest);
-            let fingerprint = plan_fingerprint(&chunk[0]);
-            let (reply, rx) = mpsc::channel();
-            let job = Job::Batch {
-                plans: chunk,
-                enqueued: Instant::now(),
-                reply,
-                trace: trace.take(),
-            };
-            let take_plans = |job: Job| match job {
-                Job::Batch { plans, .. } => plans,
-                Job::Single { .. } => unreachable!("batch submission cannot hold a single"),
-            };
-            match self.shared.shard_of(fingerprint).try_push(job) {
-                Ok(()) => {
-                    self.shared.metrics.queue_inc();
-                    parts.push(rx);
-                }
-                Err((job, reason)) => {
-                    self.shared.metrics.record_rejection();
-                    let mut unsent = take_plans(*job);
-                    unsent.append(&mut remaining);
-                    return Err(RejectedBatch::new(unsent, reason, parts));
-                }
-            }
-        }
-        Ok(BatchPredictionTicket { parts })
+        trace: Option<ActiveTrace>,
+    ) -> Result<BatchTicket<M::Prediction>, RejectedBatch<M::Prediction>> {
+        self.enqueue_batch(plans, trace, false)
     }
 
     /// Submit and wait for the answer (convenience for sequential
     /// clients).
-    pub fn predict_blocking(&self, plan: PlanNode) -> Result<Prediction, ServeError> {
+    pub fn predict_blocking(&self, plan: PlanNode) -> Result<M::Prediction, ServeError> {
         self.submit(plan)?.wait()
     }
 
@@ -784,7 +860,7 @@ impl PredictionServer {
     /// the swap additionally clears the cache so the old version's
     /// entries don't linger as dead weight.  Submission is never paused
     /// and no queued request is lost.
-    pub fn swap_model(&self, model: TrainedModel, version: u32) {
+    pub fn swap_model(&self, model: M, version: u32) {
         let next = Arc::new(ServedModel { version, model });
         *self
             .shared
@@ -808,7 +884,7 @@ impl PredictionServer {
     /// adaptation loop uses this to fine-tune *from* the live weights;
     /// holding the `Arc` keeps those weights alive across a concurrent
     /// swap.
-    pub fn model(&self) -> Arc<ServedModel> {
+    pub fn model(&self) -> Arc<ServedModel<M>> {
         self.shared.current()
     }
 
@@ -843,8 +919,8 @@ impl PredictionServer {
     }
 
     /// The server's trace collector: begin traces to attach to
-    /// [`submit_traced`](PredictionServer::submit_traced), look finished
-    /// ones up by id, and record standalone events.
+    /// [`submit_traced`](Server::submit_traced), look finished ones up by
+    /// id, and record standalone events.
     pub fn tracer(&self) -> &Tracer {
         &self.shared.tracer
     }
@@ -861,11 +937,11 @@ impl PredictionServer {
     /// and assembles + stores the prediction's [`ProvenanceRecord`] —
     /// afterwards [`explain`](Self::explain) can answer for the trace's
     /// id.  Returns the finished trace.
-    pub fn complete_traced(&self, prediction: &Prediction, trace: ActiveTrace) -> Trace {
+    pub fn complete_traced(&self, prediction: &M::Prediction, trace: ActiveTrace) -> Trace {
         let done = self.shared.tracer.finish(trace);
         self.shared
             .metrics
-            .record_completed_trace(&prediction.provenance_seed(), &done);
+            .record_completed_trace(&M::provenance_seed(prediction), &done);
         done
     }
 
@@ -892,8 +968,8 @@ impl PredictionServer {
     }
 
     /// The live metrics recorder behind [`metrics`](Self::metrics) —
-    /// exposes the queue gauge, per-stage histogram recorder and the
-    /// named-metric registry.
+    /// exposes the per-stage histogram recorder and the named-metric
+    /// registry (per-shard queue gauges included).
     pub fn recorder(&self) -> &ServeMetrics {
         &self.shared.metrics
     }
@@ -930,18 +1006,18 @@ impl PredictionServer {
     }
 }
 
-impl Drop for PredictionServer {
+impl<M: Servable> Drop for Server<M> {
     fn drop(&mut self) {
         self.stop_workers();
     }
 }
 
-/// Per-worker reusable buffers: the inference scratch, the featurization
-/// arena with its target graph, and the batch sweep's collection
-/// vectors.  All of them grow to the workload's high-water mark during
-/// warm-up and are then reused allocation-free.
-struct WorkerState {
-    scratch: InferenceScratch,
+/// Per-worker reusable buffers: the model's forward scratch, the
+/// featurization arena with its target graph, and the batch sweep's
+/// collection vectors.  All of them grow to the workload's high-water
+/// mark during warm-up and are then reused allocation-free.
+struct WorkerState<M: Servable> {
+    scratch: M::Scratch,
     arena: GraphArena,
     /// Arena-backed featurization target, rebuilt in place per miss.
     graph: PlanGraph,
@@ -950,12 +1026,12 @@ struct WorkerState {
     graphs: Vec<Arc<PlanGraph>>,
 }
 
-impl WorkerState {
+impl<M: Servable> WorkerState<M> {
     fn new() -> Self {
         let mut arena = GraphArena::new();
         let graph = arena.take_graph();
         WorkerState {
-            scratch: InferenceScratch::default(),
+            scratch: M::Scratch::default(),
             arena,
             graph,
             fingerprints: Vec::new(),
@@ -965,51 +1041,55 @@ impl WorkerState {
     }
 }
 
-fn worker_loop(shared: &Shared, me: usize) {
+fn worker_loop<M: Servable>(shared: &Shared<M>, me: usize) {
     let mut state = WorkerState::new();
     let shard_count = shared.shards.len();
     loop {
         // Fast path: own queue (lock held only to dequeue, never during
         // inference).
         if let Some(job) = shared.shards[me].try_pop() {
-            shared.metrics.queue_dec();
             process_job(shared, &mut state, me, job);
             continue;
         }
         // Own queue empty: one steal pass over the other shards, oldest
         // job first, so a fingerprint-skewed burst cannot idle the pool.
-        let mut stole = false;
-        for offset in 1..shard_count {
-            let victim = (me + offset) % shard_count;
-            if let Some(job) = shared.shards[victim].try_pop() {
-                shared.metrics.queue_dec();
-                process_job(shared, &mut state, me, job);
-                stole = true;
-                break;
-            }
-        }
-        if stole {
+        let stolen = (1..shard_count)
+            .find_map(|offset| shared.shards[(me + offset) % shard_count].try_pop());
+        if let Some(job) = stolen {
+            process_job(shared, &mut state, me, job);
             continue;
         }
         // Nothing anywhere: park on the own queue until a push arrives,
         // the park times out (→ next steal pass) or the server closes.
         match shared.shards[me].pop_or_park(STEAL_PARK) {
-            Dequeued::Job(job) => {
-                shared.metrics.queue_dec();
-                process_job(shared, &mut state, me, *job);
-            }
+            Dequeued::Job(job) => process_job(shared, &mut state, me, *job),
             Dequeued::Idle => {}
             Dequeued::Closed => return,
         }
     }
 }
 
-/// The shard a fingerprint routes to, as a provenance field.
-fn home_shard_of(shared: &Shared, fingerprint: u64) -> u32 {
-    (fingerprint % shared.shards.len() as u64) as u32
-}
-
-fn process_job(shared: &Shared, state: &mut WorkerState, me: usize, job: Job) {
+fn process_job<M: Servable>(
+    shared: &Shared<M>,
+    state: &mut WorkerState<M>,
+    me: usize,
+    job: Job<M::Prediction>,
+) {
+    // Where an answer of this job was placed: `me` ran it, the
+    // fingerprint names its home.
+    let place = |fingerprint, cache_hit, latency, model_version, flight_class| {
+        let home_shard = shared.home_of(fingerprint) as u32;
+        Placement {
+            fingerprint,
+            cache_hit,
+            latency,
+            model_version,
+            home_shard,
+            executed_shard: me as u32,
+            stolen: home_shard != me as u32,
+            flight_class,
+        }
+    };
     match job {
         Job::Single {
             plan,
@@ -1032,13 +1112,13 @@ fn process_job(shared: &Shared, state: &mut WorkerState, me: usize, job: Job) {
                 t.mark(STAGE_CACHE_LOOKUP);
             }
             let cache_hit = cached.is_some();
-            let runtime_secs = match cached {
-                Some(graph) => served.model.model.predict_with(&graph, &mut state.scratch),
+            let output = match cached {
+                Some(graph) => served.model.forward(&graph, &mut state.scratch),
                 None => {
                     featurize_plan_into(
                         &shared.catalog,
                         &plan,
-                        served.model.featurizer,
+                        served.model.featurizer(),
                         &mut state.arena,
                         &mut state.graph,
                     );
@@ -1051,33 +1131,17 @@ fn process_job(shared: &Shared, state: &mut WorkerState, me: usize, job: Job) {
                     if let Some(t) = trace.as_mut() {
                         t.mark(STAGE_FEATURIZE);
                     }
-                    served
-                        .model
-                        .model
-                        .predict_with(&state.graph, &mut state.scratch)
+                    served.model.forward(&state.graph, &mut state.scratch)
                 }
             };
             if let Some(t) = trace.as_mut() {
                 t.mark(STAGE_FORWARD);
             }
             let latency = enqueued.elapsed();
-            let flight_class = shared.metrics.record(latency);
-            let home_shard = home_shard_of(shared, fingerprint);
+            let class = shared.metrics.record(latency);
+            let placement = place(fingerprint, cache_hit, latency, served.version, class);
             // A dropped ticket just means the client stopped waiting.
-            let _ = reply.send((
-                Prediction {
-                    runtime_secs,
-                    fingerprint,
-                    cache_hit,
-                    latency,
-                    model_version: served.version,
-                    home_shard,
-                    executed_shard: me as u32,
-                    stolen: home_shard != me as u32,
-                    flight_class,
-                },
-                trace,
-            ));
+            let _ = reply.send((M::answer(output, placement), trace));
         }
         Job::Batch {
             plans,
@@ -1105,7 +1169,7 @@ fn process_job(shared: &Shared, state: &mut WorkerState, me: usize, job: Job) {
                         featurize_plan_into(
                             &shared.catalog,
                             plan,
-                            served.model.featurizer,
+                            served.model.featurizer(),
                             &mut state.arena,
                             &mut state.graph,
                         );
@@ -1126,29 +1190,19 @@ fn process_job(shared: &Shared, state: &mut WorkerState, me: usize, job: Job) {
                 t.mark(STAGE_FEATURIZE);
             }
             let refs: Vec<&PlanGraph> = state.graphs.iter().map(|g| g.as_ref()).collect();
-            let runtimes = served.model.model.predict_batch(&refs);
+            let outputs = served.model.forward_batch(&refs);
             if let Some(t) = trace.as_mut() {
                 t.mark(STAGE_FORWARD);
             }
             let latency = enqueued.elapsed();
-            let flight_class = shared.metrics.record_batch(plans.len(), latency);
-            let predictions = runtimes
+            let class = shared.metrics.record_batch(plans.len(), latency);
+            let predictions = outputs
                 .into_iter()
                 .zip(state.fingerprints.drain(..))
                 .zip(state.cache_hits.drain(..))
-                .map(|((runtime_secs, fingerprint), cache_hit)| {
-                    let home_shard = home_shard_of(shared, fingerprint);
-                    Prediction {
-                        runtime_secs,
-                        fingerprint,
-                        cache_hit,
-                        latency,
-                        model_version: served.version,
-                        home_shard,
-                        executed_shard: me as u32,
-                        stolen: home_shard != me as u32,
-                        flight_class,
-                    }
+                .map(|((output, fingerprint), cache_hit)| {
+                    let placement = place(fingerprint, cache_hit, latency, served.version, class);
+                    M::answer(output, placement)
                 })
                 .collect();
             state.graphs.clear();
@@ -1553,6 +1607,17 @@ mod tests {
         assert!(matches!(rejected_batch.reason, ServeError::Closed));
         assert_eq!(rejected_batch.plans, plans);
         assert_eq!(server.metrics().rejected_requests, 2);
+        // The blocking side reports the closure but sheds nothing: only
+        // `try_` submissions count as rejections.
+        assert!(matches!(
+            server.submit(plans[0].clone()),
+            Err(ServeError::Closed)
+        ));
+        assert!(matches!(
+            server.submit_batch(plans.clone()),
+            Err(ServeError::Closed)
+        ));
+        assert_eq!(server.metrics().rejected_requests, 2);
     }
 
     #[test]
@@ -1653,7 +1718,14 @@ mod tests {
                 ..ServerConfig::default()
             },
         );
-        server.predict_blocking(plans[0].clone()).unwrap();
+        // Singles and a batch, all answered: every push has met its pop.
+        let tickets: Vec<_> = (0..16)
+            .map(|_| server.submit(plans[0].clone()).unwrap())
+            .collect();
+        for t in tickets {
+            t.wait().unwrap();
+        }
+        server.submit_batch(plans.clone()).unwrap().wait().unwrap();
         let snap = server.metrics();
         assert_eq!(snap.shard_queue_depths.len(), 3);
         assert!(
@@ -1661,6 +1733,7 @@ mod tests {
             "idle server has empty shard queues: {:?}",
             snap.shard_queue_depths
         );
+        assert_eq!(snap.queue_depth, 0, "all dequeued");
         let text = server.prometheus_text();
         for shard in 0..3 {
             assert!(text.contains(&format!("serve_shard_{shard}_queue_depth")));

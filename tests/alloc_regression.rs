@@ -93,7 +93,9 @@ fn warm_inference_hot_path_does_not_allocate() {
         for plan in &plans {
             featurize_plan_into(db.catalog(), plan, featurizer, &mut arena, &mut graph);
             let fingerprint = plan_fingerprint(plan);
-            cache.get_or_insert_with(1, fingerprint, || graph.clone());
+            if cache.get(1, fingerprint).is_none() {
+                cache.insert(1, fingerprint, std::sync::Arc::new(graph.clone()));
+            }
             let prediction = model.model.predict_with(&graph, &mut scratch);
             assert!(prediction.is_finite());
         }
@@ -152,7 +154,9 @@ fn warm_hot_path_stays_zero_alloc_with_flight_recorder_enabled() {
         for plan in &plans {
             featurize_plan_into(db.catalog(), plan, featurizer, &mut arena, &mut graph);
             let fingerprint = plan_fingerprint(plan);
-            cache.get_or_insert_with(1, fingerprint, || graph.clone());
+            if cache.get(1, fingerprint).is_none() {
+                cache.insert(1, fingerprint, std::sync::Arc::new(graph.clone()));
+            }
             let prediction = model.model.predict_with(&graph, &mut scratch);
             assert!(prediction.is_finite());
             recorder.classify(1_000, true);

@@ -8,21 +8,24 @@
 use std::sync::Arc;
 use zero_shot_db::cardest::{CardinalityEstimator, PostgresLikeEstimator};
 use zero_shot_db::catalog::presets;
-use zero_shot_db::engine::{EngineConfig, Optimizer, PhysOperatorKind, QueryRunner};
+use zero_shot_db::engine::fingerprint::Fnv64;
+use zero_shot_db::engine::{EngineConfig, Optimizer, PhysOperatorKind, PlanNode, QueryRunner};
 use zero_shot_db::multitask::{
     sample_from_execution, LearnedCardEstimator, MultiTaskConfig, MultiTaskSample,
     MultiTaskTrainer, TrainedMultiTaskModel,
 };
-use zero_shot_db::query::{CmpOp, Predicate, WorkloadGenerator};
-use zero_shot_db::serve::{ModelRegistry, MultiTaskPredictionServer, ServerConfig};
+use zero_shot_db::query::{CmpOp, Predicate, Query, WorkloadGenerator};
+use zero_shot_db::serve::{
+    ModelRegistry, MultiTaskPredictionServer, ServeError, ServedMultiTaskPrediction, ServerConfig,
+};
 use zero_shot_db::storage::Database;
 use zero_shot_db::zeroshot::features::featurize_plan;
-use zero_shot_db::zeroshot::{FeaturizerConfig, TrainingConfig};
+use zero_shot_db::zeroshot::{FeaturizerConfig, FinetuneConfig, TrainingConfig};
 use zsdb_catalog::Value;
 
-/// Train a small multi-task model on two synthetic databases (estimated
-/// featurization, so the cardinality heads can run at planning time).
-fn train_small_model() -> TrainedMultiTaskModel {
+/// Executed samples of two synthetic databases (estimated featurization,
+/// so the cardinality heads can run at planning time).
+fn small_corpus() -> Vec<MultiTaskSample> {
     let mut samples: Vec<MultiTaskSample> = Vec::new();
     for seed in [31u64, 32] {
         let db = Database::generate(presets::imdb_like(0.02), seed);
@@ -35,6 +38,11 @@ fn train_small_model() -> TrainedMultiTaskModel {
                 .map(|e| sample_from_execution(db.catalog(), e, FeaturizerConfig::estimated())),
         );
     }
+    samples
+}
+
+/// Train a small multi-task model on [`small_corpus`].
+fn train_small_model() -> TrainedMultiTaskModel {
     MultiTaskTrainer::new(
         MultiTaskConfig::tiny(),
         TrainingConfig {
@@ -45,7 +53,29 @@ fn train_small_model() -> TrainedMultiTaskModel {
         },
         FeaturizerConfig::estimated(),
     )
-    .train(&samples)
+    .train(&small_corpus())
+}
+
+/// A database the model never saw, twenty queries on it and their
+/// optimised plans.
+fn unseen_workload() -> (Database, Vec<Query>, Vec<PlanNode>) {
+    let db = Database::generate(presets::imdb_like(0.02), 77);
+    let queries = WorkloadGenerator::with_defaults().generate(db.catalog(), 20, 13);
+    let plans = QueryRunner::with_defaults(&db).plan_workload(&queries);
+    (db, queries, plans)
+}
+
+/// FNV-1a over every head's bit pattern, in answer order.
+fn heads_fnv(served: &[ServedMultiTaskPrediction]) -> u64 {
+    let mut hash = Fnv64::new();
+    for answer in served {
+        hash.write_f64(answer.tasks.runtime_secs);
+        hash.write_f64(answer.tasks.root_rows);
+        for &rows in &answer.tasks.operator_rows {
+            hash.write_f64(rows);
+        }
+    }
+    hash.finish()
 }
 
 #[test]
@@ -53,10 +83,8 @@ fn registry_serve_and_optimizer_close_the_loop() {
     let trained = train_small_model();
 
     // --- A database the model has never seen -------------------------
-    let db = Database::generate(presets::imdb_like(0.02), 77);
+    let (db, queries, plans) = unseen_workload();
     let runner = QueryRunner::with_defaults(&db);
-    let queries = WorkloadGenerator::with_defaults().generate(db.catalog(), 20, 13);
-    let plans = runner.plan_workload(&queries);
     let probe_graphs: Vec<_> = plans
         .iter()
         .take(4)
@@ -146,7 +174,7 @@ fn registry_serve_and_optimizer_close_the_loop() {
         .resolve_column("title", "production_year")
         .unwrap();
     let (title, _) = db.catalog().table_by_name("title").unwrap();
-    let whatif_query = zero_shot_db::query::Query {
+    let whatif_query = Query {
         tables: vec![title],
         joins: vec![],
         predicates: vec![Predicate::new(year, CmpOp::Gt, Value::Int(2018))],
@@ -183,4 +211,146 @@ fn learned_estimates_are_sane_on_an_unseen_database() {
             assert!(rows.is_finite() && rows >= 1.0 && rows <= upper + 0.5);
         }
     }
+}
+
+/// Every head of twenty served plans, pinned to the bit.  The golden was
+/// captured on the commit before the multi-task server moved from its own
+/// worker pool (allocating `featurize_plan`, one shared cache) onto the
+/// sharded engine (`featurize_plan_into`, per-shard cache slices): the
+/// move may not change a bit of any head, singly or batched.
+#[test]
+fn served_head_bits_are_pinned() {
+    const GOLDEN_HEADS_FNV1A: u64 = 0x5071_fbb0_066c_ddb8;
+
+    let (db, _, plans) = unseen_workload();
+    assert_eq!(plans.len(), 20);
+    let server = MultiTaskPredictionServer::start(
+        train_small_model(),
+        db.catalog().clone(),
+        ServerConfig {
+            workers: 3,
+            ..ServerConfig::default()
+        },
+    );
+    let singles: Vec<_> = plans
+        .iter()
+        .map(|p| server.predict_blocking(p.clone()).unwrap())
+        .collect();
+    let batch = server.submit_batch(plans.clone()).unwrap().wait().unwrap();
+    for (path, served) in [("predict_blocking", &singles), ("submit_batch", &batch)] {
+        assert_eq!(
+            heads_fnv(served),
+            GOLDEN_HEADS_FNV1A,
+            "{path} heads hash to {:#018x}",
+            heads_fnv(served)
+        );
+    }
+}
+
+/// What only the shared engine can do: the shard count (and with it the
+/// routing, the cache slices and who executes what) moves no bit of any
+/// head, also when the model is hot-swapped mid-stream.
+#[test]
+fn one_shard_and_three_shards_agree_across_a_hot_swap() {
+    let samples = small_corpus();
+    let trained = train_small_model();
+    let tuned = MultiTaskTrainer::finetune_from(
+        &trained,
+        &samples[..8],
+        FinetuneConfig {
+            epochs: 3,
+            learning_rate: 1e-3,
+            ..FinetuneConfig::default()
+        },
+    );
+    let (db, _, plans) = unseen_workload();
+    let serve = |workers: usize| {
+        let server = MultiTaskPredictionServer::start(
+            trained.clone(),
+            db.catalog().clone(),
+            ServerConfig {
+                workers,
+                ..ServerConfig::default()
+            },
+        );
+        let mut answers = Vec::new();
+        for (i, plan) in plans.iter().enumerate() {
+            if i == plans.len() / 2 {
+                server.swap_model(tuned.clone(), 2);
+            }
+            answers.push(server.predict_blocking(plan.clone()).unwrap());
+        }
+        answers.extend(server.submit_batch(plans.clone()).unwrap().wait().unwrap());
+        for answer in &answers {
+            assert_eq!(
+                u64::from(answer.home_shard),
+                answer.fingerprint % workers as u64,
+                "answers are placed by the sharded engine"
+            );
+        }
+        answers
+    };
+    let (one, three) = (serve(1), serve(3));
+    assert_eq!(one.len(), 2 * plans.len());
+    for (i, (a, b)) in one.iter().zip(&three).enumerate() {
+        assert_eq!(a.model_version, if i < plans.len() / 2 { 1 } else { 2 });
+        assert_eq!(a.model_version, b.model_version);
+        assert_eq!(a.fingerprint, b.fingerprint);
+    }
+    assert_eq!(heads_fnv(&one), heads_fnv(&three));
+    // The swap is visible: the same plan answers differently before
+    // (single, version 1) and after (batch, version 2).
+    assert_ne!(heads_fnv(&one[..1]), heads_fnv(&one[plans.len()..][..1]));
+}
+
+/// `try_submit_batch` exists on the multi-task server by construction:
+/// over a one-slot queue an oversized batch is admitted in part, the
+/// unsent remainder comes back in order and the admitted prefix is
+/// claimable, every head bit-identical to the unserved model.
+#[test]
+fn try_submit_batch_returns_the_unsent_remainder_in_order() {
+    let trained = train_small_model();
+    let (db, _, plans) = unseen_workload();
+    let server = MultiTaskPredictionServer::start(
+        trained.clone(),
+        db.catalog().clone(),
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            cache_capacity: 0,
+            max_batch_size: 2,
+        },
+    );
+    // Ten chunks over one queue slot: keep offering the batch until one
+    // offer lands some chunks before the slot is taken.
+    let mut saw_partial = false;
+    for _ in 0..500 {
+        let rejected = match server.try_submit_batch(plans.clone()) {
+            Ok(ticket) => {
+                assert_eq!(ticket.wait().unwrap().len(), plans.len());
+                continue;
+            }
+            Err(rejected) => rejected,
+        };
+        assert!(matches!(rejected.reason, ServeError::Overloaded));
+        let sent = plans.len() - rejected.plans.len();
+        assert_eq!(rejected.plans, plans[sent..].to_vec(), "remainder in order");
+        assert_eq!(rejected.answered.is_some(), sent > 0);
+        if let Some(answered) = rejected.answered {
+            let prefix = answered.wait().expect("admitted chunks are answered");
+            assert_eq!(prefix.len(), sent);
+            for (served, plan) in prefix.iter().zip(&plans) {
+                let reference =
+                    trained.predict(&featurize_plan(db.catalog(), plan, trained.featurizer));
+                assert_eq!(served.tasks, reference);
+            }
+            saw_partial = true;
+            break;
+        }
+    }
+    assert!(
+        saw_partial,
+        "a ten-chunk batch over a one-slot queue splits"
+    );
+    assert!(server.metrics().rejected_requests > 0);
 }
