@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 use zsdb_core::features::{featurize_execution, FeatureMode, FeaturizerConfig};
 use zsdb_core::model::{ModelConfig, ZeroShotCostModel};
-use zsdb_core::CardinalityMode;
+use zsdb_core::{CardinalityMode, Trainable};
 use zsdb_engine::QueryExecution;
 use zsdb_nn::Adam;
 use zsdb_storage::Database;

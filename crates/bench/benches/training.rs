@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use zsdb_catalog::presets;
 use zsdb_core::features::{featurize_execution, FeaturizerConfig};
-use zsdb_core::{ModelConfig, ZeroShotCostModel};
+use zsdb_core::{ModelConfig, Trainable, ZeroShotCostModel};
 use zsdb_engine::QueryRunner;
 use zsdb_nn::Adam;
 use zsdb_query::WorkloadGenerator;

@@ -23,10 +23,17 @@
 //!    [--train-dbs N] [--queries-per-db N] [--epochs N] [--batch N] \
 //!    [--microbatch N] [--threads N] [--hidden N] [--out PATH]`
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use serde::Serialize;
 use std::time::Instant;
 use zsdb_core::dataset::{collect_training_corpus, TrainingDataConfig};
-use zsdb_core::{FeaturizerConfig, ModelConfig, PlanGraph, TrainedModel, Trainer, TrainingConfig};
+use zsdb_core::{
+    FeaturizerConfig, ModelConfig, PlanGraph, Trainable, TrainedModel, Trainer, TrainingConfig,
+    ZeroShotCostModel,
+};
+use zsdb_nn::{median, q_error, Adam};
 
 struct Args {
     train_dbs: usize,
@@ -112,6 +119,63 @@ fn engine_report(trained: &TrainedModel, graphs_trained_on: usize, wall_secs: f6
     }
 }
 
+/// The pre-batching trainer, kept verbatim as the baseline this binary
+/// times the batched engine against: one graph at a time through per-node
+/// mat-vec message passing, gradients accumulated directly into the
+/// model, and a separate full-corpus evaluation pass per epoch.
+fn train_per_example(
+    model_config: ModelConfig,
+    cfg: TrainingConfig,
+    graphs: &[PlanGraph],
+) -> TrainedModel {
+    let median_q_error = |model: &ZeroShotCostModel, graphs: &[PlanGraph]| {
+        let qs: Vec<f64> = graphs
+            .iter()
+            .map(|g| q_error(model.predict(g), g.runtime_secs.expect("labelled")))
+            .collect();
+        median(&qs)
+    };
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let val_len = ((graphs.len() as f64) * cfg.validation_fraction) as usize;
+    let (train_graphs, val_graphs) = graphs.split_at(graphs.len() - val_len);
+
+    let mut model = ZeroShotCostModel::new(model_config);
+    let mut adam = Adam::new(cfg.learning_rate);
+    let mut indices: Vec<usize> = (0..train_graphs.len()).collect();
+    let mut training_curve = Vec::with_capacity(cfg.epochs);
+    for _epoch in 0..cfg.epochs {
+        indices.shuffle(&mut rng);
+        let mut batch_count = 0usize;
+        model.zero_grad();
+        for &i in &indices {
+            let g = &train_graphs[i];
+            model.accumulate_gradients(g, g.runtime_secs.expect("labelled"));
+            batch_count += 1;
+            if batch_count == cfg.batch_size {
+                model.apply_step(&mut adam);
+                model.zero_grad();
+                batch_count = 0;
+            }
+        }
+        if batch_count > 0 {
+            model.apply_step(&mut adam);
+            model.zero_grad();
+        }
+        training_curve.push(median_q_error(&model, train_graphs));
+    }
+
+    TrainedModel {
+        final_train_qerror: *training_curve.last().unwrap_or(&f64::NAN),
+        final_validation_qerror: (!val_graphs.is_empty())
+            .then(|| median_q_error(&model, val_graphs)),
+        model,
+        featurizer: FeaturizerConfig::exact(),
+        training_curve,
+        validation_curve: Vec::new(),
+        stopped_early: false,
+    }
+}
+
 fn main() {
     let args = Args::parse();
     println!(
@@ -164,7 +228,7 @@ fn main() {
     // ---- Pre-refactor per-example engine ------------------------------
     println!("training with the per-example reference engine ...");
     let started = Instant::now();
-    let reference = trainer.train_per_example(&graphs);
+    let reference = train_per_example(model_config, training_config, &graphs);
     let reference_secs = started.elapsed().as_secs_f64();
     let per_example = engine_report(&reference, train_len, reference_secs);
     println!(

@@ -654,6 +654,7 @@ mod tests {
     use super::*;
     use crate::features::{featurize_execution, FeaturizerConfig};
     use crate::model::ModelConfig;
+    use crate::train::Trainable;
     use zsdb_catalog::presets;
     use zsdb_engine::QueryRunner;
     use zsdb_query::WorkloadGenerator;

@@ -1,7 +1,7 @@
 //! Evaluation of cost models on benchmark workloads.
 
 use crate::features::{featurize_execution, PlanGraph};
-use crate::train::TrainedModel;
+use crate::train::{Trainable, TrainedModel};
 use serde::{Deserialize, Serialize};
 use zsdb_engine::QueryExecution;
 use zsdb_nn::{percentile, q_error, QErrorSummary};
@@ -80,9 +80,10 @@ pub fn evaluate(
     workload_name: &str,
     executions: &[QueryExecution],
 ) -> EvaluationReport {
+    /// Executions featurized (and predicted) at a time, so peak memory
+    /// stays flat for arbitrarily large evaluation workloads.
+    const EVAL_CHUNK: usize = 256;
     let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(executions.len());
-    // Featurize and predict chunk by chunk so peak memory stays flat for
-    // arbitrarily large evaluation workloads.
     for chunk in executions.chunks(EVAL_CHUNK) {
         let graphs: Vec<PlanGraph> = chunk
             .iter()
@@ -90,7 +91,8 @@ pub fn evaluate(
             .collect();
         let refs: Vec<&PlanGraph> = graphs.iter().collect();
         pairs.extend(
-            batched_predictions(&model.model, &refs)
+            model
+                .predict_batch(&refs)
                 .into_iter()
                 .zip(chunk)
                 .map(|(p, e)| (p, e.runtime_secs)),
@@ -100,24 +102,6 @@ pub fn evaluate(
         workload: workload_name.to_string(),
         qerrors: QErrorSummary::from_predictions(&pairs),
     }
-}
-
-/// Mini-batch size of the chunked evaluation sweeps (bounds the size of
-/// the batched forward's intermediate state).
-const EVAL_CHUNK: usize = 256;
-
-/// Predict a slice of graphs in bounded-size batches (keeps peak memory
-/// flat for arbitrarily large evaluation sets).  Shared by every batched
-/// evaluation path in the crate (see also [`crate::train::median_q_error`]).
-pub(crate) fn batched_predictions(
-    model: &crate::model::ZeroShotCostModel,
-    graphs: &[&PlanGraph],
-) -> Vec<f64> {
-    let mut predictions = Vec::with_capacity(graphs.len());
-    for chunk in graphs.chunks(EVAL_CHUNK) {
-        predictions.extend(model.predict_batch(chunk));
-    }
-    predictions
 }
 
 /// Evaluate predictions that were produced by any means (used by the
@@ -138,7 +122,9 @@ pub fn evaluate_graphs(
     graphs: &[PlanGraph],
 ) -> EvaluationReport {
     let labelled: Vec<&PlanGraph> = graphs.iter().filter(|g| g.runtime_secs.is_some()).collect();
-    let pairs: Vec<(f64, f64)> = batched_predictions(&model.model, &labelled)
+    let pairs: Vec<(f64, f64)> = model
+        .model
+        .predict_chunked(&labelled)
         .into_iter()
         .zip(&labelled)
         .map(|(p, g)| (p, g.runtime_secs.expect("labelled")))

@@ -51,7 +51,7 @@ pub use features::{
 pub use fingerprint::{graph_fingerprint, plan_fingerprint};
 pub use model::{InferenceScratch, ModelConfig, PlanEncoder, ZeroShotCostModel};
 pub use train::{
-    compute_shard_results, few_shot_finetune, few_shot_finetune_with, FinetuneConfig, ReplicaSync,
-    TrainedModel, Trainer, TrainingConfig,
+    few_shot_finetune, few_shot_finetune_with, FinetuneConfig, ModelTrainer, Trainable,
+    TrainedModel, Trainer, TrainingConfig, TrainingRun,
 };
 pub use whatif::WhatIfCostEstimator;

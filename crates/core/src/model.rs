@@ -18,7 +18,7 @@
 
 use crate::features::{NodeKind, PlanGraph};
 use serde::{Deserialize, Serialize};
-use zsdb_nn::{Activation, Adam, ForwardScratch, Mlp, MlpCache};
+use zsdb_nn::{Activation, ForwardScratch, Mlp, MlpCache};
 
 /// Hyper-parameters of the zero-shot cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -128,14 +128,6 @@ impl PlanEncoder {
         }
         params.extend(self.combine.params_mut());
         params
-    }
-
-    /// Zero all encoder parameter gradients.
-    pub fn zero_grad(&mut self) {
-        for e in &mut self.encoders {
-            e.zero_grad();
-        }
-        self.combine.zero_grad();
     }
 }
 
@@ -355,74 +347,6 @@ impl ZeroShotCostModel {
         loss
     }
 
-    /// Zero all parameter gradients.
-    pub fn zero_grad(&mut self) {
-        self.encoder.zero_grad();
-        self.output.zero_grad();
-    }
-
-    /// Apply one optimizer step over all parameters (in the canonical
-    /// parameter order — the same layout the flat gradient reduction of
-    /// [`ZeroShotCostModel::export_gradients`] uses).
-    pub fn apply_step(&mut self, adam: &mut Adam) {
-        adam.step(&mut self.all_params_mut());
-    }
-
-    /// Every parameter buffer in the model's canonical order (encoders by
-    /// node kind, then combine, then output; weights before bias per
-    /// layer).  This order defines the layout of the flat gradient vectors
-    /// used by the deterministic shard reduction in the trainer.
-    pub(crate) fn all_params(&self) -> Vec<&zsdb_nn::ParamBuf> {
-        let mut params = self.encoder.params();
-        params.extend(self.output.params());
-        params
-    }
-
-    /// Mutable counterpart of [`ZeroShotCostModel::all_params`], same
-    /// order.
-    pub(crate) fn all_params_mut(&mut self) -> Vec<&mut zsdb_nn::ParamBuf> {
-        let mut params = self.encoder.params_mut();
-        params.extend(self.output.params_mut());
-        params
-    }
-
-    /// Export the accumulated gradients as one flat vector in canonical
-    /// parameter order (cleared and refilled).
-    pub fn export_gradients(&self, out: &mut Vec<f64>) {
-        out.clear();
-        for p in self.all_params() {
-            out.extend_from_slice(&p.grad);
-        }
-    }
-
-    /// Add a flat gradient vector (as produced by
-    /// [`ZeroShotCostModel::export_gradients`]) onto this model's
-    /// gradient buffers.  Together with a fixed caller-side reduction
-    /// order this makes multi-shard gradient accumulation deterministic.
-    pub fn add_gradients(&mut self, flat: &[f64]) {
-        let mut offset = 0;
-        for p in self.all_params_mut() {
-            let len = p.grad.len();
-            for (g, v) in p.grad.iter_mut().zip(&flat[offset..offset + len]) {
-                *g += v;
-            }
-            offset += len;
-        }
-        assert_eq!(offset, flat.len(), "flat gradient length mismatch");
-    }
-
-    /// Copy the parameter *values* (not gradients or optimizer moments)
-    /// from `src`.  Used to refresh worker-shard model replicas after
-    /// every optimizer step; allocation-free (buffer-to-buffer copies).
-    pub fn copy_weights_from(&mut self, src: &Self) {
-        let from = src.all_params();
-        let dst = self.all_params_mut();
-        assert_eq!(dst.len(), from.len(), "model shapes differ");
-        for (d, s) in dst.into_iter().zip(from) {
-            d.data.copy_from_slice(&s.data);
-        }
-    }
-
     /// Serialize the model to a JSON string.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("model serialization cannot fail")
@@ -438,9 +362,10 @@ impl ZeroShotCostModel {
 mod tests {
     use super::*;
     use crate::features::{featurize_execution, FeaturizerConfig};
+    use crate::train::Trainable;
     use zsdb_catalog::presets;
     use zsdb_engine::QueryRunner;
-    use zsdb_nn::q_error;
+    use zsdb_nn::{q_error, Adam};
     use zsdb_query::WorkloadGenerator;
     use zsdb_storage::Database;
 

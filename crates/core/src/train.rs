@@ -1,18 +1,36 @@
-//! Training, validation and few-shot fine-tuning of zero-shot cost models.
+//! Training, validation and few-shot fine-tuning of zero-shot models.
 //!
-//! [`Trainer::train`] is the **batched** trainer: every optimizer step
-//! forwards a shuffled mini-batch of plan graphs through the
-//! (level, kind)-batched message-passing engine
-//! ([`crate::batch`]), with the mini-batch split into fixed-size
-//! micro-batch *shards* whose gradients are computed independently
-//! (optionally on `std::thread` workers) and reduced in ascending shard
-//! order.  Because the shard boundaries depend only on the configuration
-//! — never on the thread count — training with 1 thread and with N
-//! threads produces **bit-identical** weights.
+//! There is **one** training loop in the workspace, the private `fit`
+//! behind [`ModelTrainer`]: seed the shuffle, clone the worker replicas,
+//! and per epoch shuffle, chunk into optimizer steps, split every step
+//! into fixed-size micro-batch *shards* whose gradients are computed
+//! independently (optionally on `std::thread` workers) through the
+//! (level, kind)-batched engine ([`crate::batch`]), reduce them in
+//! ascending shard order, apply Adam, then monitor a median q-error for
+//! early stopping and restore the best epoch.  Because the shard
+//! boundaries depend only on the configuration — never on the thread
+//! count — training with 1 thread and with N threads produces
+//! **bit-identical** weights.  Fine-tuning is the same loop started from
+//! an artifact's weights with no validation split and no early stopping.
 //!
-//! The original one-graph-at-a-time loop is retained as
-//! [`Trainer::train_per_example`]; it is the reference implementation the
-//! batched path is benchmarked against (`bench_train`).
+//! What the loop needs from a model is the [`Trainable`] trait: a
+//! constructor, the parameter buffers in canonical order, one batched
+//! forward+backward, one batched forward, and how to turn predictions
+//! into q-errors.  The gradient plumbing (`zero_grad`, `apply_step`,
+//! `export_gradients`, `add_gradients`, `copy_weights_from`) and the
+//! chunked evaluation are provided methods written once over
+//! [`Trainable::params`].  [`Trainer`] is `ModelTrainer<ZeroShotCostModel>`;
+//! the multi-task crate's trainer is the same struct over its own model,
+//! so a new task head costs one `impl Trainable`, not a trainer.
+//!
+//! The loop returns an in-memory [`TrainingRun`]; each model packages it
+//! into its own concrete artifact struct ([`TrainedModel`] here).  One
+//! generic `Trained<M>` is not possible, for two reasons: the vendored
+//! `serde_derive` shim rejects generic types, and the two artifacts'
+//! on-disk field names differ (`final_train_qerror: f64` here,
+//! `final_train_qerrors: TaskQErrors` in the multi-task artifact, likewise
+//! the validation fields and the curves' element types) while the
+//! registry's artifact format version stays where it is.
 
 use crate::features::{featurize_execution, FeaturizerConfig, PlanGraph};
 use crate::model::{ModelConfig, ZeroShotCostModel};
@@ -20,11 +38,12 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use zsdb_engine::QueryExecution;
-use zsdb_nn::{median, q_error, Adam};
+use zsdb_nn::{median, q_error, Adam, ParamBuf};
 use zsdb_obs::Tracer;
 use zsdb_storage::Database;
 
@@ -107,11 +126,10 @@ impl TrainingConfig {
 /// executions, e.g. few-shot adaptation to an unseen database or an online
 /// adaptation round inside the serving layer.
 ///
-/// Fine-tuning runs on the same batched, sharded gradient engine as
-/// [`Trainer::train`], so the 1-thread ≡ N-thread bit-determinism
-/// guarantee carries over: the shard boundaries depend only on
-/// [`FinetuneConfig::microbatch_size`], never on
-/// [`FinetuneConfig::threads`].
+/// Fine-tuning runs through the same loop as [`ModelTrainer::train`], so
+/// the 1-thread ≡ N-thread bit-determinism guarantee carries over: the
+/// shard boundaries depend only on [`FinetuneConfig::microbatch_size`],
+/// never on [`FinetuneConfig::threads`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FinetuneConfig {
     /// Number of passes over the fine-tuning set.
@@ -145,18 +163,144 @@ impl Default for FinetuneConfig {
     }
 }
 
-impl FinetuneConfig {
-    /// Effective number of worker threads (resolves the `0 = auto`
-    /// setting, mirroring [`TrainingConfig::effective_threads`]).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+/// What the training loop needs from a model.
+///
+/// The required methods say how the model is built, where its parameters
+/// live, how one mini-batch is pushed forward (and backward) and how
+/// predictions are scored; everything the loop does with gradients and
+/// weights is provided once, over [`Trainable::params`] /
+/// [`Trainable::params_mut`].
+pub trait Trainable: Clone + Send + Sized {
+    /// Hyper-parameters a fresh model is built from.
+    type Config: Clone + Debug;
+    /// One labelled training example.
+    type Sample: Sync;
+    /// What the model predicts for one sample.
+    type Prediction: Send;
+    /// Median q-error(s) of a set of predictions (one number per task).
+    type QErrors: Copy;
+    /// The serializable artifact a finished [`TrainingRun`] is packaged as.
+    type Trained;
+
+    /// Create a freshly initialised model.
+    fn new(config: Self::Config) -> Self;
+
+    /// Every parameter buffer in the model's canonical order (weights
+    /// before bias per layer).  This order defines the layout of the flat
+    /// gradient vectors of the deterministic shard reduction.
+    fn params(&self) -> Vec<&ParamBuf>;
+
+    /// Mutable counterpart of [`Trainable::params`], same order.
+    fn params_mut(&mut self) -> Vec<&mut ParamBuf>;
+
+    /// One batched forward + backward over `samples`, *accumulating*
+    /// gradients (no optimizer step); returns the training-forward
+    /// predictions in sample order.
+    fn accumulate_batch(&mut self, samples: &[&Self::Sample]) -> Vec<Self::Prediction>;
+
+    /// One batched forward over `samples`.
+    fn predict_samples(&self, samples: &[&Self::Sample]) -> Vec<Self::Prediction>;
+
+    /// Median q-error(s) of `predictions` against the samples' labels.
+    fn q_errors(samples: &[&Self::Sample], predictions: &[Self::Prediction]) -> Self::QErrors;
+
+    /// The one number early stopping monitors.
+    fn monitored(qerrors: &Self::QErrors) -> f64;
+
+    /// Whether `sample` carries every label training needs.
+    fn is_labelled(_sample: &Self::Sample) -> bool {
+        true
+    }
+
+    /// Package a finished run as the model's artifact.
+    fn into_trained(run: TrainingRun<Self>, featurizer: FeaturizerConfig) -> Self::Trained;
+
+    /// The model and featurizer configuration inside an artifact.
+    fn from_trained(trained: &Self::Trained) -> (&Self, FeaturizerConfig);
+
+    /// Zero all parameter gradients.
+    fn zero_grad(&mut self) {
+        for p in self.params_mut() {
+            p.zero_grad();
         }
     }
+
+    /// Apply one optimizer step over all parameters, in canonical order.
+    fn apply_step(&mut self, adam: &mut Adam) {
+        adam.step(&mut self.params_mut());
+    }
+
+    /// Export the accumulated gradients as one flat vector in canonical
+    /// parameter order (cleared and refilled).
+    fn export_gradients(&self, out: &mut Vec<f64>) {
+        out.clear();
+        for p in self.params() {
+            out.extend_from_slice(&p.grad);
+        }
+    }
+
+    /// Add a flat gradient vector (as produced by
+    /// [`Trainable::export_gradients`]) onto this model's gradient
+    /// buffers.  Together with a fixed caller-side reduction order this
+    /// makes multi-shard gradient accumulation deterministic.
+    fn add_gradients(&mut self, flat: &[f64]) {
+        let mut offset = 0;
+        for p in self.params_mut() {
+            let len = p.grad.len();
+            for (g, v) in p.grad.iter_mut().zip(&flat[offset..offset + len]) {
+                *g += v;
+            }
+            offset += len;
+        }
+        assert_eq!(offset, flat.len(), "flat gradient length mismatch");
+    }
+
+    /// Copy the parameter *values* (not gradients or optimizer moments)
+    /// from `src`, buffer to buffer.  Used to refresh worker-shard model
+    /// replicas after every optimizer step.
+    fn copy_weights_from(&mut self, src: &Self) {
+        let from = src.params();
+        let dst = self.params_mut();
+        assert_eq!(dst.len(), from.len(), "model shapes differ");
+        for (d, s) in dst.into_iter().zip(from) {
+            d.data.copy_from_slice(&s.data);
+        }
+    }
+
+    /// Predict `samples` in bounded-size batches (keeps the batched
+    /// forward's intermediate state flat for arbitrarily large sets).
+    fn predict_chunked(&self, samples: &[&Self::Sample]) -> Vec<Self::Prediction> {
+        const EVAL_CHUNK: usize = 256;
+        let chunks = samples.chunks(EVAL_CHUNK);
+        chunks.flat_map(|c| self.predict_samples(c)).collect()
+    }
+
+    /// Median q-error(s) of the model over `samples`, through the batched
+    /// forward pass (bit-identical to per-example prediction).
+    fn evaluate(&self, samples: &[Self::Sample]) -> Self::QErrors {
+        let refs: Vec<&Self::Sample> = samples.iter().collect();
+        Self::q_errors(&refs, &self.predict_chunked(&refs))
+    }
+}
+
+/// What one run of the training loop produced, before a model packages it
+/// as its artifact ([`Trainable::into_trained`]).
+pub struct TrainingRun<M: Trainable> {
+    /// The returned weights (the best monitored epoch under early
+    /// stopping, the last epoch otherwise).
+    pub model: M,
+    /// Training q-errors of the returned weights.
+    pub final_train: M::QErrors,
+    /// Validation q-errors of the returned weights (`None` without a
+    /// validation split).
+    pub final_validation: Option<M::QErrors>,
+    /// Per-epoch q-errors of the epoch's own training forwards (one entry
+    /// per epoch actually run).
+    pub training_curve: Vec<M::QErrors>,
+    /// Per-epoch monitored validation q-error (empty without a split).
+    pub validation_curve: Vec<f64>,
+    /// Whether early stopping ended the run before the epoch cap.
+    pub stopped_early: bool,
 }
 
 /// A trained zero-shot model together with its featurizer configuration and
@@ -207,23 +351,100 @@ impl TrainedModel {
     }
 }
 
-/// Trainer for zero-shot cost models.
+impl Trainable for ZeroShotCostModel {
+    type Config = ModelConfig;
+    type Sample = PlanGraph;
+    type Prediction = f64;
+    type QErrors = f64;
+    type Trained = TrainedModel;
+
+    fn new(config: ModelConfig) -> Self {
+        ZeroShotCostModel::new(config)
+    }
+
+    /// Encoders by node kind, then combine, then output.
+    fn params(&self) -> Vec<&ParamBuf> {
+        let mut params = self.encoder.params();
+        params.extend(self.output.params());
+        params
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut ParamBuf> {
+        let mut params = self.encoder.params_mut();
+        params.extend(self.output.params_mut());
+        params
+    }
+
+    fn accumulate_batch(&mut self, graphs: &[&PlanGraph]) -> Vec<f64> {
+        let targets: Vec<f64> = graphs
+            .iter()
+            .map(|g| g.runtime_secs.expect("labelled"))
+            .collect();
+        self.accumulate_gradients_batch(graphs, &targets)
+            .predictions
+    }
+
+    fn predict_samples(&self, graphs: &[&PlanGraph]) -> Vec<f64> {
+        self.predict_batch(graphs)
+    }
+
+    /// Median q-error over the labelled graphs (unlabelled ones are
+    /// skipped, so evaluation sets may mix both).
+    fn q_errors(graphs: &[&PlanGraph], predictions: &[f64]) -> f64 {
+        let qs: Vec<f64> = graphs
+            .iter()
+            .zip(predictions)
+            .filter_map(|(g, p)| g.runtime_secs.map(|t| q_error(*p, t)))
+            .collect();
+        median(&qs)
+    }
+
+    fn monitored(qerror: &f64) -> f64 {
+        *qerror
+    }
+
+    fn is_labelled(graph: &PlanGraph) -> bool {
+        graph.runtime_secs.is_some()
+    }
+
+    fn into_trained(run: TrainingRun<Self>, featurizer: FeaturizerConfig) -> TrainedModel {
+        TrainedModel {
+            model: run.model,
+            featurizer,
+            final_train_qerror: run.final_train,
+            final_validation_qerror: run.final_validation,
+            training_curve: run.training_curve,
+            validation_curve: run.validation_curve,
+            stopped_early: run.stopped_early,
+        }
+    }
+
+    fn from_trained(trained: &TrainedModel) -> (&Self, FeaturizerConfig) {
+        (&trained.model, trained.featurizer)
+    }
+}
+
+/// The trainer: one model configuration, one [`TrainingConfig`], one
+/// featurizer configuration, and the one training loop in the workspace.
 #[derive(Debug, Clone)]
-pub struct Trainer {
-    model_config: ModelConfig,
+pub struct ModelTrainer<M: Trainable> {
+    model_config: M::Config,
     training_config: TrainingConfig,
     featurizer: FeaturizerConfig,
     tracer: Option<Tracer>,
 }
 
-impl Trainer {
+/// Trainer for zero-shot cost models.
+pub type Trainer = ModelTrainer<ZeroShotCostModel>;
+
+impl<M: Trainable> ModelTrainer<M> {
     /// Create a trainer.
     pub fn new(
-        model_config: ModelConfig,
+        model_config: M::Config,
         training_config: TrainingConfig,
         featurizer: FeaturizerConfig,
     ) -> Self {
-        Trainer {
+        ModelTrainer {
             model_config,
             training_config,
             featurizer,
@@ -231,24 +452,14 @@ impl Trainer {
         }
     }
 
-    /// Attach a [`Tracer`]: [`Trainer::train`] then emits one
+    /// Attach a [`Tracer`]: [`ModelTrainer::train`] then emits one
     /// `train.epoch_secs` event per epoch (wall time, shard-gradient time
-    /// and the epoch's median q-error in the detail).  Tracing never
-    /// changes the trained weights.
+    /// and the epoch's monitored median q-error in the detail).  Tracing
+    /// never changes the trained weights.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = Some(tracer);
         self
-    }
-
-    /// Trainer with default hyper-parameters and exact-cardinality
-    /// featurization.
-    pub fn with_defaults() -> Self {
-        Trainer::new(
-            ModelConfig::default(),
-            TrainingConfig::default(),
-            FeaturizerConfig::exact(),
-        )
     }
 
     /// The trainer's training configuration.
@@ -256,6 +467,92 @@ impl Trainer {
         &self.training_config
     }
 
+    /// The trainer's featurizer configuration.
+    pub fn featurizer(&self) -> FeaturizerConfig {
+        self.featurizer
+    }
+
+    /// Train a fresh model on labelled samples: shuffled mini-batches,
+    /// (level, kind)-batched message passing, deterministic sharded
+    /// gradient accumulation, validation split and early stopping.
+    ///
+    /// Samples in the validation tail split are evaluated but never
+    /// trained on; early stopping monitors [`Trainable::monitored`] of
+    /// the validation q-errors (of the training q-errors without a
+    /// split).
+    pub fn train(&self, samples: &[M::Sample]) -> M::Trained {
+        let cfg = &self.training_config;
+        // Split by index: samples from the same database are contiguous
+        // in collection order, so a tail split approximates a
+        // database-level holdout.  `validation_fraction` is public and
+        // deserializable, hence the clamp.
+        let val_len =
+            (((samples.len() as f64) * cfg.validation_fraction) as usize).min(samples.len());
+        let (train, val) = samples.split_at(samples.len() - val_len);
+        let model = M::new(self.model_config.clone());
+        let tracer = self.tracer.as_ref();
+        let run = fit(model, train, val, cfg, "train.epoch_secs", tracer);
+        M::into_trained(run, self.featurizer)
+    }
+
+    /// Incrementally fine-tune an already-trained model on newly observed
+    /// labelled samples, returning a new artifact; `trained` is not
+    /// modified.
+    ///
+    /// This is the one fine-tuning path in the workspace: few-shot
+    /// adaptation ([`few_shot_finetune`]) and the online adaptation loop
+    /// in `zsdb_serve` both run through it.  It is the loop of
+    /// [`ModelTrainer::train`] started from the artifact's weights, so
+    /// fine-tuning with 1 thread and with N threads produces
+    /// **bit-identical** weights.
+    pub fn finetune_from(
+        trained: &M::Trained,
+        samples: &[M::Sample],
+        config: FinetuneConfig,
+    ) -> M::Trained {
+        Self::finetune_from_traced(trained, samples, config, None)
+    }
+
+    /// [`ModelTrainer::finetune_from`] emitting one `finetune.epoch_secs`
+    /// event per epoch on the given tracer (same detail as
+    /// [`ModelTrainer::with_tracer`]).  Tracing never changes the
+    /// fine-tuned weights.
+    pub fn finetune_from_traced(
+        trained: &M::Trained,
+        samples: &[M::Sample],
+        config: FinetuneConfig,
+        tracer: Option<&Tracer>,
+    ) -> M::Trained {
+        assert!(!samples.is_empty(), "fine-tuning needs at least one sample");
+        let (model, featurizer) = M::from_trained(trained);
+        // Fine-tuning is training from the artifact's weights with no
+        // validation split and no early stopping.
+        let cfg = TrainingConfig {
+            epochs: config.epochs,
+            learning_rate: config.learning_rate,
+            batch_size: match config.batch_size {
+                0 => samples.len(),
+                n => n,
+            },
+            microbatch_size: config.microbatch_size,
+            threads: config.threads,
+            seed: config.seed,
+            validation_fraction: 0.0,
+            early_stopping_patience: 0,
+        };
+        let run = fit(
+            model.clone(),
+            samples,
+            &[],
+            &cfg,
+            "finetune.epoch_secs",
+            tracer,
+        );
+        M::into_trained(run, featurizer)
+    }
+}
+
+impl Trainer {
     /// Featurize a multi-database corpus of executions.
     ///
     /// Every execution is featurized against the catalog of the database it
@@ -274,349 +571,150 @@ impl Trainer {
             .map(|e| featurize_execution(catalog_of(&e.database), e, self.featurizer))
             .collect()
     }
+}
 
-    /// Train a model on already-featurized plan graphs (each must carry its
-    /// runtime label) with the batched engine: shuffled mini-batches,
-    /// (level, kind)-batched message passing, deterministic sharded
-    /// gradient accumulation, validation split and early stopping.
-    ///
-    /// Graphs in the validation tail split are evaluated but never trained
-    /// on.
-    pub fn train(&self, graphs: &[PlanGraph]) -> TrainedModel {
-        assert!(
-            graphs.iter().all(|g| g.runtime_secs.is_some()),
-            "all training graphs must carry runtime labels"
-        );
-        let cfg = &self.training_config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+/// The training loop: `cfg.epochs` passes of shuffled mini-batch Adam
+/// over `train` starting from `model`, monitoring `val` (or the running
+/// training metric when `val` is empty) for early stopping, one `event`
+/// per epoch on `tracer`.  The caller has already split off `val`;
+/// `cfg.validation_fraction` is not read here.
+fn fit<M: Trainable>(
+    mut model: M,
+    train: &[M::Sample],
+    val: &[M::Sample],
+    cfg: &TrainingConfig,
+    event: &'static str,
+    tracer: Option<&Tracer>,
+) -> TrainingRun<M> {
+    // Checked here rather than discovered inside a worker thread.
+    assert!(
+        train.iter().chain(val).all(M::is_labelled),
+        "every training sample must carry its labels"
+    );
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut adam = Adam::new(cfg.learning_rate);
+    let batch_size = cfg.batch_size.max(1);
+    let microbatch = cfg.microbatch_size.max(1);
 
-        // Split into train / validation by index (graphs from the same
-        // database are contiguous in collection order, so a tail split
-        // approximates a database-level holdout).
-        let val_len = ((graphs.len() as f64) * cfg.validation_fraction) as usize;
-        let (train_graphs, val_graphs) = graphs.split_at(graphs.len() - val_len);
+    // Worker replicas compute shard gradients against a snapshot of the
+    // current weights.  A single replica is used even with one thread, so
+    // the reduction structure (zeroed shard buffer → flat export →
+    // ordered add) never depends on the thread count.
+    let shards_per_step = batch_size.div_ceil(microbatch);
+    let mut replicas: Vec<M> = (0..cfg.effective_threads().min(shards_per_step).max(1))
+        .map(|_| model.clone())
+        .collect();
 
-        let mut model = ZeroShotCostModel::new(self.model_config);
-        let mut adam = Adam::new(cfg.learning_rate);
-        let threads = cfg.effective_threads();
-        let batch_size = cfg.batch_size.max(1);
-        let microbatch = cfg.microbatch_size.max(1);
+    let mut indices: Vec<usize> = (0..train.len()).collect();
+    let mut training_curve = Vec::with_capacity(cfg.epochs);
+    let mut validation_curve = Vec::new();
+    let mut best: Option<(f64, M)> = None;
+    let mut epochs_without_improvement = 0usize;
+    let mut stopped_early = false;
 
-        // Worker replicas compute shard gradients against a snapshot of
-        // the current weights.  A single replica is used even when
-        // `threads == 1`, so the reduction structure (zeroed shard buffer
-        // → flat export → ordered add) never depends on the thread count.
-        let mut replicas: Vec<ZeroShotCostModel> =
-            (0..threads.min(batch_size.div_ceil(microbatch)).max(1))
-                .map(|_| model.clone())
-                .collect();
-
-        let mut indices: Vec<usize> = (0..train_graphs.len()).collect();
-        let mut training_curve = Vec::with_capacity(cfg.epochs);
-        let mut validation_curve = Vec::new();
-        let mut best: Option<(f64, ZeroShotCostModel)> = None;
-        let mut epochs_without_improvement = 0usize;
-        let mut stopped_early = false;
-
-        let mut epoch_qerrors: Vec<f64> = Vec::with_capacity(train_graphs.len());
-        for epoch in 0..cfg.epochs {
-            let epoch_started = Instant::now();
-            let mut shard_secs = 0.0f64;
-            indices.shuffle(&mut rng);
-            epoch_qerrors.clear();
-            for step in indices.chunks(batch_size) {
-                let micro_batches: Vec<&[usize]> = step.chunks(microbatch).collect();
-                let shard_started = Instant::now();
-                let shards =
-                    compute_shard_gradients(&model, &mut replicas, train_graphs, &micro_batches);
-                shard_secs += shard_started.elapsed().as_secs_f64();
-                model.zero_grad();
-                for shard in &shards {
-                    model.add_gradients(&shard.gradients);
-                }
-                model.apply_step(&mut adam);
-                for shard in shards {
-                    epoch_qerrors.extend(shard.qerrors);
-                }
-            }
-
-            // Running training metric: the median Q-error of the
-            // predictions made by the epoch's own training forwards (no
-            // separate evaluation pass over the training set).
-            let train_q = median(&epoch_qerrors);
-            training_curve.push(train_q);
-            if let Some(tracer) = &self.tracer {
-                tracer.event(
-                    "train.epoch_secs",
-                    epoch_started.elapsed().as_secs_f64(),
-                    format!(
-                        "epoch {epoch}: median q-error {train_q:.4}, {shard_secs:.6}s in shard gradients"
-                    ),
-                );
-            }
-            let monitored = if val_graphs.is_empty() {
-                train_q
-            } else {
-                let val_q = median_q_error(&model, val_graphs);
-                validation_curve.push(val_q);
-                val_q
-            };
-
-            if cfg.early_stopping_patience > 0 {
-                let improved = best.as_ref().map(|(b, _)| monitored < *b).unwrap_or(true);
-                if improved {
-                    best = Some((monitored, model.clone()));
-                    epochs_without_improvement = 0;
-                } else {
-                    epochs_without_improvement += 1;
-                    if epochs_without_improvement >= cfg.early_stopping_patience {
-                        stopped_early = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        // With early stopping enabled, return the best-epoch weights.
-        if let Some((_, best_model)) = best {
-            model = best_model;
-        }
-
-        let final_train_qerror = median_q_error(&model, train_graphs);
-        let final_validation_qerror = if val_graphs.is_empty() {
-            None
-        } else {
-            Some(median_q_error(&model, val_graphs))
-        };
-        TrainedModel {
-            model,
-            featurizer: self.featurizer,
-            final_train_qerror,
-            final_validation_qerror,
-            training_curve,
-            validation_curve,
-            stopped_early,
-        }
-    }
-
-    /// Incrementally fine-tune an already-trained model on newly observed
-    /// (labelled) plan graphs, returning a new [`TrainedModel`]; `trained`
-    /// is not modified.
-    ///
-    /// This is the one fine-tuning path in the workspace: few-shot
-    /// adaptation ([`few_shot_finetune`]) and the online adaptation loop
-    /// in `zsdb_serve` both run through it.  It reuses the batched shard
-    /// engine of [`Trainer::train`], so fine-tuning with 1 thread and
-    /// with N threads produces **bit-identical** weights.
-    pub fn finetune_from(
-        trained: &TrainedModel,
-        graphs: &[PlanGraph],
-        config: FinetuneConfig,
-    ) -> TrainedModel {
-        Trainer::finetune_from_traced(trained, graphs, config, None)
-    }
-
-    /// [`Trainer::finetune_from`] emitting one `finetune.epoch_secs`
-    /// event per epoch on the given tracer (wall time, shard-gradient
-    /// time and the epoch's median q-error in the detail).  Tracing never
-    /// changes the fine-tuned weights.
-    pub fn finetune_from_traced(
-        trained: &TrainedModel,
-        graphs: &[PlanGraph],
-        config: FinetuneConfig,
-        tracer: Option<&Tracer>,
-    ) -> TrainedModel {
-        assert!(
-            graphs.iter().all(|g| g.runtime_secs.is_some()),
-            "all fine-tuning graphs must carry runtime labels"
-        );
-        assert!(!graphs.is_empty(), "fine-tuning needs at least one graph");
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut model = trained.model.clone();
-        let mut adam = Adam::new(config.learning_rate);
-        let batch_size = if config.batch_size == 0 {
-            graphs.len()
-        } else {
-            config.batch_size.max(1)
-        };
-        let microbatch = config.microbatch_size.max(1);
-        let threads = config.effective_threads();
-        let mut replicas: Vec<ZeroShotCostModel> =
-            (0..threads.min(batch_size.div_ceil(microbatch)).max(1))
-                .map(|_| model.clone())
-                .collect();
-
-        let mut indices: Vec<usize> = (0..graphs.len()).collect();
-        let mut training_curve = Vec::with_capacity(config.epochs);
-        let mut epoch_qerrors: Vec<f64> = Vec::with_capacity(graphs.len());
-        for epoch in 0..config.epochs {
-            let epoch_started = Instant::now();
-            let mut shard_secs = 0.0f64;
-            indices.shuffle(&mut rng);
-            epoch_qerrors.clear();
-            for step in indices.chunks(batch_size) {
-                let micro_batches: Vec<&[usize]> = step.chunks(microbatch).collect();
-                let shard_started = Instant::now();
-                let shards = compute_shard_gradients(&model, &mut replicas, graphs, &micro_batches);
-                shard_secs += shard_started.elapsed().as_secs_f64();
-                model.zero_grad();
-                for shard in &shards {
-                    model.add_gradients(&shard.gradients);
-                }
-                model.apply_step(&mut adam);
-                for shard in shards {
-                    epoch_qerrors.extend(shard.qerrors);
-                }
-            }
-            let epoch_q = median(&epoch_qerrors);
-            training_curve.push(epoch_q);
-            if let Some(tracer) = tracer {
-                tracer.event(
-                    "finetune.epoch_secs",
-                    epoch_started.elapsed().as_secs_f64(),
-                    format!(
-                        "epoch {epoch}: median q-error {epoch_q:.4}, {shard_secs:.6}s in shard gradients"
-                    ),
-                );
-            }
-        }
-
-        let final_train_qerror = median_q_error(&model, graphs);
-        TrainedModel {
-            model,
-            featurizer: trained.featurizer,
-            final_train_qerror,
-            final_validation_qerror: None,
-            training_curve,
-            validation_curve: Vec::new(),
-            stopped_early: false,
-        }
-    }
-
-    /// The pre-batching reference trainer: one graph at a time through
-    /// per-node mat-vec message passing, gradients accumulated directly
-    /// into the model.
-    ///
-    /// Kept (verbatim from the original implementation) as the baseline
-    /// that `bench_train` measures the batched engine against, and as an
-    /// independent oracle for equivalence tests.  New code should use
-    /// [`Trainer::train`].
-    pub fn train_per_example(&self, graphs: &[PlanGraph]) -> TrainedModel {
-        assert!(
-            graphs.iter().all(|g| g.runtime_secs.is_some()),
-            "all training graphs must carry runtime labels"
-        );
-        let cfg = &self.training_config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-        let val_len = ((graphs.len() as f64) * cfg.validation_fraction) as usize;
-        let (train_graphs, val_graphs) = graphs.split_at(graphs.len() - val_len);
-
-        let mut model = ZeroShotCostModel::new(self.model_config);
-        let mut adam = Adam::new(cfg.learning_rate);
-        let mut indices: Vec<usize> = (0..train_graphs.len()).collect();
-        let mut training_curve = Vec::with_capacity(cfg.epochs);
-
-        for _epoch in 0..cfg.epochs {
-            indices.shuffle(&mut rng);
-            let mut batch_count = 0usize;
+    for epoch in 0..cfg.epochs {
+        let epoch_started = Instant::now();
+        let mut shard_secs = 0.0f64;
+        indices.shuffle(&mut rng);
+        let mut predictions = Vec::with_capacity(train.len());
+        for step in indices.chunks(batch_size) {
+            let micro_batches: Vec<&[usize]> = step.chunks(microbatch).collect();
+            let shard_started = Instant::now();
+            let shards = compute_shard_results(&model, &mut replicas, train, &micro_batches);
+            shard_secs += shard_started.elapsed().as_secs_f64();
             model.zero_grad();
-            for &i in &indices {
-                let g = &train_graphs[i];
-                model.accumulate_gradients(g, g.runtime_secs.expect("labelled"));
-                batch_count += 1;
-                if batch_count == cfg.batch_size {
-                    model.apply_step(&mut adam);
-                    model.zero_grad();
-                    batch_count = 0;
+            for (gradients, shard_predictions) in shards {
+                model.add_gradients(&gradients);
+                predictions.extend(shard_predictions);
+            }
+            model.apply_step(&mut adam);
+        }
+
+        // Running training metric: the q-errors of the predictions made
+        // by the epoch's own training forwards (no separate evaluation
+        // pass).  Shards return in shard order, so the predictions line
+        // up with the shuffled `indices`.
+        let shuffled: Vec<&M::Sample> = indices.iter().map(|&i| &train[i]).collect();
+        let train_q = M::q_errors(&shuffled, &predictions);
+        training_curve.push(train_q);
+        if let Some(tracer) = tracer {
+            tracer.event(
+                event,
+                epoch_started.elapsed().as_secs_f64(),
+                format!(
+                    "epoch {epoch}: median q-error {:.4}, {shard_secs:.6}s in shard gradients",
+                    M::monitored(&train_q)
+                ),
+            );
+        }
+        let monitored = if val.is_empty() {
+            M::monitored(&train_q)
+        } else {
+            let val_q = M::monitored(&model.evaluate(val));
+            validation_curve.push(val_q);
+            val_q
+        };
+
+        if cfg.early_stopping_patience > 0 {
+            if best.as_ref().is_none_or(|(b, _)| monitored < *b) {
+                best = Some((monitored, model.clone()));
+                epochs_without_improvement = 0;
+            } else {
+                epochs_without_improvement += 1;
+                if epochs_without_improvement >= cfg.early_stopping_patience {
+                    stopped_early = true;
+                    break;
                 }
             }
-            if batch_count > 0 {
-                model.apply_step(&mut adam);
-                model.zero_grad();
-            }
-            training_curve.push(median_q_error_per_example(&model, train_graphs));
         }
+    }
 
-        let final_train_qerror = *training_curve.last().unwrap_or(&f64::NAN);
-        let final_validation_qerror = if val_graphs.is_empty() {
-            None
-        } else {
-            Some(median_q_error_per_example(&model, val_graphs))
-        };
-        TrainedModel {
-            model,
-            featurizer: self.featurizer,
-            final_train_qerror,
-            final_validation_qerror,
-            training_curve,
-            validation_curve: Vec::new(),
-            stopped_early: false,
-        }
+    // With early stopping enabled, return the best-epoch weights.
+    if let Some((_, best_model)) = best {
+        model = best_model;
+    }
+    TrainingRun {
+        final_train: model.evaluate(train),
+        final_validation: (!val.is_empty()).then(|| model.evaluate(val)),
+        model,
+        training_curve,
+        validation_curve,
+        stopped_early,
     }
 }
 
-/// One shard's contribution to an optimizer step.
-struct ShardResult {
-    /// Flat gradient vector (canonical parameter order).
-    gradients: Vec<f64>,
-    /// Q-errors of the shard's training-forward predictions.
-    qerrors: Vec<f64>,
-}
-
-/// A model whose weights can be mirrored into per-thread training
-/// replicas — the only capability the generic sharded gradient scheduler
-/// ([`compute_shard_results`]) needs from a model.
+/// Compute every micro-batch shard's flat gradient vector and
+/// training-forward predictions, using up to `replicas.len()` worker
+/// threads, and return them in ascending shard order.
 ///
-/// Implemented by the single-head [`ZeroShotCostModel`] and by the
-/// multi-task model in `zsdb_multitask`, so both trainers share one
-/// deterministic data-parallel engine regardless of how many task heads
-/// hang off the encoder.
-pub trait ReplicaSync: Clone + Send {
-    /// Copy the parameter *values* (not gradients or optimizer moments)
-    /// from `src` into `self`.
-    fn sync_weights_from(&mut self, src: &Self);
-}
-
-impl ReplicaSync for ZeroShotCostModel {
-    fn sync_weights_from(&mut self, src: &Self) {
-        self.copy_weights_from(src);
-    }
-}
-
-/// Run `run_shard` over every micro-batch shard, in shard order, using up
-/// to `replicas.len()` worker threads, and return the per-shard results in
-/// ascending shard order.
-///
-/// This is the deterministic data-parallel core shared by every trainer in
-/// the workspace (single-head and multi-task): each shard is computed
-/// against a replica freshly synced to `model`'s weights, work
-/// distribution across threads is dynamic (an atomic cursor), but since
-/// each shard is computed independently and results are returned in shard
-/// order, the *outcome* — and therefore training — does not depend on
-/// which thread computed which shard or how many threads ran.
-///
-/// `run_shard` is expected to zero the replica's gradients, accumulate the
-/// shard and export whatever the trainer reduces (typically a flat
-/// gradient vector plus metrics).
-pub fn compute_shard_results<M, R, F>(
+/// Each shard is computed against a replica freshly synced to `model`'s
+/// weights.  Work distribution across threads is dynamic (an atomic
+/// cursor), but since each shard is computed independently and results
+/// are returned in shard order, the *outcome* — and therefore training —
+/// does not depend on which thread computed which shard or how many
+/// threads ran.
+fn compute_shard_results<M: Trainable>(
     model: &M,
     replicas: &mut [M],
+    samples: &[M::Sample],
     micro_batches: &[&[usize]],
-    run_shard: F,
-) -> Vec<R>
-where
-    M: ReplicaSync,
-    R: Send,
-    F: Fn(&mut M, &[usize]) -> R + Sync,
-{
+) -> Vec<(Vec<f64>, Vec<M::Prediction>)> {
+    let run_shard = |replica: &mut M, shard: &[usize]| {
+        let refs: Vec<&M::Sample> = shard.iter().map(|&i| &samples[i]).collect();
+        replica.zero_grad();
+        let predictions = replica.accumulate_batch(&refs);
+        let mut gradients = Vec::new();
+        replica.export_gradients(&mut gradients);
+        (gradients, predictions)
+    };
+
     // Only the replicas that will actually run a shard need this step's
     // weights (e.g. the final partial mini-batch of an epoch may have a
     // single shard).
     let used = replicas.len().min(micro_batches.len()).max(1);
     let replicas = &mut replicas[..used];
     for replica in replicas.iter_mut() {
-        replica.sync_weights_from(model);
+        replica.copy_weights_from(model);
     }
 
     if replicas.len() <= 1 || micro_batches.len() <= 1 {
@@ -627,13 +725,11 @@ where
             .collect();
     }
 
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..micro_batches.len()).map(|_| None).collect());
+    let slots = Mutex::new((0..micro_batches.len()).map(|_| None).collect::<Vec<_>>());
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for replica in replicas.iter_mut() {
-            let slots = &slots;
-            let cursor = &cursor;
-            let run_shard = &run_shard;
+            let (slots, cursor, run_shard) = (&slots, &cursor, &run_shard);
             scope.spawn(move || loop {
                 let k = cursor.fetch_add(1, Ordering::Relaxed);
                 if k >= micro_batches.len() {
@@ -652,57 +748,10 @@ where
         .collect()
 }
 
-/// Compute the flat gradient vector of every micro-batch shard of the
-/// single-head cost model (see [`compute_shard_results`] for the
-/// scheduling and determinism contract).
-fn compute_shard_gradients(
-    model: &ZeroShotCostModel,
-    replicas: &mut [ZeroShotCostModel],
-    train_graphs: &[PlanGraph],
-    micro_batches: &[&[usize]],
-) -> Vec<ShardResult> {
-    compute_shard_results(model, replicas, micro_batches, |replica, shard| {
-        let refs: Vec<&PlanGraph> = shard.iter().map(|&i| &train_graphs[i]).collect();
-        let targets: Vec<f64> = refs
-            .iter()
-            .map(|g| g.runtime_secs.expect("labelled"))
-            .collect();
-        replica.zero_grad();
-        let backprop = replica.accumulate_gradients_batch(&refs, &targets);
-        let mut gradients = Vec::new();
-        replica.export_gradients(&mut gradients);
-        ShardResult {
-            gradients,
-            qerrors: backprop
-                .predictions
-                .iter()
-                .zip(&targets)
-                .map(|(p, t)| q_error(*p, *t))
-                .collect(),
-        }
-    })
-}
-
 /// Median Q-error of a model over labelled graphs, evaluated through the
 /// batched forward pass (bit-identical to per-example prediction).
 pub fn median_q_error(model: &ZeroShotCostModel, graphs: &[PlanGraph]) -> f64 {
-    let labelled: Vec<&PlanGraph> = graphs.iter().filter(|g| g.runtime_secs.is_some()).collect();
-    let qs: Vec<f64> = crate::eval::batched_predictions(model, &labelled)
-        .into_iter()
-        .zip(&labelled)
-        .map(|(p, g)| q_error(p, g.runtime_secs.expect("labelled")))
-        .collect();
-    median(&qs)
-}
-
-/// Per-example counterpart of [`median_q_error`], used by the reference
-/// trainer so its measured cost matches the pre-batching implementation.
-fn median_q_error_per_example(model: &ZeroShotCostModel, graphs: &[PlanGraph]) -> f64 {
-    let qs: Vec<f64> = graphs
-        .iter()
-        .filter_map(|g| g.runtime_secs.map(|rt| q_error(model.predict(g), rt)))
-        .collect();
-    median(&qs)
+    model.evaluate(graphs)
 }
 
 /// Few-shot fine-tuning: continue training an existing zero-shot model with
@@ -733,7 +782,7 @@ pub fn few_shot_finetune(
 
 /// [`few_shot_finetune`] with full control over the fine-tuning
 /// hyper-parameters: featurize the target-database executions with the
-/// model's own featurizer, then run [`Trainer::finetune_from`].
+/// model's own featurizer, then run [`ModelTrainer::finetune_from`].
 pub fn few_shot_finetune_with(
     trained: &TrainedModel,
     target_db: &Database,
@@ -853,42 +902,42 @@ mod tests {
     }
 
     #[test]
-    fn finetune_from_is_thread_count_deterministic() {
+    fn thread_count_never_changes_a_bit_of_training_or_fine_tuning() {
+        // The determinism guarantee of the sharded gradient reduction:
+        // shard boundaries are fixed by `microbatch_size`, shard gradients
+        // are reduced in ascending shard order, so the thread count must
+        // not change a single bit of the artifact — weights or curves.
         let graphs = featurized_tiny_corpus();
-        let trainer = Trainer::new(
-            ModelConfig::tiny(),
-            TrainingConfig {
-                epochs: 2,
-                validation_fraction: 0.0,
+        let run = |threads: usize| {
+            let training = TrainingConfig {
+                epochs: 3,
+                microbatch_size: 3,
+                validation_fraction: 0.1,
+                threads,
                 ..TrainingConfig::tiny()
-            },
-            FeaturizerConfig::exact(),
-        );
-        let base = trainer.train(&graphs);
-        let finetune_set = &graphs[..12];
-        let tune = |threads: usize| {
-            Trainer::finetune_from(
-                &base,
-                finetune_set,
-                FinetuneConfig {
-                    epochs: 4,
-                    batch_size: 8,
-                    microbatch_size: 3,
-                    threads,
-                    ..FinetuneConfig::default()
-                },
-            )
+            };
+            let finetuning = FinetuneConfig {
+                epochs: 4,
+                batch_size: 8,
+                microbatch_size: 3,
+                threads,
+                ..FinetuneConfig::default()
+            };
+            let base = Trainer::new(ModelConfig::tiny(), training, FeaturizerConfig::exact())
+                .train(&graphs);
+            let tuned = Trainer::finetune_from(&base, &graphs[..12], finetuning);
+            (base, tuned)
         };
-        let one = tune(1);
-        let two = tune(2);
-        let four = tune(4);
-        assert_eq!(one.model.to_json(), two.model.to_json());
-        assert_eq!(one.model.to_json(), four.model.to_json());
-        assert_eq!(one.training_curve, two.training_curve);
-        // Fine-tuning actually moved the weights.
-        assert_ne!(one.model.to_json(), base.model.to_json());
-        // The input model is untouched and the featurizer rides along.
-        assert_eq!(one.featurizer, base.featurizer);
+        let (base, tuned) = run(1);
+        for threads in [2, 4] {
+            let (other_base, other_tuned) = run(threads);
+            assert_eq!(base.to_json(), other_base.to_json(), "{threads} threads");
+            assert_eq!(tuned.to_json(), other_tuned.to_json(), "{threads} threads");
+        }
+        // Fine-tuning actually moved the weights, and the featurizer
+        // rides along.
+        assert_ne!(tuned.model.to_json(), base.model.to_json());
+        assert_eq!(tuned.featurizer, base.featurizer);
     }
 
     #[test]
@@ -947,6 +996,8 @@ mod tests {
             .filter(|e| e.name == "train.epoch_secs")
             .collect();
         assert_eq!(epochs.len(), 3, "one event per epoch");
+        // `TrainingConfig::tiny()` disables early stopping: every epoch ran.
+        assert!(plain.training_curve.len() == 3 && !plain.stopped_early);
         assert!(epochs.iter().all(|e| e.value >= 0.0));
         assert!(epochs.iter().any(|e| e.detail.contains("shard gradients")));
 
@@ -985,41 +1036,6 @@ mod tests {
         assert!((restored.predict(&graphs[0]) - trained.predict(&graphs[0])).abs() < 1e-9);
         assert_eq!(restored.stopped_early, trained.stopped_early);
         assert_eq!(restored.training_curve.len(), trained.training_curve.len());
-    }
-
-    #[test]
-    fn one_thread_and_two_thread_training_produce_identical_weights() {
-        // The determinism guarantee of the sharded gradient reduction:
-        // shard boundaries are fixed by `microbatch_size`, shard gradients
-        // are reduced in ascending shard order, so the thread count must
-        // not change a single bit of the trained weights.
-        let graphs = featurized_tiny_corpus();
-        let base = TrainingConfig {
-            epochs: 3,
-            batch_size: 8,
-            microbatch_size: 3,
-            validation_fraction: 0.1,
-            early_stopping_patience: 0,
-            ..TrainingConfig::tiny()
-        };
-        let train_with = |threads: usize| {
-            Trainer::new(
-                ModelConfig::tiny(),
-                TrainingConfig { threads, ..base },
-                FeaturizerConfig::exact(),
-            )
-            .train(&graphs)
-        };
-        let one = train_with(1);
-        let two = train_with(2);
-        let four = train_with(4);
-        assert_eq!(one.model.to_json(), two.model.to_json());
-        assert_eq!(one.model.to_json(), four.model.to_json());
-        for g in graphs.iter().take(10) {
-            assert_eq!(one.predict(g).to_bits(), two.predict(g).to_bits());
-        }
-        assert_eq!(one.training_curve, two.training_curve);
-        assert_eq!(one.validation_curve, two.validation_curve);
     }
 
     #[test]
@@ -1062,39 +1078,5 @@ mod tests {
             trained.stopped_early || trained.training_curve.len() == 60,
             "curve bookkeeping is consistent"
         );
-    }
-
-    #[test]
-    fn early_stopping_disabled_runs_all_epochs() {
-        let graphs = featurized_tiny_corpus();
-        let trainer = Trainer::new(
-            ModelConfig::tiny(),
-            TrainingConfig {
-                epochs: 4,
-                early_stopping_patience: 0,
-                ..TrainingConfig::tiny()
-            },
-            FeaturizerConfig::exact(),
-        );
-        let trained = trainer.train(&graphs);
-        assert_eq!(trained.training_curve.len(), 4);
-        assert!(!trained.stopped_early);
-    }
-
-    #[test]
-    fn batched_and_per_example_trainers_converge_to_similar_quality() {
-        // The two trainers differ in gradient summation order, so weights
-        // are not bit-equal — but both must fit the same tiny corpus to a
-        // comparable final q-error.
-        let graphs = featurized_tiny_corpus();
-        let trainer = Trainer::new(
-            ModelConfig::tiny(),
-            TrainingConfig::tiny(),
-            FeaturizerConfig::exact(),
-        );
-        let batched = trainer.train(&graphs);
-        let reference = trainer.train_per_example(&graphs);
-        assert!(batched.final_train_qerror < 2.5);
-        assert!(reference.final_train_qerror < 2.5);
     }
 }

@@ -16,9 +16,9 @@
 //!   with the per-task labels extracted from a
 //!   [`QueryExecution`](zsdb_engine::QueryExecution).
 //! * [`MultiTaskTrainer`] ([`train`]) — joint training with per-task loss
-//!   weights on the same deterministic sharded mini-batch engine as the
-//!   single-head trainer (`zsdb_core::compute_shard_results`): 1-thread
-//!   and N-thread training produce bit-identical weights.
+//!   weights.  It is [`zsdb_core::ModelTrainer`] instantiated for
+//!   [`MultiTaskModel`], i.e. the very loop the single-head trainer runs:
+//!   1-thread and N-thread training produce bit-identical weights.
 //! * [`LearnedCardEstimator`] ([`estimator`]) — closes the loop: the
 //!   learned cardinality head implements
 //!   [`zsdb_cardest::CardinalityEstimator`], so the System-R optimizer in

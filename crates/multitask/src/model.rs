@@ -26,8 +26,8 @@
 use crate::sample::{operator_node_indices, MultiTaskSample};
 use serde::{Deserialize, Serialize};
 use zsdb_core::features::PlanGraph;
-use zsdb_core::{BatchSchedule, NodeStates, PlanEncoder, ReplicaSync};
-use zsdb_nn::{Activation, Adam, Batch, Mlp};
+use zsdb_core::{BatchSchedule, NodeStates, PlanEncoder};
+use zsdb_nn::{Activation, Batch, Mlp};
 
 /// Hyper-parameters of the multi-task model, including the per-task loss
 /// weights used during joint training.
@@ -141,13 +141,13 @@ pub struct MultiTaskBackprop {
 pub struct MultiTaskModel {
     config: MultiTaskConfig,
     /// Shared plan-graph encoder (same type the single-task model uses).
-    encoder: PlanEncoder,
+    pub(crate) encoder: PlanEncoder,
     /// Root state → `ln(runtime_secs)`.
-    cost_head: Mlp,
+    pub(crate) cost_head: Mlp,
     /// Root state → `ln(1 + root rows)`.
-    root_card_head: Mlp,
+    pub(crate) root_card_head: Mlp,
     /// Operator state → `ln(1 + operator rows)`.
-    op_card_head: Mlp,
+    pub(crate) op_card_head: Mlp,
 }
 
 /// Inverse of the `ln(1 + rows)` target transform, clamped to a valid row
@@ -196,74 +196,6 @@ impl MultiTaskModel {
             + self.cost_head.num_parameters()
             + self.root_card_head.num_parameters()
             + self.op_card_head.num_parameters()
-    }
-
-    /// Every parameter buffer in canonical order: encoder (kind encoders,
-    /// then combine), then the heads in [`TaskHead::ALL`] order.  This
-    /// order defines the flat-gradient layout of the deterministic shard
-    /// reduction.
-    fn all_params(&self) -> Vec<&zsdb_nn::ParamBuf> {
-        let mut params = self.encoder.params();
-        params.extend(self.cost_head.params());
-        params.extend(self.root_card_head.params());
-        params.extend(self.op_card_head.params());
-        params
-    }
-
-    /// Mutable counterpart of [`MultiTaskModel::all_params`], same order.
-    fn all_params_mut(&mut self) -> Vec<&mut zsdb_nn::ParamBuf> {
-        let mut params = self.encoder.params_mut();
-        params.extend(self.cost_head.params_mut());
-        params.extend(self.root_card_head.params_mut());
-        params.extend(self.op_card_head.params_mut());
-        params
-    }
-
-    /// Zero all parameter gradients.
-    pub fn zero_grad(&mut self) {
-        self.encoder.zero_grad();
-        self.cost_head.zero_grad();
-        self.root_card_head.zero_grad();
-        self.op_card_head.zero_grad();
-    }
-
-    /// Apply one optimizer step over all parameters.
-    pub fn apply_step(&mut self, adam: &mut Adam) {
-        adam.step(&mut self.all_params_mut());
-    }
-
-    /// Export the accumulated gradients as one flat vector in canonical
-    /// parameter order (cleared and refilled).
-    pub fn export_gradients(&self, out: &mut Vec<f64>) {
-        out.clear();
-        for p in self.all_params() {
-            out.extend_from_slice(&p.grad);
-        }
-    }
-
-    /// Add a flat gradient vector (as produced by
-    /// [`MultiTaskModel::export_gradients`]) onto this model's gradient
-    /// buffers.
-    pub fn add_gradients(&mut self, flat: &[f64]) {
-        let mut offset = 0;
-        for p in self.all_params_mut() {
-            let len = p.grad.len();
-            for (g, v) in p.grad.iter_mut().zip(&flat[offset..offset + len]) {
-                *g += v;
-            }
-            offset += len;
-        }
-        assert_eq!(offset, flat.len(), "flat gradient length mismatch");
-    }
-
-    /// Copy the parameter *values* from `src` (allocation-free).
-    pub fn copy_weights_from(&mut self, src: &Self) {
-        let from = src.all_params();
-        let dst = self.all_params_mut();
-        assert_eq!(dst.len(), from.len(), "model shapes differ");
-        for (d, s) in dst.into_iter().zip(from) {
-            d.data.copy_from_slice(&s.data);
-        }
     }
 
     /// Flat node ids of every plan-operator node across the mini-batch,
@@ -436,19 +368,15 @@ impl MultiTaskModel {
     }
 }
 
-impl ReplicaSync for MultiTaskModel {
-    fn sync_weights_from(&mut self, src: &Self) {
-        self.copy_weights_from(src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sample::sample_from_execution;
     use zsdb_catalog::presets;
     use zsdb_core::features::FeaturizerConfig;
+    use zsdb_core::Trainable;
     use zsdb_engine::QueryRunner;
+    use zsdb_nn::Adam;
     use zsdb_query::WorkloadGenerator;
     use zsdb_storage::Database;
 

@@ -1,27 +1,24 @@
-//! Joint training of multi-task models on the deterministic sharded
-//! mini-batch engine.
+//! The multi-task instantiation of the workspace's one training loop.
 //!
-//! The loop mirrors the single-task batched trainer in `zsdb_core`
-//! ([`zsdb_core::Trainer::train`]) and runs on the *same* generic shard
-//! scheduler ([`zsdb_core::compute_shard_results`]): every optimizer step
-//! forwards a shuffled mini-batch through the shared encoder once, splits
-//! it into fixed-size micro-batch shards whose joint-loss gradients are
-//! computed independently (optionally on worker threads) and reduced in
-//! ascending shard order.  Shard boundaries depend only on the
-//! configuration — never on the thread count — so 1-thread and N-thread
-//! training produce **bit-identical** weights.
+//! There is no training loop here.  [`MultiTaskTrainer`] is
+//! [`zsdb_core::ModelTrainer`] over [`MultiTaskModel`]; this module only
+//! says what that loop needs to know about the model
+//! (`impl Trainable for MultiTaskModel`: the parameter order, the joint
+//! forward + backward, how predictions become per-task q-errors, and that
+//! early stopping monitors the cost head) and defines the artifact the
+//! run is packaged as.  Epochs, batch and micro-batch sizes, threads,
+//! validation split and early stopping therefore mean exactly what they
+//! mean for the single-task trainer, and 1-thread and N-thread training
+//! produce **bit-identical** weights for every head.  (Why
+//! [`TrainedMultiTaskModel`] is not one generic artifact with
+//! [`zsdb_core::TrainedModel`]: see [`zsdb_core::train`].)
 
 use crate::model::{MultiTaskConfig, MultiTaskModel, MultiTaskPrediction};
 use crate::sample::MultiTaskSample;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 use zsdb_core::features::{FeaturizerConfig, PlanGraph};
-use zsdb_core::{compute_shard_results, FinetuneConfig, TrainingConfig};
-use zsdb_nn::{median, q_error, Adam};
-use zsdb_obs::Tracer;
+use zsdb_core::{ModelTrainer, Trainable, TrainingRun};
+use zsdb_nn::{median, q_error, ParamBuf};
 
 /// Median q-error of every task head over one evaluation set.
 ///
@@ -39,39 +36,10 @@ pub struct TaskQErrors {
     pub op_card: f64,
 }
 
-/// Per-task q-errors of a batch of predictions against their samples.
-fn collect_qerrors(
-    predictions: &[MultiTaskPrediction],
-    samples: &[&MultiTaskSample],
-    cost: &mut Vec<f64>,
-    root: &mut Vec<f64>,
-    op: &mut Vec<f64>,
-) {
-    for (p, s) in predictions.iter().zip(samples) {
-        cost.push(q_error(p.runtime_secs, s.targets.runtime_secs));
-        root.push(q_error(p.root_rows + 1.0, s.targets.root_rows + 1.0));
-        for (pr, ar) in p.operator_rows.iter().zip(&s.targets.operator_rows) {
-            op.push(q_error(pr + 1.0, ar + 1.0));
-        }
-    }
-}
-
 /// Median q-error of every head over `samples`, evaluated through the
 /// batched forward pass in bounded-size chunks.
 pub fn task_qerrors(model: &MultiTaskModel, samples: &[MultiTaskSample]) -> TaskQErrors {
-    const EVAL_CHUNK: usize = 256;
-    let (mut cost, mut root, mut op) = (Vec::new(), Vec::new(), Vec::new());
-    for chunk in samples.chunks(EVAL_CHUNK) {
-        let refs: Vec<&MultiTaskSample> = chunk.iter().collect();
-        let graphs: Vec<&PlanGraph> = refs.iter().map(|s| &s.graph).collect();
-        let predictions = model.predict_batch(&graphs);
-        collect_qerrors(&predictions, &refs, &mut cost, &mut root, &mut op);
-    }
-    TaskQErrors {
-        cost: median(&cost),
-        root_card: median(&root),
-        op_card: median(&op),
-    }
+    model.evaluate(samples)
 }
 
 /// A trained multi-task model together with its featurizer configuration
@@ -121,323 +89,84 @@ impl TrainedMultiTaskModel {
     }
 }
 
-/// Trainer for multi-task zero-shot models.
-#[derive(Debug, Clone)]
-pub struct MultiTaskTrainer {
-    model_config: MultiTaskConfig,
-    training_config: TrainingConfig,
-    featurizer: FeaturizerConfig,
-    tracer: Option<Tracer>,
-}
+/// Trainer for multi-task zero-shot models: all task heads are trained
+/// jointly, and early stopping monitors the validation cost q-error
+/// (training cost q-error without a split), matching the single-task
+/// trainer's convention.
+pub type MultiTaskTrainer = ModelTrainer<MultiTaskModel>;
 
-/// One shard's contribution to a joint optimizer step.
-struct ShardResult {
-    gradients: Vec<f64>,
-    cost_qerrors: Vec<f64>,
-    root_qerrors: Vec<f64>,
-    op_qerrors: Vec<f64>,
-}
+impl Trainable for MultiTaskModel {
+    type Config = MultiTaskConfig;
+    type Sample = MultiTaskSample;
+    type Prediction = MultiTaskPrediction;
+    type QErrors = TaskQErrors;
+    type Trained = TrainedMultiTaskModel;
 
-/// Per-epoch accumulator of the q-errors observed by the epoch's own
-/// training forwards, one bucket per task head.
-#[derive(Default)]
-struct EpochQErrors {
-    cost: Vec<f64>,
-    root: Vec<f64>,
-    op: Vec<f64>,
-}
-
-impl EpochQErrors {
-    fn clear(&mut self) {
-        self.cost.clear();
-        self.root.clear();
-        self.op.clear();
+    fn new(config: MultiTaskConfig) -> Self {
+        MultiTaskModel::new(config)
     }
 
-    fn medians(&self) -> TaskQErrors {
-        TaskQErrors {
-            cost: median(&self.cost),
-            root_card: median(&self.root),
-            op_card: median(&self.op),
-        }
+    /// Encoder (kind encoders, then combine), then the heads in
+    /// [`crate::TaskHead::ALL`] order.
+    fn params(&self) -> Vec<&ParamBuf> {
+        let mut params = self.encoder.params();
+        params.extend(self.cost_head.params());
+        params.extend(self.root_card_head.params());
+        params.extend(self.op_card_head.params());
+        params
     }
-}
 
-/// One optimizer step of the joint loss, shared by [`MultiTaskTrainer::train`]
-/// and [`MultiTaskTrainer::finetune_from`]: split `step` into micro-batch
-/// shards, compute each shard's gradients on the deterministic scheduler
-/// ([`compute_shard_results`]), reduce them in ascending shard order,
-/// apply Adam, and collect the step's per-task training q-errors.
-fn joint_optimizer_step(
-    model: &mut MultiTaskModel,
-    adam: &mut Adam,
-    replicas: &mut [MultiTaskModel],
-    samples: &[MultiTaskSample],
-    step: &[usize],
-    microbatch: usize,
-    epoch: &mut EpochQErrors,
-) {
-    let micro_batches: Vec<&[usize]> = step.chunks(microbatch).collect();
-    let shards = compute_shard_results(model, replicas, &micro_batches, |replica, shard| {
-        let refs: Vec<&MultiTaskSample> = shard.iter().map(|&i| &samples[i]).collect();
-        replica.zero_grad();
-        let backprop = replica.accumulate_gradients_batch(&refs);
-        let mut gradients = Vec::new();
-        replica.export_gradients(&mut gradients);
+    fn params_mut(&mut self) -> Vec<&mut ParamBuf> {
+        let mut params = self.encoder.params_mut();
+        params.extend(self.cost_head.params_mut());
+        params.extend(self.root_card_head.params_mut());
+        params.extend(self.op_card_head.params_mut());
+        params
+    }
+
+    fn accumulate_batch(&mut self, samples: &[&MultiTaskSample]) -> Vec<MultiTaskPrediction> {
+        self.accumulate_gradients_batch(samples).predictions
+    }
+
+    fn predict_samples(&self, samples: &[&MultiTaskSample]) -> Vec<MultiTaskPrediction> {
+        let graphs: Vec<&PlanGraph> = samples.iter().map(|s| &s.graph).collect();
+        self.predict_batch(&graphs)
+    }
+
+    fn q_errors(samples: &[&MultiTaskSample], predictions: &[MultiTaskPrediction]) -> TaskQErrors {
         let (mut cost, mut root, mut op) = (Vec::new(), Vec::new(), Vec::new());
-        collect_qerrors(&backprop.predictions, &refs, &mut cost, &mut root, &mut op);
-        ShardResult {
-            gradients,
-            cost_qerrors: cost,
-            root_qerrors: root,
-            op_qerrors: op,
+        for (p, s) in predictions.iter().zip(samples) {
+            cost.push(q_error(p.runtime_secs, s.targets.runtime_secs));
+            root.push(q_error(p.root_rows + 1.0, s.targets.root_rows + 1.0));
+            for (pr, ar) in p.operator_rows.iter().zip(&s.targets.operator_rows) {
+                op.push(q_error(pr + 1.0, ar + 1.0));
+            }
         }
-    });
-    model.zero_grad();
-    for shard in &shards {
-        model.add_gradients(&shard.gradients);
+        TaskQErrors {
+            cost: median(&cost),
+            root_card: median(&root),
+            op_card: median(&op),
+        }
     }
-    model.apply_step(adam);
-    for shard in shards {
-        epoch.cost.extend(shard.cost_qerrors);
-        epoch.root.extend(shard.root_qerrors);
-        epoch.op.extend(shard.op_qerrors);
-    }
-}
 
-impl MultiTaskTrainer {
-    /// Create a trainer.  The `TrainingConfig` is the same type the
-    /// single-task trainer uses — epochs, batch and micro-batch sizes,
-    /// threads, validation split and early stopping all mean the same
-    /// thing.
-    pub fn new(
-        model_config: MultiTaskConfig,
-        training_config: TrainingConfig,
-        featurizer: FeaturizerConfig,
-    ) -> Self {
-        MultiTaskTrainer {
-            model_config,
-            training_config,
+    fn monitored(qerrors: &TaskQErrors) -> f64 {
+        qerrors.cost
+    }
+
+    fn into_trained(run: TrainingRun<Self>, featurizer: FeaturizerConfig) -> TrainedMultiTaskModel {
+        TrainedMultiTaskModel {
+            model: run.model,
             featurizer,
-            tracer: None,
+            final_train_qerrors: run.final_train,
+            final_validation_qerrors: run.final_validation,
+            training_curve: run.training_curve,
+            validation_curve: run.validation_curve,
+            stopped_early: run.stopped_early,
         }
     }
 
-    /// Attach a [`Tracer`]: [`MultiTaskTrainer::train`] then emits one
-    /// `train.epoch_secs` event per epoch (wall time, shard-gradient time
-    /// and the epoch's median cost q-error in the detail), mirroring
-    /// [`zsdb_core::Trainer::with_tracer`].  Tracing never changes the
-    /// trained weights.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// The trainer's training configuration.
-    pub fn training_config(&self) -> &TrainingConfig {
-        &self.training_config
-    }
-
-    /// The trainer's featurizer configuration.
-    pub fn featurizer(&self) -> FeaturizerConfig {
-        self.featurizer
-    }
-
-    /// Jointly train all task heads on multi-task samples.
-    ///
-    /// Graphs in the validation tail split are evaluated but never trained
-    /// on; the monitored early-stopping metric is the validation cost
-    /// q-error (training cost q-error without a split), matching the
-    /// single-task trainer's convention.
-    pub fn train(&self, samples: &[MultiTaskSample]) -> TrainedMultiTaskModel {
-        let cfg = &self.training_config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-        let val_len = ((samples.len() as f64) * cfg.validation_fraction) as usize;
-        let (train_samples, val_samples) = samples.split_at(samples.len() - val_len);
-
-        let mut model = MultiTaskModel::new(self.model_config);
-        let mut adam = Adam::new(cfg.learning_rate);
-        let threads = cfg.effective_threads();
-        let batch_size = cfg.batch_size.max(1);
-        let microbatch = cfg.microbatch_size.max(1);
-
-        let mut replicas: Vec<MultiTaskModel> =
-            (0..threads.min(batch_size.div_ceil(microbatch)).max(1))
-                .map(|_| model.clone())
-                .collect();
-
-        let mut indices: Vec<usize> = (0..train_samples.len()).collect();
-        let mut training_curve = Vec::with_capacity(cfg.epochs);
-        let mut validation_curve = Vec::new();
-        let mut best: Option<(f64, MultiTaskModel)> = None;
-        let mut epochs_without_improvement = 0usize;
-        let mut stopped_early = false;
-
-        let mut epoch = EpochQErrors::default();
-        for epoch_idx in 0..cfg.epochs {
-            let epoch_started = Instant::now();
-            let mut shard_secs = 0.0f64;
-            indices.shuffle(&mut rng);
-            epoch.clear();
-            for step in indices.chunks(batch_size) {
-                let step_started = Instant::now();
-                joint_optimizer_step(
-                    &mut model,
-                    &mut adam,
-                    &mut replicas,
-                    train_samples,
-                    step,
-                    microbatch,
-                    &mut epoch,
-                );
-                shard_secs += step_started.elapsed().as_secs_f64();
-            }
-
-            let train_q = epoch.medians();
-            training_curve.push(train_q);
-            if let Some(tracer) = &self.tracer {
-                tracer.event(
-                    "train.epoch_secs",
-                    epoch_started.elapsed().as_secs_f64(),
-                    format!(
-                        "epoch {epoch_idx}: median cost q-error {:.4}, {shard_secs:.6}s in sharded optimizer steps",
-                        train_q.cost
-                    ),
-                );
-            }
-            let monitored = if val_samples.is_empty() {
-                train_q.cost
-            } else {
-                let val_q = task_qerrors(&model, val_samples).cost;
-                validation_curve.push(val_q);
-                val_q
-            };
-
-            if cfg.early_stopping_patience > 0 {
-                let improved = best.as_ref().map(|(b, _)| monitored < *b).unwrap_or(true);
-                if improved {
-                    best = Some((monitored, model.clone()));
-                    epochs_without_improvement = 0;
-                } else {
-                    epochs_without_improvement += 1;
-                    if epochs_without_improvement >= cfg.early_stopping_patience {
-                        stopped_early = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        if let Some((_, best_model)) = best {
-            model = best_model;
-        }
-
-        let final_train_qerrors = task_qerrors(&model, train_samples);
-        let final_validation_qerrors = if val_samples.is_empty() {
-            None
-        } else {
-            Some(task_qerrors(&model, val_samples))
-        };
-        TrainedMultiTaskModel {
-            model,
-            featurizer: self.featurizer,
-            final_train_qerrors,
-            final_validation_qerrors,
-            training_curve,
-            validation_curve,
-            stopped_early,
-        }
-    }
-
-    /// Incrementally fine-tune an already-trained multi-task model on
-    /// newly observed samples, returning a new [`TrainedMultiTaskModel`];
-    /// `trained` is not modified.
-    ///
-    /// Mirrors [`zsdb_core::Trainer::finetune_from`] — the same
-    /// [`FinetuneConfig`], the same full-batch default, and the same
-    /// deterministic shard engine, so fine-tuning with 1 thread and with
-    /// N threads produces **bit-identical** weights for every head.
-    pub fn finetune_from(
-        trained: &TrainedMultiTaskModel,
-        samples: &[MultiTaskSample],
-        config: FinetuneConfig,
-    ) -> TrainedMultiTaskModel {
-        MultiTaskTrainer::finetune_from_traced(trained, samples, config, None)
-    }
-
-    /// [`MultiTaskTrainer::finetune_from`] emitting one
-    /// `finetune.epoch_secs` event per epoch on the given tracer,
-    /// mirroring [`zsdb_core::Trainer::finetune_from_traced`].  Tracing
-    /// never changes the fine-tuned weights.
-    pub fn finetune_from_traced(
-        trained: &TrainedMultiTaskModel,
-        samples: &[MultiTaskSample],
-        config: FinetuneConfig,
-        tracer: Option<&Tracer>,
-    ) -> TrainedMultiTaskModel {
-        assert!(!samples.is_empty(), "fine-tuning needs at least one sample");
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut model = trained.model.clone();
-        let mut adam = Adam::new(config.learning_rate);
-        let batch_size = if config.batch_size == 0 {
-            samples.len()
-        } else {
-            config.batch_size.max(1)
-        };
-        let microbatch = config.microbatch_size.max(1);
-        let threads = config.effective_threads();
-        let mut replicas: Vec<MultiTaskModel> =
-            (0..threads.min(batch_size.div_ceil(microbatch)).max(1))
-                .map(|_| model.clone())
-                .collect();
-
-        let mut indices: Vec<usize> = (0..samples.len()).collect();
-        let mut training_curve = Vec::with_capacity(config.epochs);
-        let mut epoch = EpochQErrors::default();
-        for epoch_idx in 0..config.epochs {
-            let epoch_started = Instant::now();
-            let mut shard_secs = 0.0f64;
-            indices.shuffle(&mut rng);
-            epoch.clear();
-            for step in indices.chunks(batch_size) {
-                let step_started = Instant::now();
-                joint_optimizer_step(
-                    &mut model,
-                    &mut adam,
-                    &mut replicas,
-                    samples,
-                    step,
-                    microbatch,
-                    &mut epoch,
-                );
-                shard_secs += step_started.elapsed().as_secs_f64();
-            }
-            let epoch_q = epoch.medians();
-            training_curve.push(epoch_q);
-            if let Some(tracer) = tracer {
-                tracer.event(
-                    "finetune.epoch_secs",
-                    epoch_started.elapsed().as_secs_f64(),
-                    format!(
-                        "epoch {epoch_idx}: median cost q-error {:.4}, {shard_secs:.6}s in sharded optimizer steps",
-                        epoch_q.cost
-                    ),
-                );
-            }
-        }
-
-        let final_train_qerrors = task_qerrors(&model, samples);
-        TrainedMultiTaskModel {
-            model,
-            featurizer: trained.featurizer,
-            final_train_qerrors,
-            final_validation_qerrors: None,
-            training_curve,
-            validation_curve: Vec::new(),
-            stopped_early: false,
-        }
+    fn from_trained(trained: &TrainedMultiTaskModel) -> (&Self, FeaturizerConfig) {
+        (&trained.model, trained.featurizer)
     }
 }
 
@@ -446,6 +175,7 @@ mod tests {
     use super::*;
     use crate::sample::sample_from_execution;
     use zsdb_catalog::presets;
+    use zsdb_core::{FinetuneConfig, TrainingConfig};
     use zsdb_engine::QueryRunner;
     use zsdb_query::WorkloadGenerator;
     use zsdb_storage::Database;
@@ -517,151 +247,41 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_never_changes_the_weights() {
+    fn thread_count_never_changes_any_heads_bits_in_training_or_fine_tuning() {
         let samples = tiny_samples();
-        let base = TrainingConfig {
-            epochs: 3,
-            batch_size: 8,
-            microbatch_size: 3,
-            validation_fraction: 0.1,
-            early_stopping_patience: 0,
-            ..TrainingConfig::default()
-        };
-        let train_with = |threads: usize| {
-            MultiTaskTrainer::new(
-                MultiTaskConfig::tiny(),
-                TrainingConfig { threads, ..base },
-                FeaturizerConfig::estimated(),
-            )
-            .train(&samples)
-        };
-        let one = train_with(1);
-        let two = train_with(2);
-        let four = train_with(4);
-        assert_eq!(one.model.to_json(), two.model.to_json());
-        assert_eq!(one.model.to_json(), four.model.to_json());
-        for s in samples.iter().take(8) {
-            let a = one.predict(&s.graph);
-            let b = two.predict(&s.graph);
-            assert_eq!(a.runtime_secs.to_bits(), b.runtime_secs.to_bits());
-            assert_eq!(a.root_rows.to_bits(), b.root_rows.to_bits());
-        }
-        assert_eq!(one.validation_curve, two.validation_curve);
-    }
-
-    #[test]
-    fn validation_split_and_early_stopping_work() {
-        let samples = tiny_samples();
-        let trainer = MultiTaskTrainer::new(
-            MultiTaskConfig::tiny(),
-            TrainingConfig {
-                epochs: 40,
-                validation_fraction: 0.25,
-                early_stopping_patience: 2,
-                ..tiny_training_config()
-            },
-            FeaturizerConfig::estimated(),
-        );
-        let trained = trainer.train(&samples);
-        assert_eq!(trained.validation_curve.len(), trained.training_curve.len());
-        let final_val = trained
-            .final_validation_qerrors
-            .expect("validation split requested");
-        assert!(final_val.cost.is_finite());
-        let best_seen = trained
-            .validation_curve
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            (final_val.cost - best_seen).abs() < 1e-12,
-            "returned model should be the best epoch: best {best_seen}, got {}",
-            final_val.cost
-        );
-    }
-
-    #[test]
-    fn multitask_finetune_is_thread_count_deterministic() {
-        let samples = tiny_samples();
-        let trainer = MultiTaskTrainer::new(
-            MultiTaskConfig::tiny(),
-            TrainingConfig {
-                epochs: 2,
-                ..tiny_training_config()
-            },
-            FeaturizerConfig::estimated(),
-        );
-        let base = trainer.train(&samples);
-        let finetune_set = &samples[..12];
-        let tune = |threads: usize| {
-            MultiTaskTrainer::finetune_from(
-                &base,
-                finetune_set,
-                FinetuneConfig {
-                    epochs: 3,
-                    batch_size: 8,
-                    microbatch_size: 3,
-                    threads,
-                    ..FinetuneConfig::default()
-                },
-            )
-        };
-        let one = tune(1);
-        let two = tune(2);
-        let four = tune(4);
-        assert_eq!(one.model.to_json(), two.model.to_json());
-        assert_eq!(one.model.to_json(), four.model.to_json());
-        assert_ne!(one.model.to_json(), base.model.to_json());
-        for s in finetune_set.iter().take(4) {
-            let a = one.predict(&s.graph);
-            let b = four.predict(&s.graph);
-            assert_eq!(a.runtime_secs.to_bits(), b.runtime_secs.to_bits());
-            assert_eq!(a.root_rows.to_bits(), b.root_rows.to_bits());
-            assert_eq!(a.operator_rows, b.operator_rows);
-        }
-    }
-
-    #[test]
-    fn attached_tracer_records_epochs_without_changing_weights() {
-        let samples = tiny_samples();
-        let trainer = MultiTaskTrainer::new(
-            MultiTaskConfig::tiny(),
-            TrainingConfig {
-                epochs: 2,
-                ..tiny_training_config()
-            },
-            FeaturizerConfig::estimated(),
-        );
-        let tracer = Tracer::new(64);
-        let plain = trainer.train(&samples);
-        let traced = trainer.clone().with_tracer(tracer.clone()).train(&samples);
-        assert_eq!(
-            plain.model.to_json(),
-            traced.model.to_json(),
-            "tracing must not perturb training"
-        );
-        let train_epochs = tracer
-            .events(16)
-            .into_iter()
-            .filter(|e| e.name == "train.epoch_secs")
-            .count();
-        assert_eq!(train_epochs, 2, "one event per epoch");
-
-        MultiTaskTrainer::finetune_from_traced(
-            &plain,
-            &samples[..8],
-            FinetuneConfig {
+        let run = |threads: usize| {
+            let training = TrainingConfig {
                 epochs: 3,
+                microbatch_size: 3,
+                validation_fraction: 0.1,
+                threads,
+                ..tiny_training_config()
+            };
+            let finetuning = FinetuneConfig {
+                epochs: 3,
+                batch_size: 8,
+                microbatch_size: 3,
+                threads,
                 ..FinetuneConfig::default()
-            },
-            Some(&tracer),
-        );
-        let finetune_epochs = tracer
-            .events(32)
-            .into_iter()
-            .filter(|e| e.name == "finetune.epoch_secs")
-            .count();
-        assert_eq!(finetune_epochs, 3);
+            };
+            let trainer = MultiTaskTrainer::new(
+                MultiTaskConfig::tiny(),
+                training,
+                FeaturizerConfig::estimated(),
+            );
+            let base = trainer.train(&samples);
+            let tuned = MultiTaskTrainer::finetune_from(&base, &samples[..12], finetuning);
+            (base, tuned)
+        };
+        // The whole artifact: every head's weights, the per-task training
+        // curve and the validation curve.
+        let (base, tuned) = run(1);
+        for threads in [2, 4] {
+            let (other_base, other_tuned) = run(threads);
+            assert_eq!(base.to_json(), other_base.to_json(), "{threads} threads");
+            assert_eq!(tuned.to_json(), other_tuned.to_json(), "{threads} threads");
+        }
+        assert_ne!(tuned.model.to_json(), base.model.to_json());
     }
 
     #[test]

@@ -9,13 +9,22 @@
 //!   weights for the same seed (fixed micro-batch shard reduction
 //!   order);
 //! * the validation-split and early-stopping knobs of `TrainingConfig`
-//!   are live.
+//!   are live;
+//! * the one training loop keeps its contract for **every** model it is
+//!   instantiated with (`loop_contract`, run for the cost model and for
+//!   the multi-task model).
 
 use zero_shot_db::catalog::presets;
+use zero_shot_db::multitask::{
+    samples_from_executions, MultiTaskConfig, MultiTaskModel, TrainedMultiTaskModel,
+};
 use zero_shot_db::query::WorkloadGenerator;
 use zero_shot_db::storage::Database;
 use zero_shot_db::zeroshot::features::featurize_execution;
-use zero_shot_db::zeroshot::{FeaturizerConfig, ModelConfig, PlanGraph, Trainer, TrainingConfig};
+use zero_shot_db::zeroshot::{
+    FeaturizerConfig, ModelConfig, ModelTrainer, PlanGraph, Trainable, TrainedModel, Trainer,
+    TrainingConfig, ZeroShotCostModel,
+};
 use zsdb_engine::QueryRunner;
 
 fn corpus(db: &Database, queries: usize, seed: u64) -> Vec<PlanGraph> {
@@ -112,4 +121,126 @@ fn validation_and_early_stopping_are_live_through_the_facade() {
     assert!(trained.final_validation_qerror.is_some());
     assert_eq!(trained.validation_curve.len(), trained.training_curve.len());
     assert!(trained.training_curve.len() <= 30);
+}
+
+/// What `loop_contract` reads off either artifact struct.
+struct Run {
+    json: String,
+    /// The monitored q-error of every training-curve entry.
+    training_curve: Vec<f64>,
+    validation_curve: Vec<f64>,
+    /// The monitored validation q-error of the returned weights.
+    final_validation: Option<f64>,
+    stopped_early: bool,
+}
+
+trait Artifact {
+    fn run(&self) -> Run;
+}
+
+impl Artifact for TrainedModel {
+    fn run(&self) -> Run {
+        Run {
+            json: self.to_json(),
+            training_curve: self.training_curve.clone(),
+            validation_curve: self.validation_curve.clone(),
+            final_validation: self.final_validation_qerror,
+            stopped_early: self.stopped_early,
+        }
+    }
+}
+
+impl Artifact for TrainedMultiTaskModel {
+    fn run(&self) -> Run {
+        Run {
+            json: self.to_json(),
+            training_curve: self.training_curve.iter().map(|q| q.cost).collect(),
+            validation_curve: self.validation_curve.clone(),
+            final_validation: self.final_validation_qerrors.map(|q| q.cost),
+            stopped_early: self.stopped_early,
+        }
+    }
+}
+
+/// The contract of the training loop, whatever model it trains.
+fn loop_contract<M: Trainable>(config: M::Config, samples: &[M::Sample])
+where
+    M::Trained: Artifact,
+{
+    let train_on = |samples: &[M::Sample], training: TrainingConfig| {
+        ModelTrainer::<M>::new(config.clone(), training, FeaturizerConfig::exact()).train(samples)
+    };
+    let patient = TrainingConfig {
+        epochs: 30,
+        batch_size: 8,
+        microbatch_size: 3,
+        validation_fraction: 0.25,
+        early_stopping_patience: 2,
+        ..TrainingConfig::default()
+    };
+
+    // The thread count never moves a bit of the artifact.
+    let trained = train_on(samples, patient);
+    let one = trained.run();
+    let two_threads = TrainingConfig {
+        threads: 2,
+        ..patient
+    };
+    assert_eq!(one.json, train_on(samples, two_threads).run().json);
+
+    // A validation split is evaluated every epoch, and under early
+    // stopping the returned weights are the best monitored epoch.
+    assert_eq!(one.validation_curve.len(), one.training_curve.len());
+    assert!(one.stopped_early || one.training_curve.len() == 30);
+    let best_seen = one
+        .validation_curve
+        .iter()
+        .copied()
+        .fold(f64::INFINITY, f64::min);
+    let val_len = (samples.len() as f64 * patient.validation_fraction) as usize;
+    let (model, _) = M::from_trained(&trained);
+    let val_q = M::monitored(&model.evaluate(&samples[samples.len() - val_len..]));
+    assert_eq!(
+        (val_q.to_bits(), one.final_validation.map(f64::to_bits)),
+        (best_seen.to_bits(), Some(best_seen.to_bits())),
+        "returned weights must be the best epoch's ({best_seen})"
+    );
+
+    // Patience 0 runs every epoch.
+    let all_epochs = TrainingConfig {
+        epochs: 5,
+        early_stopping_patience: 0,
+        ..patient
+    };
+    let all = train_on(samples, all_epochs).run();
+    assert_eq!(all.training_curve.len(), 5);
+    assert!(!all.stopped_early);
+
+    // `validation_fraction` is public and deserializable: more than
+    // everything is everything, not a panic (on 10 samples the old split
+    // arithmetic underflowed).
+    let everything = TrainingConfig {
+        epochs: 2,
+        validation_fraction: 1.5,
+        ..patient
+    };
+    let starved = train_on(&samples[..10], everything).run();
+    assert!(starved.training_curve.iter().all(|q| q.is_nan()));
+    assert_eq!(starved.validation_curve.len(), 2);
+    assert!(starved.final_validation.is_some());
+}
+
+#[test]
+fn the_loop_keeps_its_contract_for_the_cost_model() {
+    let db = Database::generate(presets::imdb_like(0.02), 23);
+    loop_contract::<ZeroShotCostModel>(ModelConfig::tiny(), &corpus(&db, 40, 29));
+}
+
+#[test]
+fn the_loop_keeps_its_contract_for_the_multitask_model() {
+    let db = Database::generate(presets::imdb_like(0.02), 23);
+    let workload = WorkloadGenerator::with_defaults().generate(db.catalog(), 40, 29);
+    let executions = QueryRunner::with_defaults(&db).run_workload(&workload, 0);
+    let samples = samples_from_executions(&executions, |_| db.catalog(), FeaturizerConfig::exact());
+    loop_contract::<MultiTaskModel>(MultiTaskConfig::tiny(), &samples);
 }

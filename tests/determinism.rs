@@ -126,7 +126,7 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 #[test]
 fn trained_weights_and_batch_gradient_bits_are_pinned() {
     use zero_shot_db::zeroshot::{
-        collect_training_corpus, FeaturizerConfig, ModelConfig, Trainer, TrainingConfig,
+        collect_training_corpus, FeaturizerConfig, ModelConfig, Trainable, Trainer, TrainingConfig,
         TrainingDataConfig, ZeroShotCostModel,
     };
 
@@ -265,4 +265,106 @@ fn executed_labels_are_pinned() {
         "executed labels hash to {:#018x}",
         hash.finish()
     );
+}
+
+/// The whole trained *artifact* — weights, both curves, `stopped_early`,
+/// the final q-errors — of both instantiations of the one training loop,
+/// pinned to the bit for `train` with a validation split and early
+/// stopping, mini-batch and full-batch `finetune_from`, and `train`
+/// without a split (early stopping then monitors the training metric).
+/// The goldens were captured on the commit before `Trainer` and
+/// `MultiTaskTrainer` became aliases of `ModelTrainer<M>`; this test is
+/// what licensed deleting the multi-task copies of the loop tests.
+#[test]
+fn trained_artifact_bits_are_pinned_for_both_models() {
+    use zero_shot_db::catalog::presets;
+    use zero_shot_db::multitask::{sample_from_execution, MultiTaskConfig, MultiTaskTrainer};
+    use zero_shot_db::zeroshot::features::featurize_execution;
+    use zero_shot_db::zeroshot::{
+        FeaturizerConfig, FinetuneConfig, ModelConfig, Trainer, TrainingConfig,
+    };
+
+    let (exact, estimated) = (FeaturizerConfig::exact(), FeaturizerConfig::estimated());
+    let mut graphs = Vec::new();
+    let mut samples = Vec::new();
+    for seed in [31u64, 32, 33] {
+        let db = Database::generate(presets::imdb_like(0.02), seed);
+        let queries = WorkloadGenerator::with_defaults().generate(db.catalog(), 40, seed);
+        for e in QueryRunner::with_defaults(&db).run_workload(&queries, 0) {
+            graphs.push(featurize_execution(db.catalog(), &e, exact));
+            samples.push(sample_from_execution(db.catalog(), &e, estimated));
+        }
+    }
+
+    for threads in [1, 2] {
+        let split = TrainingConfig {
+            epochs: 25,
+            batch_size: 16,
+            microbatch_size: 3,
+            validation_fraction: 0.2,
+            early_stopping_patience: 2,
+            threads,
+            ..TrainingConfig::default()
+        };
+        let no_split = TrainingConfig {
+            epochs: 30,
+            validation_fraction: 0.0,
+            early_stopping_patience: 1,
+            threads,
+            ..TrainingConfig::default()
+        };
+        let mini_batch = FinetuneConfig {
+            epochs: 4,
+            batch_size: 8,
+            microbatch_size: 3,
+            threads,
+            ..FinetuneConfig::default()
+        };
+        let full_batch = FinetuneConfig::default();
+
+        let single = |config| Trainer::new(ModelConfig::tiny(), config, exact);
+        let trained = single(split).train(&graphs);
+        assert!(trained.stopped_early && trained.training_curve.len() == 14);
+        let multi = |config| MultiTaskTrainer::new(MultiTaskConfig::tiny(), config, estimated);
+        let trained_multi = multi(split).train(&samples);
+        assert!(trained_multi.stopped_early && trained_multi.training_curve.len() == 14);
+
+        let few = &graphs[..20];
+        for (what, json, golden) in [
+            ("single", trained.to_json(), 0xb48a_d9ce_79f1_92dc_u64),
+            (
+                "single, mini-batch fine-tune",
+                Trainer::finetune_from(&trained, few, mini_batch).to_json(),
+                0x89fe_3a03_ed33_c800,
+            ),
+            (
+                "single, full-batch fine-tune",
+                Trainer::finetune_from(&trained, few, full_batch).to_json(),
+                0x5608_4478_17f0_d08f,
+            ),
+            (
+                "single, no split",
+                single(no_split).train(&graphs).to_json(),
+                0xeea7_54b0_3a00_ae54,
+            ),
+            ("multi", trained_multi.to_json(), 0x7e8d_4198_8324_548c),
+            (
+                "multi, mini-batch fine-tune",
+                MultiTaskTrainer::finetune_from(&trained_multi, &samples[..20], mini_batch)
+                    .to_json(),
+                0xb338_4941_4939_4d37,
+            ),
+            (
+                "multi, no split",
+                multi(no_split).train(&samples).to_json(),
+                0x7457_126f_607f_5ac6,
+            ),
+        ] {
+            let hash = fnv1a(json.bytes());
+            assert_eq!(
+                hash, golden,
+                "{what}, {threads} thread(s): artifact JSON hashes to {hash:#018x}"
+            );
+        }
+    }
 }
