@@ -185,7 +185,7 @@ impl MscnModel {
             params.extend(self.join_mlp.params_mut());
             params.extend(self.predicate_mlp.params_mut());
             params.extend(self.output_mlp.params_mut());
-            adam.step(&mut params);
+            adam.step(params);
         }
     }
 

@@ -32,25 +32,51 @@
 //! ascending), so batched training is deterministic; it is *not* required
 //! to be bit-identical to per-example gradient accumulation (the summation
 //! order across examples necessarily differs).
+//!
+//! # A training step without allocation
+//!
+//! Everything a step builds lives in reusable buffers, and the trainer
+//! keeps one [`TrainScratch`] per worker replica:
+//!
+//! * the [`BatchSchedule`] is flat — every group's members, and every
+//!   member's children, are ranges of three shared vectors, built by a
+//!   counting sort over (level, kind) buckets and rebuilt in place;
+//! * the [`EncoderTrace`] keeps one pair of MLP caches per (level, kind)
+//!   *bucket*, not per group of the last pass, so a slot is only ever
+//!   filled by one encoder, with groups of one level and kind, and can be
+//!   sized for the largest such group;
+//! * node states, their gradients, the output head's cache, the loss
+//!   gradient and the MLP backward's ping-pong batches are fields of the
+//!   scratch.
+//!
+//! All of them are sized **up front** from the corpus
+//! ([`Trainable::reserve_scratch`](crate::train::Trainable::reserve_scratch)):
+//! per (level, kind) bucket the most members one graph has, times the
+//! micro-batch size; per shard the nodes and edges of the largest graphs.
+//! No shuffle of the corpus can make a later step outgrow the first, so a
+//! warm step performs no heap allocation at all
+//! (`tests/alloc_regression.rs` counts it).
 
 use crate::features::{NodeKind, PlanGraph};
 use crate::model::{PlanEncoder, ZeroShotCostModel};
-use zsdb_nn::{Batch, BatchForwardScratch, MlpBatchCache};
+use zsdb_nn::{active_kernel, Batch, BatchBackwardScratch, BatchForwardScratch, MlpBatchCache};
+
+/// Number of node kinds: (level, kind) bucket `b` holds kind `b % KINDS`
+/// at level `b / KINDS`.
+const KINDS: usize = NodeKind::ALL.len();
 
 /// One batched unit of work: all nodes of one [`NodeKind`] at one
 /// topological level, across every graph of the mini-batch.
-#[derive(Default)]
+#[derive(Clone, Copy)]
 struct KindGroup {
     /// Index into [`NodeKind::ALL`] — selects the encoder MLP.
     kind: usize,
-    /// Member nodes as `(graph index, node index)` in ascending order.
-    members: Vec<(usize, usize)>,
-    /// CSR offsets into `children`: the children of member `e` are
-    /// `children[child_offsets[e]..child_offsets[e + 1]]`.
-    child_offsets: Vec<usize>,
-    /// Flat-node-id children of all members, concatenated in the graphs'
-    /// own `node.children` order (the DeepSets summation order).
-    children: Vec<usize>,
+    /// The group's (level, kind) bucket, `level * KINDS + kind` — the
+    /// slot of its caches in an [`EncoderTrace`].
+    bucket: usize,
+    /// The group's members are `members[start..end]` of the schedule.
+    start: usize,
+    end: usize,
 }
 
 /// A batched execution plan for a mini-batch of plan graphs: nodes grouped
@@ -58,14 +84,22 @@ struct KindGroup {
 /// only depends on states produced by earlier groups.
 ///
 /// A schedule is **reusable**: [`BatchSchedule::rebuild`] re-derives the
-/// grouping for a new mini-batch while recycling every internal buffer
-/// (groups, member lists, CSR children, bucketing scratch), so a
-/// long-lived schedule makes repeated scheduling allocation-free once the
-/// buffers have grown to the workload's high-water mark.
+/// grouping for a new mini-batch in place.  Its buffers are flat (one
+/// vector each for groups, members, child offsets and children), so a
+/// schedule sized once for the largest mini-batch never allocates again.
 #[derive(Default)]
 pub struct BatchSchedule {
     /// Groups in execution order.
     groups: Vec<KindGroup>,
+    /// Every group's members as `(graph index, node index)`, concatenated
+    /// in group order, ascending within a group.
+    members: Vec<(usize, usize)>,
+    /// CSR offsets into `children`: the children of member `m` are
+    /// `children[child_offsets[m]..child_offsets[m + 1]]`.
+    child_offsets: Vec<usize>,
+    /// Flat-node-id children of all members, concatenated in the graphs'
+    /// own `node.children` order (the DeepSets summation order).
+    children: Vec<usize>,
     /// Flat node id of each graph's root.
     roots: Vec<usize>,
     /// Flat-node-id offset of each graph: node `(gi, ni)` has flat id
@@ -73,12 +107,29 @@ pub struct BatchSchedule {
     offsets: Vec<usize>,
     /// Total number of nodes across the mini-batch.
     total_nodes: usize,
-    /// Reusable build scratch: topological level per flat node.
+    /// Build scratch: topological level per flat node.
     level: Vec<usize>,
-    /// Reusable build scratch: `(level, kind)` buckets.
-    buckets: Vec<Vec<(usize, usize)>>,
-    /// Recycled groups (member/children capacity retained).
-    spare_groups: Vec<KindGroup>,
+    /// Build scratch: per (level, kind) bucket its member count, then
+    /// where its run in `members` ends.
+    bucket_ends: Vec<usize>,
+}
+
+/// Topological level of every node of `graph` into `level` (leaves at 0,
+/// parents one above their deepest child — children always precede
+/// parents in a `PlanGraph`); returns the deepest level.
+fn node_levels(graph: &PlanGraph, level: &mut [usize]) -> usize {
+    let mut deepest = 0;
+    for (ni, node) in graph.nodes.iter().enumerate() {
+        let l = node
+            .children
+            .iter()
+            .map(|&c| level[c] + 1)
+            .max()
+            .unwrap_or(0);
+        level[ni] = l;
+        deepest = deepest.max(l);
+    }
+    deepest
 }
 
 impl BatchSchedule {
@@ -89,9 +140,8 @@ impl BatchSchedule {
 
     /// Build the schedule for a mini-batch.
     ///
-    /// Runs in `O(nodes + edges)`: one pass to compute topological levels
-    /// (children always precede parents in a `PlanGraph`), one pass to
-    /// bucket nodes by `(level, kind)`.
+    /// Runs in `O(nodes + edges)`: one pass to compute topological levels,
+    /// two to bucket nodes by `(level, kind)` (count, then place).
     pub fn build(graphs: &[&PlanGraph]) -> Self {
         let mut schedule = BatchSchedule::empty();
         schedule.rebuild(graphs);
@@ -102,17 +152,10 @@ impl BatchSchedule {
     /// internal buffer.  Produces exactly the grouping of
     /// [`BatchSchedule::build`].
     pub fn rebuild(&mut self, graphs: &[&PlanGraph]) {
-        // Recycle the previous build: groups keep their buffers, buckets
-        // keep their capacity.
-        for mut g in self.groups.drain(..) {
-            g.members.clear();
-            g.child_offsets.clear();
-            g.children.clear();
-            self.spare_groups.push(g);
-        }
-        for b in &mut self.buckets {
-            b.clear();
-        }
+        self.groups.clear();
+        self.members.clear();
+        self.child_offsets.clear();
+        self.children.clear();
         self.roots.clear();
         self.offsets.clear();
 
@@ -123,70 +166,77 @@ impl BatchSchedule {
         }
         self.total_nodes = total_nodes;
 
-        // Topological level per flat node: leaves at 0, parents one above
-        // their deepest child.
         self.level.clear();
         self.level.resize(total_nodes, 0);
         let mut max_level = 0usize;
-        for (gi, g) in graphs.iter().enumerate() {
-            let base = self.offsets[gi];
+        for (g, &base) in graphs.iter().zip(&self.offsets) {
+            let deepest = node_levels(g, &mut self.level[base..base + g.len()]);
+            max_level = max_level.max(deepest);
+        }
+
+        // Counting sort into (level, kind) buckets, visiting nodes in
+        // (graph, node) order: every bucket's members come out ascending,
+        // and buckets in (level, kind) order are the groups.
+        let bucket = |level: &[usize], base: usize, ni: usize, kind: NodeKind| {
+            level[base + ni] * KINDS + kind.index()
+        };
+        self.bucket_ends.clear();
+        self.bucket_ends.resize((max_level + 1) * KINDS, 0);
+        for (g, &base) in graphs.iter().zip(&self.offsets) {
             for (ni, node) in g.nodes.iter().enumerate() {
-                let l = node
-                    .children
-                    .iter()
-                    .map(|&c| self.level[base + c] + 1)
-                    .max()
-                    .unwrap_or(0);
-                self.level[base + ni] = l;
-                max_level = max_level.max(l);
+                self.bucket_ends[bucket(&self.level, base, ni, node.kind)] += 1;
             }
         }
-
-        // Bucket by (level, kind) in deterministic (level, kind, graph,
-        // node) order.
-        let num_kinds = NodeKind::ALL.len();
-        let num_buckets = (max_level + 1) * num_kinds;
-        while self.buckets.len() < num_buckets {
-            self.buckets.push(Vec::new());
+        let mut start = 0;
+        for slot in &mut self.bucket_ends {
+            let count = *slot;
+            *slot = start;
+            start += count;
         }
-        for (gi, g) in graphs.iter().enumerate() {
-            let base = self.offsets[gi];
+        self.members.resize(total_nodes, (0, 0));
+        for (gi, (g, &base)) in graphs.iter().zip(&self.offsets).enumerate() {
             for (ni, node) in g.nodes.iter().enumerate() {
-                self.buckets[self.level[base + ni] * num_kinds + node.kind.index()].push((gi, ni));
+                let next = &mut self.bucket_ends[bucket(&self.level, base, ni, node.kind)];
+                self.members[*next] = (gi, ni);
+                *next += 1;
             }
         }
-
-        for l in 0..=max_level {
-            for k in 0..num_kinds {
-                // Swap the bucket out so a recycled group can be filled
-                // while the bucket slot stays addressable; swapped back
-                // (cleared, capacity kept) afterwards.
-                let members = std::mem::take(&mut self.buckets[l * num_kinds + k]);
-                if members.is_empty() {
-                    self.buckets[l * num_kinds + k] = members;
-                    continue;
-                }
-                let mut group = self.spare_groups.pop().unwrap_or_default();
-                group.kind = k;
-                group.members.extend_from_slice(&members);
-                group.child_offsets.push(0);
-                for &(gi, ni) in &group.members {
-                    let base = self.offsets[gi];
-                    for &c in &graphs[gi].nodes[ni].children {
-                        group.children.push(base + c);
-                    }
-                    group.child_offsets.push(group.children.len());
-                }
-                self.groups.push(group);
-                let mut bucket = members;
-                bucket.clear();
-                self.buckets[l * num_kinds + k] = bucket;
+        let mut start = 0;
+        for (b, &end) in self.bucket_ends.iter().enumerate() {
+            if end > start {
+                self.groups.push(KindGroup {
+                    kind: b % KINDS,
+                    bucket: b,
+                    start,
+                    end,
+                });
             }
+            start = end;
         }
 
-        for (gi, g) in graphs.iter().enumerate() {
-            self.roots.push(self.offsets[gi] + g.root);
+        self.child_offsets.push(0);
+        for &(gi, ni) in &self.members {
+            let base = self.offsets[gi];
+            let children = graphs[gi].nodes[ni].children.iter().map(|&c| base + c);
+            self.children.extend(children);
+            self.child_offsets.push(self.children.len());
         }
+        for (g, &base) in graphs.iter().zip(&self.offsets) {
+            self.roots.push(base + g.root);
+        }
+    }
+
+    /// Size every buffer for mini-batches within `bounds`.
+    fn reserve(&mut self, bounds: &ShardBounds) {
+        let buckets = bounds.bucket_members.len();
+        self.groups.reserve(buckets);
+        self.members.reserve(bounds.nodes);
+        self.child_offsets.reserve(bounds.nodes + 1);
+        self.children.reserve(bounds.edges);
+        self.roots.reserve(bounds.graphs);
+        self.offsets.reserve(bounds.graphs);
+        self.level.reserve(bounds.nodes);
+        self.bucket_ends.reserve(buckets);
     }
 
     /// Number of (level, kind) groups — i.e. batched MLP invocations per
@@ -209,6 +259,84 @@ impl BatchSchedule {
     /// id `offsets()[gi] + ni`.
     pub fn offsets(&self) -> &[usize] {
         &self.offsets
+    }
+
+    /// The members of `group`, as `(graph index, node index)`.
+    fn members(&self, group: &KindGroup) -> &[(usize, usize)] {
+        &self.members[group.start..group.end]
+    }
+
+    /// The flat-node-id children of member `m` (an index into the
+    /// concatenated members, `group.start + e` for member `e` of a group).
+    fn children(&self, m: usize) -> &[usize] {
+        &self.children[self.child_offsets[m]..self.child_offsets[m + 1]]
+    }
+
+    /// Flat node id of a member.
+    fn flat(&self, (gi, ni): (usize, usize)) -> usize {
+        self.offsets[gi] + ni
+    }
+}
+
+/// What one micro-batch of at most `graphs` graphs of a corpus can hold:
+/// the bounds every training buffer is sized to up front.
+struct ShardBounds {
+    /// Graphs per micro-batch.
+    graphs: usize,
+    /// Nodes of the `graphs` largest graphs.
+    nodes: usize,
+    /// Edges of the `graphs` most-connected graphs.
+    edges: usize,
+    /// Per (level, kind) bucket: the most members one graph has there,
+    /// times `graphs` (and never more than `nodes`).
+    bucket_members: Vec<usize>,
+}
+
+impl ShardBounds {
+    fn of(corpus: &[PlanGraph], microbatch: usize) -> Self {
+        let mut level = Vec::new();
+        let mut counts = Vec::new();
+        let mut per_graph_max: Vec<usize> = Vec::new();
+        let mut lens = Vec::with_capacity(corpus.len());
+        let mut edges = Vec::with_capacity(corpus.len());
+        for g in corpus {
+            level.clear();
+            level.resize(g.len(), 0);
+            let deepest = node_levels(g, &mut level);
+            counts.clear();
+            counts.resize((deepest + 1) * KINDS, 0usize);
+            for (node, &l) in g.nodes.iter().zip(&level) {
+                counts[l * KINDS + node.kind.index()] += 1;
+            }
+            if per_graph_max.len() < counts.len() {
+                per_graph_max.resize(counts.len(), 0);
+            }
+            for (most, &count) in per_graph_max.iter_mut().zip(&counts) {
+                *most = (*most).max(count);
+            }
+            lens.push(g.len());
+            edges.push(g.nodes.iter().map(|n| n.children.len()).sum());
+        }
+        let graphs = microbatch.min(corpus.len());
+        let largest = |mut v: Vec<usize>| -> usize {
+            v.sort_unstable_by(|a, b| b.cmp(a));
+            v.iter().take(graphs).sum()
+        };
+        let nodes = largest(lens);
+        ShardBounds {
+            graphs,
+            nodes,
+            edges: largest(edges),
+            bucket_members: per_graph_max
+                .iter()
+                .map(|most| (most * graphs).min(nodes))
+                .collect(),
+        }
+    }
+
+    /// The most members any one group can have.
+    fn widest_group(&self) -> usize {
+        self.bucket_members.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -242,6 +370,12 @@ impl NodeStates {
         self.hidden = hidden;
         self.data.clear();
         self.data.resize(hidden * total, 0.0);
+    }
+
+    /// Make room for `total` rows of dimension `hidden` up front.
+    fn reserve(&mut self, hidden: usize, total: usize) {
+        let len = hidden * total;
+        self.data.reserve(len.saturating_sub(self.data.len()));
     }
 
     /// State dimension.
@@ -298,17 +432,30 @@ impl NodeStates {
     }
 }
 
-/// Per-group backprop caches recorded by
-/// [`PlanEncoder::encode_batch_cached`], consumed (by reference) by
-/// [`PlanEncoder::backward_batch`].
+/// What [`PlanEncoder::encode_batch_cached`] records for
+/// [`PlanEncoder::backward_batch`], and the group buffers both reuse.
+///
+/// The caches live in one slot per (level, kind) bucket, so a long-lived
+/// trace recycles every buffer: a slot is always filled by the same
+/// encoder, with a group of the same level and kind.
+#[derive(Default)]
 pub struct EncoderTrace {
-    groups: Vec<GroupTrace>,
+    /// Forward caches of every bucket, indexed by `KindGroup::bucket`.
+    slots: Vec<GroupTrace>,
+    /// One group's child-state sums, node-major (`h × members`): the
+    /// combine input's second half going forward, its gradient going back.
+    sums: Vec<f64>,
+    /// One group's state gradients (backward).
+    d_out: Batch,
+    /// One group's encoder-output gradients (backward).
+    d_enc: Batch,
 }
 
-/// Per-group backprop caches recorded by the batched forward pass.
+/// The backprop caches of one (level, kind) bucket.
+#[derive(Default)]
 struct GroupTrace {
-    enc_cache: MlpBatchCache,
-    combine_cache: MlpBatchCache,
+    enc: MlpBatchCache,
+    combine: MlpBatchCache,
 }
 
 /// Reusable buffers for allocation-free batched encoding
@@ -347,12 +494,41 @@ impl EncodeScratch {
     }
 }
 
+/// Everything one training replica of a [`ZeroShotCostModel`] reuses from
+/// step to step — the schedule, the encoder trace, node states and their
+/// gradients, the output head's cache and loss gradient, the MLP
+/// backward's buffers — plus the batched-inference buffers of the
+/// trainer's evaluation.  The model's `Trainable::Scratch`; see the module
+/// docs for how it is sized.
+#[derive(Default)]
+pub struct TrainScratch {
+    schedule: BatchSchedule,
+    trace: EncoderTrace,
+    states: NodeStates,
+    d_states: NodeStates,
+    /// Output-MLP cache: root states in, log-runtime predictions out.
+    output: MlpBatchCache,
+    /// Loss gradient w.r.t. the log-runtime predictions.
+    d_pred: Batch,
+    backward: BatchBackwardScratch,
+    /// Inference buffers of evaluation.
+    encode: EncodeScratch,
+    /// Log-runtime predictions of one evaluation chunk.
+    log_predictions: Vec<f64>,
+}
+
 impl PlanEncoder {
     /// Gather the feature vectors of a group into a reusable batch.
-    fn group_features_into(&self, graphs: &[&PlanGraph], group: &KindGroup, out: &mut Batch) {
-        let dim = NodeKind::ALL[group.kind].feature_dim();
-        out.resize(dim, group.members.len());
-        for (e, &(gi, ni)) in group.members.iter().enumerate() {
+    fn group_features_into(
+        &self,
+        graphs: &[&PlanGraph],
+        kind: usize,
+        members: &[(usize, usize)],
+        out: &mut Batch,
+    ) {
+        let dim = NodeKind::ALL[kind].feature_dim();
+        out.resize(dim, members.len());
+        for (e, &(gi, ni)) in members.iter().enumerate() {
             out.set_example(e, &graphs[gi].nodes[ni].features);
         }
     }
@@ -367,6 +543,7 @@ impl PlanEncoder {
     /// output batch are caller-provided reusable buffers.
     fn group_combine_input_into(
         &self,
+        schedule: &BatchSchedule,
         group: &KindGroup,
         enc_out: &Batch,
         states: &NodeStates,
@@ -374,14 +551,14 @@ impl PlanEncoder {
         combine_in: &mut Batch,
     ) {
         let h = self.hidden_dim;
-        let n = group.members.len();
+        let n = group.end - group.start;
         combine_in.resize(2 * h, n);
         combine_in.copy_rows_from(0, enc_out, h);
         sums.clear();
         sums.resize(h * n, 0.0);
         for e in 0..n {
             let row = &mut sums[e * h..(e + 1) * h];
-            for &c in &group.children[group.child_offsets[e]..group.child_offsets[e + 1]] {
+            for &c in schedule.children(group.start + e) {
                 for (s, v) in row.iter_mut().zip(states.row(c)) {
                     *s += v;
                 }
@@ -399,14 +576,13 @@ impl PlanEncoder {
     /// state storage (one transpose pass per group).
     fn scatter_group_states(
         &self,
+        schedule: &BatchSchedule,
         group: &KindGroup,
-        offsets: &[usize],
         out: &Batch,
         states: &mut NodeStates,
     ) {
-        for e in 0..group.members.len() {
-            let (gi, ni) = group.members[e];
-            let row = states.row_mut(offsets[gi] + ni);
+        for (e, &member) in schedule.members(group).iter().enumerate() {
+            let row = states.row_mut(schedule.flat(member));
             for (f, s) in row.iter_mut().enumerate() {
                 *s = out.get(f, e);
             }
@@ -434,10 +610,12 @@ impl PlanEncoder {
     ) {
         scratch.states.resize(self.hidden_dim, schedule.total_nodes);
         for group in &schedule.groups {
-            self.group_features_into(graphs, group, &mut scratch.features);
+            let members = schedule.members(group);
+            self.group_features_into(graphs, group.kind, members, &mut scratch.features);
             let enc_out = self.encoders[group.kind]
                 .forward_batch_into(&scratch.features, &mut scratch.enc_fwd);
             self.group_combine_input_into(
+                schedule,
                 group,
                 enc_out,
                 &scratch.states,
@@ -447,82 +625,130 @@ impl PlanEncoder {
             let out = self
                 .combine
                 .forward_batch_into(&scratch.combine_in, &mut scratch.combine_fwd);
-            self.scatter_group_states(group, &schedule.offsets, out, &mut scratch.states);
+            self.scatter_group_states(schedule, group, out, &mut scratch.states);
         }
     }
 
-    /// Batched encoder forward with per-group backprop caches (the
-    /// training path).  States are bit-identical to
-    /// [`PlanEncoder::encode_batch`].
+    /// Batched encoder forward recording per-group backprop caches into
+    /// `trace` (the training path); the states land in `states`.  States
+    /// are bit-identical to [`PlanEncoder::encode_batch`].  Every buffer
+    /// is reused: with a trace and states sized up front, the pass
+    /// performs no heap allocation.
     pub fn encode_batch_cached(
         &self,
         graphs: &[&PlanGraph],
         schedule: &BatchSchedule,
-    ) -> (NodeStates, EncoderTrace) {
-        let mut states = NodeStates::zeros(self.hidden_dim, schedule.total_nodes);
-        let mut traces = Vec::with_capacity(schedule.groups.len());
-        let mut sums = Vec::new();
-        for group in &schedule.groups {
-            let mut features = Batch::default();
-            self.group_features_into(graphs, group, &mut features);
-            let (enc_out, enc_cache) = self.encoders[group.kind].forward_batch_cached(features);
-            let mut combine_in = Batch::default();
-            self.group_combine_input_into(group, &enc_out, &states, &mut sums, &mut combine_in);
-            let (out, combine_cache) = self.combine.forward_batch_cached(combine_in);
-            self.scatter_group_states(group, &schedule.offsets, &out, &mut states);
-            traces.push(GroupTrace {
-                enc_cache,
-                combine_cache,
-            });
+        trace: &mut EncoderTrace,
+        states: &mut NodeStates,
+    ) {
+        let kind = active_kernel();
+        let EncoderTrace { slots, sums, .. } = trace;
+        if slots.len() < schedule.bucket_ends.len() {
+            slots.resize_with(schedule.bucket_ends.len(), GroupTrace::default);
         }
-        (states, EncoderTrace { groups: traces })
+        states.resize(self.hidden_dim, schedule.total_nodes);
+        for group in &schedule.groups {
+            let GroupTrace { enc, combine } = &mut slots[group.bucket];
+            let members = schedule.members(group);
+            self.group_features_into(graphs, group.kind, members, enc.input_mut());
+            let enc_out = self.encoders[group.kind].forward_batch_cached_into(kind, enc);
+            let combine_in = combine.input_mut();
+            self.group_combine_input_into(schedule, group, enc_out, states, sums, combine_in);
+            let out = self.combine.forward_batch_cached_into(kind, combine);
+            self.scatter_group_states(schedule, group, out, states);
+        }
     }
 
     /// Backpropagate per-node state gradients (accumulated by one or more
     /// task heads via [`NodeStates::scatter_add`]) through the message
-    /// passing, *accumulating* encoder parameter gradients.
+    /// passing recorded in `trace`, *accumulating* encoder parameter
+    /// gradients; `d_states` gains the child-state gradients on the way.
     ///
     /// The reduction order is fixed — groups in reverse schedule order,
     /// examples ascending within a group — making the accumulated
-    /// gradients a deterministic function of the input.
+    /// gradients a deterministic function of the input.  The encoder
+    /// MLPs' input gradients (w.r.t. the node features) are never used,
+    /// so they are not computed.
     pub fn backward_batch(
         &mut self,
         schedule: &BatchSchedule,
-        trace: &EncoderTrace,
-        mut d_states: NodeStates,
+        trace: &mut EncoderTrace,
+        d_states: &mut NodeStates,
+        backward: &mut BatchBackwardScratch,
     ) {
+        let kind = active_kernel();
         let h = self.hidden_dim;
-        for (group, trace) in schedule.groups.iter().zip(&trace.groups).rev() {
-            let n = group.members.len();
-            let mut d_out = Batch::zeros(h, n);
-            for e in 0..n {
-                let (gi, ni) = group.members[e];
-                let flat = schedule.offsets[gi] + ni;
-                for (f, &v) in d_states.row(flat).iter().enumerate() {
+        let EncoderTrace {
+            slots,
+            sums: d_sums,
+            d_out,
+            d_enc,
+        } = trace;
+        for group in schedule.groups.iter().rev() {
+            let slot = &slots[group.bucket];
+            let members = schedule.members(group);
+            let n = members.len();
+            d_out.resize(h, n);
+            for (e, &member) in members.iter().enumerate() {
+                for (f, &v) in d_states.row(schedule.flat(member)).iter().enumerate() {
                     d_out.set(f, e, v);
                 }
             }
-            let d_combine_in = self.combine.backward_batch(&trace.combine_cache, &d_out);
-            let d_enc = d_combine_in.sub_rows(0, h);
-            self.encoders[group.kind].backward_batch(&trace.enc_cache, &d_enc);
+            let d_combine_in =
+                self.combine
+                    .backward_batch_into(kind, &slot.combine, d_out, backward);
+            d_enc.resize(h, n);
+            d_enc.copy_rows_from(0, d_combine_in, h);
             // Sum pooling: every child receives the parent's child-sum
             // gradient.  Transpose the child-sum half once into node-major
             // rows, then add whole rows per edge (vectorised).
-            let mut d_sums = vec![0.0f64; h * n];
+            d_sums.clear();
+            d_sums.resize(h * n, 0.0);
             for f in 0..h {
                 for (e, &g) in d_combine_in.feature_row(h + f).iter().enumerate() {
                     d_sums[e * h + f] = g;
                 }
             }
+            self.encoders[group.kind].backward_batch_params_into(kind, &slot.enc, d_enc, backward);
             for e in 0..n {
                 let src = &d_sums[e * h..(e + 1) * h];
-                for &c in &group.children[group.child_offsets[e]..group.child_offsets[e + 1]] {
+                for &c in schedule.children(group.start + e) {
                     for (d, &g) in d_states.row_mut(c).iter_mut().zip(src) {
                         *d += g;
                     }
                 }
             }
         }
+    }
+
+    /// Size `trace` and `backward` for every micro-batch within `bounds`.
+    fn reserve_training(
+        &self,
+        bounds: &ShardBounds,
+        trace: &mut EncoderTrace,
+        backward: &mut BatchBackwardScratch,
+    ) {
+        let buckets = bounds.bucket_members.len();
+        if trace.slots.len() < buckets {
+            trace.slots.resize_with(buckets, GroupTrace::default);
+        }
+        for (b, (slot, &n)) in trace
+            .slots
+            .iter_mut()
+            .zip(&bounds.bucket_members)
+            .enumerate()
+        {
+            self.encoders[b % KINDS].reserve_cache(&mut slot.enc, n);
+            self.combine.reserve_cache(&mut slot.combine, n);
+        }
+        let (h, widest) = (self.hidden_dim, bounds.widest_group());
+        for mlp in self.encoders.iter().chain([&self.combine]) {
+            mlp.reserve_backward(backward, widest);
+        }
+        let sums = h * widest;
+        trace.sums.reserve(sums.saturating_sub(trace.sums.len()));
+        trace.d_out.reserve(h, widest);
+        trace.d_enc.reserve(h, widest);
     }
 }
 
@@ -597,6 +823,28 @@ impl ZeroShotCostModel {
             .collect()
     }
 
+    /// [`ZeroShotCostModel::predict_batch`] through `scratch`'s schedule
+    /// and inference buffers, appending to `out` — bit-identical.
+    pub(crate) fn predict_batch_into(
+        &self,
+        graphs: &[&PlanGraph],
+        scratch: &mut TrainScratch,
+        out: &mut Vec<f64>,
+    ) {
+        if graphs.is_empty() {
+            return;
+        }
+        let TrainScratch {
+            schedule,
+            encode,
+            log_predictions,
+            ..
+        } = scratch;
+        schedule.rebuild(graphs);
+        self.predict_log_scheduled_into(graphs, schedule, encode, log_predictions);
+        out.extend(log_predictions.iter().map(|p| p.exp()));
+    }
+
     /// Batched training step contribution: forward the whole mini-batch,
     /// compute the squared error on `ln(runtime)` per graph, backpropagate
     /// and **accumulate** gradients (no optimizer step).  Returns the
@@ -612,28 +860,55 @@ impl ZeroShotCostModel {
         targets: &[f64],
     ) -> BatchBackprop {
         assert_eq!(graphs.len(), targets.len());
+        let mut predictions = Vec::with_capacity(graphs.len());
+        let loss = self.accumulate_gradients_into(
+            graphs,
+            |e| targets[e],
+            &mut TrainScratch::default(),
+            &mut predictions,
+        );
+        BatchBackprop { loss, predictions }
+    }
+
+    /// [`ZeroShotCostModel::accumulate_gradients_batch`] through `scratch`,
+    /// with graph `e`'s target runtime read as `target(e)` and the
+    /// training-forward predictions appended to `predictions`.  With a
+    /// scratch sized by [`ZeroShotCostModel::reserve_training`] it
+    /// performs no heap allocation.
+    pub(crate) fn accumulate_gradients_into(
+        &mut self,
+        graphs: &[&PlanGraph],
+        target: impl Fn(usize) -> f64,
+        scratch: &mut TrainScratch,
+        predictions: &mut Vec<f64>,
+    ) -> f64 {
         if graphs.is_empty() {
-            return BatchBackprop {
-                loss: 0.0,
-                predictions: Vec::new(),
-            };
+            return 0.0;
         }
-        let h = self.config.hidden_dim;
-        let schedule = BatchSchedule::build(graphs);
+        let kind = active_kernel();
+        let TrainScratch {
+            schedule,
+            trace,
+            states,
+            d_states,
+            output,
+            d_pred,
+            backward,
+            ..
+        } = scratch;
+        schedule.rebuild(graphs);
 
         // ---- Forward with caches -------------------------------------
-        let (states, trace) = self.encoder.encode_batch_cached(graphs, &schedule);
-        let root_states = states.gather(schedule.roots());
-        let (out, output_cache) = self.output.forward_batch_cached(root_states);
+        self.encoder
+            .encode_batch_cached(graphs, schedule, trace, states);
+        states.gather_into(schedule.roots(), output.input_mut());
+        let out = self.output.forward_batch_cached_into(kind, output);
 
         // ---- Loss ----------------------------------------------------
-        let n_graphs = graphs.len();
         let mut loss = 0.0;
-        let mut predictions = Vec::with_capacity(n_graphs);
-        let mut d_pred = Batch::zeros(1, n_graphs);
-        for (e, t) in targets.iter().enumerate() {
-            let target = t.max(1e-9).ln();
-            let log_pred = out.get(0, e);
+        d_pred.resize(1, graphs.len());
+        for (e, &log_pred) in out.feature_row(0).iter().enumerate() {
+            let target = target(e).max(1e-9).ln();
             predictions.push(log_pred.exp());
             let error = log_pred - target;
             loss += error * error;
@@ -641,11 +916,36 @@ impl ZeroShotCostModel {
         }
 
         // ---- Backward ------------------------------------------------
-        let d_root = self.output.backward_batch(&output_cache, &d_pred);
-        let mut d_states = NodeStates::zeros(h, schedule.num_nodes());
-        d_states.scatter_add(schedule.roots(), &d_root);
-        self.encoder.backward_batch(&schedule, &trace, d_states);
-        BatchBackprop { loss, predictions }
+        let d_root = self
+            .output
+            .backward_batch_into(kind, output, d_pred, backward);
+        d_states.resize(self.config.hidden_dim, schedule.num_nodes());
+        d_states.scatter_add(schedule.roots(), d_root);
+        self.encoder
+            .backward_batch(schedule, trace, d_states, backward);
+        loss
+    }
+
+    /// Size `scratch` for training steps over micro-batches of at most
+    /// `microbatch` of `graphs`, so that no step allocates.
+    pub(crate) fn reserve_training(
+        &self,
+        scratch: &mut TrainScratch,
+        graphs: &[PlanGraph],
+        microbatch: usize,
+    ) {
+        let bounds = ShardBounds::of(graphs, microbatch);
+        let h = self.config.hidden_dim;
+        scratch.schedule.reserve(&bounds);
+        self.encoder
+            .reserve_training(&bounds, &mut scratch.trace, &mut scratch.backward);
+        scratch.states.reserve(h, bounds.nodes);
+        scratch.d_states.reserve(h, bounds.nodes);
+        self.output
+            .reserve_cache(&mut scratch.output, bounds.graphs);
+        self.output
+            .reserve_backward(&mut scratch.backward, bounds.graphs);
+        scratch.d_pred.reserve(1, bounds.graphs);
     }
 }
 
@@ -682,19 +982,34 @@ mod tests {
         );
         // Every node appears exactly once across all groups, and every
         // child has been scheduled in an earlier group than its parent.
+        // Groups run in (level, kind) order, members ascend, and children
+        // keep the graph's own order.
         let mut seen = vec![false; schedule.num_nodes()];
         let offsets = schedule.offsets();
+        for (group, next) in schedule.groups.iter().zip(schedule.groups.iter().skip(1)) {
+            assert!(group.bucket < next.bucket && group.end == next.start);
+        }
         for group in &schedule.groups {
-            for (e, &(gi, ni)) in group.members.iter().enumerate() {
+            let members = schedule.members(group);
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascend");
+            for (e, &(gi, ni)) in members.iter().enumerate() {
                 let flat = offsets[gi] + ni;
                 assert!(!seen[flat], "node scheduled twice");
-                for &c in &group.children[group.child_offsets[e]..group.child_offsets[e + 1]] {
+                let children = schedule.children(group.start + e);
+                for &c in children {
                     assert!(seen[c], "child {c} scheduled after parent {flat}");
                 }
+                let own: Vec<usize> = graphs[gi].nodes[ni]
+                    .children
+                    .iter()
+                    .map(|c| offsets[gi] + c)
+                    .collect();
+                assert_eq!(children, own.as_slice());
                 assert_eq!(graphs[gi].nodes[ni].kind.index(), group.kind);
+                assert_eq!(group.bucket % KINDS, group.kind);
             }
-            for &(gi, ni) in &group.members {
-                seen[offsets[gi] + ni] = true;
+            for &member in members {
+                seen[schedule.flat(member)] = true;
             }
         }
         assert!(seen.iter().all(|&s| s), "every node scheduled");
@@ -820,14 +1135,13 @@ mod tests {
     }
 
     #[test]
-    fn gradient_export_reduce_roundtrip() {
+    fn shard_gradients_reduce_in_order() {
         let graphs = graphs();
         let refs: Vec<&PlanGraph> = graphs.iter().take(4).collect();
         let targets: Vec<f64> = refs.iter().map(|g| g.runtime_secs.unwrap()).collect();
 
-        // Gradients computed in two shards and reduced in fixed order must
-        // equal accumulating both shards into one model back-to-back, up
-        // to the (associativity-free) two-term sum per parameter.
+        // Gradients computed in two shards and added into a zeroed master
+        // in shard order are, per parameter, `(0 + a) + b`.
         let mut shard_a = ZeroShotCostModel::new(ModelConfig::tiny());
         let mut shard_b = ZeroShotCostModel::new(ModelConfig::tiny());
         shard_a.zero_grad();
@@ -840,14 +1154,54 @@ mod tests {
 
         let mut master = ZeroShotCostModel::new(ModelConfig::tiny());
         master.zero_grad();
-        master.add_gradients(&flat_a);
-        master.add_gradients(&flat_b);
+        master.add_gradients_from(&shard_a);
+        master.add_gradients_from(&shard_b);
         let mut reduced = Vec::new();
         master.export_gradients(&mut reduced);
 
-        let expected: Vec<f64> = flat_a.iter().zip(&flat_b).map(|(a, b)| a + b).collect();
+        let expected: Vec<f64> = flat_a
+            .iter()
+            .zip(&flat_b)
+            .map(|(a, b)| (0.0 + a) + b)
+            .collect();
         let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
         assert_eq!(bits(&reduced), bits(&expected));
+    }
+
+    /// One reserved `TrainScratch` reused across differently composed
+    /// mini-batches trains and predicts the bits of fresh allocating calls.
+    #[test]
+    fn reused_train_scratch_is_bit_identical_to_fresh_calls() {
+        let graphs = graphs();
+        let mut scratch = TrainScratch::default();
+        let template = ZeroShotCostModel::new(ModelConfig::tiny());
+        template.reserve_training(&mut scratch, &graphs, 7);
+        let bits = |m: &ZeroShotCostModel| -> Vec<u64> {
+            let mut flat = Vec::new();
+            m.export_gradients(&mut flat);
+            flat.iter().map(|x| x.to_bits()).collect()
+        };
+        for (start, len) in [(0, 7), (3, 2), (10, 7), (5, 1), (0, graphs.len())] {
+            let refs: Vec<&PlanGraph> = graphs[start..].iter().take(len).collect();
+            let targets: Vec<f64> = refs.iter().map(|g| g.runtime_secs.unwrap()).collect();
+            let mut fresh = template.clone();
+            let expected = fresh.accumulate_gradients_batch(&refs, &targets);
+            let mut reused = template.clone();
+            let mut predictions = Vec::new();
+            let loss = reused.accumulate_gradients_into(
+                &refs,
+                |e| targets[e],
+                &mut scratch,
+                &mut predictions,
+            );
+            let values = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(loss.to_bits(), expected.loss.to_bits());
+            assert_eq!(values(&predictions), values(&expected.predictions));
+            assert_eq!(bits(&reused), bits(&fresh), "{start}+{len}");
+            let mut predicted = Vec::new();
+            template.predict_batch_into(&refs, &mut scratch, &mut predicted);
+            assert_eq!(values(&predicted), values(&template.predict_batch(&refs)));
+        }
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub fn evaluate_graphs(
     let labelled: Vec<&PlanGraph> = graphs.iter().filter(|g| g.runtime_secs.is_some()).collect();
     let pairs: Vec<(f64, f64)> = model
         .model
-        .predict_chunked(&labelled)
+        .predict_chunked(&labelled, &mut Default::default())
         .into_iter()
         .zip(&labelled)
         .map(|(p, g)| (p, g.runtime_secs.expect("labelled")))

@@ -38,7 +38,9 @@ pub mod train;
 pub mod whatif;
 
 pub use arena::GraphArena;
-pub use batch::{BatchBackprop, BatchSchedule, EncodeScratch, EncoderTrace, NodeStates};
+pub use batch::{
+    BatchBackprop, BatchSchedule, EncodeScratch, EncoderTrace, NodeStates, TrainScratch,
+};
 pub use dataset::{collect_for_database, collect_training_corpus, TrainingDataConfig};
 pub use eval::{
     evaluate, evaluate_graphs, evaluate_predictions, median_qerror_of, predict_runtime,

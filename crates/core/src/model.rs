@@ -111,23 +111,15 @@ impl PlanEncoder {
 
     /// Every parameter buffer in canonical order (encoders by node kind,
     /// then combine; weights before bias per layer).
-    pub fn params(&self) -> Vec<&zsdb_nn::ParamBuf> {
-        let mut params = Vec::new();
-        for e in &self.encoders {
-            params.extend(e.params());
-        }
-        params.extend(self.combine.params());
-        params
+    pub fn params(&self) -> impl Iterator<Item = &zsdb_nn::ParamBuf> + '_ {
+        let encoders = self.encoders.iter().flat_map(Mlp::params);
+        encoders.chain(self.combine.params())
     }
 
     /// Mutable counterpart of [`PlanEncoder::params`], same order.
-    pub fn params_mut(&mut self) -> Vec<&mut zsdb_nn::ParamBuf> {
-        let mut params = Vec::new();
-        for e in &mut self.encoders {
-            params.extend(e.params_mut());
-        }
-        params.extend(self.combine.params_mut());
-        params
+    pub fn params_mut(&mut self) -> impl Iterator<Item = &mut zsdb_nn::ParamBuf> + '_ {
+        let encoders = self.encoders.iter_mut().flat_map(Mlp::params_mut);
+        encoders.chain(self.combine.params_mut())
     }
 }
 
@@ -414,6 +406,11 @@ mod tests {
         assert!(median_q < 1.6, "median training q-error {median_q}");
     }
 
+    /// The first parameter buffer (layer 0's weights) of `mlp`.
+    fn param(mlp: &mut zsdb_nn::Mlp) -> &mut zsdb_nn::ParamBuf {
+        mlp.params_mut().next().expect("an MLP has parameters")
+    }
+
     #[test]
     fn gradient_accumulation_matches_finite_differences_on_output_mlp() {
         let graphs = graphs();
@@ -425,18 +422,18 @@ mod tests {
         model.accumulate_gradients(g, target);
         // Pick one parameter of the output MLP and compare with a finite
         // difference of the loss.
-        let analytic = model.output.params_mut()[0].grad[0];
+        let analytic = param(&mut model.output).grad[0];
         let eps = 1e-6;
-        let orig = model.output.params_mut()[0].data[0];
+        let orig = param(&mut model.output).data[0];
         let loss_at = |m: &ZeroShotCostModel| {
             let err = m.predict_log(g) - target.max(1e-9).ln();
             err * err
         };
-        model.output.params_mut()[0].data[0] = orig + eps;
+        param(&mut model.output).data[0] = orig + eps;
         let up = loss_at(&model);
-        model.output.params_mut()[0].data[0] = orig - eps;
+        param(&mut model.output).data[0] = orig - eps;
         let down = loss_at(&model);
-        model.output.params_mut()[0].data[0] = orig;
+        param(&mut model.output).data[0] = orig;
         let numeric = (up - down) / (2.0 * eps);
         assert!(
             (analytic - numeric).abs() < 1e-4 * (1.0 + numeric.abs()),

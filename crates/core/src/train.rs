@@ -17,11 +17,38 @@
 //! constructor, the parameter buffers in canonical order, one batched
 //! forward+backward, one batched forward, and how to turn predictions
 //! into q-errors.  The gradient plumbing (`zero_grad`, `apply_step`,
-//! `export_gradients`, `add_gradients`, `copy_weights_from`) and the
+//! `export_gradients`, `add_gradients_from`, `copy_weights_from`) and the
 //! chunked evaluation are provided methods written once over
-//! [`Trainable::params`].  [`Trainer`] is `ModelTrainer<ZeroShotCostModel>`;
-//! the multi-task crate's trainer is the same struct over its own model,
-//! so a new task head costs one `impl Trainable`, not a trainer.
+//! [`Trainable::params`], which iterates the buffers without collecting
+//! them.  [`Trainer`] is `ModelTrainer<ZeroShotCostModel>`; the
+//! multi-task crate's trainer is the same struct over its own model, so a
+//! new task head costs one `impl Trainable`, not a trainer.
+//!
+//! # What a step costs
+//!
+//! A step pays for its arithmetic and nothing else:
+//!
+//! * **No allocation.**  Each replica keeps a [`Trainable::Scratch`]
+//!   beside it — for the cost model a [`TrainScratch`] holding the
+//!   schedule, forward caches, backward temporaries and node states —
+//!   sized from the training corpus before the first step
+//!   ([`Trainable::reserve_scratch`]), so a warm step on one thread makes
+//!   no heap allocation (`tests/alloc_regression.rs` holds it to that).
+//!   The multi-task model's scratch is `()` for now: its passes allocate.
+//! * **Reduction without a flat copy.**  Shards run in *waves*, one shard
+//!   per replica (inline when there is one replica, on scoped threads
+//!   otherwise); after each wave every replica's gradient buffers are
+//!   added straight into the zeroed master's, in ascending shard order —
+//!   per parameter `((0 + g₀) + g₁) + …`, the same additions as ever,
+//!   with no exported gradient vector between them.
+//! * **Nothing evaluated twice.**  The returned weights' validation
+//!   q-errors are the ones their epoch already computed, and evaluation
+//!   runs in chunks of [`EVAL_CHUNK`] graphs through the replica's
+//!   reused scratch.
+//!
+//! With a tracer attached, each epoch event splits the epoch into shard
+//! forward + backward, reduction, Adam and validation seconds, which sum
+//! to the epoch; without one the loop reads no clock.
 //!
 //! The loop returns an in-memory [`TrainingRun`]; each model packages it
 //! into its own concrete artifact struct ([`TrainedModel`] here).  One
@@ -32,6 +59,7 @@
 //! the validation fields and the curves' element types) while the
 //! registry's artifact format version stays where it is.
 
+use crate::batch::TrainScratch;
 use crate::features::{featurize_execution, FeaturizerConfig, PlanGraph};
 use crate::model::{ModelConfig, ZeroShotCostModel};
 use rand::rngs::StdRng;
@@ -39,8 +67,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 use zsdb_engine::QueryExecution;
 use zsdb_nn::{median, q_error, Adam, ParamBuf};
@@ -57,8 +83,11 @@ pub struct TrainingConfig {
     pub batch_size: usize,
     /// Adam learning rate.
     pub learning_rate: f64,
-    /// Fraction of training *databases* held out for validation (0 = no
-    /// validation split).
+    /// Fraction of the training *samples* held out for validation: the
+    /// last `⌊len × fraction⌋` samples in the order given, clamped to all
+    /// of them (0 = no validation split).  A corpus collected database by
+    /// database keeps each database's samples together, so the tail
+    /// approximates a held-out database without being one.
     pub validation_fraction: f64,
     /// Shuffling / initialisation seed.
     pub seed: u64,
@@ -163,6 +192,14 @@ impl Default for FinetuneConfig {
     }
 }
 
+/// Graphs per chunk of batched evaluation.  Predictions do not depend on
+/// it (batched prediction is bit-identical to per-example prediction);
+/// the cost per graph does.  Measured on 400 generated training graphs
+/// with the default model: 25.9 µs per graph in chunks of 256 through
+/// fresh buffers, 18.5 µs in chunks of 32 through reused ones (20.9 µs at
+/// 256 reused, 18.0–18.4 µs at 8–16).
+pub const EVAL_CHUNK: usize = 32;
+
 /// What the training loop needs from a model.
 ///
 /// The required methods say how the model is built, where its parameters
@@ -181,25 +218,51 @@ pub trait Trainable: Clone + Send + Sized {
     type QErrors: Copy;
     /// The serializable artifact a finished [`TrainingRun`] is packaged as.
     type Trained;
+    /// Buffers one replica reuses across its forward + backward passes
+    /// and batched evaluations — `()` for a model whose passes allocate.
+    type Scratch: Default + Send;
 
     /// Create a freshly initialised model.
     fn new(config: Self::Config) -> Self;
 
     /// Every parameter buffer in the model's canonical order (weights
-    /// before bias per layer).  This order defines the layout of the flat
-    /// gradient vectors of the deterministic shard reduction.
-    fn params(&self) -> Vec<&ParamBuf>;
+    /// before bias per layer).  This order is the order of the
+    /// deterministic shard reduction and of
+    /// [`Trainable::export_gradients`].
+    fn params(&self) -> impl Iterator<Item = &ParamBuf>;
 
     /// Mutable counterpart of [`Trainable::params`], same order.
-    fn params_mut(&mut self) -> Vec<&mut ParamBuf>;
+    fn params_mut(&mut self) -> impl Iterator<Item = &mut ParamBuf>;
+
+    /// Size `scratch` for forward + backward passes over micro-batches of
+    /// at most `microbatch` of `samples`, so that none of them grows a
+    /// buffer.  The default does nothing.
+    fn reserve_scratch(
+        &self,
+        _scratch: &mut Self::Scratch,
+        _samples: &[Self::Sample],
+        _microbatch: usize,
+    ) {
+    }
 
     /// One batched forward + backward over `samples`, *accumulating*
-    /// gradients (no optimizer step); returns the training-forward
-    /// predictions in sample order.
-    fn accumulate_batch(&mut self, samples: &[&Self::Sample]) -> Vec<Self::Prediction>;
+    /// gradients (no optimizer step); appends the training-forward
+    /// predictions to `predictions` in sample order.
+    fn accumulate_batch(
+        &mut self,
+        samples: &[&Self::Sample],
+        scratch: &mut Self::Scratch,
+        predictions: &mut Vec<Self::Prediction>,
+    );
 
-    /// One batched forward over `samples`.
-    fn predict_samples(&self, samples: &[&Self::Sample]) -> Vec<Self::Prediction>;
+    /// One batched forward over `samples`, appending the predictions to
+    /// `predictions` in sample order.
+    fn predict_samples(
+        &self,
+        samples: &[&Self::Sample],
+        scratch: &mut Self::Scratch,
+        predictions: &mut Vec<Self::Prediction>,
+    );
 
     /// Median q-error(s) of `predictions` against the samples' labels.
     fn q_errors(samples: &[&Self::Sample], predictions: &[Self::Prediction]) -> Self::QErrors;
@@ -227,7 +290,7 @@ pub trait Trainable: Clone + Send + Sized {
 
     /// Apply one optimizer step over all parameters, in canonical order.
     fn apply_step(&mut self, adam: &mut Adam) {
-        adam.step(&mut self.params_mut());
+        adam.step(self.params_mut());
     }
 
     /// Export the accumulated gradients as one flat vector in canonical
@@ -239,48 +302,66 @@ pub trait Trainable: Clone + Send + Sized {
         }
     }
 
-    /// Add a flat gradient vector (as produced by
-    /// [`Trainable::export_gradients`]) onto this model's gradient
-    /// buffers.  Together with a fixed caller-side reduction order this
-    /// makes multi-shard gradient accumulation deterministic.
-    fn add_gradients(&mut self, flat: &[f64]) {
-        let mut offset = 0;
-        for p in self.params_mut() {
-            let len = p.grad.len();
-            for (g, v) in p.grad.iter_mut().zip(&flat[offset..offset + len]) {
+    /// Add `src`'s accumulated gradients onto this model's, buffer by
+    /// buffer in canonical order — one shard's contribution to the
+    /// master.  Together with a fixed caller-side shard order this makes
+    /// multi-shard gradient accumulation deterministic.
+    fn add_gradients_from(&mut self, src: &Self) {
+        zip_params(self, src, |d, s| {
+            for (g, v) in d.grad.iter_mut().zip(&s.grad) {
                 *g += v;
             }
-            offset += len;
-        }
-        assert_eq!(offset, flat.len(), "flat gradient length mismatch");
+        });
     }
 
     /// Copy the parameter *values* (not gradients or optimizer moments)
     /// from `src`, buffer to buffer.  Used to refresh worker-shard model
     /// replicas after every optimizer step.
     fn copy_weights_from(&mut self, src: &Self) {
-        let from = src.params();
-        let dst = self.params_mut();
-        assert_eq!(dst.len(), from.len(), "model shapes differ");
-        for (d, s) in dst.into_iter().zip(from) {
-            d.data.copy_from_slice(&s.data);
-        }
+        zip_params(self, src, |d, s| d.data.copy_from_slice(&s.data));
     }
 
-    /// Predict `samples` in bounded-size batches (keeps the batched
-    /// forward's intermediate state flat for arbitrarily large sets).
-    fn predict_chunked(&self, samples: &[&Self::Sample]) -> Vec<Self::Prediction> {
-        const EVAL_CHUNK: usize = 256;
-        let chunks = samples.chunks(EVAL_CHUNK);
-        chunks.flat_map(|c| self.predict_samples(c)).collect()
+    /// Predict `samples` in chunks of [`EVAL_CHUNK`] through one reused
+    /// `scratch`.
+    fn predict_chunked(
+        &self,
+        samples: &[&Self::Sample],
+        scratch: &mut Self::Scratch,
+    ) -> Vec<Self::Prediction> {
+        let mut predictions = Vec::with_capacity(samples.len());
+        for chunk in samples.chunks(EVAL_CHUNK) {
+            self.predict_samples(chunk, scratch, &mut predictions);
+        }
+        predictions
     }
 
     /// Median q-error(s) of the model over `samples`, through the batched
     /// forward pass (bit-identical to per-example prediction).
     fn evaluate(&self, samples: &[Self::Sample]) -> Self::QErrors {
-        let refs: Vec<&Self::Sample> = samples.iter().collect();
-        Self::q_errors(&refs, &self.predict_chunked(&refs))
+        self.evaluate_with(samples, &mut Self::Scratch::default())
     }
+
+    /// [`Trainable::evaluate`] through a reused `scratch`.
+    fn evaluate_with(
+        &self,
+        samples: &[Self::Sample],
+        scratch: &mut Self::Scratch,
+    ) -> Self::QErrors {
+        let refs: Vec<&Self::Sample> = samples.iter().collect();
+        Self::q_errors(&refs, &self.predict_chunked(&refs, scratch))
+    }
+}
+
+/// Apply `f` to every pair of same-position parameter buffers of `dst`
+/// and `src`, which must have the same shape.
+fn zip_params<M: Trainable>(dst: &mut M, src: &M, mut f: impl FnMut(&mut ParamBuf, &ParamBuf)) {
+    let mut from = src.params();
+    for d in dst.params_mut() {
+        let s = from.next().expect("model shapes differ");
+        assert_eq!(d.len(), s.len(), "model shapes differ");
+        f(d, s);
+    }
+    assert!(from.next().is_none(), "model shapes differ");
 }
 
 /// What one run of the training loop produced, before a model packages it
@@ -357,45 +438,50 @@ impl Trainable for ZeroShotCostModel {
     type Prediction = f64;
     type QErrors = f64;
     type Trained = TrainedModel;
+    type Scratch = TrainScratch;
 
     fn new(config: ModelConfig) -> Self {
         ZeroShotCostModel::new(config)
     }
 
     /// Encoders by node kind, then combine, then output.
-    fn params(&self) -> Vec<&ParamBuf> {
-        let mut params = self.encoder.params();
-        params.extend(self.output.params());
-        params
+    fn params(&self) -> impl Iterator<Item = &ParamBuf> {
+        self.encoder.params().chain(self.output.params())
     }
 
-    fn params_mut(&mut self) -> Vec<&mut ParamBuf> {
-        let mut params = self.encoder.params_mut();
-        params.extend(self.output.params_mut());
-        params
+    fn params_mut(&mut self) -> impl Iterator<Item = &mut ParamBuf> {
+        self.encoder.params_mut().chain(self.output.params_mut())
     }
 
-    fn accumulate_batch(&mut self, graphs: &[&PlanGraph]) -> Vec<f64> {
-        let targets: Vec<f64> = graphs
-            .iter()
-            .map(|g| g.runtime_secs.expect("labelled"))
-            .collect();
-        self.accumulate_gradients_batch(graphs, &targets)
-            .predictions
+    fn reserve_scratch(&self, scratch: &mut TrainScratch, graphs: &[PlanGraph], microbatch: usize) {
+        self.reserve_training(scratch, graphs, microbatch);
     }
 
-    fn predict_samples(&self, graphs: &[&PlanGraph]) -> Vec<f64> {
-        self.predict_batch(graphs)
+    fn accumulate_batch(
+        &mut self,
+        graphs: &[&PlanGraph],
+        scratch: &mut TrainScratch,
+        predictions: &mut Vec<f64>,
+    ) {
+        let target = |e: usize| graphs[e].runtime_secs.expect("labelled");
+        self.accumulate_gradients_into(graphs, target, scratch, predictions);
+    }
+
+    fn predict_samples(
+        &self,
+        graphs: &[&PlanGraph],
+        scratch: &mut TrainScratch,
+        predictions: &mut Vec<f64>,
+    ) {
+        self.predict_batch_into(graphs, scratch, predictions);
     }
 
     /// Median q-error over the labelled graphs (unlabelled ones are
     /// skipped, so evaluation sets may mix both).
     fn q_errors(graphs: &[&PlanGraph], predictions: &[f64]) -> f64 {
-        let qs: Vec<f64> = graphs
-            .iter()
-            .zip(predictions)
-            .filter_map(|(g, p)| g.runtime_secs.map(|t| q_error(*p, t)))
-            .collect();
+        let mut qs = Vec::with_capacity(graphs.len());
+        let labelled = graphs.iter().zip(predictions);
+        qs.extend(labelled.filter_map(|(g, p)| g.runtime_secs.map(|t| q_error(*p, t))));
         median(&qs)
     }
 
@@ -453,9 +539,10 @@ impl<M: Trainable> ModelTrainer<M> {
     }
 
     /// Attach a [`Tracer`]: [`ModelTrainer::train`] then emits one
-    /// `train.epoch_secs` event per epoch (wall time, shard-gradient time
-    /// and the epoch's monitored median q-error in the detail).  Tracing
-    /// never changes the trained weights.
+    /// `train.epoch_secs` event per epoch — the epoch's seconds, and in the
+    /// detail its training median q-error and the seconds spent in shard
+    /// forward + backward, reduction, Adam and validation, which sum to
+    /// the epoch.  Tracing never changes the trained weights.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = Some(tracer);
@@ -598,84 +685,113 @@ fn fit<M: Trainable>(
 
     // Worker replicas compute shard gradients against a snapshot of the
     // current weights.  A single replica is used even with one thread, so
-    // the reduction structure (zeroed shard buffer → flat export →
-    // ordered add) never depends on the thread count.
-    let shards_per_step = batch_size.div_ceil(microbatch);
-    let mut replicas: Vec<M> = (0..cfg.effective_threads().min(shards_per_step).max(1))
-        .map(|_| model.clone())
+    // the reduction (zeroed shard gradients → ordered add into the zeroed
+    // master) never depends on the thread count.
+    let threads = cfg.effective_threads().min(batch_size.div_ceil(microbatch));
+    let mut replicas: Vec<Replica<M>> = (0..threads.max(1))
+        .map(|_| Replica::new(&model, train, microbatch))
         .collect();
 
     let mut indices: Vec<usize> = (0..train.len()).collect();
+    let mut shuffled: Vec<&M::Sample> = Vec::with_capacity(train.len());
+    let mut predictions = Vec::with_capacity(train.len());
     let mut training_curve = Vec::with_capacity(cfg.epochs);
     let mut validation_curve = Vec::new();
-    let mut best: Option<(f64, M)> = None;
+    let mut last_validation = None;
+    let mut best: Option<Best<M>> = None;
     let mut epochs_without_improvement = 0usize;
     let mut stopped_early = false;
 
     for epoch in 0..cfg.epochs {
-        let epoch_started = Instant::now();
-        let mut shard_secs = 0.0f64;
+        let mut stages = EpochStages::new(tracer.is_some());
         indices.shuffle(&mut rng);
-        let mut predictions = Vec::with_capacity(train.len());
+        predictions.clear();
         for step in indices.chunks(batch_size) {
-            let micro_batches: Vec<&[usize]> = step.chunks(microbatch).collect();
-            let shard_started = Instant::now();
-            let shards = compute_shard_results(&model, &mut replicas, train, &micro_batches);
-            shard_secs += shard_started.elapsed().as_secs_f64();
+            // Only the replicas that will run a shard need this step's
+            // weights (the final partial mini-batch of an epoch may have a
+            // single shard).
+            let used = replicas.len().min(step.len().div_ceil(microbatch));
+            for replica in &mut replicas[..used] {
+                replica.model.copy_weights_from(&model);
+            }
             model.zero_grad();
-            for (gradients, shard_predictions) in shards {
-                model.add_gradients(&gradients);
-                predictions.extend(shard_predictions);
+            for wave in step.chunks(microbatch * replicas.len()) {
+                run_wave(&mut replicas, train, wave, microbatch);
+                stages.lap(Stage::Shards);
+                // Shard order: predictions line up with `indices`.
+                for replica in &mut replicas[..wave.len().div_ceil(microbatch)] {
+                    model.add_gradients_from(&replica.model);
+                    predictions.append(&mut replica.predictions);
+                }
+                stages.lap(Stage::Reduction);
             }
             model.apply_step(&mut adam);
+            stages.lap(Stage::Adam);
         }
 
         // Running training metric: the q-errors of the predictions made
         // by the epoch's own training forwards (no separate evaluation
-        // pass).  Shards return in shard order, so the predictions line
-        // up with the shuffled `indices`.
-        let shuffled: Vec<&M::Sample> = indices.iter().map(|&i| &train[i]).collect();
+        // pass).
+        shuffled.clear();
+        shuffled.extend(indices.iter().map(|&i| &train[i]));
         let train_q = M::q_errors(&shuffled, &predictions);
         training_curve.push(train_q);
+        let val_q = (!val.is_empty()).then(|| model.evaluate_with(val, &mut replicas[0].scratch));
+        let monitored = match &val_q {
+            Some(q) => {
+                validation_curve.push(M::monitored(q));
+                M::monitored(q)
+            }
+            None => M::monitored(&train_q),
+        };
+        last_validation = val_q;
+
+        let mut stop = false;
+        if cfg.early_stopping_patience > 0 {
+            if best.as_ref().is_none_or(|b| monitored < b.monitored) {
+                best = Some(Best {
+                    monitored,
+                    model: model.clone(),
+                    validation: val_q,
+                });
+                epochs_without_improvement = 0;
+            } else {
+                epochs_without_improvement += 1;
+                stop = epochs_without_improvement >= cfg.early_stopping_patience;
+            }
+        }
+        stages.lap(Stage::Validation);
         if let Some(tracer) = tracer {
+            let [shard_s, reduce_s, adam_s, val_s] = stages.secs();
             tracer.event(
                 event,
-                epoch_started.elapsed().as_secs_f64(),
+                shard_s + reduce_s + adam_s + val_s,
                 format!(
-                    "epoch {epoch}: median q-error {:.4}, {shard_secs:.6}s in shard gradients",
+                    "epoch {epoch}: median q-error {:.4}; {shard_s:.6}s in shard gradients, \
+                     {reduce_s:.6}s reduction, {adam_s:.6}s Adam, {val_s:.6}s validation",
                     M::monitored(&train_q)
                 ),
             );
         }
-        let monitored = if val.is_empty() {
-            M::monitored(&train_q)
-        } else {
-            let val_q = M::monitored(&model.evaluate(val));
-            validation_curve.push(val_q);
-            val_q
-        };
-
-        if cfg.early_stopping_patience > 0 {
-            if best.as_ref().is_none_or(|(b, _)| monitored < *b) {
-                best = Some((monitored, model.clone()));
-                epochs_without_improvement = 0;
-            } else {
-                epochs_without_improvement += 1;
-                if epochs_without_improvement >= cfg.early_stopping_patience {
-                    stopped_early = true;
-                    break;
-                }
-            }
+        if stop {
+            stopped_early = true;
+            break;
         }
     }
 
-    // With early stopping enabled, return the best-epoch weights.
-    if let Some((_, best_model)) = best {
-        model = best_model;
-    }
+    // With early stopping enabled, return the best-epoch weights.  Either
+    // way the returned weights' validation q-errors were computed by their
+    // own epoch; only a run of zero epochs has none yet.
+    let (model, validation) = match best {
+        Some(best) => (best.model, best.validation),
+        None => (model, last_validation),
+    };
+    let scratch = &mut replicas[0].scratch;
+    let final_validation =
+        validation.or_else(|| (!val.is_empty()).then(|| model.evaluate_with(val, scratch)));
     TrainingRun {
-        final_train: model.evaluate(train),
-        final_validation: (!val.is_empty()).then(|| model.evaluate(val)),
+        final_train: model.evaluate_with(train, scratch),
+        final_validation,
         model,
         training_curve,
         validation_curve,
@@ -683,69 +799,116 @@ fn fit<M: Trainable>(
     }
 }
 
-/// Compute every micro-batch shard's flat gradient vector and
-/// training-forward predictions, using up to `replicas.len()` worker
-/// threads, and return them in ascending shard order.
-///
-/// Each shard is computed against a replica freshly synced to `model`'s
-/// weights.  Work distribution across threads is dynamic (an atomic
-/// cursor), but since each shard is computed independently and results
-/// are returned in shard order, the *outcome* — and therefore training —
-/// does not depend on which thread computed which shard or how many
-/// threads ran.
-fn compute_shard_results<M: Trainable>(
-    model: &M,
-    replicas: &mut [M],
-    samples: &[M::Sample],
-    micro_batches: &[&[usize]],
-) -> Vec<(Vec<f64>, Vec<M::Prediction>)> {
-    let run_shard = |replica: &mut M, shard: &[usize]| {
-        let refs: Vec<&M::Sample> = shard.iter().map(|&i| &samples[i]).collect();
-        replica.zero_grad();
-        let predictions = replica.accumulate_batch(&refs);
-        let mut gradients = Vec::new();
-        replica.export_gradients(&mut gradients);
-        (gradients, predictions)
-    };
+/// The best epoch so far under early stopping.
+struct Best<M: Trainable> {
+    monitored: f64,
+    model: M,
+    /// The epoch's validation q-errors (`None` without a split).
+    validation: Option<M::QErrors>,
+}
 
-    // Only the replicas that will actually run a shard need this step's
-    // weights (e.g. the final partial mini-batch of an epoch may have a
-    // single shard).
-    let used = replicas.len().min(micro_batches.len()).max(1);
-    let replicas = &mut replicas[..used];
-    for replica in replicas.iter_mut() {
-        replica.copy_weights_from(model);
-    }
+/// One worker replica: a copy of the model synced to the master before
+/// every step, the buffers its passes reuse, and its current shard's
+/// sample references and training-forward predictions.
+struct Replica<'a, M: Trainable> {
+    model: M,
+    scratch: M::Scratch,
+    shard: Vec<&'a M::Sample>,
+    predictions: Vec<M::Prediction>,
+}
 
-    if replicas.len() <= 1 || micro_batches.len() <= 1 {
-        let replica = replicas.first_mut().expect("at least one replica");
-        return micro_batches
-            .iter()
-            .map(|shard| run_shard(replica, shard))
-            .collect();
-    }
-
-    let slots = Mutex::new((0..micro_batches.len()).map(|_| None).collect::<Vec<_>>());
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for replica in replicas.iter_mut() {
-            let (slots, cursor, run_shard) = (&slots, &cursor, &run_shard);
-            scope.spawn(move || loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= micro_batches.len() {
-                    break;
-                }
-                let result = run_shard(replica, micro_batches[k]);
-                slots.lock().expect("shard slots poisoned")[k] = Some(result);
-            });
+impl<'a, M: Trainable> Replica<'a, M> {
+    /// A replica of `model` whose buffers are sized for micro-batches of
+    /// `samples`.
+    fn new(model: &M, samples: &[M::Sample], microbatch: usize) -> Self {
+        let mut scratch = M::Scratch::default();
+        model.reserve_scratch(&mut scratch, samples, microbatch);
+        Replica {
+            model: model.clone(),
+            scratch,
+            shard: Vec::with_capacity(microbatch),
+            predictions: Vec::with_capacity(microbatch),
         }
+    }
+
+    /// Zero the replica's gradients and accumulate those of the samples
+    /// at `indices`.
+    fn run(&mut self, samples: &'a [M::Sample], indices: &[usize]) {
+        self.shard.clear();
+        self.shard.extend(indices.iter().map(|&i| &samples[i]));
+        self.model.zero_grad();
+        let Replica {
+            model,
+            scratch,
+            shard,
+            predictions,
+        } = self;
+        model.accumulate_batch(shard, scratch, predictions);
+    }
+}
+
+/// Run one wave of shards: `wave` cut into micro-batches of `microbatch`
+/// indices, at most one per replica, shard `k` on replica `k` — inline
+/// when there is one shard, on scoped threads otherwise.  Which thread ran
+/// which shard never shows: each shard is computed independently and the
+/// caller reduces them in shard order.
+fn run_wave<'a, M: Trainable>(
+    replicas: &mut [Replica<'a, M>],
+    samples: &'a [M::Sample],
+    wave: &[usize],
+    microbatch: usize,
+) {
+    let mut jobs = replicas.iter_mut().zip(wave.chunks(microbatch));
+    let Some((first, shard)) = jobs.next() else {
+        return;
+    };
+    if wave.len() <= microbatch {
+        first.run(samples, shard);
+        return;
+    }
+    std::thread::scope(|scope| {
+        for (replica, shard) in jobs {
+            scope.spawn(move || replica.run(samples, shard));
+        }
+        first.run(samples, shard);
     });
-    slots
-        .into_inner()
-        .expect("shard slots poisoned")
-        .into_iter()
-        .map(|s| s.expect("every shard computed"))
-        .collect()
+}
+
+/// The stages a traced epoch event splits its seconds into.
+#[derive(Clone, Copy)]
+enum Stage {
+    /// Replica weight sync and shard forward + backward.
+    Shards,
+    /// Adding shard gradients into the master, in shard order.
+    Reduction,
+    /// The optimizer step.
+    Adam,
+    /// Training q-errors, validation and early-stopping bookkeeping.
+    Validation,
+}
+
+/// Seconds per [`Stage`] of one epoch, charged lap by lap off one clock
+/// so that they sum to the epoch.  Untraced, it holds nothing and reads
+/// no clock.
+struct EpochStages(Option<(Instant, [f64; 4])>);
+
+impl EpochStages {
+    fn new(traced: bool) -> Self {
+        EpochStages(traced.then(|| (Instant::now(), [0.0; 4])))
+    }
+
+    /// Charge the time since the previous lap to `stage`.
+    fn lap(&mut self, stage: Stage) {
+        if let Some((last, secs)) = &mut self.0 {
+            let now = Instant::now();
+            secs[stage as usize] += now.duration_since(*last).as_secs_f64();
+            *last = now;
+        }
+    }
+
+    fn secs(&self) -> [f64; 4] {
+        self.0.map_or([0.0; 4], |(_, secs)| secs)
+    }
 }
 
 /// Median Q-error of a model over labelled graphs, evaluated through the
@@ -999,7 +1162,22 @@ mod tests {
         // `TrainingConfig::tiny()` disables early stopping: every epoch ran.
         assert!(plain.training_curve.len() == 3 && !plain.stopped_early);
         assert!(epochs.iter().all(|e| e.value >= 0.0));
-        assert!(epochs.iter().any(|e| e.detail.contains("shard gradients")));
+        // The detail splits the epoch into four stages that sum to it
+        // (each printed to the microsecond).
+        for e in &epochs {
+            let (_, stages) = e.detail.split_once(';').expect("stage split");
+            let secs: Vec<f64> = stages
+                .split(',')
+                .map(|s| s.split_whitespace().next().expect("seconds"))
+                .map(|s| s.trim_end_matches('s').parse().expect("a number"))
+                .collect();
+            let total: f64 = secs.iter().sum();
+            assert_eq!(secs.len(), 4, "{}", e.detail);
+            assert!((total - e.value).abs() < 4e-6, "{}", e.detail);
+            for stage in ["shard gradients", "reduction", "Adam", "validation"] {
+                assert!(e.detail.contains(stage), "{}", e.detail);
+            }
+        }
 
         let tuned = Trainer::finetune_from_traced(
             &plain,

@@ -26,8 +26,8 @@
 use crate::sample::{operator_node_indices, MultiTaskSample};
 use serde::{Deserialize, Serialize};
 use zsdb_core::features::PlanGraph;
-use zsdb_core::{BatchSchedule, NodeStates, PlanEncoder};
-use zsdb_nn::{Activation, Batch, Mlp};
+use zsdb_core::{BatchSchedule, EncoderTrace, NodeStates, PlanEncoder};
+use zsdb_nn::{Activation, Batch, BatchBackwardScratch, Mlp};
 
 /// Hyper-parameters of the multi-task model, including the per-task loss
 /// weights used during joint training.
@@ -287,7 +287,9 @@ impl MultiTaskModel {
         let h = self.config.hidden_dim;
 
         // ---- Forward with caches -------------------------------------
-        let (states, trace) = self.encoder.encode_batch_cached(&graphs, &schedule);
+        let (mut trace, mut states) = (EncoderTrace::default(), NodeStates::default());
+        self.encoder
+            .encode_batch_cached(&graphs, &schedule, &mut trace, &mut states);
         let root_states = states.gather(schedule.roots());
         let (op_flats, op_offsets) = Self::operator_flats(&graphs, &schedule);
         let op_states = states.gather(&op_flats);
@@ -346,7 +348,9 @@ impl MultiTaskModel {
         d_states.scatter_add(schedule.roots(), &d_root_state_cost);
         d_states.scatter_add(schedule.roots(), &d_root_state_card);
         d_states.scatter_add(&op_flats, &d_op_state);
-        self.encoder.backward_batch(&schedule, &trace, d_states);
+        let mut backward = BatchBackwardScratch::default();
+        self.encoder
+            .backward_batch(&schedule, &mut trace, &mut d_states, &mut backward);
 
         MultiTaskBackprop {
             loss,
@@ -506,6 +510,11 @@ mod tests {
         assert_eq!(bits(&grads[0]), bits(&grads[1]));
     }
 
+    /// The first parameter buffer (layer 0's weights) of `mlp`.
+    fn param(mlp: &mut zsdb_nn::Mlp) -> &mut zsdb_nn::ParamBuf {
+        mlp.params_mut().next().expect("an MLP has parameters")
+    }
+
     #[test]
     fn cost_head_gradients_match_finite_differences() {
         let samples = samples();
@@ -513,8 +522,8 @@ mod tests {
         let mut model = MultiTaskModel::new(MultiTaskConfig::tiny());
         model.zero_grad();
         model.accumulate_gradients_batch(&refs);
-        let analytic = model.cost_head.params_mut()[0].grad[0];
-        let orig = model.cost_head.params_mut()[0].data[0];
+        let analytic = param(&mut model.cost_head).grad[0];
+        let orig = param(&mut model.cost_head).data[0];
         let eps = 1e-6;
         let loss_at = |m: &mut MultiTaskModel| {
             m.zero_grad();
@@ -522,11 +531,11 @@ mod tests {
             m.zero_grad();
             m.config.cost_weight * bp.cost_loss
         };
-        model.cost_head.params_mut()[0].data[0] = orig + eps;
+        param(&mut model.cost_head).data[0] = orig + eps;
         let up = loss_at(&mut model);
-        model.cost_head.params_mut()[0].data[0] = orig - eps;
+        param(&mut model.cost_head).data[0] = orig - eps;
         let down = loss_at(&mut model);
-        model.cost_head.params_mut()[0].data[0] = orig;
+        param(&mut model.cost_head).data[0] = orig;
         let numeric = (up - down) / (2.0 * eps);
         assert!(
             (analytic - numeric).abs() < 1e-4 * (1.0 + numeric.abs()),

@@ -101,6 +101,7 @@ impl Trainable for MultiTaskModel {
     type Prediction = MultiTaskPrediction;
     type QErrors = TaskQErrors;
     type Trained = TrainedMultiTaskModel;
+    type Scratch = ();
 
     fn new(config: MultiTaskConfig) -> Self {
         MultiTaskModel::new(config)
@@ -108,29 +109,41 @@ impl Trainable for MultiTaskModel {
 
     /// Encoder (kind encoders, then combine), then the heads in
     /// [`crate::TaskHead::ALL`] order.
-    fn params(&self) -> Vec<&ParamBuf> {
-        let mut params = self.encoder.params();
-        params.extend(self.cost_head.params());
-        params.extend(self.root_card_head.params());
-        params.extend(self.op_card_head.params());
-        params
+    fn params(&self) -> impl Iterator<Item = &ParamBuf> {
+        let heads = [&self.cost_head, &self.root_card_head, &self.op_card_head];
+        self.encoder
+            .params()
+            .chain(heads.into_iter().flat_map(|head| head.params()))
     }
 
-    fn params_mut(&mut self) -> Vec<&mut ParamBuf> {
-        let mut params = self.encoder.params_mut();
-        params.extend(self.cost_head.params_mut());
-        params.extend(self.root_card_head.params_mut());
-        params.extend(self.op_card_head.params_mut());
-        params
+    fn params_mut(&mut self) -> impl Iterator<Item = &mut ParamBuf> {
+        let heads = [
+            &mut self.cost_head,
+            &mut self.root_card_head,
+            &mut self.op_card_head,
+        ];
+        self.encoder
+            .params_mut()
+            .chain(heads.into_iter().flat_map(|head| head.params_mut()))
     }
 
-    fn accumulate_batch(&mut self, samples: &[&MultiTaskSample]) -> Vec<MultiTaskPrediction> {
-        self.accumulate_gradients_batch(samples).predictions
+    fn accumulate_batch(
+        &mut self,
+        samples: &[&MultiTaskSample],
+        _scratch: &mut (),
+        predictions: &mut Vec<MultiTaskPrediction>,
+    ) {
+        predictions.extend(self.accumulate_gradients_batch(samples).predictions);
     }
 
-    fn predict_samples(&self, samples: &[&MultiTaskSample]) -> Vec<MultiTaskPrediction> {
+    fn predict_samples(
+        &self,
+        samples: &[&MultiTaskSample],
+        _scratch: &mut (),
+        predictions: &mut Vec<MultiTaskPrediction>,
+    ) {
         let graphs: Vec<&PlanGraph> = samples.iter().map(|s| &s.graph).collect();
-        self.predict_batch(&graphs)
+        predictions.extend(self.predict_batch(&graphs));
     }
 
     fn q_errors(samples: &[&MultiTaskSample], predictions: &[MultiTaskPrediction]) -> TaskQErrors {

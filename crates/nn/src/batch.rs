@@ -120,6 +120,14 @@ impl Batch {
         self.data.resize(dim * n, 0.0);
     }
 
+    /// Make room for `dim × n` values up front, so a later
+    /// [`Batch::resize`] up to that size does not reallocate (never
+    /// shrinks).
+    pub fn reserve(&mut self, dim: usize, n: usize) {
+        let len = dim * n;
+        self.data.reserve(len.saturating_sub(self.data.len()));
+    }
+
     /// The raw feature-major buffer (`data[f * n + e]`).
     pub fn data(&self) -> &[f64] {
         &self.data
@@ -137,17 +145,6 @@ impl Batch {
         debug_assert!(rows <= src.dim && dst_offset + rows <= self.dim);
         self.data[dst_offset * self.n..(dst_offset + rows) * self.n]
             .copy_from_slice(&src.data[..rows * self.n]);
-    }
-
-    /// Extract `dim` feature rows starting at `offset` as a new batch of
-    /// the same width.
-    pub fn sub_rows(&self, offset: usize, dim: usize) -> Batch {
-        debug_assert!(offset + dim <= self.dim);
-        Batch {
-            dim,
-            n: self.n,
-            data: self.data[offset * self.n..(offset + dim) * self.n].to_vec(),
-        }
     }
 }
 
@@ -190,6 +187,17 @@ mod tests {
         assert_eq!(dst.feature_row(1), &[1.0, 3.0]);
         assert_eq!(dst.feature_row(2), &[2.0, 4.0]);
         assert_eq!(dst.feature_row(3), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn reserved_batch_resizes_in_place() {
+        let mut b = Batch::default();
+        b.reserve(4, 8);
+        let buffer = b.data().as_ptr();
+        b.resize(3, 5);
+        b.resize(4, 8);
+        assert_eq!(b.data().as_ptr(), buffer);
+        assert_eq!(b.data(), &[0.0; 32]);
     }
 
     #[test]

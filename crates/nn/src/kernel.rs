@@ -273,6 +273,83 @@ fn affine_tile<const T: usize>(
     emit(o, &tile);
 }
 
+/// `acc[o] += dot(w[·][o], x)` for every output `o` of an input-major
+/// `w` (`x.len() × acc.len()`), in place: [`affine_layer`]'s SIMD tiles
+/// with the output row as its own bias, so each cell is `acc[o] + (((l0
+/// + l1) + (l2 + l3)) + tail)` exactly as `affine_layer` computes `bias
+/// + dot` — without a copy of the row to seed from or a closure to emit
+/// through.  The batched weight gradient's SIMD path (`zsdb_nn::mlp`).
+///
+/// `N` in `1..=8` promises `x.len() == N`: the reduction length becomes
+/// a constant, lanes and tail hold only the products that exist, and the
+/// compiler folds the rest only where IEEE arithmetic allows (`(0 + 0) +
+/// (0 + 0)` is `+0`; the `0.0 +` that starts every lane and the tail
+/// stays, since `0.0 + -0.0` is `+0`).  `N = 0` reads the length at run
+/// time.
+#[inline(always)]
+pub(crate) fn accumulate_layer<const N: usize>(w: &[f64], x: &[f64], acc: &mut [f64]) {
+    let x = if N == 0 { x } else { &x[..N] };
+    let out_dim = acc.len();
+    debug_assert_eq!(w.len(), x.len() * out_dim);
+    let mut o = 0;
+    while o + TILE_O <= out_dim {
+        accumulate_tile::<TILE_O>(w, x, acc, o);
+        o += TILE_O;
+    }
+    while o + TILE_O_NARROW <= out_dim {
+        accumulate_tile::<TILE_O_NARROW>(w, x, acc, o);
+        o += TILE_O_NARROW;
+    }
+    while o < out_dim {
+        accumulate_tile::<1>(w, x, acc, o);
+        o += 1;
+    }
+}
+
+/// Outputs `o..o + T` of [`accumulate_layer`]: [`affine_tile`]'s lanes
+/// and tail, added onto `acc[o..o + T]`.
+#[inline(always)]
+fn accumulate_tile<const T: usize>(w: &[f64], x: &[f64], acc: &mut [f64], o: usize) {
+    let out_dim = acc.len();
+    let run = |i: usize| -> &[f64; T] {
+        w[i * out_dim + o..][..T]
+            .try_into()
+            .expect("slice of tile length")
+    };
+    let (mut l0, mut l1, mut l2, mut l3) = ([0.0f64; T], [0.0f64; T], [0.0f64; T], [0.0f64; T]);
+    let chunks = x.len() / LANES;
+    for k in 0..chunks {
+        let i = LANES * k;
+        let (w0, w1, w2, w3) = (run(i), run(i + 1), run(i + 2), run(i + 3));
+        let (x0, x1, x2, x3) = (x[i], x[i + 1], x[i + 2], x[i + 3]);
+        for j in 0..T {
+            l0[j] += w0[j] * x0;
+        }
+        for j in 0..T {
+            l1[j] += w1[j] * x1;
+        }
+        for j in 0..T {
+            l2[j] += w2[j] * x2;
+        }
+        for j in 0..T {
+            l3[j] += w3[j] * x3;
+        }
+    }
+    let mut tail = [0.0f64; T];
+    for (i, &xi) in x.iter().enumerate().skip(LANES * chunks) {
+        let wi = run(i);
+        for j in 0..T {
+            tail[j] += wi[j] * xi;
+        }
+    }
+    let acc: &mut [f64; T] = (&mut acc[o..o + T])
+        .try_into()
+        .expect("slice of tile length");
+    for j in 0..T {
+        acc[j] += ((l0[j] + l1[j]) + (l2[j] + l3[j])) + tail[j];
+    }
+}
+
 /// Scalar [`affine_layer`]: one output at a time, four named scalar
 /// accumulators striding down the output's weight column — operation for
 /// operation `bias[o] + dot_scalar(column o, x)`.

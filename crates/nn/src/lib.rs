@@ -30,6 +30,9 @@ pub mod param;
 pub use batch::Batch;
 pub use kernel::{active_kernel, KernelKind};
 pub use metrics::{median, percentile, q_error, QErrorSummary};
-pub use mlp::{Activation, BatchForwardScratch, ForwardScratch, Mlp, MlpBatchCache, MlpCache};
+pub use mlp::{
+    Activation, BatchBackwardScratch, BatchForwardScratch, ForwardScratch, Mlp, MlpBatchCache,
+    MlpCache,
+};
 pub use optim::Adam;
 pub use param::ParamBuf;

@@ -46,13 +46,45 @@
 //!   the multiplies and adds of `grad += kernel::dot(dy row, x row)`,
 //!   `out_dim` cells to a sweep instead of one.
 //!
+//! Under the scalar kernel the weight gradient goes through
+//! `affine_layer` exactly so, seeded from a copy of the row; it is the
+//! oracle.  The SIMD kernel runs the same tiles in place
+//! (`kernel::accumulate_layer`: the row is its own bias, no seed copy),
+//! and a batch of `n ≤ 8` examples — half of all layer calls in
+//! training, where most (level, kind) groups are small — takes a
+//! variant compiled for that `n`: lanes and tail hold only the products
+//! that exist, and the only folds are the IEEE-exact ones (`(0 + 0) + (0
+//! + 0)` is `+0`).  The `0.0 +` that starts each lane and the tail is
+//! never dropped and a lane is never seeded with the old gradient: with
+//! `old = -0.0` and products of `-0.0`, `old + (0.0 + -0.0)` is `+0.0`
+//! where `old + -0.0` would be `-0.0`.
+//!
 //! The exception is the **input gradient**, `dx[i][e] = Σ_o w[i][o] ·
 //! dy[o][e]`, whose sum over output units is sequential in ascending `o`
 //! (that order is what the trained bits are).  Under SIMD it runs in
-//! register tiles of 4 inputs × 8 examples; the `n % 8` examples left
-//! over are copied into one zero-padded tile of `dy` and take the same
-//! tile code, so no column falls to a strided scalar loop.  The unblocked
-//! loop remains as the scalar kernel's path and the oracle.
+//! register tiles of 8 examples × 4 inputs; the `n % 8` examples left
+//! over take one tile compiled for exactly their width, so no lane sums
+//! what nobody reads and no padded copy of `dy` is made (one sweep over
+//! the weights instead of the three a 4 + 2 + 1 split would take).  The
+//! unblocked loop remains as the scalar kernel's path and the oracle.  A
+//! caller that discards the input gradient — the encoder MLPs of the plan
+//! encoder, whose input is the node features — asks for the parameter
+//! gradients only ([`Mlp::backward_batch_params_into`]), and the first
+//! layer's input gradient is not computed.
+//!
+//! # Training without allocation
+//!
+//! The batched training path keeps its buffers: [`MlpBatchCache`] holds
+//! every layer's input and the output of the last forward and is filled
+//! in place by [`Mlp::forward_batch_cached_into`];
+//! [`BatchBackwardScratch`] holds the backward's ping-pong gradient
+//! batches and the transposed `dy`.  Both can be sized up front
+//! ([`Mlp::reserve_cache`], [`Mlp::reserve_backward`]), so a warm
+//! training step through them allocates nothing.  A hidden layer's
+//! activation derivative is read off the cached post-activation (the
+//! next layer's input) instead of a second cached copy of the
+//! pre-activation: every activation here keeps the sign, so `post > 0`
+//! exactly when `pre > 0` and the derivative is the same number.
 
 use crate::batch::Batch;
 use crate::kernel::{self, active_kernel, KernelKind};
@@ -125,12 +157,18 @@ struct Linear {
 
 /// Transpose a row-major `rows × cols` matrix.
 fn transpose(m: &[f64], rows: usize, cols: usize) -> Vec<f64> {
-    debug_assert_eq!(m.len(), rows * cols);
     let mut t = Vec::with_capacity(m.len());
-    for c in 0..cols {
-        t.extend((0..rows).map(|r| m[r * cols + c]));
-    }
+    transpose_into(m, rows, cols, &mut t);
     t
+}
+
+/// [`transpose`] into a reused buffer (cleared first).
+fn transpose_into(m: &[f64], rows: usize, cols: usize, out: &mut Vec<f64>) {
+    debug_assert_eq!(m.len(), rows * cols);
+    out.clear();
+    for c in 0..cols {
+        out.extend((0..rows).map(|r| m[r * cols + c]));
+    }
 }
 
 /// Transpose all four vectors of a `rows × cols` weight buffer.
@@ -281,12 +319,23 @@ impl Linear {
     /// Batched backward: accumulate parameter gradients over the whole
     /// batch (each cell reduced over examples in the canonical 4-lane
     /// order of [`kernel::sum`] / [`kernel::dot`] — deterministic for any
-    /// batch) and write the input gradients to `dx`.
-    fn backward_batch(&mut self, kind: KernelKind, x: &Batch, dy: &Batch, dx: &mut Batch) {
+    /// batch) and, when `dx` is given, write the input gradients to it.
+    /// `dy_t` is the SIMD path's buffer for `dy` transposed.
+    fn backward_batch(
+        &mut self,
+        kind: KernelKind,
+        x: &Batch,
+        dy: &Batch,
+        dx: Option<&mut Batch>,
+        dy_t: &mut Vec<f64>,
+    ) {
         // Hard assert, as in `Linear::backward`: in release a `dy` wider
         // than `x` would otherwise be truncated into a wrong gradient.
+        let dx_shape = dx
+            .as_ref()
+            .map_or((self.in_dim, x.n()), |dx| (dx.dim(), dx.n()));
         assert_eq!(
-            (x.dim(), dy.dim(), dx.dim(), dy.n(), dx.n()),
+            (x.dim(), dy.dim(), dx_shape.0, dy.n(), dx_shape.1),
             (self.in_dim, self.out_dim, self.in_dim, x.n(), x.n()),
             "backward_batch: x / dy / dx shapes against the layer's dims and each other"
         );
@@ -302,64 +351,96 @@ impl Linear {
         // gradient row's current value is the "bias" — so row `i` comes
         // out as `grad + dot` per cell, the reduction over examples in
         // `dot`'s own lane order, `out_dim` cells to a sweep.
-        let dy_t = transpose(dy.data(), out_dim, n);
-        let mut seed = vec![0.0; out_dim];
-        for i in 0..self.in_dim {
-            let grad_row = &mut self.w.grad[i * out_dim..(i + 1) * out_dim];
-            seed.copy_from_slice(grad_row);
-            let x_row = x.feature_row(i);
-            kernel::affine_layer(
-                kind,
-                &dy_t,
-                &seed,
-                n,
-                |e| x_row[e],
-                |o, run| grad_row[o..o + run.len()].copy_from_slice(run),
-            );
-        }
-
+        //
         // Input gradients (`dx[i][e] = Σ_o w[i][o] · dy[o][e]`, summed
         // sequentially in ascending `o` under either kernel — the sum
         // runs over *output units*, not lanes, so it keeps the
         // pre-existing sequential order).
         match kind {
-            KernelKind::Simd => self.input_grad_simd(dy, dx),
-            KernelKind::Scalar => self.input_grad_unblocked(dy, dx),
+            KernelKind::Simd => {
+                transpose_into(dy.data(), out_dim, n, dy_t);
+                match n {
+                    1 => self.weight_grad_rows::<1>(x, dy_t),
+                    2 => self.weight_grad_rows::<2>(x, dy_t),
+                    3 => self.weight_grad_rows::<3>(x, dy_t),
+                    4 => self.weight_grad_rows::<4>(x, dy_t),
+                    5 => self.weight_grad_rows::<5>(x, dy_t),
+                    6 => self.weight_grad_rows::<6>(x, dy_t),
+                    7 => self.weight_grad_rows::<7>(x, dy_t),
+                    8 => self.weight_grad_rows::<8>(x, dy_t),
+                    _ => self.weight_grad_rows::<0>(x, dy_t),
+                }
+                if let Some(dx) = dx {
+                    self.input_grad_simd(dy, dx);
+                }
+            }
+            KernelKind::Scalar => {
+                let dy_t = transpose(dy.data(), out_dim, n);
+                let mut seed = vec![0.0; out_dim];
+                for i in 0..self.in_dim {
+                    let grad_row = &mut self.w.grad[i * out_dim..(i + 1) * out_dim];
+                    seed.copy_from_slice(grad_row);
+                    let x_row = x.feature_row(i);
+                    kernel::affine_layer(
+                        kind,
+                        &dy_t,
+                        &seed,
+                        n,
+                        |e| x_row[e],
+                        |o, run| grad_row[o..o + run.len()].copy_from_slice(run),
+                    );
+                }
+                if let Some(dx) = dx {
+                    self.input_grad_unblocked(dy, dx);
+                }
+            }
         }
     }
 
-    /// SIMD-shaped input gradients: every column goes through
-    /// [`Linear::input_grad_tile`].  The `n % TILE_E` remainder is copied
-    /// into one zero-padded tile of `dy` first (the padding lanes compute
-    /// sums nobody reads), so no column falls to a strided scalar loop.
+    /// The SIMD weight gradient, every row in place through
+    /// [`kernel::accumulate_layer`]; `N` is the batch width when it is
+    /// `1..=8` and `0` otherwise (see the module docs).
+    fn weight_grad_rows<const N: usize>(&mut self, x: &Batch, dy_t: &[f64]) {
+        let out_dim = self.out_dim;
+        for i in 0..self.in_dim {
+            let grad_row = &mut self.w.grad[i * out_dim..(i + 1) * out_dim];
+            kernel::accumulate_layer::<N>(dy_t, x.feature_row(i), grad_row);
+        }
+    }
+
+    /// SIMD-shaped input gradients: tiles of [`TILE_E`] examples, then
+    /// the `n % TILE_E` examples left over in one tile of exactly their
+    /// width — no lane computes a sum nobody reads, and no padded copy of
+    /// `dy` is made.
     fn input_grad_simd(&self, dy: &Batch, dx: &mut Batch) {
         let n = dx.n();
         let whole = n - n % TILE_E;
         for e in (0..whole).step_by(TILE_E) {
-            self.input_grad_tile(&dy.data()[e..], n, dx, e, TILE_E);
+            self.input_grad_tile::<TILE_E>(dy, dx, e);
         }
-        if whole < n {
-            let mut padded = vec![0.0; self.out_dim * TILE_E];
-            for (o, tile_row) in padded.chunks_exact_mut(TILE_E).enumerate() {
-                tile_row[..n - whole].copy_from_slice(&dy.feature_row(o)[whole..]);
-            }
-            self.input_grad_tile(&padded, TILE_E, dx, whole, n - whole);
+        match n - whole {
+            0 => {}
+            1 => self.input_grad_tile::<1>(dy, dx, whole),
+            2 => self.input_grad_tile::<2>(dy, dx, whole),
+            3 => self.input_grad_tile::<3>(dy, dx, whole),
+            4 => self.input_grad_tile::<4>(dy, dx, whole),
+            5 => self.input_grad_tile::<5>(dy, dx, whole),
+            6 => self.input_grad_tile::<6>(dy, dx, whole),
+            _ => self.input_grad_tile::<7>(dy, dx, whole),
         }
     }
 
-    /// One example tile of the input gradient: register tiles of
-    /// [`TILE_I`] input features × [`TILE_E`] examples, streaming each
-    /// `dy` tile row once per register tile.  `dy` is feature-major with
-    /// row length `stride` and starts at the tile's first example; of
-    /// examples `e..e + TILE_E` of `dx` the first `width` exist and are
-    /// written.
-    fn input_grad_tile(&self, dy: &[f64], stride: usize, dx: &mut Batch, e: usize, width: usize) {
+    /// Examples `e..e + W` of the input gradient: register tiles of
+    /// [`TILE_I`] input features × `W` examples, streaming each `dy` row
+    /// segment once per register tile, then the `in_dim % TILE_I` inputs
+    /// left over one at a time.
+    fn input_grad_tile<const W: usize>(&self, dy: &Batch, dx: &mut Batch, e: usize) {
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
         let dy_tile =
-            |o: usize| -> &[f64; TILE_E] { dy[o * stride..][..TILE_E].try_into().expect("tile") };
+            |o: usize| -> &[f64; W] { dy.feature_row(o)[e..e + W].try_into().expect("tile") };
         let mut i = 0;
         while i + TILE_I <= in_dim {
-            let mut acc = [[0.0f64; TILE_E]; TILE_I];
+            let mut acc = [[0.0f64; W]; TILE_I];
             for o in 0..out_dim {
                 let gv = dy_tile(o);
                 for (ib, row) in acc.iter_mut().enumerate() {
@@ -370,19 +451,19 @@ impl Linear {
                 }
             }
             for (ib, row) in acc.iter().enumerate() {
-                dx.feature_row_mut(i + ib)[e..e + width].copy_from_slice(&row[..width]);
+                dx.feature_row_mut(i + ib)[e..e + W].copy_from_slice(row);
             }
             i += TILE_I;
         }
         while i < in_dim {
-            let mut acc = [0.0f64; TILE_E];
+            let mut acc = [0.0f64; W];
             for o in 0..out_dim {
                 let w_io = self.w.data[i * out_dim + o];
                 for (a, &ge) in acc.iter_mut().zip(dy_tile(o)) {
                     *a += w_io * ge;
                 }
             }
-            dx.feature_row_mut(i)[e..e + width].copy_from_slice(&acc[..width]);
+            dx.feature_row_mut(i)[e..e + W].copy_from_slice(&acc);
             i += 1;
         }
     }
@@ -449,14 +530,37 @@ pub struct MlpCache {
     pre_activations: Vec<Vec<f64>>,
 }
 
-/// Batched forward-pass cache needed by [`Mlp::backward_batch`].
+/// Batched forward-pass cache needed by [`Mlp::backward_batch`]: every
+/// layer's input and the last layer's output.  Reusable: a long-lived
+/// cache filled by [`Mlp::forward_batch_cached_into`] keeps its buffers.
 #[derive(Debug, Clone, Default)]
 pub struct MlpBatchCache {
-    /// Input and all post-activation batches (`activations[0]` is the
-    /// input batch).
-    activations: Vec<Batch>,
-    /// Pre-activation batches per layer.
-    pre_activations: Vec<Batch>,
+    /// Input of every layer: `inputs[0]` is the MLP's input, `inputs[l]`
+    /// the post-activation output of layer `l - 1`.
+    inputs: Vec<Batch>,
+    /// Output of the last layer.
+    output: Batch,
+}
+
+impl MlpBatchCache {
+    /// The input batch of the next [`Mlp::forward_batch_cached_into`],
+    /// for the caller to fill (resize, then write).
+    pub fn input_mut(&mut self) -> &mut Batch {
+        if self.inputs.is_empty() {
+            self.inputs.push(Batch::default());
+        }
+        &mut self.inputs[0]
+    }
+}
+
+/// Reusable buffers of the batched backward ([`Mlp::backward_batch_into`],
+/// [`Mlp::backward_batch_params_into`]): the layers' input gradients,
+/// ping-ponged, and `dy` transposed for the weight gradient.
+#[derive(Debug, Clone, Default)]
+pub struct BatchBackwardScratch {
+    a: Batch,
+    b: Batch,
+    dy_t: Vec<f64>,
 }
 
 /// A multi-layer perceptron: `dims[0] → dims[1] → … → dims[last]`, with the
@@ -706,28 +810,75 @@ impl Mlp {
 
     /// [`Mlp::forward_batch_cached`] with an explicit kernel choice.
     pub fn forward_batch_cached_with(&self, kind: KernelKind, x: Batch) -> (Batch, MlpBatchCache) {
-        let n = x.n();
-        let num_layers = self.layers.len();
         let mut cache = MlpBatchCache {
-            activations: Vec::with_capacity(num_layers),
-            pre_activations: Vec::with_capacity(num_layers.saturating_sub(1)),
+            inputs: vec![x],
+            output: Batch::default(),
         };
-        let mut current = x;
+        self.forward_batch_cached_into(kind, &mut cache);
+        (std::mem::take(&mut cache.output), cache)
+    }
+
+    /// Batched forward pass through a reusable cache: reads the input the
+    /// caller wrote into [`MlpBatchCache::input_mut`], records every
+    /// layer's input in place and returns the output (kept in the cache).
+    /// Bit-identical to [`Mlp::forward_batch_cached`]; with a cache sized
+    /// by [`Mlp::reserve_cache`] it performs no heap allocation.
+    pub fn forward_batch_cached_into<'c>(
+        &self,
+        kind: KernelKind,
+        cache: &'c mut MlpBatchCache,
+    ) -> &'c Batch {
+        let n = cache.input_mut().n();
+        let num_layers = self.layers.len();
+        if num_layers == 0 {
+            cache.output.clone_from(&cache.inputs[0]);
+            return &cache.output;
+        }
+        cache.inputs.resize_with(num_layers, Batch::default);
         for (l, layer) in self.layers.iter().enumerate() {
-            let mut out = Batch::zeros(layer.out_dim, n);
-            layer.forward_batch(kind, &current, &mut out);
-            // The cache keeps each layer's *input*; the final output is
-            // returned to the caller and never needed for backprop.
-            cache.activations.push(current);
-            if l + 1 < num_layers {
-                cache.pre_activations.push(out.clone());
+            let (done, rest) = cache.inputs.split_at_mut(l + 1);
+            let hidden = l + 1 < num_layers;
+            let out = if hidden {
+                &mut rest[0]
+            } else {
+                &mut cache.output
+            };
+            out.resize(layer.out_dim, n);
+            layer.forward_batch(kind, &done[l], out);
+            if hidden {
                 for v in out.data_mut() {
                     *v = self.activation.apply(*v);
                 }
             }
-            current = out;
         }
-        (current, cache)
+        &cache.output
+    }
+
+    /// Size `cache` for batches of up to `n` examples through this MLP,
+    /// so no later [`Mlp::forward_batch_cached_into`] of at most `n`
+    /// examples grows a buffer.
+    pub fn reserve_cache(&self, cache: &mut MlpBatchCache, n: usize) {
+        cache
+            .inputs
+            .resize_with(self.layers.len().max(1), Batch::default);
+        for (input, layer) in cache.inputs.iter_mut().zip(&self.layers) {
+            input.reserve(layer.in_dim, n);
+        }
+        cache.output.reserve(self.output_dim(), n);
+    }
+
+    /// Size `scratch` for backward passes of up to `n` examples through
+    /// this MLP (only ever grows, so one scratch can be sized for several
+    /// MLPs in turn).
+    pub fn reserve_backward(&self, scratch: &mut BatchBackwardScratch, n: usize) {
+        let widest = self.layers.iter().map(|l| l.in_dim).max().unwrap_or(0);
+        let widest_out = self.layers.iter().map(|l| l.out_dim).max().unwrap_or(0);
+        scratch.a.reserve(widest, n);
+        scratch.b.reserve(widest, n);
+        let dy_t = widest_out * n;
+        scratch
+            .dy_t
+            .reserve(dy_t.saturating_sub(scratch.dy_t.len()));
     }
 
     /// Batched backpropagation: push `d_out` (gradient w.r.t. the batched
@@ -746,38 +897,106 @@ impl Mlp {
         cache: &MlpBatchCache,
         d_out: &Batch,
     ) -> Batch {
-        let n = d_out.n();
-        let num_layers = self.layers.len();
-        let mut grad = d_out.clone();
+        let mut scratch = BatchBackwardScratch::default();
+        let in_a = self.backward_layers(kind, cache, d_out, &mut scratch, true);
+        std::mem::take(if in_a { &mut scratch.a } else { &mut scratch.b })
+    }
+
+    /// [`Mlp::backward_batch`] through reusable buffers: the input
+    /// gradient is returned from `scratch`.  Bit-identical to
+    /// [`Mlp::backward_batch`]; with a scratch sized by
+    /// [`Mlp::reserve_backward`] it performs no heap allocation.
+    pub fn backward_batch_into<'s>(
+        &mut self,
+        kind: KernelKind,
+        cache: &MlpBatchCache,
+        d_out: &Batch,
+        scratch: &'s mut BatchBackwardScratch,
+    ) -> &'s Batch {
+        if self.backward_layers(kind, cache, d_out, scratch, true) {
+            &scratch.a
+        } else {
+            &scratch.b
+        }
+    }
+
+    /// [`Mlp::backward_batch_into`] for a caller that discards the input
+    /// gradient: the parameter gradients, bit for bit, without computing
+    /// the first layer's input gradient.
+    pub fn backward_batch_params_into(
+        &mut self,
+        kind: KernelKind,
+        cache: &MlpBatchCache,
+        d_out: &Batch,
+        scratch: &mut BatchBackwardScratch,
+    ) {
+        self.backward_layers(kind, cache, d_out, scratch, false);
+    }
+
+    /// The batched backward over every layer, last to first: layer `l`'s
+    /// input gradient lands in `scratch.a` or `scratch.b` (alternating,
+    /// starting with `a` for the last layer) and, scaled by the
+    /// activation derivative, is the next layer's `dy`.  Returns whether
+    /// the final input gradient is in `a`.
+    fn backward_layers(
+        &mut self,
+        kind: KernelKind,
+        cache: &MlpBatchCache,
+        d_out: &Batch,
+        scratch: &mut BatchBackwardScratch,
+        input_grad: bool,
+    ) -> bool {
+        let BatchBackwardScratch { a, b, dy_t } = scratch;
+        if self.layers.is_empty() {
+            a.resize(d_out.dim(), d_out.n());
+            a.data_mut().copy_from_slice(d_out.data());
+            return true;
+        }
+        assert_eq!(
+            cache.inputs.len(),
+            self.layers.len(),
+            "backward_batch: the cache was not recorded by this MLP"
+        );
+        let activation = self.activation;
+        // `None`: the current `dy` is `d_out`; `Some(in_a)`: it is the
+        // input gradient the layer above left in `a` or `b`.
+        let mut dy_in_a = None;
         for (l, layer) in self.layers.iter_mut().enumerate().rev() {
-            let is_last = l + 1 == num_layers;
-            if !is_last {
-                let pre = &cache.pre_activations[l];
-                for (g, p) in grad.data_mut().iter_mut().zip(pre.data()) {
-                    *g *= self.activation.derivative(*p);
+            let (dy, dx) = match dy_in_a {
+                None => (d_out, &mut *a),
+                Some(true) => (&*a, &mut *b),
+                Some(false) => (&*b, &mut *a),
+            };
+            let x = &cache.inputs[l];
+            if l == 0 && !input_grad {
+                layer.backward_batch(kind, x, dy, None, dy_t);
+                break;
+            }
+            dx.resize(layer.in_dim, x.n());
+            layer.backward_batch(kind, x, dy, Some(&mut *dx), dy_t);
+            if l > 0 {
+                // `x` is layer `l - 1`'s post-activation output: same sign
+                // as its pre-activation, so the same derivative.
+                for (g, &y) in dx.data_mut().iter_mut().zip(x.data()) {
+                    *g *= activation.derivative(y);
                 }
             }
-            let mut dx = Batch::zeros(layer.in_dim, n);
-            layer.backward_batch(kind, &cache.activations[l], &grad, &mut dx);
-            grad = dx;
+            dy_in_a = Some(!dy_in_a.unwrap_or(false));
         }
-        grad
+        dy_in_a.unwrap_or(true)
     }
 
     /// Read-only access to every parameter buffer, in the same order as
     /// [`Mlp::params_mut`] (weights then bias, layer by layer) — the fixed
     /// order used for flat gradient export/reduction.  A weight buffer is
     /// in its in-memory order, input-major (`w[i * out_dim + o]`).
-    pub fn params(&self) -> Vec<&ParamBuf> {
-        self.layers.iter().flat_map(|l| [&l.w, &l.b]).collect()
+    pub fn params(&self) -> impl Iterator<Item = &ParamBuf> + '_ {
+        self.layers.iter().flat_map(|l| [&l.w, &l.b])
     }
 
     /// Mutable access to every parameter buffer (for the optimizer).
-    pub fn params_mut(&mut self) -> Vec<&mut ParamBuf> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| [&mut l.w, &mut l.b])
-            .collect()
+    pub fn params_mut(&mut self) -> impl Iterator<Item = &mut ParamBuf> + '_ {
+        self.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b])
     }
 
     /// Zero all parameter gradients.
@@ -792,6 +1011,11 @@ impl Mlp {
 mod tests {
     use super::*;
 
+    /// Parameter buffer `k` in [`Mlp::params_mut`] order.
+    fn param(mlp: &mut Mlp, k: usize) -> &mut ParamBuf {
+        mlp.params_mut().nth(k).expect("parameter buffer")
+    }
+
     /// Numerical gradient check: compare analytic input/parameter gradients
     /// against central finite differences on a scalar loss.
     #[test]
@@ -805,24 +1029,20 @@ mod tests {
         let (out, cache) = mlp.forward_cached(&x);
         let d_out = vec![2.0 * (out[0] - target)];
         mlp.backward(&cache, &d_out);
-        let analytic: Vec<f64> = mlp
-            .params_mut()
-            .iter()
-            .flat_map(|p| p.grad.clone())
-            .collect();
+        let analytic: Vec<f64> = mlp.params().flat_map(|p| p.grad.clone()).collect();
 
         // Finite differences.
         let eps = 1e-6;
         let mut numeric = Vec::with_capacity(analytic.len());
-        let num_params: Vec<usize> = mlp.params_mut().iter().map(|p| p.len()).collect();
+        let num_params: Vec<usize> = mlp.params().map(|p| p.len()).collect();
         for (pi, &len) in num_params.iter().enumerate() {
             for j in 0..len {
-                let orig = mlp.params_mut()[pi].data[j];
-                mlp.params_mut()[pi].data[j] = orig + eps;
+                let orig = param(&mut mlp, pi).data[j];
+                param(&mut mlp, pi).data[j] = orig + eps;
                 let up = (mlp.forward(&x)[0] - target).powi(2);
-                mlp.params_mut()[pi].data[j] = orig - eps;
+                param(&mut mlp, pi).data[j] = orig - eps;
                 let down = (mlp.forward(&x)[0] - target).powi(2);
-                mlp.params_mut()[pi].data[j] = orig;
+                param(&mut mlp, pi).data[j] = orig;
                 numeric.push((up - down) / (2.0 * eps));
             }
         }
@@ -882,23 +1102,19 @@ mod tests {
             mlp.zero_grad();
             let (out, cache) = mlp.forward_cached(&x);
             mlp.backward(&cache, &[1.0]);
-            let analytic: Vec<f64> = mlp
-                .params_mut()
-                .iter()
-                .flat_map(|p| p.grad.clone())
-                .collect();
+            let analytic: Vec<f64> = mlp.params().flat_map(|p| p.grad.clone()).collect();
 
             let eps = 1e-6;
-            let num_params: Vec<usize> = mlp.params_mut().iter().map(|p| p.len()).collect();
+            let num_params: Vec<usize> = mlp.params().map(|p| p.len()).collect();
             let mut k = 0;
             for (pi, &len) in num_params.iter().enumerate() {
                 for j in 0..len {
-                    let orig = mlp.params_mut()[pi].data[j];
-                    mlp.params_mut()[pi].data[j] = orig + eps;
+                    let orig = param(&mut mlp, pi).data[j];
+                    param(&mut mlp, pi).data[j] = orig + eps;
                     let up = mlp.forward(&x)[0];
-                    mlp.params_mut()[pi].data[j] = orig - eps;
+                    param(&mut mlp, pi).data[j] = orig - eps;
                     let down = mlp.forward(&x)[0];
-                    mlp.params_mut()[pi].data[j] = orig;
+                    param(&mut mlp, pi).data[j] = orig;
                     let numeric = (up - down) / (2.0 * eps);
                     assert!(
                         (analytic[k] - numeric).abs() < 1e-5 * (1.0 + numeric.abs()),
@@ -997,7 +1213,7 @@ mod tests {
                 let d = vec![2.0 * (out[0] - y) / data.len() as f64];
                 mlp.backward(&cache, &d);
             }
-            adam.step(&mut mlp.params_mut());
+            adam.step(mlp.params_mut());
         }
         let mse: f64 = data
             .iter()
@@ -1062,11 +1278,7 @@ mod tests {
             let (out, cache) = per_example.forward_cached(x);
             per_example.backward(&cache, &[2.0 * (out[0] - t)]);
         }
-        let reference: Vec<f64> = per_example
-            .params_mut()
-            .iter()
-            .flat_map(|p| p.grad.clone())
-            .collect();
+        let reference: Vec<f64> = per_example.params().flat_map(|p| p.grad.clone()).collect();
 
         let mut batched = Mlp::new(&[4, 8, 1], Activation::LeakyRelu, 3);
         batched.zero_grad();
@@ -1079,11 +1291,7 @@ mod tests {
         let d_in = batched.backward_batch(&cache, &d_out);
         assert_eq!(d_in.dim(), 4);
         assert_eq!(d_in.n(), n);
-        let got: Vec<f64> = batched
-            .params_mut()
-            .iter()
-            .flat_map(|p| p.grad.clone())
-            .collect();
+        let got: Vec<f64> = batched.params().flat_map(|p| p.grad.clone()).collect();
 
         assert_eq!(reference.len(), got.len());
         for (r, g) in reference.iter().zip(&got) {
@@ -1142,7 +1350,7 @@ mod tests {
                 d_out.set(0, e, 2.0 * (out.get(0, e) - y) / data.len() as f64);
             }
             mlp.backward_batch(&cache, &d_out);
-            adam.step(&mut mlp.params_mut());
+            adam.step(mlp.params_mut());
         }
         let mse: f64 = data
             .iter()
@@ -1155,8 +1363,8 @@ mod tests {
     #[test]
     fn params_and_params_mut_agree_on_order() {
         let mut mlp = Mlp::new(&[3, 4, 1], Activation::Relu, 9);
-        let ro: Vec<usize> = mlp.params().iter().map(|p| p.len()).collect();
-        let rw: Vec<usize> = mlp.params_mut().iter().map(|p| p.len()).collect();
+        let ro: Vec<usize> = mlp.params().map(|p| p.len()).collect();
+        let rw: Vec<usize> = mlp.params_mut().map(|p| p.len()).collect();
         assert_eq!(ro, rw);
         assert_eq!(ro, vec![12, 4, 4, 1]);
     }
@@ -1218,8 +1426,7 @@ mod tests {
             }
             let dx = mlp.backward_batch_with(kind, &cache, &d_out);
             let grads: Vec<u64> = mlp
-                .params_mut()
-                .iter()
+                .params()
                 .flat_map(|p| p.grad.iter().map(|g| g.to_bits()))
                 .collect();
             let dx_bits: Vec<u64> = dx.data().iter().map(|v| v.to_bits()).collect();
@@ -1227,6 +1434,40 @@ mod tests {
         }
         assert_eq!(results[0].0, results[1].0, "parameter gradient bits");
         assert_eq!(results[0].1, results[1].1, "input gradient bits");
+    }
+
+    /// One reused cache and backward scratch, across batches of different
+    /// widths, give the bits of fresh allocating calls; without the input
+    /// gradient the parameter gradients are the same bits.
+    #[test]
+    fn reused_cache_and_backward_scratch_match_fresh_calls() {
+        let template = Mlp::new(&[7, 12, 5, 3], Activation::LeakyRelu, 33);
+        let grads = |mlp: &Mlp| -> Vec<u64> { mlp.params().flat_map(|p| bits(&p.grad)).collect() };
+        let mut cache = MlpBatchCache::default();
+        let mut scratch = BatchBackwardScratch::default();
+        template.reserve_cache(&mut cache, 19);
+        template.reserve_backward(&mut scratch, 19);
+        for n in [11, 1, 19, 4] {
+            let batch = spread_batch(7, n, n as u64);
+            let d_out = spread_batch(3, n, n as u64 + 1);
+            let mut fresh = template.clone();
+            let (out, fresh_cache) =
+                fresh.forward_batch_cached_with(KernelKind::Simd, batch.clone());
+            let dx = fresh.backward_batch_with(KernelKind::Simd, &fresh_cache, &d_out);
+
+            let mut reused = template.clone();
+            cache.input_mut().clone_from(&batch);
+            let reused_out = reused.forward_batch_cached_into(KernelKind::Simd, &mut cache);
+            assert_eq!(bits(reused_out.data()), bits(out.data()), "n={n}");
+            let reused_dx =
+                reused.backward_batch_into(KernelKind::Simd, &cache, &d_out, &mut scratch);
+            assert_eq!(bits(reused_dx.data()), bits(dx.data()), "n={n}");
+            assert_eq!(grads(&reused), grads(&fresh), "n={n}");
+
+            let mut params_only = template.clone();
+            params_only.backward_batch_params_into(KernelKind::Simd, &cache, &d_out, &mut scratch);
+            assert_eq!(grads(&params_only), grads(&fresh), "n={n}");
+        }
     }
 
     /// `len` values with magnitudes spread over six decades, so a changed
@@ -1246,12 +1487,17 @@ mod tests {
         batch
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     /// One layer's batched kernels against their definitions, bit for bit
     /// under both kernels: from a non-zero starting gradient, every
     /// `w.grad` cell is `old + dot(dy row, x row)`, every `b.grad` cell
     /// `old + sum(dy row)`, every `dx` cell the sequential-over-`o` sum,
     /// and column `e` of `forward_batch` the per-example forward of
-    /// example `e`.
+    /// example `e`.  A backward without `dx` leaves the same parameter
+    /// gradients.
     fn assert_batched_layer_matches_definitions(
         in_dim: usize,
         out_dim: usize,
@@ -1264,12 +1510,40 @@ mod tests {
         fresh.b.grad = spread(out_dim, seed + 3);
         let x = spread_batch(in_dim, n, seed + 4);
         let dy = spread_batch(out_dim, n, seed + 5);
+        assert_batched_backward_matches_definitions(&fresh, &x, &dy);
+        for kind in [KernelKind::Simd, KernelKind::Scalar] {
+            let shape = format!("{kind:?} {in_dim}x{out_dim} n={n}");
+            let mut out = Batch::zeros(out_dim, n);
+            out.data_mut().fill(f64::NAN);
+            fresh.forward_batch(kind, &x, &mut out);
+            let mut column = Vec::new();
+            for e in 0..n {
+                fresh.forward(KernelKind::Scalar, &x.example(e), &mut column);
+                for (o, expected) in column.iter().enumerate() {
+                    assert_eq!(
+                        out.get(o, e).to_bits(),
+                        expected.to_bits(),
+                        "{shape} out ({o},{e})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The backward half of [`assert_batched_layer_matches_definitions`],
+    /// for any starting layer and batches.
+    fn assert_batched_backward_matches_definitions(fresh: &Linear, x: &Batch, dy: &Batch) {
+        let (in_dim, out_dim, n) = (fresh.in_dim, fresh.out_dim, x.n());
         for kind in [KernelKind::Simd, KernelKind::Scalar] {
             let shape = format!("{kind:?} {in_dim}x{out_dim} n={n}");
             let mut layer = fresh.clone();
             let mut dx = Batch::zeros(in_dim, n);
             dx.data_mut().fill(f64::NAN);
-            layer.backward_batch(kind, &x, &dy, &mut dx);
+            layer.backward_batch(kind, x, dy, Some(&mut dx), &mut Vec::new());
+            let mut params_only = fresh.clone();
+            params_only.backward_batch(kind, x, dy, None, &mut Vec::new());
+            assert_eq!(bits(&params_only.w.grad), bits(&layer.w.grad), "{shape}");
+            assert_eq!(bits(&params_only.b.grad), bits(&layer.b.grad), "{shape}");
             for o in 0..out_dim {
                 let dy_row = dy.feature_row(o);
                 let expected = fresh.b.grad[o] + kernel::sum(KernelKind::Scalar, dy_row);
@@ -1301,21 +1575,6 @@ mod tests {
                     );
                 }
             }
-
-            let mut out = Batch::zeros(out_dim, n);
-            out.data_mut().fill(f64::NAN);
-            fresh.forward_batch(kind, &x, &mut out);
-            let mut column = Vec::new();
-            for e in 0..n {
-                fresh.forward(KernelKind::Scalar, &x.example(e), &mut column);
-                for (o, expected) in column.iter().enumerate() {
-                    assert_eq!(
-                        out.get(o, e).to_bits(),
-                        expected.to_bits(),
-                        "{shape} out ({o},{e})"
-                    );
-                }
-            }
         }
     }
 
@@ -1338,7 +1597,9 @@ mod tests {
     }
 
     /// The zero-shot model's own layer shapes (node encoders, combine,
-    /// output head) at batch widths around the example tile.
+    /// output head) at every batch width up to 17 — each width the weight
+    /// gradient is compiled for, each `n % 4` and `n % 8` remainder — and
+    /// at 32.
     #[test]
     fn batched_layer_kernels_equal_their_definitions_on_the_model_shapes() {
         for (in_dim, out_dim) in [
@@ -1352,9 +1613,34 @@ mod tests {
             (48, 32),
             (32, 1),
         ] {
-            for n in [1, 7, 8, 13, 32] {
+            for n in (1..=17).chain([32]) {
                 assert_batched_layer_matches_definitions(in_dim, out_dim, n, 9);
             }
+        }
+    }
+
+    /// A gradient cell holding `-0.0` whose products are all `-0.0`:
+    /// `old + dot` is `-0.0 + (0.0 + -0.0) = +0.0`, where a lane or tail
+    /// seeded with the old value (or a dropped `0.0 +`) would leave `-0.0`.
+    #[test]
+    fn a_negative_zero_gradient_plus_negative_zero_products_is_positive_zero() {
+        let (in_dim, out_dim) = (5, 48);
+        let mut fresh = Linear::new(in_dim, out_dim, &mut StdRng::seed_from_u64(3));
+        fresh.w.grad.fill(-0.0);
+        fresh.b.grad.fill(-0.0);
+        for n in 1..=17 {
+            let x = Batch::zeros(in_dim, n);
+            let mut dy = spread_batch(out_dim, n, 5);
+            for v in dy.data_mut() {
+                *v = -v.abs() - 1.0;
+            }
+            assert_batched_backward_matches_definitions(&fresh, &x, &dy);
+            let mut layer = fresh.clone();
+            layer.backward_batch(KernelKind::Simd, &x, &dy, None, &mut Vec::new());
+            assert!(
+                layer.w.grad.iter().all(|g| g.to_bits() == 0),
+                "n={n}: -0.0 + (0.0 + -0.0) must be +0.0"
+            );
         }
     }
 
@@ -1378,7 +1664,8 @@ mod tests {
             KernelKind::Simd,
             &Batch::zeros(3, 5),
             &Batch::zeros(4, 6),
-            &mut Batch::zeros(3, 5),
+            Some(&mut Batch::zeros(3, 5)),
+            &mut Vec::new(),
         );
     }
 
@@ -1389,8 +1676,8 @@ mod tests {
     fn forward_uses_the_canonical_lane_order() {
         let mut mlp = Mlp::new(&[6, 1], Activation::Identity, 0);
         let w = [1e16, 1.0, -1e16, 1.0, 0.5, 0.25];
-        mlp.params_mut()[0].data.copy_from_slice(&w);
-        mlp.params_mut()[1].data[0] = 0.125;
+        param(&mut mlp, 0).data.copy_from_slice(&w);
+        param(&mut mlp, 1).data[0] = 0.125;
         let x = vec![1.0; 6];
         let expected: f64 = 0.125 + (((1e16 + 1.0) + (-1e16 + 1.0)) + (0.5 + 0.25));
         let mut scratch = ForwardScratch::default();
@@ -1452,7 +1739,7 @@ mod tests {
                 }
                 mlp.backward_batch_with(kind, &cache, &d_out);
                 if round == 0 {
-                    adam.step(&mut mlp.params_mut());
+                    adam.step(mlp.params_mut());
                 }
             }
             let json = serde_json::to_string(&mlp).unwrap();

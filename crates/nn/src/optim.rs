@@ -35,9 +35,9 @@ impl Adam {
     }
 
     /// Apply one update to all parameters and clear their gradients.
-    pub fn step(&mut self, params: &mut [&mut ParamBuf]) {
+    pub fn step<'a>(&mut self, params: impl IntoIterator<Item = &'a mut ParamBuf>) {
         self.t += 1;
-        for p in params.iter_mut() {
+        for p in params {
             p.adam_step(self.lr, self.beta1, self.beta2, self.eps, self.t);
             p.zero_grad();
         }
@@ -53,7 +53,7 @@ mod tests {
         let mut adam = Adam::new(0.01);
         let mut p = ParamBuf::new(vec![1.0]);
         p.grad[0] = 1.0;
-        adam.step(&mut [&mut p]);
+        adam.step([&mut p]);
         assert_eq!(adam.steps(), 1);
         assert_eq!(p.grad[0], 0.0);
         assert!(p.data[0] < 1.0);
@@ -67,7 +67,7 @@ mod tests {
         for _ in 0..1500 {
             a.grad[0] = 2.0 * a.data[0];
             b.grad[0] = 2.0 * b.data[0];
-            adam.step(&mut [&mut a, &mut b]);
+            adam.step([&mut a, &mut b]);
         }
         assert!(a.data[0].abs() < 0.05);
         assert!(b.data[0].abs() < 0.05);

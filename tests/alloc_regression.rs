@@ -194,6 +194,59 @@ fn warm_hot_path_stays_zero_alloc_with_flight_recorder_enabled() {
     );
 }
 
+/// A warm training step allocates nothing.  With one thread, no
+/// validation split and patience 0, a third epoch of `Trainer::train` on
+/// a fixed 128-graph corpus (8 steps of 16 graphs, 2 shards each) costs
+/// at most [`PER_EPOCH`] more allocations than two epochs: the two
+/// vectors of the epoch's training-curve median q-error, and nothing per
+/// step.  The trainer's per-replica scratch is sized from the corpus
+/// before the first step, so no shuffle makes a later step outgrow it.
+#[test]
+fn warm_training_steps_do_not_allocate() {
+    use zero_shot_db::engine::QueryRunner;
+    use zero_shot_db::query::WorkloadGenerator;
+    use zero_shot_db::zeroshot::features::featurize_execution;
+    use zero_shot_db::zeroshot::{
+        FeaturizerConfig, ModelConfig, PlanGraph, Trainer, TrainingConfig,
+    };
+
+    /// Allocations one more epoch may add: the q-errors and the sorted
+    /// copy `median` takes of them.
+    const PER_EPOCH: u64 = 2;
+
+    let db = Database::generate(presets::imdb_like(0.02), 29);
+    let queries = WorkloadGenerator::with_defaults().generate(db.catalog(), 128, 29);
+    let graphs: Vec<PlanGraph> = QueryRunner::with_defaults(&db)
+        .run_workload(&queries, 0)
+        .iter()
+        .map(|e| featurize_execution(db.catalog(), e, FeaturizerConfig::exact()))
+        .collect();
+    let allocations_to_train = |epochs: usize| {
+        let trainer = Trainer::new(
+            ModelConfig::default(),
+            TrainingConfig {
+                epochs,
+                threads: 1,
+                validation_fraction: 0.0,
+                early_stopping_patience: 0,
+                ..TrainingConfig::default()
+            },
+            FeaturizerConfig::exact(),
+        );
+        let before = allocations();
+        let trained = trainer.train(&graphs);
+        let spent = allocations() - before;
+        assert_eq!(trained.training_curve.len(), epochs);
+        spent
+    };
+    let (two, three) = (allocations_to_train(2), allocations_to_train(3));
+    assert!(
+        three - two <= PER_EPOCH,
+        "one more epoch of 8 steps allocated {} times (2 epochs: {two}, 3 epochs: {three})",
+        three - two
+    );
+}
+
 #[test]
 fn counting_allocator_is_installed() {
     let before = allocations();
