@@ -199,9 +199,9 @@ fn main() {
     let multi = multi_trainer.train(&samples);
     println!(
         "  final train q-errors: cost {:.3} · root card {:.3} · op card {:.3}\n",
-        multi.final_train_qerrors.cost,
-        multi.final_train_qerrors.root_card,
-        multi.final_train_qerrors.op_card
+        multi.final_train_qerror.cost,
+        multi.final_train_qerror.root_card,
+        multi.final_train_qerror.op_card
     );
 
     // ---- Held-out database and workload -------------------------------
@@ -227,7 +227,7 @@ fn main() {
 
     // ---- Cost head vs single-task vs MSCN -----------------------------
     let eval_graphs: Vec<&zsdb_core::PlanGraph> = eval_samples.iter().map(|s| &s.graph).collect();
-    let multi_predictions = multi.predict_batch(&eval_graphs);
+    let multi_predictions = multi.model.predict_batch(&eval_graphs);
     let cost_multitask: Vec<f64> = multi_predictions
         .iter()
         .zip(eval)

@@ -22,9 +22,8 @@
 
 use crate::arena::GraphArena;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use zsdb_catalog::{ColumnRef, SchemaCatalog, TableId};
+use zsdb_engine::fingerprint::Fnv64;
 use zsdb_engine::{ExecutedNode, PhysOperator, PhysOperatorKind, PlanNode, QueryExecution};
 use zsdb_query::{Aggregate, CmpOp, Predicate};
 
@@ -450,14 +449,14 @@ fn push_zeros(out: &mut Vec<f64>, n: usize) {
 }
 
 /// Append the hashed-identity one-hot of `name` in place (ablation mode).
+/// The slot is the FNV-1a of the name's bytes, so the ablation's graphs
+/// do not depend on the toolchain (`std`'s `DefaultHasher` does not
+/// promise its algorithm across releases).
 fn push_hashed_one_hot(out: &mut Vec<f64>, name: &str) {
-    let mut hasher = DefaultHasher::new();
-    name.hash(&mut hasher);
-    push_one_hot(
-        out,
-        (hasher.finish() % HASH_SLOTS as u64) as usize,
-        HASH_SLOTS,
-    );
+    let mut hash = Fnv64::new();
+    name.bytes().for_each(|b| hash.write_u8(b));
+    let slot = (hash.finish() % HASH_SLOTS as u64) as usize;
+    push_one_hot(out, slot, HASH_SLOTS);
 }
 
 fn log1p(x: f64) -> f64 {
@@ -580,6 +579,22 @@ mod tests {
             // Statistics slots are zeroed in the ablation mode.
             assert_eq!(&node.features[0..3], &[0.0, 0.0, 0.0]);
             assert_eq!(node.features[3..].iter().sum::<f64>(), 1.0);
+        }
+    }
+
+    #[test]
+    fn hashed_one_hot_slots_are_pinned() {
+        for (name, slot) in [
+            ("title", 9),
+            ("movie_companies", 15),
+            ("title.production_year", 10),
+            ("title.id", 0),
+        ] {
+            let mut features = Vec::new();
+            push_hashed_one_hot(&mut features, name);
+            let mut expected = vec![0.0; HASH_SLOTS];
+            expected[slot] = 1.0;
+            assert_eq!(features, expected, "{name}");
         }
     }
 

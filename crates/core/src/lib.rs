@@ -53,7 +53,7 @@ pub use features::{
 pub use fingerprint::{graph_fingerprint, plan_fingerprint};
 pub use model::{InferenceScratch, ModelConfig, PlanEncoder, ZeroShotCostModel};
 pub use train::{
-    few_shot_finetune, few_shot_finetune_with, FinetuneConfig, ModelTrainer, Trainable,
-    TrainedModel, Trainer, TrainingConfig, TrainingRun,
+    few_shot_finetune, few_shot_finetune_with, FinetuneConfig, ModelTrainer, Trainable, Trained,
+    TrainedModel, Trainer, TrainingConfig,
 };
 pub use whatif::WhatIfCostEstimator;

@@ -104,11 +104,6 @@ impl PlanEncoder {
         self.hidden_dim
     }
 
-    /// Total number of trainable encoder parameters.
-    pub fn num_parameters(&self) -> usize {
-        self.encoders.iter().map(Mlp::num_parameters).sum::<usize>() + self.combine.num_parameters()
-    }
-
     /// Every parameter buffer in canonical order (encoders by node kind,
     /// then combine; weights before bias per layer).
     pub fn params(&self) -> impl Iterator<Item = &zsdb_nn::ParamBuf> + '_ {
@@ -190,11 +185,6 @@ impl ZeroShotCostModel {
     /// The shared plan-graph encoder.
     pub fn encoder(&self) -> &PlanEncoder {
         &self.encoder
-    }
-
-    /// Total number of trainable parameters.
-    pub fn num_parameters(&self) -> usize {
-        self.encoder.num_parameters() + self.output.num_parameters()
     }
 
     /// Predict the runtime (in seconds) of a featurized plan.

@@ -50,14 +50,9 @@
 //! forward + backward, reduction, Adam and validation seconds, which sum
 //! to the epoch; without one the loop reads no clock.
 //!
-//! The loop returns an in-memory [`TrainingRun`]; each model packages it
-//! into its own concrete artifact struct ([`TrainedModel`] here).  One
-//! generic `Trained<M>` is not possible, for two reasons: the vendored
-//! `serde_derive` shim rejects generic types, and the two artifacts'
-//! on-disk field names differ (`final_train_qerror: f64` here,
-//! `final_train_qerrors: TaskQErrors` in the multi-task artifact, likewise
-//! the validation fields and the curves' element types) while the
-//! registry's artifact format version stays where it is.
+//! The loop returns the artifact itself, [`Trained<M>`]: the weights, the
+//! featurizer configuration and the run's q-errors, serialized the same
+//! way for every model ([`TrainedModel`] is the cost model's).
 
 use crate::batch::TrainScratch;
 use crate::features::{featurize_execution, FeaturizerConfig, PlanGraph};
@@ -209,21 +204,22 @@ pub const EVAL_CHUNK: usize = 32;
 /// [`Trainable::params_mut`].
 pub trait Trainable: Clone + Send + Sized {
     /// Hyper-parameters a fresh model is built from.
-    type Config: Clone + Debug;
+    type Config: Clone + Debug + Serialize + Deserialize;
     /// One labelled training example.
     type Sample: Sync;
     /// What the model predicts for one sample.
     type Prediction: Send;
     /// Median q-error(s) of a set of predictions (one number per task).
-    type QErrors: Copy;
-    /// The serializable artifact a finished [`TrainingRun`] is packaged as.
-    type Trained;
+    type QErrors: Copy + Serialize + Deserialize;
     /// Buffers one replica reuses across its forward + backward passes
     /// and batched evaluations — `()` for a model whose passes allocate.
     type Scratch: Default + Send;
 
     /// Create a freshly initialised model.
     fn new(config: Self::Config) -> Self;
+
+    /// The hyper-parameters the model was built from.
+    fn config(&self) -> &Self::Config;
 
     /// Every parameter buffer in the model's canonical order (weights
     /// before bias per layer).  This order is the order of the
@@ -275,11 +271,10 @@ pub trait Trainable: Clone + Send + Sized {
         true
     }
 
-    /// Package a finished run as the model's artifact.
-    fn into_trained(run: TrainingRun<Self>, featurizer: FeaturizerConfig) -> Self::Trained;
-
-    /// The model and featurizer configuration inside an artifact.
-    fn from_trained(trained: &Self::Trained) -> (&Self, FeaturizerConfig);
+    /// Number of trainable parameters.
+    fn num_parameters(&self) -> usize {
+        self.params().map(ParamBuf::len).sum()
+    }
 
     /// Zero all parameter gradients.
     fn zero_grad(&mut self) {
@@ -364,49 +359,46 @@ fn zip_params<M: Trainable>(dst: &mut M, src: &M, mut f: impl FnMut(&mut ParamBu
     assert!(from.next().is_none(), "model shapes differ");
 }
 
-/// What one run of the training loop produced, before a model packages it
-/// as its artifact ([`Trainable::into_trained`]).
-pub struct TrainingRun<M: Trainable> {
-    /// The returned weights (the best monitored epoch under early
-    /// stopping, the last epoch otherwise).
-    pub model: M,
-    /// Training q-errors of the returned weights.
-    pub final_train: M::QErrors,
-    /// Validation q-errors of the returned weights (`None` without a
-    /// validation split).
-    pub final_validation: Option<M::QErrors>,
-    /// Per-epoch q-errors of the epoch's own training forwards (one entry
-    /// per epoch actually run).
-    pub training_curve: Vec<M::QErrors>,
-    /// Per-epoch monitored validation q-error (empty without a split).
-    pub validation_curve: Vec<f64>,
-    /// Whether early stopping ended the run before the epoch cap.
-    pub stopped_early: bool,
-}
-
-/// A trained zero-shot model together with its featurizer configuration and
-/// training statistics.
+/// A trained model together with its featurizer configuration and
+/// training statistics: what the training loop returns and the registry
+/// stores.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TrainedModel {
-    /// The trained model.
-    pub model: ZeroShotCostModel,
+pub struct Trained<M: Trainable> {
+    /// The trained model (the best monitored epoch under early stopping,
+    /// the last epoch otherwise).
+    pub model: M,
     /// Featurizer configuration used during training (and required at
     /// inference time).
     pub featurizer: FeaturizerConfig,
-    /// Median training Q-error of the returned weights.
-    pub final_train_qerror: f64,
-    /// Median validation Q-error of the returned weights (`None` when no
+    /// Median training q-error(s) of the returned weights.
+    pub final_train_qerror: M::QErrors,
+    /// Median validation q-error(s) of the returned weights (`None` when no
     /// validation split was used).
-    pub final_validation_qerror: Option<f64>,
-    /// Per-epoch median training Q-errors (training curve; one entry per
-    /// epoch actually run).
-    pub training_curve: Vec<f64>,
-    /// Per-epoch median validation Q-errors (empty without a validation
+    pub final_validation_qerror: Option<M::QErrors>,
+    /// Per-epoch median q-error(s) of the epoch's own training forwards
+    /// (one entry per epoch actually run).
+    pub training_curve: Vec<M::QErrors>,
+    /// Per-epoch monitored validation q-error (empty without a validation
     /// split).
     pub validation_curve: Vec<f64>,
     /// Whether early stopping ended training before
     /// [`TrainingConfig::epochs`] epochs.
     pub stopped_early: bool,
+}
+
+/// A trained zero-shot cost model.
+pub type TrainedModel = Trained<ZeroShotCostModel>;
+
+impl<M: Trainable + Serialize + Deserialize> Trained<M> {
+    /// Serialize to JSON (for persistence).
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(self).expect("trained model serialization cannot fail")
+    }
+
+    /// Restore from JSON.
+    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
+        serde_json::from_str(json)
+    }
 }
 
 impl TrainedModel {
@@ -420,16 +412,6 @@ impl TrainedModel {
     pub fn predict_batch(&self, graphs: &[&PlanGraph]) -> Vec<f64> {
         self.model.predict_batch(graphs)
     }
-
-    /// Serialize to JSON (for persistence).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trained model serialization cannot fail")
-    }
-
-    /// Restore from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
 }
 
 impl Trainable for ZeroShotCostModel {
@@ -437,11 +419,14 @@ impl Trainable for ZeroShotCostModel {
     type Sample = PlanGraph;
     type Prediction = f64;
     type QErrors = f64;
-    type Trained = TrainedModel;
     type Scratch = TrainScratch;
 
     fn new(config: ModelConfig) -> Self {
         ZeroShotCostModel::new(config)
+    }
+
+    fn config(&self) -> &ModelConfig {
+        ZeroShotCostModel::config(self)
     }
 
     /// Encoders by node kind, then combine, then output.
@@ -491,22 +476,6 @@ impl Trainable for ZeroShotCostModel {
 
     fn is_labelled(graph: &PlanGraph) -> bool {
         graph.runtime_secs.is_some()
-    }
-
-    fn into_trained(run: TrainingRun<Self>, featurizer: FeaturizerConfig) -> TrainedModel {
-        TrainedModel {
-            model: run.model,
-            featurizer,
-            final_train_qerror: run.final_train,
-            final_validation_qerror: run.final_validation,
-            training_curve: run.training_curve,
-            validation_curve: run.validation_curve,
-            stopped_early: run.stopped_early,
-        }
-    }
-
-    fn from_trained(trained: &TrainedModel) -> (&Self, FeaturizerConfig) {
-        (&trained.model, trained.featurizer)
     }
 }
 
@@ -567,7 +536,7 @@ impl<M: Trainable> ModelTrainer<M> {
     /// trained on; early stopping monitors [`Trainable::monitored`] of
     /// the validation q-errors (of the training q-errors without a
     /// split).
-    pub fn train(&self, samples: &[M::Sample]) -> M::Trained {
+    pub fn train(&self, samples: &[M::Sample]) -> Trained<M> {
         let cfg = &self.training_config;
         // Split by index: samples from the same database are contiguous
         // in collection order, so a tail split approximates a
@@ -577,9 +546,8 @@ impl<M: Trainable> ModelTrainer<M> {
             (((samples.len() as f64) * cfg.validation_fraction) as usize).min(samples.len());
         let (train, val) = samples.split_at(samples.len() - val_len);
         let model = M::new(self.model_config.clone());
-        let tracer = self.tracer.as_ref();
-        let run = fit(model, train, val, cfg, "train.epoch_secs", tracer);
-        M::into_trained(run, self.featurizer)
+        let (event, tracer) = ("train.epoch_secs", self.tracer.as_ref());
+        fit(model, train, val, cfg, self.featurizer, event, tracer)
     }
 
     /// Incrementally fine-tune an already-trained model on newly observed
@@ -593,10 +561,10 @@ impl<M: Trainable> ModelTrainer<M> {
     /// fine-tuning with 1 thread and with N threads produces
     /// **bit-identical** weights.
     pub fn finetune_from(
-        trained: &M::Trained,
+        trained: &Trained<M>,
         samples: &[M::Sample],
         config: FinetuneConfig,
-    ) -> M::Trained {
+    ) -> Trained<M> {
         Self::finetune_from_traced(trained, samples, config, None)
     }
 
@@ -605,13 +573,12 @@ impl<M: Trainable> ModelTrainer<M> {
     /// [`ModelTrainer::with_tracer`]).  Tracing never changes the
     /// fine-tuned weights.
     pub fn finetune_from_traced(
-        trained: &M::Trained,
+        trained: &Trained<M>,
         samples: &[M::Sample],
         config: FinetuneConfig,
         tracer: Option<&Tracer>,
-    ) -> M::Trained {
+    ) -> Trained<M> {
         assert!(!samples.is_empty(), "fine-tuning needs at least one sample");
-        let (model, featurizer) = M::from_trained(trained);
         // Fine-tuning is training from the artifact's weights with no
         // validation split and no early stopping.
         let cfg = TrainingConfig {
@@ -627,15 +594,15 @@ impl<M: Trainable> ModelTrainer<M> {
             validation_fraction: 0.0,
             early_stopping_patience: 0,
         };
-        let run = fit(
-            model.clone(),
+        fit(
+            trained.model.clone(),
             samples,
             &[],
             &cfg,
+            trained.featurizer,
             "finetune.epoch_secs",
             tracer,
-        );
-        M::into_trained(run, featurizer)
+        )
     }
 }
 
@@ -663,16 +630,18 @@ impl Trainer {
 /// The training loop: `cfg.epochs` passes of shuffled mini-batch Adam
 /// over `train` starting from `model`, monitoring `val` (or the running
 /// training metric when `val` is empty) for early stopping, one `event`
-/// per epoch on `tracer`.  The caller has already split off `val`;
-/// `cfg.validation_fraction` is not read here.
+/// per epoch on `tracer`, packaged with `featurizer` as the artifact.  The
+/// caller has already split off `val`; `cfg.validation_fraction` is not
+/// read here.
 fn fit<M: Trainable>(
     mut model: M,
     train: &[M::Sample],
     val: &[M::Sample],
     cfg: &TrainingConfig,
+    featurizer: FeaturizerConfig,
     event: &'static str,
     tracer: Option<&Tracer>,
-) -> TrainingRun<M> {
+) -> Trained<M> {
     // Checked here rather than discovered inside a worker thread.
     assert!(
         train.iter().chain(val).all(M::is_labelled),
@@ -787,12 +756,13 @@ fn fit<M: Trainable>(
         None => (model, last_validation),
     };
     let scratch = &mut replicas[0].scratch;
-    let final_validation =
+    let final_validation_qerror =
         validation.or_else(|| (!val.is_empty()).then(|| model.evaluate_with(val, scratch)));
-    TrainingRun {
-        final_train: model.evaluate_with(train, scratch),
-        final_validation,
+    Trained {
+        final_train_qerror: model.evaluate_with(train, scratch),
+        final_validation_qerror,
         model,
+        featurizer,
         training_curve,
         validation_curve,
         stopped_early,

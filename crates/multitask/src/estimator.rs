@@ -153,7 +153,7 @@ impl<'a, F: CardinalityEstimator> LearnedCardEstimator<'a, F> {
     /// output is unusable (non-finite).
     fn learned_rows(&self, plan: &PlanNode, upper: f64) -> Option<f64> {
         let graph = featurize_plan(self.fallback.catalog(), plan, self.model.featurizer);
-        let rows = self.model.predict(&graph).root_rows;
+        let rows = self.model.model.predict(&graph).root_rows;
         rows.is_finite().then(|| rows.clamp(1.0, upper.max(1.0)))
     }
 }

@@ -100,7 +100,7 @@ impl TaskHead {
     ];
 
     /// Short stable name (used in manifests and reports).
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             TaskHead::Cost => "cost",
             TaskHead::RootCardinality => "root_cardinality",
@@ -188,14 +188,6 @@ impl MultiTaskModel {
     /// The shared plan-graph encoder.
     pub fn encoder(&self) -> &PlanEncoder {
         &self.encoder
-    }
-
-    /// Total number of trainable parameters across encoder and heads.
-    pub fn num_parameters(&self) -> usize {
-        self.encoder.num_parameters()
-            + self.cost_head.num_parameters()
-            + self.root_card_head.num_parameters()
-            + self.op_card_head.num_parameters()
     }
 
     /// Flat node ids of every plan-operator node across the mini-batch,

@@ -5,19 +5,17 @@
 //! says what that loop needs to know about the model
 //! (`impl Trainable for MultiTaskModel`: the parameter order, the joint
 //! forward + backward, how predictions become per-task q-errors, and that
-//! early stopping monitors the cost head) and defines the artifact the
-//! run is packaged as.  Epochs, batch and micro-batch sizes, threads,
-//! validation split and early stopping therefore mean exactly what they
-//! mean for the single-task trainer, and 1-thread and N-thread training
-//! produce **bit-identical** weights for every head.  (Why
-//! [`TrainedMultiTaskModel`] is not one generic artifact with
-//! [`zsdb_core::TrainedModel`]: see [`zsdb_core::train`].)
+//! early stopping monitors the cost head); the artifact is
+//! [`zsdb_core::Trained`] over the model.  Epochs, batch and micro-batch
+//! sizes, threads, validation split and early stopping therefore mean
+//! exactly what they mean for the single-task trainer, and 1-thread and
+//! N-thread training produce **bit-identical** weights for every head.
 
 use crate::model::{MultiTaskConfig, MultiTaskModel, MultiTaskPrediction};
 use crate::sample::MultiTaskSample;
 use serde::{Deserialize, Serialize};
-use zsdb_core::features::{FeaturizerConfig, PlanGraph};
-use zsdb_core::{ModelTrainer, Trainable, TrainingRun};
+use zsdb_core::features::PlanGraph;
+use zsdb_core::{ModelTrainer, Trainable, Trained};
 use zsdb_nn::{median, q_error, ParamBuf};
 
 /// Median q-error of every task head over one evaluation set.
@@ -42,52 +40,9 @@ pub fn task_qerrors(model: &MultiTaskModel, samples: &[MultiTaskSample]) -> Task
     model.evaluate(samples)
 }
 
-/// A trained multi-task model together with its featurizer configuration
-/// and per-task training statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TrainedMultiTaskModel {
-    /// The trained model.
-    pub model: MultiTaskModel,
-    /// Featurizer configuration used during training (required to
-    /// featurize requests identically at inference time).
-    pub featurizer: FeaturizerConfig,
-    /// Per-task median training q-errors of the returned weights.
-    pub final_train_qerrors: TaskQErrors,
-    /// Per-task median validation q-errors of the returned weights
-    /// (`None` without a validation split).
-    pub final_validation_qerrors: Option<TaskQErrors>,
-    /// Per-epoch per-task median q-errors of the epoch's own training
-    /// forwards (one entry per epoch actually run).
-    pub training_curve: Vec<TaskQErrors>,
-    /// Per-epoch monitored validation cost q-errors (empty without a
-    /// validation split).
-    pub validation_curve: Vec<f64>,
-    /// Whether early stopping ended training before the epoch cap.
-    pub stopped_early: bool,
-}
-
-impl TrainedMultiTaskModel {
-    /// Predict every task for one plan graph.
-    pub fn predict(&self, graph: &PlanGraph) -> MultiTaskPrediction {
-        self.model.predict(graph)
-    }
-
-    /// Batched all-task prediction, bit-identical per graph to
-    /// [`TrainedMultiTaskModel::predict`].
-    pub fn predict_batch(&self, graphs: &[&PlanGraph]) -> Vec<MultiTaskPrediction> {
-        self.model.predict_batch(graphs)
-    }
-
-    /// Serialize to JSON (for persistence).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trained model serialization cannot fail")
-    }
-
-    /// Restore from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-}
+/// A trained multi-task model: per-task q-errors in the statistics, and
+/// every head predicted by `.model`.
+pub type TrainedMultiTaskModel = Trained<MultiTaskModel>;
 
 /// Trainer for multi-task zero-shot models: all task heads are trained
 /// jointly, and early stopping monitors the validation cost q-error
@@ -100,11 +55,14 @@ impl Trainable for MultiTaskModel {
     type Sample = MultiTaskSample;
     type Prediction = MultiTaskPrediction;
     type QErrors = TaskQErrors;
-    type Trained = TrainedMultiTaskModel;
     type Scratch = ();
 
     fn new(config: MultiTaskConfig) -> Self {
         MultiTaskModel::new(config)
+    }
+
+    fn config(&self) -> &MultiTaskConfig {
+        MultiTaskModel::config(self)
     }
 
     /// Encoder (kind encoders, then combine), then the heads in
@@ -165,22 +123,6 @@ impl Trainable for MultiTaskModel {
     fn monitored(qerrors: &TaskQErrors) -> f64 {
         qerrors.cost
     }
-
-    fn into_trained(run: TrainingRun<Self>, featurizer: FeaturizerConfig) -> TrainedMultiTaskModel {
-        TrainedMultiTaskModel {
-            model: run.model,
-            featurizer,
-            final_train_qerrors: run.final_train,
-            final_validation_qerrors: run.final_validation,
-            training_curve: run.training_curve,
-            validation_curve: run.validation_curve,
-            stopped_early: run.stopped_early,
-        }
-    }
-
-    fn from_trained(trained: &TrainedMultiTaskModel) -> (&Self, FeaturizerConfig) {
-        (&trained.model, trained.featurizer)
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +130,7 @@ mod tests {
     use super::*;
     use crate::sample::sample_from_execution;
     use zsdb_catalog::presets;
-    use zsdb_core::{FinetuneConfig, TrainingConfig};
+    use zsdb_core::{FeaturizerConfig, FinetuneConfig, TrainingConfig};
     use zsdb_engine::QueryRunner;
     use zsdb_query::WorkloadGenerator;
     use zsdb_storage::Database;
@@ -230,7 +172,7 @@ mod tests {
         );
         let trained = trainer.train(&samples);
         let first = trained.training_curve.first().unwrap();
-        let last = trained.final_train_qerrors;
+        let last = trained.final_train_qerror;
         assert!(
             last.cost < first.cost,
             "cost q-error should improve: {} -> {}",
@@ -310,8 +252,8 @@ mod tests {
         );
         let trained = trainer.train(&samples);
         let restored = TrainedMultiTaskModel::from_json(&trained.to_json()).unwrap();
-        let a = trained.predict(&samples[0].graph);
-        let b = restored.predict(&samples[0].graph);
+        let a = trained.model.predict(&samples[0].graph);
+        let b = restored.model.predict(&samples[0].graph);
         assert_eq!(a.runtime_secs.to_bits(), b.runtime_secs.to_bits());
         assert_eq!(a.root_rows.to_bits(), b.root_rows.to_bits());
         assert_eq!(restored.featurizer, trained.featurizer);

@@ -27,8 +27,8 @@
 //!   plan answers **every** task head (cost, root cardinality,
 //!   per-operator cardinalities) from a single shared-encoder pass.  The
 //!   module is the answer type and the model's [`Servable`] impl, nothing
-//!   else; the registry stores multi-task artifacts with per-head
-//!   integrity probes.
+//!   else; the registry stores multi-task artifacts through the same
+//!   generic calls as cost-model ones, with per-head integrity probes.
 //! * [`cache`] — an LRU feature cache keyed by the structural plan
 //!   fingerprint ([`zsdb_core::fingerprint`]), so repeated query shapes
 //!   skip featurization entirely.
@@ -107,10 +107,7 @@ pub use multitask::{
 };
 pub use net::{NetServer, NetServerConfig, TenantPolicy};
 pub use provenance::{ProvenanceLog, ProvenanceSeed, MODEL_NAME};
-pub use registry::{
-    ArtifactManifest, IntegrityProbe, ModelRegistry, MultiTaskArtifactManifest,
-    MultiTaskIntegrityProbe, ARTIFACT_FORMAT_VERSION,
-};
+pub use registry::{ArtifactManifest, IntegrityProbe, ModelRegistry, ARTIFACT_FORMAT_VERSION};
 pub use server::{
     BatchPredictionTicket, BatchTicket, Placement, Prediction, PredictionServer, PredictionTicket,
     RejectedBatch, RejectedRequest, Servable, ServedModel, Server, ServerConfig, Ticket,

@@ -1,12 +1,14 @@
 //! Serving multi-task models: one submitted plan, **all** task heads
 //! answered.
 //!
-//! There is no second server here.  [`MultiTaskPredictionServer`] is the
-//! sharded engine of [`server`](crate::server) — fingerprint-routed
-//! bounded queues, work stealing, per-shard cache slices, arena
-//! featurization, hot-swap, tracing, provenance, the whole submission API
-//! — instantiated for [`TrainedMultiTaskModel`]; this module holds only
-//! the answer type and the model's [`Servable`] impl.  A request is
+//! There is no second server here, and no second registry path.
+//! [`MultiTaskPredictionServer`] is the sharded engine of
+//! [`server`](crate::server) — fingerprint-routed bounded queues, work
+//! stealing, per-shard cache slices, arena featurization, hot-swap,
+//! tracing, provenance, the whole submission API — instantiated for
+//! [`TrainedMultiTaskModel`], and the registry stores it through the same
+//! generic calls as the cost model; this module holds only the answer type
+//! and the model's [`Servable`] impl.  A request is
 //! featurized **once** and pushed through the shared encoder **once**;
 //! the cost, root-cardinality and per-operator heads all read that single
 //! pass — which is the point of the multi-task subsystem: the marginal
@@ -21,7 +23,7 @@ use crate::provenance::ProvenanceSeed;
 use crate::server::{BatchTicket, Placement, Servable, ServedModel, Server, Ticket};
 use std::time::Duration;
 use zsdb_core::{FeaturizerConfig, PlanGraph};
-use zsdb_multitask::{MultiTaskPrediction, TrainedMultiTaskModel};
+use zsdb_multitask::{MultiTaskPrediction, TaskHead, TrainedMultiTaskModel};
 use zsdb_obs::FlightClass;
 
 /// One answered multi-task request: every head's output from one submit.
@@ -70,6 +72,11 @@ impl ServedMultiTaskPrediction {
 
 impl Servable for TrainedMultiTaskModel {
     const NAME: &'static str = "zero-shot-multitask";
+    const TASK_HEADS: &'static [&'static str] = &[
+        TaskHead::Cost.name(),
+        TaskHead::RootCardinality.name(),
+        TaskHead::OperatorCardinality.name(),
+    ];
     type Scratch = ();
     type Output = MultiTaskPrediction;
     type Prediction = ServedMultiTaskPrediction;
@@ -79,11 +86,20 @@ impl Servable for TrainedMultiTaskModel {
     }
 
     fn forward(&self, graph: &PlanGraph, _scratch: &mut ()) -> MultiTaskPrediction {
-        self.predict(graph)
+        self.model.predict(graph)
     }
 
     fn forward_batch(&self, graphs: &[&PlanGraph]) -> Vec<MultiTaskPrediction> {
-        self.predict_batch(graphs)
+        self.model.predict_batch(graphs)
+    }
+
+    /// Cost, root cardinality, then every operator's cardinality.
+    fn head_bits(tasks: &MultiTaskPrediction) -> Vec<Vec<u64>> {
+        vec![
+            vec![tasks.runtime_secs.to_bits()],
+            vec![tasks.root_rows.to_bits()],
+            tasks.operator_rows.iter().map(|r| r.to_bits()).collect(),
+        ]
     }
 
     fn answer(tasks: MultiTaskPrediction, placement: Placement) -> ServedMultiTaskPrediction {
@@ -173,7 +189,9 @@ mod tests {
         );
         for plan in &plans {
             let served = server.predict_blocking(plan.clone()).unwrap();
-            let reference = model.predict(&featurize_plan(&catalog, plan, model.featurizer));
+            let reference = model
+                .model
+                .predict(&featurize_plan(&catalog, plan, model.featurizer));
             assert_eq!(
                 served.tasks.runtime_secs.to_bits(),
                 reference.runtime_secs.to_bits()
@@ -213,7 +231,9 @@ mod tests {
         let after = server.predict_blocking(plans[0].clone()).unwrap();
         assert_eq!(after.model_version, 2);
         assert!(!after.cache_hit, "swap invalidated the feature cache");
-        let reference = tuned.predict(&featurize_plan(&catalog, &plans[0], tuned.featurizer));
+        let reference = tuned
+            .model
+            .predict(&featurize_plan(&catalog, &plans[0], tuned.featurizer));
         assert_eq!(
             after.tasks.runtime_secs.to_bits(),
             reference.runtime_secs.to_bits()

@@ -157,6 +157,9 @@ pub trait Servable: Send + Sync + Sized + 'static {
     /// model's server assembles (the registry versions models; this names
     /// what the versions are *of*).
     const NAME: &'static str;
+    /// Names of the task heads a forward output carries, in
+    /// [`Servable::head_bits`] order.
+    const TASK_HEADS: &'static [&'static str];
     /// Per-worker buffers the per-request forward reuses across requests
     /// (`()` for a model that allocates in its forward).
     type Scratch: Default;
@@ -172,6 +175,10 @@ pub trait Servable: Send + Sync + Sized + 'static {
     /// Forward a batch in one pass, bit-identical per graph to
     /// [`Servable::forward`], outputs in input order.
     fn forward_batch(&self, graphs: &[&PlanGraph]) -> Vec<Self::Output>;
+    /// `f64::to_bits` of an output, one list per head in
+    /// [`Servable::TASK_HEADS`] order: what the registry's integrity
+    /// probes record and re-verify.
+    fn head_bits(output: &Self::Output) -> Vec<Vec<u64>>;
     /// Assemble the public answer.
     fn answer(output: Self::Output, placement: Placement) -> Self::Prediction;
     /// The provenance seed of an answer: its placement, [`Servable::NAME`]
@@ -227,6 +234,7 @@ impl Prediction {
 /// touches the allocator.
 impl Servable for TrainedModel {
     const NAME: &'static str = MODEL_NAME;
+    const TASK_HEADS: &'static [&'static str] = &["cost"];
     type Scratch = InferenceScratch;
     type Output = f64;
     type Prediction = Prediction;
@@ -241,6 +249,10 @@ impl Servable for TrainedModel {
 
     fn forward_batch(&self, graphs: &[&PlanGraph]) -> Vec<f64> {
         self.model.predict_batch(graphs)
+    }
+
+    fn head_bits(runtime_secs: &f64) -> Vec<Vec<u64>> {
+        vec![vec![runtime_secs.to_bits()]]
     }
 
     fn answer(runtime_secs: f64, placement: Placement) -> Prediction {

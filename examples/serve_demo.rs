@@ -1,6 +1,8 @@
 //! Serving demo: train a zero-shot cost model, persist it in the model
 //! registry, reload it with an integrity check, and answer a concurrent
-//! stream of prediction requests through the worker pool.
+//! stream of prediction requests through the worker pool.  The registry
+//! calls are generic over the model type; a multi-task model goes through
+//! the same `register` / `manifest::<MultiTaskModel>` / `load` calls.
 //!
 //! Run with: `cargo run --release --example serve_demo`
 
@@ -10,7 +12,9 @@ use zero_shot_db::serve::{ModelRegistry, PredictionServer, ServerConfig};
 use zero_shot_db::storage::Database;
 use zero_shot_db::zeroshot::dataset::{collect_training_corpus, TrainingDataConfig};
 use zero_shot_db::zeroshot::features::featurize_plan;
-use zero_shot_db::zeroshot::{FeaturizerConfig, ModelConfig, Trainer, TrainingConfig};
+use zero_shot_db::zeroshot::{
+    FeaturizerConfig, ModelConfig, Trainer, TrainingConfig, ZeroShotCostModel,
+};
 use zsdb_engine::QueryRunner;
 
 fn main() {
@@ -46,10 +50,12 @@ fn main() {
         .register("zero-shot-cost", &model, &graphs[..5])
         .expect("register model");
     let manifest = registry
-        .manifest("zero-shot-cost", version)
+        .manifest::<ZeroShotCostModel>("zero-shot-cost", version)
         .expect("manifest");
     println!(
-        "\nregistered 'zero-shot-cost' v{version} ({} parameters, {} probes) at {}",
+        "\nregistered 'zero-shot-cost' v{version} ({}, heads {:?}, {} parameters, {} probes) at {}",
+        manifest.model_name,
+        manifest.task_heads,
         manifest.num_parameters,
         manifest.probes.len(),
         registry_dir.display()
@@ -57,7 +63,9 @@ fn main() {
 
     // 3. Reload it (every load re-verifies the probes bit-for-bit) and
     //    serve an unseen database.
-    let served_model = registry.load_latest("zero-shot-cost").expect("load model");
+    let served_model = registry
+        .load_latest::<ZeroShotCostModel>("zero-shot-cost")
+        .expect("load model");
     let imdb = Database::generate(presets::imdb_like(0.03), 123);
     let runner = QueryRunner::with_defaults(&imdb);
     let queries = WorkloadGenerator::with_defaults().generate(imdb.catalog(), 50, 7);

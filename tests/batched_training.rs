@@ -14,16 +14,15 @@
 //!   instantiated with (`loop_contract`, run for the cost model and for
 //!   the multi-task model).
 
+use serde::{Deserialize, Serialize};
 use zero_shot_db::catalog::presets;
-use zero_shot_db::multitask::{
-    samples_from_executions, MultiTaskConfig, MultiTaskModel, TrainedMultiTaskModel,
-};
+use zero_shot_db::multitask::{samples_from_executions, MultiTaskConfig, MultiTaskModel};
 use zero_shot_db::query::WorkloadGenerator;
 use zero_shot_db::storage::Database;
 use zero_shot_db::zeroshot::features::featurize_execution;
 use zero_shot_db::zeroshot::{
-    FeaturizerConfig, ModelConfig, ModelTrainer, PlanGraph, Trainable, TrainedModel, Trainer,
-    TrainingConfig, ZeroShotCostModel,
+    FeaturizerConfig, ModelConfig, ModelTrainer, PlanGraph, Trainable, Trainer, TrainingConfig,
+    ZeroShotCostModel,
 };
 use zsdb_engine::QueryRunner;
 
@@ -123,49 +122,10 @@ fn validation_and_early_stopping_are_live_through_the_facade() {
     assert!(trained.training_curve.len() <= 30);
 }
 
-/// What `loop_contract` reads off either artifact struct.
-struct Run {
-    json: String,
-    /// The monitored q-error of every training-curve entry.
-    training_curve: Vec<f64>,
-    validation_curve: Vec<f64>,
-    /// The monitored validation q-error of the returned weights.
-    final_validation: Option<f64>,
-    stopped_early: bool,
-}
-
-trait Artifact {
-    fn run(&self) -> Run;
-}
-
-impl Artifact for TrainedModel {
-    fn run(&self) -> Run {
-        Run {
-            json: self.to_json(),
-            training_curve: self.training_curve.clone(),
-            validation_curve: self.validation_curve.clone(),
-            final_validation: self.final_validation_qerror,
-            stopped_early: self.stopped_early,
-        }
-    }
-}
-
-impl Artifact for TrainedMultiTaskModel {
-    fn run(&self) -> Run {
-        Run {
-            json: self.to_json(),
-            training_curve: self.training_curve.iter().map(|q| q.cost).collect(),
-            validation_curve: self.validation_curve.clone(),
-            final_validation: self.final_validation_qerrors.map(|q| q.cost),
-            stopped_early: self.stopped_early,
-        }
-    }
-}
-
 /// The contract of the training loop, whatever model it trains.
-fn loop_contract<M: Trainable>(config: M::Config, samples: &[M::Sample])
+fn loop_contract<M>(config: M::Config, samples: &[M::Sample])
 where
-    M::Trained: Artifact,
+    M: Trainable + Serialize + Deserialize,
 {
     let train_on = |samples: &[M::Sample], training: TrainingConfig| {
         ModelTrainer::<M>::new(config.clone(), training, FeaturizerConfig::exact()).train(samples)
@@ -180,13 +140,12 @@ where
     };
 
     // The thread count never moves a bit of the artifact.
-    let trained = train_on(samples, patient);
-    let one = trained.run();
+    let one = train_on(samples, patient);
     let two_threads = TrainingConfig {
         threads: 2,
         ..patient
     };
-    assert_eq!(one.json, train_on(samples, two_threads).run().json);
+    assert_eq!(one.to_json(), train_on(samples, two_threads).to_json());
 
     // A validation split is evaluated every epoch, and under early
     // stopping the returned weights are the best monitored epoch.
@@ -198,10 +157,10 @@ where
         .copied()
         .fold(f64::INFINITY, f64::min);
     let val_len = (samples.len() as f64 * patient.validation_fraction) as usize;
-    let (model, _) = M::from_trained(&trained);
-    let val_q = M::monitored(&model.evaluate(&samples[samples.len() - val_len..]));
+    let val_q = M::monitored(&one.model.evaluate(&samples[samples.len() - val_len..]));
+    let final_validation = one.final_validation_qerror.as_ref().map(M::monitored);
     assert_eq!(
-        (val_q.to_bits(), one.final_validation.map(f64::to_bits)),
+        (val_q.to_bits(), final_validation.map(f64::to_bits)),
         (best_seen.to_bits(), Some(best_seen.to_bits())),
         "returned weights must be the best epoch's ({best_seen})"
     );
@@ -212,7 +171,7 @@ where
         early_stopping_patience: 0,
         ..patient
     };
-    let all = train_on(samples, all_epochs).run();
+    let all = train_on(samples, all_epochs);
     assert_eq!(all.training_curve.len(), 5);
     assert!(!all.stopped_early);
 
@@ -224,10 +183,13 @@ where
         validation_fraction: 1.5,
         ..patient
     };
-    let starved = train_on(&samples[..10], everything).run();
-    assert!(starved.training_curve.iter().all(|q| q.is_nan()));
+    let starved = train_on(&samples[..10], everything);
+    assert!(starved
+        .training_curve
+        .iter()
+        .all(|q| M::monitored(q).is_nan()));
     assert_eq!(starved.validation_curve.len(), 2);
-    assert!(starved.final_validation.is_some());
+    assert!(starved.final_validation_qerror.is_some());
 }
 
 #[test]

@@ -11,7 +11,7 @@ use zero_shot_db::catalog::presets;
 use zero_shot_db::engine::fingerprint::Fnv64;
 use zero_shot_db::engine::{EngineConfig, Optimizer, PhysOperatorKind, PlanNode, QueryRunner};
 use zero_shot_db::multitask::{
-    sample_from_execution, LearnedCardEstimator, MultiTaskConfig, MultiTaskSample,
+    sample_from_execution, LearnedCardEstimator, MultiTaskConfig, MultiTaskModel, MultiTaskSample,
     MultiTaskTrainer, TrainedMultiTaskModel,
 };
 use zero_shot_db::query::{CmpOp, Predicate, Query, WorkloadGenerator};
@@ -95,10 +95,10 @@ fn registry_serve_and_optimizer_close_the_loop() {
     let dir = std::env::temp_dir().join(format!("zsdb_multitask_e2e_{}", std::process::id()));
     let registry = ModelRegistry::open(&dir).expect("open registry");
     let version = registry
-        .register_multitask("one-model", &trained, &probe_graphs)
+        .register("one-model", &trained, &probe_graphs)
         .expect("register multitask artifact");
     let manifest = registry
-        .multitask_manifest("one-model", version)
+        .manifest::<MultiTaskModel>("one-model", version)
         .expect("read manifest");
     assert_eq!(
         manifest.task_heads,
@@ -106,7 +106,7 @@ fn registry_serve_and_optimizer_close_the_loop() {
     );
     assert_eq!(manifest.probes.len(), 4);
     let loaded = registry
-        .load_multitask("one-model", version)
+        .load::<MultiTaskModel>("one-model", version)
         .expect("integrity-checked load");
 
     // --- Serve: one submit answers all heads, bit-identical ----------
@@ -134,7 +134,7 @@ fn registry_serve_and_optimizer_close_the_loop() {
     for client in clients {
         for (idx, served) in client.join().unwrap() {
             let graph = featurize_plan(db.catalog(), &plans[idx], loaded.featurizer);
-            let reference = trained.predict(&graph);
+            let reference = trained.model.predict(&graph);
             assert_eq!(
                 served.tasks.runtime_secs.to_bits(),
                 reference.runtime_secs.to_bits(),
@@ -340,9 +340,8 @@ fn try_submit_batch_returns_the_unsent_remainder_in_order() {
             let prefix = answered.wait().expect("admitted chunks are answered");
             assert_eq!(prefix.len(), sent);
             for (served, plan) in prefix.iter().zip(&plans) {
-                let reference =
-                    trained.predict(&featurize_plan(db.catalog(), plan, trained.featurizer));
-                assert_eq!(served.tasks, reference);
+                let graph = featurize_plan(db.catalog(), plan, trained.featurizer);
+                assert_eq!(served.tasks, trained.model.predict(&graph));
             }
             saw_partial = true;
             break;

@@ -9,7 +9,9 @@
 //! records `format_version: 2`.
 
 use std::path::Path;
+use zero_shot_db::multitask::MultiTaskModel;
 use zero_shot_db::serve::{ModelRegistry, ServeError, ARTIFACT_FORMAT_VERSION};
+use zero_shot_db::zeroshot::ZeroShotCostModel;
 
 fn fixture_registry() -> ModelRegistry {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/registry_v2");
@@ -28,7 +30,7 @@ fn v2_manifest_is_rejected_with_a_clean_format_mismatch() {
     assert_eq!(registry.versions("cost").unwrap(), vec![1]);
     assert_eq!(registry.latest("cost").unwrap(), 1);
 
-    match registry.manifest("cost", 1) {
+    match registry.manifest::<ZeroShotCostModel>("cost", 1) {
         Err(ServeError::FormatVersionMismatch { found, supported }) => {
             assert_eq!(found, 2);
             assert_eq!(supported, ARTIFACT_FORMAT_VERSION);
@@ -40,22 +42,27 @@ fn v2_manifest_is_rejected_with_a_clean_format_mismatch() {
 #[test]
 fn v2_model_load_fails_cleanly_not_with_a_parse_panic() {
     let registry = fixture_registry();
-    match registry.load("cost", 1) {
+    // The version is read before anything else, whichever model the
+    // caller asks for.
+    match registry.load::<ZeroShotCostModel>("cost", 1) {
         Err(ServeError::FormatVersionMismatch { found: 2, .. }) => {}
         other => panic!("expected a clean format mismatch, got {other:?}"),
     }
-    // The multi-task loader reports the artifact as absent (it is a
-    // single-task artifact), not as corrupted.
-    match registry.load_multitask("cost", 1) {
-        Err(ServeError::NotFound { .. }) => {}
-        other => panic!("expected NotFound for the multitask loader, got {other:?}"),
+    match registry.load::<MultiTaskModel>("cost", 1) {
+        Err(ServeError::FormatVersionMismatch { found: 2, .. }) => {}
+        other => panic!(
+            "expected a clean format mismatch, got {:?}",
+            other.map(|_| ())
+        ),
     }
 }
 
 #[test]
 fn error_message_names_both_versions() {
     let registry = fixture_registry();
-    let err = registry.manifest("cost", 1).unwrap_err();
+    let err = registry
+        .manifest::<ZeroShotCostModel>("cost", 1)
+        .unwrap_err();
     let message = err.to_string();
     assert!(
         message.contains('2'),

@@ -10,7 +10,7 @@ use zero_shot_db::storage::Database;
 use zero_shot_db::zeroshot::dataset::collect_for_database;
 use zero_shot_db::zeroshot::features::{featurize_execution, featurize_plan};
 use zero_shot_db::zeroshot::{
-    FeaturizerConfig, ModelConfig, PlanGraph, TrainedModel, Trainer, TrainingConfig,
+    FeaturizerConfig, ModelConfig, PlanGraph, Trainable, TrainedModel, Trainer, TrainingConfig,
 };
 use zsdb_engine::QueryRunner;
 
