@@ -23,7 +23,7 @@
 use serde::Serialize;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use zsdb_bench::write_json_report;
+use zsdb_bench::{parse_command_line, write_json_report, FlagError, Flags};
 use zsdb_catalog::presets;
 use zsdb_core::features::featurize_execution;
 use zsdb_core::{
@@ -50,28 +50,22 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Self {
-        let argv: Vec<String> = std::env::args().collect();
-        let value_of = |flag: &str| -> Option<String> {
-            argv.iter()
-                .position(|a| a == flag)
-                .and_then(|i| argv.get(i + 1).cloned())
-        };
-        let num = |flag: &str, default: usize| {
-            value_of(flag)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        Args {
-            rounds: num("--rounds", 3) as u64,
-            train_queries: num("--train-queries", 120),
-            observe_per_round: num("--observe", 40),
-            eval_queries: num("--eval", 60),
-            requests: num("--requests", 2_000),
-            workers: num("--workers", 4),
-            epochs: num("--epochs", 12),
-            out: value_of("--out").unwrap_or_else(|| "BENCH_adapt.json".to_string()),
-        }
+    fn parse(args: Vec<String>) -> Result<Self, FlagError> {
+        let flags = Flags::parse(
+            args,
+            "--rounds --train-queries --observe --eval --requests --workers --epochs --out",
+            "",
+        )?;
+        Ok(Args {
+            rounds: flags.value("--rounds", 3)?,
+            train_queries: flags.value("--train-queries", 120)?,
+            observe_per_round: flags.value("--observe", 40)?,
+            eval_queries: flags.value("--eval", 60)?,
+            requests: flags.value("--requests", 2_000)?,
+            workers: flags.value("--workers", 4)?,
+            epochs: flags.value("--epochs", 12)?,
+            out: flags.value("--out", "BENCH_adapt.json".to_string())?,
+        })
     }
 }
 
@@ -155,7 +149,7 @@ fn latency_phase(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = parse_command_line(Args::parse);
     println!(
         "# Online adaptation benchmark: {} rounds × {} observations, {} eval queries\n",
         args.rounds, args.observe_per_round, args.eval_queries

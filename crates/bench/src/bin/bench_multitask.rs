@@ -22,7 +22,7 @@
 
 use serde::Serialize;
 use zsdb_baselines::{MscnConfig, MscnModel};
-use zsdb_bench::print_training_settings;
+use zsdb_bench::{parse_command_line, print_training_settings, FlagError, Flags};
 use zsdb_cardest::{
     CardinalityEstimator, HistogramEstimator, PostgresLikeEstimator, SamplingEstimator,
 };
@@ -48,29 +48,21 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Self {
-        let argv: Vec<String> = std::env::args().collect();
-        let value_of = |flag: &str| -> Option<String> {
-            argv.iter()
-                .position(|a| a == flag)
-                .and_then(|i| argv.get(i + 1).cloned())
-        };
-        let num = |flag: &str, default: usize| {
-            value_of(flag)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        Args {
-            train_dbs: num("--train-dbs", 6),
-            queries_per_db: num("--queries-per-db", 200),
-            epochs: num("--epochs", 20),
-            eval_queries: num("--eval-queries", 160),
-            scale: value_of("--scale")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.03),
-            threads: num("--threads", 0),
-            out: value_of("--out").unwrap_or_else(|| "BENCH_multitask.json".to_string()),
-        }
+    fn parse(args: Vec<String>) -> Result<Self, FlagError> {
+        let flags = Flags::parse(
+            args,
+            "--train-dbs --queries-per-db --epochs --eval-queries --scale --threads --out",
+            "",
+        )?;
+        Ok(Args {
+            train_dbs: flags.value("--train-dbs", 6)?,
+            queries_per_db: flags.value("--queries-per-db", 200)?,
+            epochs: flags.value("--epochs", 20)?,
+            eval_queries: flags.value("--eval-queries", 160)?,
+            scale: flags.value("--scale", 0.03)?,
+            threads: flags.value("--threads", 0)?,
+            out: flags.value("--out", "BENCH_multitask.json".to_string())?,
+        })
     }
 }
 
@@ -150,7 +142,7 @@ fn card_qerrors(estimates: impl Iterator<Item = f64>, truths: &[f64]) -> Vec<f64
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = parse_command_line(Args::parse);
     let seed = 0xBEEFu64;
     println!(
         "# Multi-task benchmark: {} dbs × {} queries, {} epochs, eval {} queries at scale {}\n",

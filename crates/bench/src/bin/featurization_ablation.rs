@@ -5,7 +5,7 @@
 //! generalize to the unseen IMDB-like database, the one-hot variant should
 //! not.
 //!
-//! Usage: `cargo run -p zsdb-bench --release --bin featurization_ablation [--quick|--full]`
+//! Usage: `cargo run -p zsdb_bench --release --bin featurization_ablation -- [--quick|--full]`
 
 use zsdb_bench::{benchmark_executions, evaluation_database, train_zero_shot, ExperimentScale};
 use zsdb_core::features::FeatureMode;

@@ -5,7 +5,7 @@
 //! database — plus the execution time (hours) needed to collect the
 //! baselines' training queries.
 //!
-//! Usage: `cargo run -p zsdb-bench --release --bin figure3 [--quick|--full]`
+//! Usage: `cargo run -p zsdb_bench --release --bin figure3 -- [--quick|--full]`
 
 use zsdb_baselines::{E2EModel, MscnConfig, MscnModel, ScaledOptimizerCost};
 use zsdb_bench::{benchmark_executions, evaluation_database, train_zero_shot, ExperimentScale};

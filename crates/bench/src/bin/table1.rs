@@ -3,7 +3,7 @@
 //! cardinalities) on the Scale, Synthetic and JOB-light workloads, plus the
 //! **Index** what-if workload of Section 4.1.
 //!
-//! Usage: `cargo run -p zsdb-bench --release --bin table1 [--quick|--full]`
+//! Usage: `cargo run -p zsdb_bench --release --bin table1 -- [--quick|--full]`
 
 use zsdb_bench::{benchmark_executions, evaluation_database, train_zero_shot, ExperimentScale};
 use zsdb_core::{evaluate, evaluate_predictions, FeaturizerConfig, WhatIfCostEstimator};

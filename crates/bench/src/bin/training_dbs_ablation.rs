@@ -4,7 +4,7 @@
 //! databases and prints the resulting median Q-errors so the saturation
 //! point of this (simulated) setup can be read off.
 //!
-//! Usage: `cargo run -p zsdb-bench --release --bin training_dbs_ablation [--quick|--full]`
+//! Usage: `cargo run -p zsdb_bench --release --bin training_dbs_ablation -- [--quick|--full]`
 
 use zsdb_bench::{
     benchmark_executions, evaluation_database, print_training_settings, ExperimentScale,
@@ -15,11 +15,12 @@ use zsdb_query::WorkloadKind;
 
 fn main() {
     let scale = ExperimentScale::from_args();
-    let sweep: Vec<usize> = if std::env::args().any(|a| a == "--full") {
-        vec![1, 2, 4, 8, 12, 16, 19]
-    } else {
-        vec![1, 2, 4, 8]
-    };
+    // The paper's ladder, up to the scale's own database count (8 quick,
+    // 19 full, or `--train-dbs`).
+    let sweep: Vec<usize> = [1, 2, 4, 8, 12, 16, 19]
+        .into_iter()
+        .filter(|&n| n <= scale.train_databases)
+        .collect();
     println!("# Training-database ablation (scale: {scale:?})\n");
     print_training_settings(&scale.training_config());
 

@@ -1,17 +1,24 @@
 //! # zsdb-bench
 //!
 //! Shared harness code for the experiment binaries that regenerate the
-//! paper's Figure 3 and Table 1, plus the criterion micro-benchmarks.
+//! paper's Figure 3 and Table 1, and the fixtures the integration suites
+//! share ([`tiny_serving_fixture`]).  Throughput and latency are measured
+//! by the seeded parent/change benchmark in `zsbench/`, not here.
 //!
-//! Every binary accepts `--quick` (default) or `--full` plus individual
-//! overrides (`--train-dbs N`, `--queries-per-db N`, `--eval-queries N`,
-//! `--scale F`, `--threads N`), so the same code can run a CI-sized
-//! sanity pass or an overnight paper-scale reproduction.  All binaries
-//! train through the batched (level, kind)-scheduled engine and print the
-//! batch/thread settings they ran with.
+//! Every paper binary accepts `--quick` (default) or `--full` plus
+//! individual overrides (`--train-dbs N`, `--queries-per-db N`,
+//! `--eval-queries N`, `--scale F`, `--epochs N`, `--threads N`), so the
+//! same code can run a CI-sized sanity pass or an overnight paper-scale
+//! reproduction.  An unknown flag or an unparsable value is an error that
+//! names the flag ([`Flags`]).  All binaries train through the batched
+//! (level, kind)-scheduled engine and print the batch/thread settings they
+//! ran with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::fmt;
+use std::str::FromStr;
 
 use zsdb_catalog::presets;
 use zsdb_core::dataset::{collect_training_corpus, TrainingDataConfig};
@@ -79,39 +86,35 @@ impl ExperimentScale {
         }
     }
 
-    /// Parse command-line arguments (`--quick`, `--full` and individual
-    /// overrides).  Unknown arguments are ignored.
+    /// This process's command line (`--quick`, `--full` and individual
+    /// overrides); exits with status 2 on a [`FlagError`].
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut scale = if args.iter().any(|a| a == "--full") {
+        parse_command_line(Self::parse)
+    }
+
+    /// Parse `args` (without the program name): `--full` selects
+    /// [`ExperimentScale::full`], otherwise [`ExperimentScale::quick`],
+    /// and each override replaces one field of it.
+    pub fn parse(args: Vec<String>) -> Result<Self, FlagError> {
+        let flags = Flags::parse(
+            args,
+            "--train-dbs --queries-per-db --eval-queries --scale --epochs --threads",
+            "--quick --full",
+        )?;
+        let preset = if flags.switch("--full") {
             ExperimentScale::full()
         } else {
             ExperimentScale::quick()
         };
-        let value_of = |flag: &str| -> Option<String> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1).cloned())
-        };
-        if let Some(v) = value_of("--train-dbs").and_then(|v| v.parse().ok()) {
-            scale.train_databases = v;
-        }
-        if let Some(v) = value_of("--queries-per-db").and_then(|v| v.parse().ok()) {
-            scale.queries_per_database = v;
-        }
-        if let Some(v) = value_of("--eval-queries").and_then(|v| v.parse().ok()) {
-            scale.eval_queries = v;
-        }
-        if let Some(v) = value_of("--scale").and_then(|v| v.parse().ok()) {
-            scale.eval_scale = v;
-        }
-        if let Some(v) = value_of("--epochs").and_then(|v| v.parse().ok()) {
-            scale.epochs = v;
-        }
-        if let Some(v) = value_of("--threads").and_then(|v| v.parse().ok()) {
-            scale.threads = v;
-        }
-        scale
+        Ok(ExperimentScale {
+            train_databases: flags.value("--train-dbs", preset.train_databases)?,
+            queries_per_database: flags.value("--queries-per-db", preset.queries_per_database)?,
+            eval_queries: flags.value("--eval-queries", preset.eval_queries)?,
+            eval_scale: flags.value("--scale", preset.eval_scale)?,
+            epochs: flags.value("--epochs", preset.epochs)?,
+            threads: flags.value("--threads", preset.threads)?,
+            ..preset
+        })
     }
 
     /// Training-data configuration derived from this experiment scale.
@@ -133,6 +136,74 @@ impl ExperimentScale {
             ..TrainingConfig::default()
         }
     }
+}
+
+/// A command line an experiment binary refuses; the message names the
+/// flag.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlagError(pub String);
+
+impl fmt::Display for FlagError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+/// The command line of an experiment binary, checked against what it
+/// accepts: options (`--name value`) and switches (`--name`).  Anything
+/// else is a [`FlagError`], never silently ignored.
+#[derive(Debug, Default)]
+pub struct Flags {
+    values: Vec<(String, String)>,
+    switches: Vec<String>,
+}
+
+impl Flags {
+    /// Split `args` (without the program name) into `options` with their
+    /// values and `switches` (both given as whitespace-separated names).
+    pub fn parse(args: Vec<String>, options: &str, switches: &str) -> Result<Self, FlagError> {
+        let is = |names: &str, arg: &str| names.split_whitespace().any(|n| n == arg);
+        let mut flags = Flags::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if is(options, &arg) {
+                let value = args
+                    .next()
+                    .ok_or_else(|| FlagError(format!("{arg} needs a value")))?;
+                flags.values.push((arg, value));
+            } else if is(switches, &arg) {
+                flags.switches.push(arg);
+            } else {
+                return Err(FlagError(format!("unknown flag {arg}")));
+            }
+        }
+        Ok(flags)
+    }
+
+    /// Whether switch `name` was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.switches.iter().any(|s| s == name)
+    }
+
+    /// Option `name`'s value (its last occurrence) as a `T`, or `default`
+    /// when it was not given.
+    pub fn value<T: FromStr>(&self, name: &str, default: T) -> Result<T, FlagError> {
+        match self.values.iter().rev().find(|(flag, _)| flag == name) {
+            None => Ok(default),
+            Some((flag, value)) => value
+                .parse()
+                .map_err(|_| FlagError(format!("invalid value {value:?} for {flag}"))),
+        }
+    }
+}
+
+/// Run `parse` over this process's arguments (without the program name);
+/// on a [`FlagError`] print it and exit with status 2.
+pub fn parse_command_line<T>(parse: impl FnOnce(Vec<String>) -> Result<T, FlagError>) -> T {
+    parse(std::env::args().skip(1).collect()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Print the batched-trainer settings an experiment runs with (batch and
@@ -197,10 +268,9 @@ pub fn print_row(cells: &[String]) {
 }
 
 /// Write a machine-readable benchmark report as pretty-printed JSON and
-/// print the artifact path — the one emitter shared by every `BENCH_*`
-/// binary (`bench_serve`, `bench_train`, `bench_multitask`), so all
-/// reports are formatted identically and every run ends by naming its
-/// artifact.
+/// print the artifact path — the one emitter shared by the `BENCH_*`
+/// binaries (`bench_multitask`, `bench_adapt`), so both reports are
+/// formatted identically and every run ends by naming its artifact.
 pub fn write_json_report<T: serde::Serialize>(path: &str, report: &T) {
     let json = serde_json::to_string_pretty(report).expect("benchmark report serialization");
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
@@ -210,10 +280,10 @@ pub fn write_json_report<T: serde::Serialize>(path: &str, report: &T) {
     println!("wrote {shown}");
 }
 
-/// Shared fixture of the serving bench targets: execute a `num_queries`
-/// random workload on a small IMDB-like database, train a tiny model on
-/// it, and return the model together with the workload's optimizer plans
-/// (the request stream a serving benchmark replays).
+/// Shared serving fixture of the integration suites: execute a
+/// `num_queries` random workload on a small IMDB-like database, train a
+/// tiny model on it, and return the model together with the workload's
+/// optimizer plans (the request stream a serving test replays).
 pub fn tiny_serving_fixture(
     db: &Database,
     num_queries: usize,
@@ -249,6 +319,38 @@ mod tests {
         assert!(quick.train_databases < full.train_databases);
         assert!(quick.queries_per_database < full.queries_per_database);
         assert!(quick.baseline_training_sizes.len() <= full.baseline_training_sizes.len());
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn scale_flags_override_their_preset() {
+        let scale = ExperimentScale::parse(args("--full --epochs 7 --scale 0.25")).unwrap();
+        assert_eq!(scale.epochs, 7);
+        assert_eq!(scale.eval_scale, 0.25);
+        assert_eq!(
+            scale.train_databases,
+            ExperimentScale::full().train_databases
+        );
+        let scale = ExperimentScale::parse(args("--train-dbs 3 --train-dbs 4")).unwrap();
+        assert_eq!(scale.train_databases, 4, "the last occurrence wins");
+        assert_eq!(scale.epochs, ExperimentScale::quick().epochs);
+    }
+
+    #[test]
+    fn bad_flags_are_errors_that_name_the_flag() {
+        for (line, error) in [
+            ("--train-db 3", "unknown flag --train-db"),
+            ("--quick 8", "unknown flag 8"),
+            ("--epochs", "--epochs needs a value"),
+            ("--epochs ten", "invalid value \"ten\" for --epochs"),
+            ("--threads -1", "invalid value \"-1\" for --threads"),
+        ] {
+            let got = ExperimentScale::parse(args(line)).unwrap_err();
+            assert_eq!(got.to_string(), error, "{line}");
+        }
     }
 
     #[test]

@@ -608,12 +608,16 @@ impl PlanEncoder {
         schedule: &BatchSchedule,
         scratch: &mut EncodeScratch,
     ) {
+        let kind = active_kernel();
         scratch.states.resize(self.hidden_dim, schedule.total_nodes);
         for group in &schedule.groups {
             let members = schedule.members(group);
             self.group_features_into(graphs, group.kind, members, &mut scratch.features);
-            let enc_out = self.encoders[group.kind]
-                .forward_batch_into(&scratch.features, &mut scratch.enc_fwd);
+            let enc_out = self.encoders[group.kind].forward_batch_into(
+                kind,
+                &scratch.features,
+                &mut scratch.enc_fwd,
+            );
             self.group_combine_input_into(
                 schedule,
                 group,
@@ -622,9 +626,11 @@ impl PlanEncoder {
                 &mut scratch.sums,
                 &mut scratch.combine_in,
             );
-            let out = self
-                .combine
-                .forward_batch_into(&scratch.combine_in, &mut scratch.combine_fwd);
+            let out = self.combine.forward_batch_into(
+                kind,
+                &scratch.combine_in,
+                &mut scratch.combine_fwd,
+            );
             self.scatter_group_states(schedule, group, out, &mut scratch.states);
         }
     }
@@ -807,9 +813,11 @@ impl ZeroShotCostModel {
         scratch
             .states
             .gather_into(schedule.roots(), &mut scratch.root_states);
-        let pred = self
-            .output
-            .forward_batch_into(&scratch.root_states, &mut scratch.out_fwd);
+        let pred = self.output.forward_batch_into(
+            active_kernel(),
+            &scratch.root_states,
+            &mut scratch.out_fwd,
+        );
         out.clear();
         out.extend_from_slice(pred.feature_row(0));
     }

@@ -18,7 +18,7 @@
 
 use crate::features::{NodeKind, PlanGraph};
 use serde::{Deserialize, Serialize};
-use zsdb_nn::{Activation, ForwardScratch, Mlp, MlpCache};
+use zsdb_nn::{active_kernel, Activation, ForwardScratch, Mlp, MlpCache};
 
 /// Hyper-parameters of the zero-shot cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -214,6 +214,7 @@ impl ZeroShotCostModel {
     /// is what makes concurrent shared-read inference cheap.
     pub fn predict_log_with(&self, graph: &PlanGraph, scratch: &mut InferenceScratch) -> f64 {
         let h = self.config.hidden_dim;
+        let kind = active_kernel();
         // Flat node-state buffer, stride `h`.  Every slot a parent reads is
         // fully overwritten earlier in this same pass (children precede
         // parents), so stale values from previous graphs are never read
@@ -229,10 +230,11 @@ impl ZeroShotCostModel {
             let combine_input = &mut scratch.combine_input;
             combine_input.clear();
             combine_input.reserve(2 * h);
-            combine_input.extend_from_slice(
-                self.encoder.encoders[node.kind.index()]
-                    .forward_into(&node.features, &mut scratch.mlp),
-            );
+            combine_input.extend_from_slice(self.encoder.encoders[node.kind.index()].forward_into(
+                kind,
+                &node.features,
+                &mut scratch.mlp,
+            ));
             combine_input.resize(2 * h, 0.0);
             let (_, sum) = combine_input.split_at_mut(h);
             for &c in &node.children {
@@ -243,13 +245,16 @@ impl ZeroShotCostModel {
             let state = self
                 .encoder
                 .combine
-                .forward_into(combine_input, &mut scratch.mlp);
+                .forward_into(kind, combine_input, &mut scratch.mlp);
             scratch.states[idx * h..(idx + 1) * h].copy_from_slice(state);
         }
 
         let root = graph.root;
-        self.output
-            .forward_into(&scratch.states[root * h..(root + 1) * h], &mut scratch.mlp)[0]
+        self.output.forward_into(
+            kind,
+            &scratch.states[root * h..(root + 1) * h],
+            &mut scratch.mlp,
+        )[0]
     }
 
     fn forward(&self, graph: &PlanGraph) -> ForwardTrace {

@@ -97,7 +97,9 @@
 //! kernels never changes a single output bit — the property the
 //! `simd ≡ scalar` tests pin.  The fallback exists for pathological
 //! targets where the blocked loops pessimise, and as the reference
-//! implementation the perf-smoke CI job compares against.
+//! implementation: CI reruns the integration goldens under
+//! `ZSDB_KERNEL=scalar`.  The allocation-free `Mlp::*_into` entry points
+//! take the kernel as an argument, so one process can run both.
 
 use std::sync::OnceLock;
 
@@ -112,18 +114,6 @@ pub enum KernelKind {
     Simd,
     /// Plain scalar loops in the identical canonical order.
     Scalar,
-}
-
-impl KernelKind {
-    /// Stable lowercase name (`"simd"` / `"scalar"`), as accepted by the
-    /// `ZSDB_KERNEL` environment variable and reported in benchmark
-    /// artifacts.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::Simd => "simd",
-            KernelKind::Scalar => "scalar",
-        }
-    }
 }
 
 static ACTIVE: OnceLock<KernelKind> = OnceLock::new();
@@ -580,11 +570,5 @@ mod tests {
         ] {
             assert_affine_layer_matches_dot(in_dim, out_dim, 9);
         }
-    }
-
-    #[test]
-    fn kernel_names_round_trip() {
-        assert_eq!(KernelKind::Simd.name(), "simd");
-        assert_eq!(KernelKind::Scalar.name(), "scalar");
     }
 }

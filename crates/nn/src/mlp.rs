@@ -610,25 +610,18 @@ impl Mlp {
     /// and call `forward_into` directly.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
         let mut scratch = ForwardScratch::default();
-        self.forward_into(x, &mut scratch).to_vec()
+        self.forward_into(active_kernel(), x, &mut scratch).to_vec()
     }
 
-    /// Allocation-free forward pass: ping-pongs between the two scratch
-    /// buffers instead of allocating per layer, and returns a slice into
-    /// the scratch holding the output activations.
+    /// Allocation-free forward pass under kernel `kind` (callers pass
+    /// [`active_kernel`]): ping-pongs between the two scratch buffers
+    /// instead of allocating per layer, and returns a slice into the
+    /// scratch holding the output activations.
     ///
     /// Produces bit-identical results to [`Mlp::forward`] and to the
     /// output of [`Mlp::forward_cached`] (same operations in the same
-    /// order), under the process-wide [`active_kernel`].
-    pub fn forward_into<'s>(&self, x: &[f64], scratch: &'s mut ForwardScratch) -> &'s [f64] {
-        self.forward_into_with(active_kernel(), x, scratch)
-    }
-
-    /// [`Mlp::forward_into`] with an explicit kernel choice.  Both
-    /// kernels produce bit-identical outputs (the `simd ≡ scalar`
-    /// contract); this entry point exists so tests and benchmarks can
-    /// exercise both paths in one process.
-    pub fn forward_into_with<'s>(
+    /// order), under either kernel (the `simd ≡ scalar` contract).
+    pub fn forward_into<'s>(
         &self,
         kind: KernelKind,
         x: &[f64],
@@ -718,45 +711,22 @@ impl Mlp {
     /// `self.forward(x.example(e))` — the batched layer loops perform the
     /// same floating-point operations in the same order per example (see
     /// [`Batch`] for the layout argument).
+    ///
+    /// Convenience wrapper around [`Mlp::forward_batch_into`] with a fresh
+    /// scratch, like [`Mlp::forward`].
     pub fn forward_batch(&self, x: &Batch) -> Batch {
-        self.forward_batch_with(active_kernel(), x)
-    }
-
-    /// [`Mlp::forward_batch`] with an explicit kernel choice (bit-identical
-    /// across kernels — see [`crate::kernel`]).
-    pub fn forward_batch_with(&self, kind: KernelKind, x: &Batch) -> Batch {
-        let n = x.n();
-        let num_layers = self.layers.len();
-        let mut current: Option<Batch> = None;
-        for (l, layer) in self.layers.iter().enumerate() {
-            let mut out = Batch::zeros(layer.out_dim, n);
-            layer.forward_batch(kind, current.as_ref().unwrap_or(x), &mut out);
-            if l + 1 < num_layers {
-                for v in out.data_mut() {
-                    *v = self.activation.apply(*v);
-                }
-            }
-            current = Some(out);
-        }
-        current.unwrap_or_else(|| x.clone())
+        let mut scratch = BatchForwardScratch::default();
+        self.forward_batch_into(active_kernel(), x, &mut scratch)
+            .clone()
     }
 
     /// Allocation-free batched inference: like [`Mlp::forward_batch`] but
-    /// ping-pongs between two reusable scratch batches instead of
-    /// allocating one output batch per layer.  Returns a reference into
-    /// the scratch holding the output batch.  Bit-identical to
-    /// [`Mlp::forward_batch`] (identical layer kernels; buffer identity
-    /// never affects the arithmetic).
+    /// ping-pongs between two reusable scratch batches, under kernel
+    /// `kind`.
+    /// Returns a reference into the scratch holding the output batch.
+    /// Bit-identical to [`Mlp::forward_batch`] (identical layer kernels;
+    /// buffer identity never affects the arithmetic).
     pub fn forward_batch_into<'s>(
-        &self,
-        x: &Batch,
-        scratch: &'s mut BatchForwardScratch,
-    ) -> &'s Batch {
-        self.forward_batch_into_with(active_kernel(), x, scratch)
-    }
-
-    /// [`Mlp::forward_batch_into`] with an explicit kernel choice.
-    pub fn forward_batch_into_with<'s>(
         &self,
         kind: KernelKind,
         x: &Batch,
@@ -805,16 +775,11 @@ impl Mlp {
     /// without a copy.  Outputs are bit-identical to
     /// [`Mlp::forward_batch`] (and therefore to per-example forwards).
     pub fn forward_batch_cached(&self, x: Batch) -> (Batch, MlpBatchCache) {
-        self.forward_batch_cached_with(active_kernel(), x)
-    }
-
-    /// [`Mlp::forward_batch_cached`] with an explicit kernel choice.
-    pub fn forward_batch_cached_with(&self, kind: KernelKind, x: Batch) -> (Batch, MlpBatchCache) {
         let mut cache = MlpBatchCache {
             inputs: vec![x],
             output: Batch::default(),
         };
-        self.forward_batch_cached_into(kind, &mut cache);
+        self.forward_batch_cached_into(active_kernel(), &mut cache);
         (std::mem::take(&mut cache.output), cache)
     }
 
@@ -886,19 +851,8 @@ impl Mlp {
     /// with a fixed lane-split reduction order, and return the gradient
     /// w.r.t. the input batch.
     pub fn backward_batch(&mut self, cache: &MlpBatchCache, d_out: &Batch) -> Batch {
-        self.backward_batch_with(active_kernel(), cache, d_out)
-    }
-
-    /// [`Mlp::backward_batch`] with an explicit kernel choice (gradient
-    /// bits are identical across kernels — same canonical reductions).
-    pub fn backward_batch_with(
-        &mut self,
-        kind: KernelKind,
-        cache: &MlpBatchCache,
-        d_out: &Batch,
-    ) -> Batch {
         let mut scratch = BatchBackwardScratch::default();
-        let in_a = self.backward_layers(kind, cache, d_out, &mut scratch, true);
+        let in_a = self.backward_layers(active_kernel(), cache, d_out, &mut scratch, true);
         std::mem::take(if in_a { &mut scratch.a } else { &mut scratch.b })
     }
 
@@ -1136,7 +1090,7 @@ mod tests {
             let x: Vec<f64> = (0..5).map(|i| (i as f64 - trial as f64) * 0.37).collect();
             let allocating = mlp.forward(&x);
             let (cached_out, _) = mlp.forward_cached(&x);
-            let scratch_out = mlp.forward_into(&x, &mut scratch);
+            let scratch_out = mlp.forward_into(active_kernel(), &x, &mut scratch);
             assert_eq!(scratch_out.len(), allocating.len());
             for ((a, b), c) in allocating.iter().zip(scratch_out).zip(&cached_out) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -1154,11 +1108,11 @@ mod tests {
         let wide_expected = wide.forward(&[1.0, 2.0, 3.0, 4.0]);
         for _ in 0..3 {
             assert_eq!(
-                narrow.forward_into(&[0.5, -0.5], &mut scratch),
+                narrow.forward_into(active_kernel(), &[0.5, -0.5], &mut scratch),
                 &narrow_expected[..]
             );
             assert_eq!(
-                wide.forward_into(&[1.0, 2.0, 3.0, 4.0], &mut scratch),
+                wide.forward_into(active_kernel(), &[1.0, 2.0, 3.0, 4.0], &mut scratch),
                 &wide_expected[..]
             );
         }
@@ -1171,7 +1125,10 @@ mod tests {
         let mlp = Mlp::new(&[3, 2], Activation::LeakyRelu, 4);
         let mut scratch = ForwardScratch::default();
         let x = [0.1, -0.2, 0.3];
-        assert_eq!(mlp.forward_into(&x, &mut scratch), &mlp.forward(&x)[..]);
+        assert_eq!(
+            mlp.forward_into(active_kernel(), &x, &mut scratch),
+            &mlp.forward(&x)[..]
+        );
     }
 
     #[test]
@@ -1383,13 +1340,15 @@ mod tests {
             for n in [1, 3, 8, 19] {
                 let examples = trial_examples(dims[0], n);
                 let batch = Batch::from_examples(dims[0], examples.iter().map(|v| v.as_slice()));
-                let simd = mlp.forward_batch_with(KernelKind::Simd, &batch);
-                let scalar = mlp.forward_batch_with(KernelKind::Scalar, &batch);
                 let mut bs = BatchForwardScratch::default();
-                let into_simd = mlp
-                    .forward_batch_into_with(KernelKind::Simd, &batch, &mut bs)
+                let simd = mlp
+                    .forward_batch_into(KernelKind::Simd, &batch, &mut bs)
                     .clone();
-                assert_eq!(into_simd, simd, "forward_batch_into {dims:?} n={n}");
+                let scalar = mlp
+                    .forward_batch_into(KernelKind::Scalar, &batch, &mut bs)
+                    .clone();
+                let allocating = mlp.forward_batch(&batch);
+                assert_eq!(allocating, simd, "forward_batch {dims:?} n={n}");
                 assert_eq!(simd.data().len(), scalar.data().len());
                 for (a, b) in simd.data().iter().zip(scalar.data()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "batched {dims:?} n={n}");
@@ -1397,14 +1356,35 @@ mod tests {
                 let mut s1 = ForwardScratch::default();
                 let mut s2 = ForwardScratch::default();
                 for x in &examples {
-                    let a = mlp.forward_into_with(KernelKind::Simd, x, &mut s1).to_vec();
-                    let b = mlp.forward_into_with(KernelKind::Scalar, x, &mut s2);
+                    let a = mlp.forward_into(KernelKind::Simd, x, &mut s1).to_vec();
+                    let b = mlp.forward_into(KernelKind::Scalar, x, &mut s2);
                     for (va, vb) in a.iter().zip(b) {
                         assert_eq!(va.to_bits(), vb.to_bits(), "per-example {dims:?}");
                     }
                 }
             }
         }
+    }
+
+    /// [`Mlp::forward_batch_cached`] under kernel `kind`: the cached
+    /// forward of `x` and a cache for [`backward_with`].
+    fn forward_cached_with(mlp: &Mlp, kind: KernelKind, x: Batch) -> (Batch, MlpBatchCache) {
+        let mut cache = MlpBatchCache::default();
+        *cache.input_mut() = x;
+        let out = mlp.forward_batch_cached_into(kind, &mut cache).clone();
+        (out, cache)
+    }
+
+    /// [`Mlp::backward_batch`] under kernel `kind`.
+    fn backward_with(
+        mlp: &mut Mlp,
+        kind: KernelKind,
+        cache: &MlpBatchCache,
+        d_out: &Batch,
+    ) -> Batch {
+        let mut scratch = BatchBackwardScratch::default();
+        mlp.backward_batch_into(kind, cache, d_out, &mut scratch)
+            .clone()
     }
 
     /// The batched backward must also be bit-identical across kernels:
@@ -1419,12 +1399,12 @@ mod tests {
         for kind in [KernelKind::Simd, KernelKind::Scalar] {
             let mut mlp = Mlp::new(&[7, 12, 5, 1], Activation::LeakyRelu, 33);
             mlp.zero_grad();
-            let (out, cache) = mlp.forward_batch_cached_with(kind, batch.clone());
+            let (out, cache) = forward_cached_with(&mlp, kind, batch.clone());
             let mut d_out = Batch::zeros(1, n);
             for e in 0..n {
                 d_out.set(0, e, 2.0 * (out.get(0, e) - (e as f64 * 0.21).sin()));
             }
-            let dx = mlp.backward_batch_with(kind, &cache, &d_out);
+            let dx = backward_with(&mut mlp, kind, &cache, &d_out);
             let grads: Vec<u64> = mlp
                 .params()
                 .flat_map(|p| p.grad.iter().map(|g| g.to_bits()))
@@ -1451,21 +1431,20 @@ mod tests {
             let batch = spread_batch(7, n, n as u64);
             let d_out = spread_batch(3, n, n as u64 + 1);
             let mut fresh = template.clone();
-            let (out, fresh_cache) =
-                fresh.forward_batch_cached_with(KernelKind::Simd, batch.clone());
-            let dx = fresh.backward_batch_with(KernelKind::Simd, &fresh_cache, &d_out);
+            let (out, fresh_cache) = fresh.forward_batch_cached(batch.clone());
+            let dx = fresh.backward_batch(&fresh_cache, &d_out);
 
+            let kind = active_kernel();
             let mut reused = template.clone();
             cache.input_mut().clone_from(&batch);
-            let reused_out = reused.forward_batch_cached_into(KernelKind::Simd, &mut cache);
+            let reused_out = reused.forward_batch_cached_into(kind, &mut cache);
             assert_eq!(bits(reused_out.data()), bits(out.data()), "n={n}");
-            let reused_dx =
-                reused.backward_batch_into(KernelKind::Simd, &cache, &d_out, &mut scratch);
+            let reused_dx = reused.backward_batch_into(kind, &cache, &d_out, &mut scratch);
             assert_eq!(bits(reused_dx.data()), bits(dx.data()), "n={n}");
             assert_eq!(grads(&reused), grads(&fresh), "n={n}");
 
             let mut params_only = template.clone();
-            params_only.backward_batch_params_into(KernelKind::Simd, &cache, &d_out, &mut scratch);
+            params_only.backward_batch_params_into(kind, &cache, &d_out, &mut scratch);
             assert_eq!(grads(&params_only), grads(&fresh), "n={n}");
         }
     }
@@ -1682,12 +1661,15 @@ mod tests {
         let expected: f64 = 0.125 + (((1e16 + 1.0) + (-1e16 + 1.0)) + (0.5 + 0.25));
         let mut scratch = ForwardScratch::default();
         for kind in [KernelKind::Simd, KernelKind::Scalar] {
-            let got = mlp.forward_into_with(kind, &x, &mut scratch)[0];
+            let got = mlp.forward_into(kind, &x, &mut scratch)[0];
             assert_eq!(got.to_bits(), expected.to_bits(), "{kind:?}");
         }
         let batch = Batch::from_examples(6, std::iter::once(x.as_slice()));
+        let mut batch_scratch = BatchForwardScratch::default();
         for kind in [KernelKind::Simd, KernelKind::Scalar] {
-            let got = mlp.forward_batch_with(kind, &batch).get(0, 0);
+            let got = mlp
+                .forward_batch_into(kind, &batch, &mut batch_scratch)
+                .get(0, 0);
             assert_eq!(got.to_bits(), expected.to_bits(), "batched {kind:?}");
         }
     }
@@ -1731,13 +1713,13 @@ mod tests {
             let mut mlp = fresh.clone();
             let mut adam = crate::optim::Adam::new(0.01);
             for round in 0..2 {
-                let (out, cache) = mlp.forward_batch_cached_with(kind, batch.clone());
+                let (out, cache) = forward_cached_with(&mlp, kind, batch.clone());
                 let mut d_out = Batch::zeros(2, 11);
                 for e in 0..11 {
                     d_out.set(0, e, 2.0 * (out.get(0, e) - (e as f64 * 0.21).sin()));
                     d_out.set(1, e, out.get(1, e) + 0.5);
                 }
-                mlp.backward_batch_with(kind, &cache, &d_out);
+                backward_with(&mut mlp, kind, &cache, &d_out);
                 if round == 0 {
                     adam.step(mlp.params_mut());
                 }

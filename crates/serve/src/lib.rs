@@ -32,10 +32,10 @@
 //! * [`cache`] — an LRU feature cache keyed by the structural plan
 //!   fingerprint ([`zsdb_core::fingerprint`]), so repeated query shapes
 //!   skip featurization entirely.
-//! * [`metrics`] — throughput and p50/p95/p99 latency, exportable as the
-//!   machine-readable `BENCH_serve.json` report.  Recording is wait-free
-//!   across worker threads (per-thread striped shards from [`zsdb_obs`],
-//!   merged only at snapshot time), every request decomposes into named
+//! * [`metrics`] — throughput and p50/p95/p99 latency, as a serializable
+//!   [`MetricsSnapshot`].  Recording is wait-free across worker threads
+//!   (per-thread striped shards from [`zsdb_obs`], merged only at
+//!   snapshot time), every request decomposes into named
 //!   pipeline stages (`admission → queue_wait → cache_lookup/featurize →
 //!   forward → respond`), and the whole registry renders as
 //!   Prometheus-style text exposition alongside the JSON snapshot.  On

@@ -507,7 +507,8 @@ impl Default for ServeMetrics {
     }
 }
 
-/// A point-in-time serving report — the payload of `BENCH_serve.json`.
+/// A point-in-time serving report: what [`crate::Server::metrics`] and
+/// `shutdown` return, serializable as JSON.
 ///
 /// Latency percentiles are `NaN` until at least one request completed
 /// (serde_json renders them as `null`).

@@ -80,16 +80,25 @@ fn same_seed_executes_to_identical_observations() {
 }
 
 /// The serving fixture's predictions, summed in plan order, pinned to the
-/// bit.  The golden was captured on the commit before `zsdb_nn` moved to
-/// input-major weights and an output-tiled forward: any change to a
-/// reduction order, an activation, the featurizer or the training loop
-/// moves it, under either kernel and on either forward path.
+/// bit, and the same sum over a served request stream.  The first golden
+/// was captured on the commit before `zsdb_nn` moved to input-major
+/// weights and an output-tiled forward; the second is the checksum the
+/// closed-loop serving report printed (at 200 plans, 5,000 requests) under
+/// both kernels before that report was retired.  Any change to a
+/// reduction order, an activation, the featurizer, the training loop or
+/// the server's answer moves them, under either kernel (CI runs this file
+/// again under `ZSDB_KERNEL=scalar`) and on every forward path.
 #[test]
 fn serving_fixture_prediction_sum_bits_are_pinned() {
     use zero_shot_db::catalog::presets;
+    use zero_shot_db::serve::{PredictionServer, ServerConfig};
     use zero_shot_db::zeroshot::features::featurize_plan;
 
     const GOLDEN_SUM_BITS: u64 = 0x4043_7a30_fb0e_84bd;
+    const GOLDEN_SERVED_SUM_BITS: u64 = 0x404a_69c9_f751_ef24;
+    const REQUESTS: usize = 5_000;
+    const CLIENTS: usize = 4;
+    const BATCH: usize = 32;
 
     let db = Database::generate(presets::imdb_like(0.02), 11);
     let (model, plans) = zsdb_bench::tiny_serving_fixture(&db, 40, 5);
@@ -106,6 +115,64 @@ fn serving_fixture_prediction_sum_bits_are_pinned() {
             sum.to_bits(),
             GOLDEN_SUM_BITS,
             "{path} sum {sum} = {:016x}",
+            sum.to_bits()
+        );
+    }
+
+    // Served: four clients pipeline the schedule `plans[(c + i * 4) % len]`
+    // into a 4-shard server, each summing its answers in submission order;
+    // the client sums add up in client order.  Once one ticket per plan,
+    // once 32 plans per ticket.
+    let (model, plans) = zsdb_bench::tiny_serving_fixture(&db, 200, 5);
+    let server = PredictionServer::start(
+        model,
+        db.catalog().clone(),
+        ServerConfig {
+            workers: 4,
+            queue_capacity: 256,
+            cache_capacity: 1_024,
+            ..ServerConfig::default()
+        },
+    );
+    for batch in [1, BATCH] {
+        let sum: f64 = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let (server, plans) = (&server, &plans);
+                    scope.spawn(move || {
+                        let schedule: Vec<_> = (0..REQUESTS / CLIENTS)
+                            .map(|i| plans[(c + i * CLIENTS) % plans.len()].clone())
+                            .collect();
+                        let mut sum = 0.0f64;
+                        if batch == 1 {
+                            let tickets: Vec<_> = schedule
+                                .into_iter()
+                                .map(|plan| server.submit(plan).unwrap())
+                                .collect();
+                            for ticket in tickets {
+                                sum += ticket.wait().unwrap().runtime_secs;
+                            }
+                        } else {
+                            let tickets: Vec<_> = schedule
+                                .chunks(batch)
+                                .map(|chunk| server.submit_batch(chunk.to_vec()).unwrap())
+                                .collect();
+                            for ticket in tickets {
+                                for prediction in ticket.wait().unwrap() {
+                                    sum += prediction.runtime_secs;
+                                }
+                            }
+                        }
+                        sum
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(
+            sum.to_bits(),
+            GOLDEN_SERVED_SUM_BITS,
+            "served sum, {batch} plan(s) per ticket: {sum} = {:016x}",
             sum.to_bits()
         );
     }
