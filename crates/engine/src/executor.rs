@@ -23,12 +23,40 @@
 //! [`zsdb_query::Predicate::matches`], and an incomparable pair (NaN) fails
 //! every operator including `<>`.
 //!
-//! **Hash joins** keep the build keys in one flat table: a vector of keys,
-//! a power-of-two `heads` array and one `next` link per build row.  The
-//! chains are threaded back to front, so walking one visits equal keys in
-//! insertion order.  That order is a contract, not a nicety: it fixes the
-//! order of the join's output rows, hence the order in which a `SUM` above
-//! it adds floats, hence the bits of the aggregate.
+//! **Joins** drain one side (the build side of a hash join, the inner side
+//! of a nested loop) and keep its keyed rows in one flat table: a `heads`
+//! array and one `next` link per stored row.  The chains are threaded back
+//! to front, so walking one visits equal keys in insertion order.  That
+//! order is a contract, not a nicety: it fixes the order of the join's
+//! output rows, hence the order in which a `SUM` above it adds floats,
+//! hence the bits of the aggregate.  The table picks its layout from its
+//! keys once they are all in:
+//!
+//! * *dense* when the range `max − min + 1` (computed in `i128`) fits in
+//!   the power-of-two bucket array, at least two buckets per row, that a
+//!   hashed table would allocate anyway: heads are indexed by `key − min`,
+//!   so a chain holds exactly one key.  When no key repeats, a probe
+//!   writes each lane's one candidate and advances by `(row != NIL)`, like
+//!   the predicate kernel's compaction, instead of walking a chain;
+//! * *hashed* otherwise: the bucket is the high bits of a Fibonacci hash
+//!   and a chain may mix keys, so each row's key is compared.
+//!
+//! **Nothing per lane against an empty side.**  When no stored row has a
+//! key — the side is empty, all NULL, or its key type cannot equal the
+//! other side's — no table is built and the other side is drained for the
+//! counters without being keyed or probed.  The stored side is drained and
+//! charged in full either way.
+//!
+//! **A nested loop is executed through the same join table** — outer lanes
+//! probe a table over the inner side's keyed rows, the output still comes
+//! outer first and per outer lane in inner order — but it is *charged* as
+//! the nested loop the optimizer planned: `comparisons = outer × inner` and
+//! `input_tuples = outer + outer × inner`.  The labels describe the plan's
+//! algorithm, not this engine's shortcut, so they stay what
+//! [`crate::exec_row::RowExecutor`] counts.
+//!
+//! Key extraction and the root aggregate's fold match the column type once
+//! per batch and then run a typed loop over the selected lanes.
 //!
 //! Per operator the executor records both the *true* output cardinality and
 //! a set of [`WorkMetrics`] (tuples, pages, probes, comparisons, bytes).
@@ -285,12 +313,8 @@ impl<'a> Executor<'a> {
         while let Some(batch) = child.next_batch() {
             input_rows += batch.num_live() as u64;
             for (acc, pos) in accs.iter_mut().zip(&positions) {
-                let Some(pos) = pos else { continue };
-                let column = &batch.columns[*pos];
-                for &lane in &batch.select {
-                    if let Some(v) = column.as_f64(lane as usize) {
-                        acc.fold(v);
-                    }
+                if let Some(pos) = pos {
+                    acc.fold_lanes(&batch.columns[*pos], &batch.select);
                 }
             }
         }
@@ -348,6 +372,25 @@ impl AggAccumulator {
         self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
+    }
+
+    /// Fold the `f64` view (see [`ColumnData::as_f64`]) of every selected
+    /// non-NULL lane of `column`, in lane order.
+    fn fold_lanes(&mut self, column: &ColumnData, select: &[u32]) {
+        match column {
+            ColumnData::Int { values, nulls } => {
+                each_non_null(values, nulls, select, |_, v| self.fold(v as f64))
+            }
+            ColumnData::Float { values, nulls } => {
+                each_non_null(values, nulls, select, |_, v| self.fold(v))
+            }
+            ColumnData::Cat { values, nulls, .. } => {
+                each_non_null(values, nulls, select, |_, v| self.fold(v as f64))
+            }
+            ColumnData::Bool { values, nulls } => {
+                each_non_null(values, nulls, select, |_, v| self.fold(v as u8 as f64))
+            }
+        }
     }
 
     fn finalize(&self, func: AggFunc, over_column: bool, input_rows: u64) -> Value {
@@ -542,26 +585,20 @@ fn build_operator<'a>(
             (Box::new(op), schema)
         }
         PhysOperator::HashJoin {
-            build_key,
-            probe_key,
-        } => {
-            let (children, layout, schema) =
-                join_inputs(db, plan, [*build_key, *probe_key], needed);
-            (
-                Box::new(HashJoinBatches::new(plan, children, layout)),
-                schema,
-            )
+            build_key: first,
+            probe_key: second,
         }
-        PhysOperator::NestedLoopJoin {
-            outer_key,
-            inner_key,
+        | PhysOperator::NestedLoopJoin {
+            outer_key: first,
+            inner_key: second,
         } => {
-            let (children, layout, schema) =
-                join_inputs(db, plan, [*outer_key, *inner_key], needed);
-            (
-                Box::new(NestedLoopBatches::new(plan, children, layout)),
-                schema,
-            )
+            let algorithm = match plan.op {
+                PhysOperator::HashJoin { .. } => JoinAlgorithm::Hash,
+                _ => JoinAlgorithm::NestedLoop,
+            };
+            let (children, layout, schema) = join_inputs(db, plan, [*first, *second], needed);
+            let op = JoinBatches::new(plan, algorithm, children, layout);
+            (Box::new(op), schema)
         }
         PhysOperator::Aggregate { .. } => {
             panic!("Aggregate operators are only supported at the plan root")
@@ -842,101 +879,224 @@ impl BatchOperator for IndexScanBatches<'_> {
     }
 }
 
+/// Call `f(lane, value)` for every selected lane whose value is not NULL:
+/// the one lane loop behind the typed key and fold loops, which match the
+/// column type once per batch instead of once per lane.
+#[inline(always)]
+fn each_non_null<T: Copy>(values: &[T], nulls: &[bool], select: &[u32], mut f: impl FnMut(u32, T)) {
+    for &lane in select {
+        let row = lane as usize;
+        if !nulls[row] {
+            f(lane, values[row]);
+        }
+    }
+}
+
+/// Call `f(lane, key)` for every selected lane holding a join key: the
+/// typed loop of [`ColumnData::join_key`] (NULLs and floats hold none).
+#[inline]
+fn for_each_join_key(column: &ColumnData, select: &[u32], mut f: impl FnMut(u32, i64)) {
+    match column {
+        ColumnData::Int { values, nulls } => each_non_null(values, nulls, select, f),
+        ColumnData::Cat { values, nulls, .. } => {
+            each_non_null(values, nulls, select, |lane, v| f(lane, v as i64))
+        }
+        ColumnData::Bool { values, nulls } => {
+            each_non_null(values, nulls, select, |lane, v| f(lane, v as i64))
+        }
+        ColumnData::Float { .. } => {}
+    }
+}
+
 /// End of a [`JoinTable`] chain.
 const NIL: u32 = u32::MAX;
 
-/// Build side of a hash join: row `r` of the build side has key `keys[r]`,
-/// bucket `b` chains the rows `heads[b]`, `next[heads[b]]`, … up to [`NIL`].
-/// Chains ascend in row number, so [`JoinTable::matches`] yields equal keys
-/// in insertion order (see the module docs for why that matters).
+/// How a [`JoinTable`] finds the chain of a key.
+enum Slots {
+    /// `heads[key - min]`: every key of `[min, max]` has a head of its own,
+    /// so a chain holds one key, and `unique` chains hold one row.
+    Dense { min: i64, unique: bool },
+    /// `heads[fibonacci_bucket(key, shift)]`: a chain may mix keys, so each
+    /// row is checked against `keys`.
+    Hashed { shift: u32, keys: Vec<i64> },
+}
+
+/// Build side of a join: head `h` chains the rows `heads[h]`,
+/// `next[heads[h]]`, … up to [`NIL`].  Chains ascend in row number, so a
+/// probe yields equal keys in insertion order (see the module docs for why
+/// that matters).
 struct JoinTable {
-    keys: Vec<i64>,
     heads: Vec<u32>,
     next: Vec<u32>,
-    shift: u32,
+    slots: Slots,
+}
+
+/// Fibonacci hashing: the high bits of `key × 2⁶⁴/φ`.
+#[inline]
+fn fibonacci_bucket(key: i64, shift: u32) -> usize {
+    ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
 }
 
 impl JoinTable {
-    /// Index the keys of the (fully drained) build side: a power of two of
-    /// buckets, at least two per key, threaded back to front.
+    /// Index the keys of the (fully drained) build side, threaded back to
+    /// front.  A hashed table would take a power of two of buckets, at
+    /// least two per key; when the keys' range fits in that many heads they
+    /// are addressed directly instead.
     fn new(keys: Vec<i64>) -> Self {
-        assert!(keys.len() < NIL as usize, "hash join build side too large");
+        assert!(keys.len() < NIL as usize, "join build side too large");
         let buckets = (2 * keys.len()).next_power_of_two().max(2);
-        let mut table = JoinTable {
-            heads: vec![NIL; buckets],
-            next: vec![NIL; keys.len()],
-            shift: 64 - buckets.trailing_zeros(),
-            keys,
-        };
-        for row in (0..table.keys.len()).rev() {
-            let bucket = table.bucket(table.keys[row]);
-            table.next[row] = table.heads[bucket];
-            table.heads[bucket] = row as u32;
-        }
-        table
-    }
-
-    /// Fibonacci hashing: the high bits of `key × 2⁶⁴/φ`.
-    #[inline]
-    fn bucket(&self, key: i64) -> usize {
-        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    /// Build rows whose key equals `key`, in insertion order.
-    #[inline]
-    fn matches(&self, key: i64) -> impl Iterator<Item = u32> + '_ {
-        let mut row = self.heads[self.bucket(key)];
-        std::iter::from_fn(move || {
-            while row != NIL {
-                let candidate = row;
-                row = self.next[candidate as usize];
-                if self.keys[candidate as usize] == key {
-                    return Some(candidate);
-                }
+        let (min, max) = keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &key| {
+            (lo.min(key), hi.max(key))
+        });
+        let range = (max as i128 - min as i128 + 1).max(0);
+        let mut next = vec![NIL; keys.len()];
+        if range <= buckets as i128 {
+            let mut heads = vec![NIL; range as usize];
+            let mut unique = true;
+            for row in (0..keys.len()).rev() {
+                let head = &mut heads[keys[row].wrapping_sub(min) as usize];
+                unique &= *head == NIL;
+                next[row] = *head;
+                *head = row as u32;
             }
-            None
-        })
+            let slots = Slots::Dense { min, unique };
+            return JoinTable { heads, next, slots };
+        }
+        let shift = 64 - buckets.trailing_zeros();
+        let mut heads = vec![NIL; buckets];
+        for row in (0..keys.len()).rev() {
+            let head = &mut heads[fibonacci_bucket(keys[row], shift)];
+            next[row] = *head;
+            *head = row as u32;
+        }
+        let slots = Slots::Hashed { shift, keys };
+        JoinTable { heads, next, slots }
+    }
+
+    /// Head of the chain of `key` in a dense table, [`NIL`] outside
+    /// `[min, max]`.  One unsigned compare bounds both ends: a key below
+    /// `min` wraps to at least `2⁶³ − min`, which is never below the
+    /// `max − min + 1` heads.
+    #[inline]
+    fn dense_head(&self, min: i64, key: i64) -> u32 {
+        let slot = key.wrapping_sub(min) as u64;
+        if slot < self.heads.len() as u64 {
+            self.heads[slot as usize]
+        } else {
+            NIL
+        }
+    }
+
+    /// Append the `(build row, probe lane)` pairs of the selected lanes of
+    /// `keys` to `rows` and `lanes` (both empty): lane by lane, and each
+    /// lane's build rows in insertion order.
+    fn probe(&self, keys: &ColumnData, select: &[u32], rows: &mut Vec<u32>, lanes: &mut Vec<u32>) {
+        let next = &self.next;
+        match &self.slots {
+            Slots::Dense { min, unique: true } => {
+                // Branch-free: every lane writes its one candidate, matches
+                // advance (like `filter_lanes`).
+                rows.resize(select.len(), NIL);
+                lanes.resize(select.len(), 0);
+                let mut live = 0;
+                for_each_join_key(keys, select, |lane, key| {
+                    let row = self.dense_head(*min, key);
+                    rows[live] = row;
+                    lanes[live] = lane;
+                    live += (row != NIL) as usize;
+                });
+                rows.truncate(live);
+                lanes.truncate(live);
+            }
+            Slots::Dense { min, unique: false } => for_each_join_key(keys, select, |lane, key| {
+                let mut row = self.dense_head(*min, key);
+                while row != NIL {
+                    rows.push(row);
+                    lanes.push(lane);
+                    row = next[row as usize];
+                }
+            }),
+            Slots::Hashed { shift, keys: built } => for_each_join_key(keys, select, |lane, key| {
+                let mut row = self.heads[fibonacci_bucket(key, *shift)];
+                while row != NIL {
+                    if built[row as usize] == key {
+                        rows.push(row);
+                        lanes.push(lane);
+                    }
+                    row = next[row as usize];
+                }
+            }),
+        }
     }
 }
 
-/// Hash join: the build side is drained into its needed columns plus a
-/// [`JoinTable`] over its keys, then probe batches are matched
+/// The two join algorithms [`JoinBatches`] executes.  They differ in which
+/// child is stored and in how the work is charged, not in the loop.
+#[derive(Clone, Copy)]
+enum JoinAlgorithm {
+    /// Builds on the first child, probes with the second.
+    Hash,
+    /// Stores the second (inner) child, streams the first (outer) through
+    /// it, and is charged as comparing every outer to every inner tuple.
+    NestedLoop,
+}
+
+impl JoinAlgorithm {
+    /// Plan position of the stored side.
+    fn build_side(self) -> usize {
+        match self {
+            JoinAlgorithm::Hash => 0,
+            JoinAlgorithm::NestedLoop => 1,
+        }
+    }
+}
+
+/// Join: the stored side is drained into its needed columns plus a
+/// [`JoinTable`] over its keys, then batches of the other side probe it
 /// key-column-at-a-time and survivor pairs are materialised through gather
-/// lists.
-struct HashJoinBatches<'a> {
+/// lists.  Output columns come first child first, whichever side is stored.
+struct JoinBatches<'a> {
     plan: &'a PlanNode,
-    build: Option<Box<dyn BatchOperator + 'a>>,
-    probe: Option<Box<dyn BatchOperator + 'a>>,
+    algorithm: JoinAlgorithm,
+    /// Both children in plan order; the stored side is taken when drained.
+    children: [Option<Box<dyn BatchOperator + 'a>>; 2],
+    /// `None` until the stored side has been drained.
     build_node: Option<ExecutedNode>,
     layout: JoinLayout,
-    /// Needed columns of the keyed build rows (rows without a join key are
+    /// Needed columns of the keyed stored rows (rows without a join key are
     /// counted but never stored — they cannot match).
     build_cols: Vec<ColumnData>,
-    /// `None` until the build side has been drained.
+    /// `None` when nothing stored can match: no keyed row, or mistyped keys.
     table: Option<JoinTable>,
+    /// Live tuples drained from the stored and the streamed side.
+    build_rows: u64,
+    probe_rows: u64,
     work: WorkMetrics,
     keyed_scratch: Vec<u32>,
     out_build_rows: Vec<u32>,
     out_probe_lanes: Vec<u32>,
 }
 
-impl<'a> HashJoinBatches<'a> {
+impl<'a> JoinBatches<'a> {
     fn new(
         plan: &'a PlanNode,
-        [build, probe]: [Box<dyn BatchOperator + 'a>; 2],
+        algorithm: JoinAlgorithm,
+        [first, second]: [Box<dyn BatchOperator + 'a>; 2],
         layout: JoinLayout,
     ) -> Self {
-        HashJoinBatches {
+        JoinBatches {
             plan,
-            build: Some(build),
-            probe: Some(probe),
+            algorithm,
+            children: [Some(first), Some(second)],
             build_node: None,
-            build_cols: layout.out_types[0]
+            build_cols: layout.out_types[algorithm.build_side()]
                 .iter()
                 .map(|t| ColumnData::new(*t))
                 .collect(),
             layout,
             table: None,
+            build_rows: 0,
+            probe_rows: 0,
             work: WorkMetrics::default(),
             keyed_scratch: Vec::with_capacity(BATCH_ROWS),
             out_build_rows: Vec::new(),
@@ -945,67 +1105,65 @@ impl<'a> HashJoinBatches<'a> {
     }
 
     fn ensure_built(&mut self) {
-        if self.table.is_some() {
+        if self.build_node.is_some() {
             return;
         }
-        let mut build = self.build.take().expect("build side consumed twice");
+        let side = self.algorithm.build_side();
+        let mut build = self.children[side]
+            .take()
+            .expect("build side consumed twice");
         let mut keys = Vec::new();
         while let Some(batch) = build.next_batch() {
-            self.work.hash_build_tuples += batch.num_live() as u64;
+            self.build_rows += batch.num_live() as u64;
             if !self.layout.tags_match {
                 continue; // drained for the counters; nothing stored can match
             }
-            let key_col = &batch.columns[self.layout.key_pos[0]];
-            self.keyed_scratch.clear();
-            for &lane in &batch.select {
-                if let Some(key) = key_col.join_key(lane as usize) {
-                    keys.push(key);
-                    self.keyed_scratch.push(lane);
-                }
-            }
-            for (dst, &pos) in self.build_cols.iter_mut().zip(&self.layout.out_pos[0]) {
-                dst.append_gather(&batch.columns[pos], &self.keyed_scratch);
+            let keyed = &mut self.keyed_scratch;
+            keyed.clear();
+            let key_col = &batch.columns[self.layout.key_pos[side]];
+            for_each_join_key(key_col, &batch.select, |lane, key| {
+                keys.push(key);
+                keyed.push(lane);
+            });
+            for (dst, &pos) in self.build_cols.iter_mut().zip(&self.layout.out_pos[side]) {
+                dst.append_gather(&batch.columns[pos], keyed);
             }
         }
-        self.table = Some(JoinTable::new(keys));
-        self.work.build_bytes = self.work.hash_build_tuples * (self.layout.child_width[0] + 16);
+        self.table = (!keys.is_empty()).then(|| JoinTable::new(keys));
         self.build_node = Some(build.finish());
     }
 }
 
-impl BatchOperator for HashJoinBatches<'_> {
+impl BatchOperator for JoinBatches<'_> {
     fn next_batch(&mut self) -> Option<ColumnBatch> {
         self.ensure_built();
-        let table = self.table.as_ref().expect("build side drained above");
+        let side = 1 - self.algorithm.build_side();
         loop {
-            let probe = self.probe.as_mut().expect("probe side consumed twice");
+            let probe = self.children[side]
+                .as_mut()
+                .expect("probe side consumed twice");
             let batch = probe.next_batch()?;
-            self.work.hash_probe_tuples += batch.num_live() as u64;
+            self.probe_rows += batch.num_live() as u64;
+            let Some(table) = &self.table else {
+                continue; // drained for the counters; nothing can match
+            };
             self.out_build_rows.clear();
             self.out_probe_lanes.clear();
-            if self.layout.tags_match {
-                let key_col = &batch.columns[self.layout.key_pos[1]];
-                for &lane in &batch.select {
-                    if let Some(key) = key_col.join_key(lane as usize) {
-                        for build_row in table.matches(key) {
-                            self.out_build_rows.push(build_row);
-                            self.out_probe_lanes.push(lane);
-                        }
-                    }
-                }
-            }
-            if self.out_build_rows.is_empty() {
+            let key_col = &batch.columns[self.layout.key_pos[side]];
+            let (rows, lanes) = (&mut self.out_build_rows, &mut self.out_probe_lanes);
+            table.probe(key_col, &batch.select, rows, lanes);
+            if rows.is_empty() {
                 continue;
             }
-            let n = self.out_build_rows.len();
-            let build_cols = self.build_cols.iter();
-            let probe_cols = self.layout.out_pos[1]
+            let n = rows.len();
+            let stored = self.build_cols.iter().map(|col| col.gather(rows));
+            let streamed = self.layout.out_pos[side]
                 .iter()
-                .map(|&pos| &batch.columns[pos]);
-            let columns = build_cols
-                .map(|col| col.gather(&self.out_build_rows))
-                .chain(probe_cols.map(|col| col.gather(&self.out_probe_lanes)))
-                .collect();
+                .map(|&pos| batch.columns[pos].gather(lanes));
+            let columns = match self.algorithm {
+                JoinAlgorithm::Hash => stored.chain(streamed).collect(),
+                JoinAlgorithm::NestedLoop => streamed.chain(stored).collect(),
+            };
             self.work.output_tuples += n as u64;
             self.work.output_bytes += n as u64 * self.layout.width;
             return Some(ColumnBatch {
@@ -1019,142 +1177,33 @@ impl BatchOperator for HashJoinBatches<'_> {
     fn finish(mut self: Box<Self>) -> ExecutedNode {
         self.ensure_built();
         let build_node = self.build_node.take().expect("build node missing");
-        let probe_node = self
-            .probe
+        let side = self.algorithm.build_side();
+        let probe_node = self.children[1 - side]
             .take()
             .expect("probe side consumed twice")
             .finish();
-        self.work.input_tuples = self.work.hash_build_tuples + self.work.hash_probe_tuples;
-        executed(self.plan, self.work, vec![build_node, probe_node])
-    }
-}
-
-/// Nested-loop join: the needed columns and the keys of the inner side are
-/// materialised once; outer batches stream through, comparing key slices
-/// against the inner keys.
-struct NestedLoopBatches<'a> {
-    plan: &'a PlanNode,
-    outer: Option<Box<dyn BatchOperator + 'a>>,
-    inner: Option<Box<dyn BatchOperator + 'a>>,
-    inner_node: Option<ExecutedNode>,
-    layout: JoinLayout,
-    inner_cols: Vec<ColumnData>,
-    inner_keys: Vec<Option<i64>>,
-    inner_done: bool,
-    outer_rows: u64,
-    work: WorkMetrics,
-    out_outer_lanes: Vec<u32>,
-    out_inner_rows: Vec<u32>,
-}
-
-impl<'a> NestedLoopBatches<'a> {
-    fn new(
-        plan: &'a PlanNode,
-        [outer, inner]: [Box<dyn BatchOperator + 'a>; 2],
-        layout: JoinLayout,
-    ) -> Self {
-        NestedLoopBatches {
-            plan,
-            outer: Some(outer),
-            inner: Some(inner),
-            inner_node: None,
-            inner_cols: layout.out_types[1]
-                .iter()
-                .map(|t| ColumnData::new(*t))
-                .collect(),
-            layout,
-            inner_keys: Vec::new(),
-            inner_done: false,
-            outer_rows: 0,
-            work: WorkMetrics::default(),
-            out_outer_lanes: Vec::new(),
-            out_inner_rows: Vec::new(),
-        }
-    }
-
-    fn ensure_inner(&mut self) {
-        if self.inner_done {
-            return;
-        }
-        self.inner_done = true;
-        let mut inner = self.inner.take().expect("inner side consumed twice");
-        while let Some(batch) = inner.next_batch() {
-            let key_col = &batch.columns[self.layout.key_pos[1]];
-            for &lane in &batch.select {
-                self.inner_keys.push(key_col.join_key(lane as usize));
+        let (build, probe) = (self.build_rows, self.probe_rows);
+        let width = self.layout.child_width[side];
+        let work = &mut self.work;
+        let children = match self.algorithm {
+            JoinAlgorithm::Hash => {
+                work.hash_build_tuples = build;
+                work.hash_probe_tuples = probe;
+                work.input_tuples = build + probe;
+                work.build_bytes = build * (width + 16);
+                vec![build_node, probe_node]
             }
-            for (dst, &pos) in self.inner_cols.iter_mut().zip(&self.layout.out_pos[1]) {
-                dst.append_gather(&batch.columns[pos], &batch.select);
+            JoinAlgorithm::NestedLoop => {
+                // Charged as the nested loop it is planned as, however it
+                // ran: the inner relation is rescanned once per outer tuple
+                // and every pair compared.
+                work.comparisons = probe * build;
+                work.input_tuples = probe + probe * build;
+                work.build_bytes = build * width;
+                vec![probe_node, build_node]
             }
-        }
-        self.work.build_bytes = self.inner_keys.len() as u64 * self.layout.child_width[1];
-        self.inner_node = Some(inner.finish());
-    }
-}
-
-impl BatchOperator for NestedLoopBatches<'_> {
-    fn next_batch(&mut self) -> Option<ColumnBatch> {
-        self.ensure_inner();
-        loop {
-            let outer = self.outer.as_mut().expect("outer side consumed twice");
-            let batch = outer.next_batch()?;
-            let live = batch.num_live() as u64;
-            self.outer_rows += live;
-            self.work.comparisons += live * self.inner_keys.len() as u64;
-            self.out_outer_lanes.clear();
-            self.out_inner_rows.clear();
-            let key_col = &batch.columns[self.layout.key_pos[0]];
-            for &lane in &batch.select {
-                let outer_key = if self.layout.tags_match {
-                    key_col.join_key(lane as usize)
-                } else {
-                    None
-                };
-                let Some(outer_key) = outer_key else { continue };
-                for (inner_row, inner_key) in self.inner_keys.iter().enumerate() {
-                    if *inner_key == Some(outer_key) {
-                        self.out_outer_lanes.push(lane);
-                        self.out_inner_rows.push(inner_row as u32);
-                    }
-                }
-            }
-            if self.out_outer_lanes.is_empty() {
-                continue;
-            }
-            let n = self.out_outer_lanes.len();
-            let outer_cols = self.layout.out_pos[0]
-                .iter()
-                .map(|&pos| &batch.columns[pos]);
-            let columns = outer_cols
-                .map(|col| col.gather(&self.out_outer_lanes))
-                .chain(
-                    self.inner_cols
-                        .iter()
-                        .map(|col| col.gather(&self.out_inner_rows)),
-                )
-                .collect();
-            self.work.output_tuples += n as u64;
-            self.work.output_bytes += n as u64 * self.layout.width;
-            return Some(ColumnBatch {
-                columns,
-                select: (0..n as u32).collect(),
-                rows: n,
-            });
-        }
-    }
-
-    fn finish(mut self: Box<Self>) -> ExecutedNode {
-        self.ensure_inner();
-        let inner_node = self.inner_node.take().expect("inner node missing");
-        let outer_node = self
-            .outer
-            .take()
-            .expect("outer side consumed twice")
-            .finish();
-        // The inner relation is rescanned once per outer tuple; charging
-        // only one pass made the runtime simulator undercount NLJ work.
-        self.work.input_tuples = self.outer_rows + self.outer_rows * self.inner_keys.len() as u64;
-        executed(self.plan, self.work, vec![outer_node, inner_node])
+        };
+        executed(self.plan, self.work, children)
     }
 }
 
@@ -1548,20 +1597,36 @@ mod tests {
         Box::new(Feed(batches.into_iter()))
     }
 
-    /// `(build row, probe row)` pairs a hash join emits, in emission order.
-    fn hash_join_pairs(
+    /// The layout of a join's table: `none` when nothing was stored.
+    fn layout_name(table: Option<&JoinTable>) -> &'static str {
+        match table.map(|t| &t.slots) {
+            None => "none",
+            Some(Slots::Dense { unique: true, .. }) => "dense-unique",
+            Some(Slots::Dense { unique: false, .. }) => "dense",
+            Some(Slots::Hashed { .. }) => "hashed",
+        }
+    }
+
+    /// `(build row, probe row)` pairs a join emits, in emission order, and
+    /// the layout its table chose.  The nested loop stores `build` as its
+    /// inner (second) child and streams `probe` as its outer one.
+    fn join_pairs(
+        algorithm: JoinAlgorithm,
         build: &[(Option<i64>, bool)],
         probe: &[(Option<i64>, bool)],
-    ) -> Vec<(i64, i64)> {
-        let plan = PlanNode::leaf(
-            PhysOperator::HashJoin {
-                build_key: ColumnRef::new(TableId(0), zsdb_catalog::ColumnId(0)),
-                probe_key: ColumnRef::new(TableId(1), zsdb_catalog::ColumnId(0)),
+    ) -> (Vec<(i64, i64)>, &'static str) {
+        let keys = [0, 1].map(|t| ColumnRef::new(TableId(t), zsdb_catalog::ColumnId(0)));
+        let op = match algorithm {
+            JoinAlgorithm::Hash => PhysOperator::HashJoin {
+                build_key: keys[0],
+                probe_key: keys[1],
             },
-            0.0,
-            0.0,
-            0.0,
-        );
+            JoinAlgorithm::NestedLoop => PhysOperator::NestedLoopJoin {
+                outer_key: keys[1],
+                inner_key: keys[0],
+            },
+        };
+        let plan = PlanNode::leaf(op, 0.0, 0.0, 0.0);
         let layout = JoinLayout {
             key_pos: [0, 0],
             out_pos: [vec![1], vec![1]],
@@ -1570,22 +1635,54 @@ mod tests {
             child_width: [16, 16],
             width: 32,
         };
-        let mut join = HashJoinBatches::new(&plan, [feed(build), feed(probe)], layout);
+        let mut children = [feed(build), feed(probe)];
+        let build_side = algorithm.build_side();
+        children.swap(0, build_side);
+        let mut join = JoinBatches::new(&plan, algorithm, children, layout);
         let mut pairs = Vec::new();
         while let Some(batch) = join.next_batch() {
             assert_eq!(batch.columns.len(), 2);
             assert_eq!(batch.num_rows(), batch.num_live());
             for &lane in &batch.select {
                 let id = |side: usize| batch.columns[side].join_key(lane as usize).unwrap();
-                pairs.push((id(0), id(1)));
+                pairs.push((id(build_side), id(1 - build_side)));
             }
         }
+        let layout = layout_name(join.table.as_ref());
         let live = |rows: &[(Option<i64>, bool)]| rows.iter().filter(|r| r.1).count() as u64;
-        let node = Box::new(join).finish();
-        assert_eq!(node.work.hash_build_tuples, live(build));
-        assert_eq!(node.work.hash_probe_tuples, live(probe));
-        assert_eq!(node.actual_cardinality, pairs.len() as u64);
-        pairs
+        let (build, probe) = (live(build), live(probe));
+        let work = Box::new(join).finish().work;
+        assert_eq!(work.output_tuples, pairs.len() as u64);
+        match algorithm {
+            JoinAlgorithm::Hash => {
+                assert_eq!(work.hash_build_tuples, build);
+                assert_eq!(work.hash_probe_tuples, probe);
+                assert_eq!(work.input_tuples, build + probe);
+            }
+            JoinAlgorithm::NestedLoop => {
+                assert_eq!(work.comparisons, probe * build);
+                assert_eq!(work.input_tuples, probe + probe * build);
+                assert_eq!(work.hash_build_tuples + work.hash_probe_tuples, 0);
+            }
+        }
+        (pairs, layout)
+    }
+
+    /// The layout the rule of [`JoinTable::new`] gives these build rows.
+    fn expected_layout(build: &[(Option<i64>, bool)]) -> &'static str {
+        let keys: Vec<i64> = build.iter().filter(|r| r.1).filter_map(|r| r.0).collect();
+        let (Some(&min), Some(&max)) = (keys.iter().min(), keys.iter().max()) else {
+            return "none";
+        };
+        let buckets = (2 * keys.len()).next_power_of_two() as i128;
+        let distinct: std::collections::HashSet<i64> = keys.iter().copied().collect();
+        if max as i128 - min as i128 + 1 > buckets {
+            "hashed"
+        } else if distinct.len() == keys.len() {
+            "dense-unique"
+        } else {
+            "dense"
+        }
     }
 
     /// The table this executor used before the flat one, as the oracle.
@@ -1624,17 +1721,60 @@ mod tests {
             .collect()
     }
 
+    /// Build rows of `table` whose key equals `key`, in emission order.
+    fn matches(table: &JoinTable, key: i64) -> Vec<u32> {
+        let (mut rows, mut lanes) = (Vec::new(), Vec::new());
+        table.probe(
+            &column_of(&[Value::Int(key)], DataType::Int),
+            &[0],
+            &mut rows,
+            &mut lanes,
+        );
+        assert!(lanes.iter().all(|&lane| lane == 0));
+        rows
+    }
+
     #[test]
     fn colliding_keys_share_one_chain() {
         let keys = colliding_keys(300);
         let table = JoinTable::new(keys.clone());
-        assert!(keys.iter().all(|k| table.bucket(*k) == 0));
+        let Slots::Hashed { shift, .. } = table.slots else {
+            panic!("colliding keys span the whole key space");
+        };
+        assert!(keys.iter().all(|k| fibonacci_bucket(*k, shift) == 0));
         assert_eq!(table.heads.iter().filter(|h| **h != NIL).count(), 1);
         for (row, key) in keys.iter().enumerate() {
-            assert_eq!(table.matches(*key).collect::<Vec<_>>(), [row as u32]);
+            assert_eq!(matches(&table, *key), [row as u32]);
         }
-        assert_eq!(table.matches(-1).count(), 0);
-        assert_eq!(JoinTable::new(Vec::new()).matches(0).count(), 0);
+        assert!(matches(&table, -1).is_empty());
+        assert!(matches(&JoinTable::new(Vec::new()), 0).is_empty());
+    }
+
+    #[test]
+    fn dense_tables_address_keys_directly_and_bound_both_ends() {
+        let layout = |keys: &[i64]| layout_name(Some(&JoinTable::new(keys.to_vec())));
+        assert_eq!(layout(&[3, 0, 2, 1]), "dense-unique");
+        assert_eq!(layout(&[-7, -5, -7]), "dense");
+        // Four keys get eight buckets: a range of eight is dense, nine is not.
+        assert_eq!(layout(&[0, 7, 3, 3]), "dense");
+        assert_eq!(layout(&[0, 8, 3, 3]), "hashed");
+        // The range of both extremes is 2⁶⁴: computed without overflow.
+        assert_eq!(layout(&[i64::MIN, i64::MAX]), "hashed");
+        assert_eq!(layout(&[i64::MIN, i64::MIN + 1]), "dense-unique");
+
+        // Keys outside `[min, max]` miss however far they wrap.
+        let top = JoinTable::new(vec![i64::MAX, i64::MAX - 1, i64::MAX]);
+        assert_eq!(layout_name(Some(&top)), "dense");
+        assert_eq!(matches(&top, i64::MAX), [0, 2]);
+        assert_eq!(matches(&top, i64::MAX - 1), [1]);
+        for key in [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 2] {
+            assert!(matches(&top, key).is_empty(), "{key}");
+        }
+        let bottom = JoinTable::new(vec![i64::MIN + 1, i64::MIN]);
+        assert_eq!(matches(&bottom, i64::MIN), [1]);
+        for key in [i64::MAX, i64::MAX - 1, -1, 0, i64::MIN + 2] {
+            assert!(matches(&bottom, key).is_empty(), "{key}");
+        }
     }
 
     use proptest::prelude::*;
@@ -1642,18 +1782,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(320))]
 
-        /// The flat join table against the `HashMap<i64, Vec<u32>>` it
-        /// replaced: the same `(build row, probe row)` pairs in the same
-        /// order, whatever the keys, the NULLs, the dead lanes and the
-        /// batch boundaries.
+        /// The flat join table, in both layouts and under both join
+        /// algorithms, against the `HashMap<i64, Vec<u32>>` it replaced:
+        /// the same `(build row, probe row)` pairs in the same order,
+        /// whatever the keys, the NULLs, the dead lanes and the batch
+        /// boundaries.
         #[test]
         fn flat_join_table_matches_hash_map_order(
             seed in 0u64..u64::MAX,
-            key_mode in 0usize..5,
+            key_mode in 0usize..8,
             size_mode in 0usize..8,
             null_mode in 0usize..3,
+            nested_loop in 0usize..2,
         ) {
-            use rand::{rngs::StdRng, Rng, SeedableRng};
+            use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed);
             let build_len = match size_mode {
                 0 => 0,
@@ -1668,14 +1810,20 @@ mod tests {
             let chain = colliding_keys(40);
             let edges = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
             let mut side = |len: usize| -> Vec<(Option<i64>, bool)> {
-                (0..len)
-                    .map(|_| {
+                let mut permutation: Vec<i64> = (0..len as i64).collect();
+                permutation.shuffle(&mut rng);
+                permutation
+                    .into_iter()
+                    .map(|position| {
                         let key = match key_mode {
                             0 => rng.random_range(-2i64..3), // heavy duplicates
                             1 => edges[rng.random_range(0..edges.len())],
-                            2 => buckets * rng.random_range(-20i64..20), // same low bits
+                            2 => buckets * rng.random_range(-20i64..20), // sparse, same low bits
                             3 => chain[rng.random_range(0..chain.len())], // one long chain
-                            _ => rng.random_range(i64::MIN..i64::MAX),
+                            4 => rng.random_range(i64::MIN..i64::MAX),
+                            5 => position, // dense and unique once NULLs filter it
+                            6 => rng.random_range(-(len as i64) - 2..-1), // negative, dense
+                            _ => rng.random_range(-3i64..4), // plus both extremes below
                         };
                         let null = null_mode > 0 && rng.random_range(0..4 * null_mode) >= 3;
                         let dead = null_mode == 2 && rng.random_range(0..5) == 0;
@@ -1683,8 +1831,16 @@ mod tests {
                     })
                     .collect()
             };
-            let (build, probe) = (side(build_len), side(probe_len));
-            let (flat, oracle) = (hash_join_pairs(&build, &probe), hash_map_pairs(&build, &probe));
+            let (mut build, probe) = (side(build_len), side(probe_len));
+            if key_mode == 7 && build_len >= 2 {
+                // A range of 2⁶⁴ must fall back to hashing without overflow.
+                build[0] = (Some(i64::MIN), true);
+                build[1] = (Some(i64::MAX), true);
+            }
+            let algorithm = [JoinAlgorithm::Hash, JoinAlgorithm::NestedLoop][nested_loop];
+            let (flat, layout) = join_pairs(algorithm, &build, &probe);
+            prop_assert_eq!(layout, expected_layout(&build));
+            let oracle = hash_map_pairs(&build, &probe);
             let first_difference = flat.iter().zip(&oracle).position(|(a, b)| a != b);
             prop_assert!(
                 flat.len() == oracle.len() && first_difference.is_none(),

@@ -9,8 +9,10 @@
 //!
 //! The suite covers optimizer-produced plans over random schemas and
 //! workloads (including NULL-heavy databases and with physical indexes),
-//! predicates that filter out every row, hand-built nested-loop plans and
-//! the mistyped-join-key regression.
+//! predicates that filter out every row, hand-built nested-loop plans (one
+//! over inner keys that repeat and are NULL, under a float `SUM`), joins
+//! whose stored side a predicate empties and the mistyped-join-key
+//! regression.
 
 use proptest::prelude::*;
 use zero_shot_db::cardest::PostgresLikeEstimator;
@@ -18,9 +20,10 @@ use zero_shot_db::catalog::{
     presets, ColumnId, ColumnMeta, ColumnRef, ColumnStatistics, DataType, Distribution,
     GeneratorConfig, SchemaCatalog, SchemaGenerator, TableId, TableMeta, Value,
 };
+use zero_shot_db::engine::executor::row_width_bytes;
 use zero_shot_db::engine::{
     EngineConfig, Executor, Optimizer, PhysOperator, PhysOperatorKind, PlanNode, QueryRunner,
-    RowExecutor,
+    RowExecutor, WorkMetrics,
 };
 use zero_shot_db::query::{
     AggFunc, Aggregate, CmpOp, JoinCondition, Predicate, Query, WorkloadGenerator, WorkloadSpec,
@@ -357,14 +360,193 @@ fn mistyped_join_keys_never_match() {
         let row = RowExecutor::new(&db).execute(&join);
         assert_eq!(batched, row);
         assert_eq!(batched.root.actual_cardinality, 0);
+        // The stored side is drained and charged although nothing of it is
+        // kept.
+        let work = batched.root.work;
         if is_hash_join {
-            // The build side is drained and charged although nothing of it
-            // is kept: 4 tuples of Int + Int + header + 16 B per entry.
-            let work = batched.root.work;
+            // 4 tuples of Int + Int + header + 16 B per entry.
             assert_eq!(work.hash_build_tuples, 4);
             assert_eq!(work.hash_probe_tuples, 4);
             assert_eq!(work.build_bytes, 4 * (8 + 8 + 24 + 16));
+        } else {
+            // 4 inner tuples of Int + Bool + header, each compared with and
+            // rescanned for each of the 4 outer tuples.
+            assert_eq!(work.build_bytes, 4 * (8 + 1 + 24));
+            assert_eq!(work.comparisons, 4 * 4);
+            assert_eq!(work.input_tuples, 4 + 4 * 4);
         }
+    }
+}
+
+fn plan_node(op: PhysOperator, children: Vec<PlanNode>) -> PlanNode {
+    PlanNode {
+        op,
+        children,
+        est_cardinality: 1.0,
+        est_cost: 1.0,
+        output_width: 8.0,
+    }
+}
+
+fn scan_node(table: TableId, predicates: Vec<Predicate>) -> PlanNode {
+    plan_node(PhysOperator::SeqScan { table, predicates }, vec![])
+}
+
+/// Two tables joined on `k`: `outer_t` (`id`, `k`) and `inner_t` (`id`,
+/// `k`, `x`), whose keys repeat and are NULL every seventh row, and whose
+/// `x` is a float with a non-trivial mantissa.
+fn repeated_key_db() -> Database {
+    let mut catalog = SchemaCatalog::new("repeated_keys");
+    let stats = |min: f64, max: f64| ColumnStatistics {
+        distinct_count: 40,
+        null_fraction: 0.15,
+        min: Some(min),
+        max: Some(max),
+        distribution: Distribution::Uniform,
+    };
+    let key = || ColumnMeta::new("k", DataType::Int, stats(0.0, 49.0));
+    let (outer_rows, inner_rows) = (1500, 700);
+    let outer = TableMeta::new(
+        "outer_t",
+        vec![ColumnMeta::primary_key("id", outer_rows), key()],
+        outer_rows,
+    );
+    let inner = TableMeta::new(
+        "inner_t",
+        vec![
+            ColumnMeta::primary_key("id", inner_rows),
+            key(),
+            ColumnMeta::new("x", DataType::Float, stats(0.0, 30.0)),
+        ],
+        inner_rows,
+    );
+    let outer = catalog.add_table(outer).unwrap();
+    let inner = catalog.add_table(inner).unwrap();
+    let mut outer_data = TableData::empty(catalog.table(outer));
+    let mut inner_data = TableData::empty(catalog.table(inner));
+    let key_of = |i: i64, modulus: i64| match i % 7 {
+        0 => Value::Null,
+        _ => Value::Int(i * 13 % modulus),
+    };
+    for i in 0..outer_rows as i64 {
+        outer_data.push_row(&[Value::Int(i), key_of(i, 50)]);
+    }
+    for i in 0..inner_rows as i64 {
+        let x = (i as f64).sqrt() * 1.1 + 0.1 / (i + 1) as f64;
+        inner_data.push_row(&[Value::Int(i), key_of(i, 40), Value::Float(x)]);
+    }
+    Database::from_parts(catalog, vec![outer_data, inner_data])
+}
+
+#[test]
+fn float_sum_above_a_nested_loop_with_repeated_and_null_inner_keys_is_bit_identical() {
+    // Each outer lane matches a run of inner rows; the order the run comes
+    // out in decides the order SUM(x) adds its floats in.
+    let db = repeated_key_db();
+    let catalog = db.catalog();
+    let [outer_key, inner_key] =
+        ["outer_t", "inner_t"].map(|t| catalog.resolve_column(t, "k").unwrap());
+    let x = catalog.resolve_column("inner_t", "x").unwrap();
+    let join = plan_node(
+        PhysOperator::NestedLoopJoin {
+            outer_key,
+            inner_key,
+        },
+        vec![
+            scan_node(outer_key.table, vec![]),
+            scan_node(inner_key.table, vec![]),
+        ],
+    );
+    let aggregates = vec![
+        Aggregate::over(AggFunc::Sum, x),
+        Aggregate::over(AggFunc::Avg, x),
+        Aggregate::count_star(),
+    ];
+    let plan = plan_node(PhysOperator::Aggregate { aggregates }, vec![join]);
+    let batched = Executor::new(&db).execute(&plan);
+    assert_eq!(batched, RowExecutor::new(&db).execute(&plan));
+    let Value::Float(sum) = batched.aggregates[0] else {
+        panic!("SUM over a float column is a float");
+    };
+    assert!(
+        sum.is_finite() && sum.fract() != 0.0,
+        "degenerate sum {sum}"
+    );
+    let join = &batched.root.children[0];
+    let inner = &join.children[1];
+    assert_eq!(inner.actual_cardinality, 700);
+    assert_eq!(join.work.comparisons, 1500 * 700);
+    assert!(
+        join.actual_cardinality > 10 * inner.actual_cardinality,
+        "inner keys do not repeat"
+    );
+}
+
+#[test]
+fn a_side_a_predicate_empties_is_charged_without_matching() {
+    // The stored side of either join is filtered to nothing; the other
+    // side is still drained, and both are charged exactly.
+    let db = Database::generate(presets::imdb_like(0.02), 31);
+    let catalog = db.catalog();
+    let title_id = catalog.resolve_column("title", "id").unwrap();
+    let year = catalog.resolve_column("title", "production_year").unwrap();
+    let movie_id = catalog
+        .resolve_column("movie_companies", "movie_id")
+        .unwrap();
+    let (mc, mc_meta) = catalog.table_by_name("movie_companies").unwrap();
+    let nothing = Predicate::new(year, CmpOp::Lt, Value::Int(i64::MIN + 1));
+    let empty = || scan_node(title_id.table, vec![nothing]);
+    let full = || scan_node(mc, vec![]);
+    let rows = db.table_data(mc).num_rows() as u64;
+    let mc_types: Vec<DataType> = mc_meta.columns.iter().map(|c| c.data_type).collect();
+    let full_work = WorkMetrics {
+        input_tuples: rows,
+        output_tuples: rows,
+        pages_seq: mc_meta.num_pages(),
+        output_bytes: rows * row_width_bytes(&mc_types),
+        ..WorkMetrics::default()
+    };
+    let hash_join = plan_node(
+        PhysOperator::HashJoin {
+            build_key: title_id,
+            probe_key: movie_id,
+        },
+        vec![empty(), full()],
+    );
+    let nested_loop = plan_node(
+        PhysOperator::NestedLoopJoin {
+            outer_key: movie_id,
+            inner_key: title_id,
+        },
+        vec![full(), empty()],
+    );
+    for (plan, full_side, join_work) in [
+        (
+            hash_join,
+            1,
+            WorkMetrics {
+                input_tuples: rows,
+                hash_probe_tuples: rows,
+                ..WorkMetrics::default()
+            },
+        ),
+        (
+            nested_loop,
+            0,
+            WorkMetrics {
+                input_tuples: rows,
+                ..WorkMetrics::default()
+            },
+        ),
+    ] {
+        let batched = Executor::new(&db).execute(&plan);
+        assert_eq!(batched, RowExecutor::new(&db).execute(&plan));
+        let join = &batched.root;
+        assert_eq!(join.work, join_work, "{:?}", join.kind);
+        assert_eq!(join.children[full_side].work, full_work, "{:?}", join.kind);
+        let emptied = &join.children[1 - full_side];
+        assert_eq!(emptied.actual_cardinality, 0);
+        assert_eq!(emptied.work.predicate_evals, emptied.work.input_tuples);
     }
 }
 
