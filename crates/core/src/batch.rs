@@ -27,6 +27,15 @@
 //! therefore **bit-identical** to per-example predictions — the guarantee
 //! the serving layer and the equivalence tests rely on.
 //!
+//! [`PlanEncoder::encode_batch_into`] takes a [`CatalogStates`]: a level-0
+//! Table or Column member the table holds gets its state copied, and only
+//! the members it does not hold go through the encoder and combine MLPs
+//! (a level-0 member has no children, so its combine input is `[encoding
+//! ‖ 0]`).  The copy keeps every bit because the table was filled by the
+//! per-example forward, which the batched one matches (see `model`'s
+//! "Catalog leaves").  [`PlanEncoder::encode_batch_cached`], the training
+//! forward, takes no table: the weights move every step.
+//!
 //! Gradient accumulation in [`ZeroShotCostModel::accumulate_gradients_batch`]
 //! uses a fixed reduction order (groups in reverse schedule order, examples
 //! ascending), so batched training is deterministic; it is *not* required
@@ -58,7 +67,7 @@
 //! (`tests/alloc_regression.rs` counts it).
 
 use crate::features::{NodeKind, PlanGraph};
-use crate::model::{PlanEncoder, ZeroShotCostModel};
+use crate::model::{CatalogStates, PlanEncoder, ZeroShotCostModel};
 use zsdb_nn::{active_kernel, Batch, BatchBackwardScratch, BatchForwardScratch, MlpBatchCache};
 
 /// Number of node kinds: (level, kind) bucket `b` holds kind `b % KINDS`
@@ -478,6 +487,8 @@ pub struct EncodeScratch {
     combine_fwd: BatchForwardScratch,
     /// Node-major child-sum accumulator (`h × group members`).
     sums: Vec<f64>,
+    /// A level-0 leaf group's members the catalog table does not hold.
+    misses: Vec<(usize, usize)>,
     /// The encoded node states (output of the pass).
     states: NodeStates,
     /// Root states gathered for the output head.
@@ -533,32 +544,32 @@ impl PlanEncoder {
         }
     }
 
-    /// Assemble the combine-MLP input of a group: `[encoder output ‖ sum
-    /// of child states]`, with children summed in `node.children` order
-    /// (the same element-wise order as the per-example path).
+    /// Assemble the combine-MLP input of `n` group members: `[encoder
+    /// output ‖ sum of child states]`, member `e`'s children (`children(e)`,
+    /// flat ids) summed in `node.children` order (the same element-wise
+    /// order as the per-example path).
     ///
     /// Child states are accumulated into contiguous node-major rows
     /// (vectorised adds over the whole hidden vector per edge), then
     /// transposed once into the feature-major MLP input.  `sums` and the
     /// output batch are caller-provided reusable buffers.
-    fn group_combine_input_into(
+    fn group_combine_input_into<'c>(
         &self,
-        schedule: &BatchSchedule,
-        group: &KindGroup,
+        n: usize,
+        children: impl Fn(usize) -> &'c [usize],
         enc_out: &Batch,
         states: &NodeStates,
         sums: &mut Vec<f64>,
         combine_in: &mut Batch,
     ) {
         let h = self.hidden_dim;
-        let n = group.end - group.start;
         combine_in.resize(2 * h, n);
         combine_in.copy_rows_from(0, enc_out, h);
         sums.clear();
         sums.resize(h * n, 0.0);
         for e in 0..n {
             let row = &mut sums[e * h..(e + 1) * h];
-            for &c in schedule.children(group.start + e) {
+            for &c in children(e) {
                 for (s, v) in row.iter_mut().zip(states.row(c)) {
                     *s += v;
                 }
@@ -573,15 +584,15 @@ impl PlanEncoder {
     }
 
     /// Scatter a group's combine output columns back into the node-major
-    /// state storage (one transpose pass per group).
+    /// state rows of `members` (one transpose pass per group).
     fn scatter_group_states(
         &self,
         schedule: &BatchSchedule,
-        group: &KindGroup,
+        members: &[(usize, usize)],
         out: &Batch,
         states: &mut NodeStates,
     ) {
-        for (e, &member) in schedule.members(group).iter().enumerate() {
+        for (e, &member) in members.iter().enumerate() {
             let row = states.row_mut(schedule.flat(member));
             for (f, s) in row.iter_mut().enumerate() {
                 *s = out.get(f, e);
@@ -589,56 +600,80 @@ impl PlanEncoder {
         }
     }
 
-    /// Batched encoder forward: one hidden state per node, no backprop
-    /// caches (the inference path).  Bit-identical per node to the
-    /// per-example message passing.
-    pub fn encode_batch(&self, graphs: &[&PlanGraph], schedule: &BatchSchedule) -> NodeStates {
-        let mut scratch = EncodeScratch::default();
-        self.encode_batch_into(graphs, schedule, &mut scratch);
-        scratch.states
-    }
-
-    /// [`PlanEncoder::encode_batch`] into reusable scratch buffers: the
-    /// states land in `scratch.states()` and every intermediate batch is
-    /// recycled, so warm calls perform zero heap allocations.
-    /// Bit-identical to [`PlanEncoder::encode_batch`].
+    /// Batched encoder forward, no backprop caches (the inference path):
+    /// one hidden state per node lands in `scratch.states()`, bit-identical
+    /// per node to the per-example message passing.  The state of a
+    /// level-0 member `catalog` holds is copied from it (see the module
+    /// docs).  Every intermediate batch is recycled, so warm calls perform
+    /// zero heap allocations.
     pub fn encode_batch_into(
         &self,
         graphs: &[&PlanGraph],
         schedule: &BatchSchedule,
+        catalog: &CatalogStates,
         scratch: &mut EncodeScratch,
     ) {
         let kind = active_kernel();
-        scratch.states.resize(self.hidden_dim, schedule.total_nodes);
+        let EncodeScratch {
+            features,
+            enc_fwd,
+            combine_in,
+            combine_fwd,
+            sums,
+            misses,
+            states,
+            ..
+        } = scratch;
+        states.resize(self.hidden_dim, schedule.total_nodes);
         for group in &schedule.groups {
-            let members = schedule.members(group);
-            self.group_features_into(graphs, group.kind, members, &mut scratch.features);
-            let enc_out = self.encoders[group.kind].forward_batch_into(
-                kind,
-                &scratch.features,
-                &mut scratch.enc_fwd,
-            );
+            let mut members = schedule.members(group);
+            let leaves = group.bucket < KINDS
+                && NodeKind::ALL[group.kind].is_catalog_leaf()
+                && !catalog.is_empty();
+            if leaves {
+                misses.clear();
+                for &(gi, ni) in members {
+                    match catalog.get(&graphs[gi].nodes[ni]) {
+                        Some(state) => states
+                            .row_mut(schedule.flat((gi, ni)))
+                            .copy_from_slice(state),
+                        None => misses.push((gi, ni)),
+                    }
+                }
+                if misses.is_empty() {
+                    continue;
+                }
+                members = misses;
+            }
+            self.group_features_into(graphs, group.kind, members, features);
+            let enc_out = self.encoders[group.kind].forward_batch_into(kind, features, enc_fwd);
+            // Level-0 members have no children.
+            let children = |e| {
+                if leaves {
+                    &[][..]
+                } else {
+                    schedule.children(group.start + e)
+                }
+            };
             self.group_combine_input_into(
-                schedule,
-                group,
+                members.len(),
+                children,
                 enc_out,
-                &scratch.states,
-                &mut scratch.sums,
-                &mut scratch.combine_in,
+                states,
+                sums,
+                combine_in,
             );
-            let out = self.combine.forward_batch_into(
-                kind,
-                &scratch.combine_in,
-                &mut scratch.combine_fwd,
-            );
-            self.scatter_group_states(schedule, group, out, &mut scratch.states);
+            let out = self
+                .combine
+                .forward_batch_into(kind, combine_in, combine_fwd);
+            self.scatter_group_states(schedule, members, out, states);
         }
     }
 
     /// Batched encoder forward recording per-group backprop caches into
     /// `trace` (the training path); the states land in `states`.  States
-    /// are bit-identical to [`PlanEncoder::encode_batch`].  Every buffer
-    /// is reused: with a trace and states sized up front, the pass
+    /// are bit-identical to [`PlanEncoder::encode_batch_into`]'s.  Every
+    /// buffer is reused: with a trace and states sized up front, the pass
     /// performs no heap allocation.
     pub fn encode_batch_cached(
         &self,
@@ -659,9 +694,17 @@ impl PlanEncoder {
             self.group_features_into(graphs, group.kind, members, enc.input_mut());
             let enc_out = self.encoders[group.kind].forward_batch_cached_into(kind, enc);
             let combine_in = combine.input_mut();
-            self.group_combine_input_into(schedule, group, enc_out, states, sums, combine_in);
+            let children = |e| schedule.children(group.start + e);
+            self.group_combine_input_into(
+                members.len(),
+                children,
+                enc_out,
+                states,
+                sums,
+                combine_in,
+            );
             let out = self.combine.forward_batch_cached_into(kind, combine);
-            self.scatter_group_states(schedule, group, out, states);
+            self.scatter_group_states(schedule, members, out, states);
         }
     }
 
@@ -775,41 +818,39 @@ impl ZeroShotCostModel {
     /// **bit-identical** per graph to
     /// [`ZeroShotCostModel::predict_log`].
     pub fn predict_log_batch(&self, graphs: &[&PlanGraph]) -> Vec<f64> {
+        self.predict_log_batch_with(graphs, &CatalogStates::default())
+    }
+
+    /// [`ZeroShotCostModel::predict_log_batch`] copying the state of every
+    /// level-0 node `catalog` holds — bit-identical.
+    fn predict_log_batch_with(&self, graphs: &[&PlanGraph], catalog: &CatalogStates) -> Vec<f64> {
         if graphs.is_empty() {
             return Vec::new();
         }
         let schedule = BatchSchedule::build(graphs);
-        self.predict_log_scheduled(graphs, &schedule)
-    }
-
-    /// Batched log-runtime prediction with a prebuilt schedule (callers
-    /// that reuse the same mini-batch composition can amortise the
-    /// schedule).
-    pub fn predict_log_scheduled(
-        &self,
-        graphs: &[&PlanGraph],
-        schedule: &BatchSchedule,
-    ) -> Vec<f64> {
-        let mut scratch = EncodeScratch::default();
         let mut out = Vec::new();
-        self.predict_log_scheduled_into(graphs, schedule, &mut scratch, &mut out);
+        let mut scratch = EncodeScratch::default();
+        self.predict_log_scheduled_into(graphs, &schedule, catalog, &mut scratch, &mut out);
         out
     }
 
-    /// [`ZeroShotCostModel::predict_log_scheduled`] through reusable
-    /// scratch buffers: predictions are written into `out` (cleared
-    /// first).  With a warm [`EncodeScratch`], a rebuilt
-    /// [`BatchSchedule`] and a pre-grown `out`, the whole batched
+    /// [`ZeroShotCostModel::predict_log_batch`] with a prebuilt schedule,
+    /// copying the state of every level-0 node `catalog` holds, through
+    /// reusable scratch buffers: predictions are written into `out`
+    /// (cleared first).  With a warm [`EncodeScratch`], a
+    /// rebuilt [`BatchSchedule`] and a pre-grown `out`, the whole batched
     /// inference pass performs zero heap allocations.  Bit-identical to
     /// the allocating variant.
     pub fn predict_log_scheduled_into(
         &self,
         graphs: &[&PlanGraph],
         schedule: &BatchSchedule,
+        catalog: &CatalogStates,
         scratch: &mut EncodeScratch,
         out: &mut Vec<f64>,
     ) {
-        self.encoder.encode_batch_into(graphs, schedule, scratch);
+        self.encoder
+            .encode_batch_into(graphs, schedule, catalog, scratch);
         scratch
             .states
             .gather_into(schedule.roots(), &mut scratch.root_states);
@@ -825,7 +866,14 @@ impl ZeroShotCostModel {
     /// Batched runtime prediction (seconds), bit-identical per graph to
     /// [`ZeroShotCostModel::predict`].
     pub fn predict_batch(&self, graphs: &[&PlanGraph]) -> Vec<f64> {
-        self.predict_log_batch(graphs)
+        self.predict_batch_with(graphs, &CatalogStates::default())
+    }
+
+    /// [`ZeroShotCostModel::predict_batch`] copying the state of every
+    /// level-0 node `catalog` holds — bit-identical (the served batched
+    /// forward).
+    pub fn predict_batch_with(&self, graphs: &[&PlanGraph], catalog: &CatalogStates) -> Vec<f64> {
+        self.predict_log_batch_with(graphs, catalog)
             .into_iter()
             .map(f64::exp)
             .collect()
@@ -849,7 +897,8 @@ impl ZeroShotCostModel {
             ..
         } = scratch;
         schedule.rebuild(graphs);
-        self.predict_log_scheduled_into(graphs, schedule, encode, log_predictions);
+        let catalog = CatalogStates::default();
+        self.predict_log_scheduled_into(graphs, schedule, &catalog, encode, log_predictions);
         out.extend(log_predictions.iter().map(|p| p.exp()));
     }
 
@@ -1051,7 +1100,8 @@ mod tests {
         for batch_len in [7, 2, graphs.len(), 1, 5] {
             let refs: Vec<&PlanGraph> = graphs.iter().take(batch_len).collect();
             schedule.rebuild(&refs);
-            model.predict_log_scheduled_into(&refs, &schedule, &mut scratch, &mut out);
+            let catalog = CatalogStates::default();
+            model.predict_log_scheduled_into(&refs, &schedule, &catalog, &mut scratch, &mut out);
             let fresh = model.predict_log_batch(&refs);
             assert_eq!(out.len(), fresh.len());
             for (a, b) in out.iter().zip(&fresh) {
@@ -1069,7 +1119,12 @@ mod tests {
         let refs: Vec<&PlanGraph> = graphs.iter().take(5).collect();
         let model = ZeroShotCostModel::new(ModelConfig::tiny());
         let schedule = BatchSchedule::build(&refs);
-        let states = model.encoder().encode_batch(&refs, &schedule);
+        let mut scratch = EncodeScratch::default();
+        let catalog = CatalogStates::default();
+        model
+            .encoder()
+            .encode_batch_into(&refs, &schedule, &catalog, &mut scratch);
+        let states = scratch.states();
         // Root rows pushed through the output MLP must reproduce the
         // model's own predictions bit for bit.
         for (gi, g) in refs.iter().enumerate() {

@@ -22,7 +22,7 @@
 
 use crate::arena::GraphArena;
 use serde::{Deserialize, Serialize};
-use zsdb_catalog::{ColumnRef, SchemaCatalog, TableId};
+use zsdb_catalog::{ColumnId, ColumnRef, SchemaCatalog, TableId};
 use zsdb_engine::fingerprint::Fnv64;
 use zsdb_engine::{ExecutedNode, PhysOperator, PhysOperatorKind, PlanNode, QueryExecution};
 use zsdb_query::{Aggregate, CmpOp, Predicate};
@@ -84,6 +84,12 @@ impl NodeKind {
             NodeKind::Predicate => 3,
             NodeKind::Aggregation => 4,
         }
+    }
+
+    /// Whether nodes of this kind describe the catalog alone (tables and
+    /// columns): no children, features read from catalog statistics only.
+    pub fn is_catalog_leaf(self) -> bool {
+        matches!(self, NodeKind::Table | NodeKind::Column)
     }
 
     /// Dimension of the feature vector of this node kind.
@@ -265,6 +271,30 @@ pub fn featurize_plan_into(
     };
     graph.root = builder.add_plan_node(plan, None);
     graph.runtime_secs = None;
+}
+
+/// Every Table and Column node the featurizer can emit for `catalog`
+/// under `config`: each table's node followed by its columns' nodes, in
+/// table order.  They come from the same builders as every plan graph's
+/// leaves, so any Table or Column node of a graph featurized against
+/// `catalog` in `config`'s feature mode equals one of them, feature bit
+/// for feature bit.  (The cardinality mode touches operators only.)
+pub fn catalog_leaves(catalog: &SchemaCatalog, config: FeaturizerConfig) -> Vec<GraphNode> {
+    let mut arena = GraphArena::new();
+    let mut nodes = Vec::new();
+    let mut builder = GraphBuilder {
+        catalog,
+        config,
+        arena: &mut arena,
+        nodes: &mut nodes,
+    };
+    for (table, meta) in catalog.iter_tables() {
+        builder.table_node(table);
+        for column in 0..meta.columns.len() {
+            builder.column_node(ColumnRef::new(table, ColumnId(column as u32)));
+        }
+    }
+    nodes
 }
 
 struct GraphBuilder<'a> {

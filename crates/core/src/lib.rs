@@ -51,7 +51,7 @@ pub use features::{
     NodeKind, PlanGraph,
 };
 pub use fingerprint::{graph_fingerprint, plan_fingerprint};
-pub use model::{InferenceScratch, ModelConfig, PlanEncoder, ZeroShotCostModel};
+pub use model::{CatalogStates, InferenceScratch, ModelConfig, PlanEncoder, ZeroShotCostModel};
 pub use train::{
     few_shot_finetune, few_shot_finetune_with, FinetuneConfig, ModelTrainer, Trainable, Trained,
     TrainedModel, Trainer, TrainingConfig,

@@ -15,10 +15,32 @@
 //! Training uses plain MSE on `ln(runtime)`; gradients flow back through
 //! the combine/encoder MLPs by traversing the DAG in reverse topological
 //! order.
+//!
+//! # Catalog leaves
+//!
+//! A Table or Column node has no children, and its features are the
+//! catalog's statistics.  Its hidden state, `combine([encoder(features) ‖
+//! 0])`, is therefore a function of the catalog and the weights alone: the
+//! same for every plan that reads the table or column.  [`CatalogStates`]
+//! holds those states for one catalog and one set of weights, keyed by
+//! node kind and exact feature bits, and both inference forwards
+//! ([`ZeroShotCostModel::predict_log_with`] and
+//! [`PlanEncoder::encode_batch_into`]) copy a state they find there instead
+//! of running two MLPs for it.
+//!
+//! The copy is bit-exact.  The table's states come from the per-example
+//! forward's own per-node step, and the batched forward is bit-identical
+//! to the per-example one; a lookup compares every feature bit, and a node
+//! the table does not hold is computed as without a table.  So an answer
+//! never depends on which catalog its graph came from.  A server builds
+//! one table per model version, before the version serves.  Training never
+//! uses a table: its weights move every step, and a table is only the
+//! states of the weights it was built from.
 
-use crate::features::{NodeKind, PlanGraph};
+use crate::features::{catalog_leaves, FeaturizerConfig, GraphNode, NodeKind, PlanGraph};
 use serde::{Deserialize, Serialize};
-use zsdb_nn::{active_kernel, Activation, ForwardScratch, Mlp, MlpCache};
+use zsdb_catalog::SchemaCatalog;
+use zsdb_nn::{active_kernel, Activation, ForwardScratch, KernelKind, Mlp, MlpCache};
 
 /// Hyper-parameters of the zero-shot cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -116,6 +138,164 @@ impl PlanEncoder {
         let encoders = self.encoders.iter_mut().flat_map(Mlp::params_mut);
         encoders.chain(self.combine.params_mut())
     }
+
+    /// One node's hidden state, `combine([encoder(features) ‖ Σ child
+    /// states])`, with the children's rows of `states` (stride
+    /// `hidden_dim`) summed in `node.children` order: the per-example
+    /// forward's one per-node step, and the one
+    /// [`PlanEncoder::catalog_states`] fills its table with.
+    fn node_state<'s>(
+        &self,
+        kind: KernelKind,
+        node: &GraphNode,
+        states: &[f64],
+        mlp: &'s mut ForwardScratch,
+        combine_input: &mut Vec<f64>,
+    ) -> &'s [f64] {
+        let h = self.hidden_dim;
+        // Own encoding, then the DeepSets sum of child states, laid out
+        // back-to-back as the combine MLP's input.
+        combine_input.clear();
+        combine_input.reserve(2 * h);
+        combine_input.extend_from_slice(self.encoders[node.kind.index()].forward_into(
+            kind,
+            &node.features,
+            mlp,
+        ));
+        combine_input.resize(2 * h, 0.0);
+        let (_, sum) = combine_input.split_at_mut(h);
+        for &c in &node.children {
+            for (s, v) in sum.iter_mut().zip(&states[c * h..(c + 1) * h]) {
+                *s += v;
+            }
+        }
+        self.combine.forward_into(kind, combine_input, mlp)
+    }
+
+    /// The hidden state, under these weights, of every Table and Column
+    /// node `catalog` yields in `featurizer`'s feature mode (see the
+    /// module docs, "Catalog leaves").  Sized by the catalog: one entry per
+    /// distinct leaf.
+    pub fn catalog_states(
+        &self,
+        catalog: &SchemaCatalog,
+        featurizer: FeaturizerConfig,
+    ) -> CatalogStates {
+        let leaves = catalog_leaves(catalog, featurizer);
+        let mut table = CatalogStates {
+            hidden: self.hidden_dim,
+            keys: Vec::with_capacity(leaves.len()),
+            states: Vec::with_capacity(leaves.len() * self.hidden_dim),
+            slots: vec![0; (2 * leaves.len()).next_power_of_two()],
+        };
+        let kind = active_kernel();
+        let (mut mlp, mut combine_input) = (ForwardScratch::default(), Vec::new());
+        for node in leaves {
+            let hash = leaf_hash(node.kind, &node.features);
+            // Two columns with equal statistics are one entry.
+            let Err(slot) = table.find(hash, node.kind, &node.features) else {
+                continue;
+            };
+            let state = self.node_state(kind, &node, &[], &mut mlp, &mut combine_input);
+            table.states.extend_from_slice(state);
+            table.keys.push(LeafKey {
+                hash,
+                kind: node.kind,
+                features: node.features,
+            });
+            table.slots[slot] = table.keys.len() as u32;
+        }
+        table
+    }
+}
+
+/// The hidden states of a catalog's Table and Column nodes under one set
+/// of encoder weights, built by [`PlanEncoder::catalog_states`] (see the
+/// module docs, "Catalog leaves").
+///
+/// A lookup hashes the node's kind and feature bits, then compares every
+/// bit, so only an equal node is ever found.  Lookups never insert, so no
+/// request can lengthen a probe beyond what the catalog's own entries
+/// built.  The default table is empty: every lookup misses, and a forward
+/// through it computes every node.
+#[derive(Debug, Clone, Default)]
+pub struct CatalogStates {
+    /// State dimension of the encoder the table was built from.
+    hidden: usize,
+    /// What each entry is the state of.
+    keys: Vec<LeafKey>,
+    /// Entry `i`'s state is `states[i * hidden..(i + 1) * hidden]`.
+    states: Vec<f64>,
+    /// Open-addressing index over `keys`, probed linearly: `entry + 1`,
+    /// or 0 where free.  A power of two, more than twice the entries, so
+    /// every probe meets a free slot.
+    slots: Vec<u32>,
+}
+
+/// The node a [`CatalogStates`] entry is the state of.
+#[derive(Debug, Clone)]
+struct LeafKey {
+    hash: u64,
+    kind: NodeKind,
+    features: Vec<f64>,
+}
+
+/// A word-wise FNV-1a over a leaf's kind and feature bits.
+fn leaf_hash(kind: NodeKind, features: &[f64]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let seed = (0xcbf2_9ce4_8422_2325 ^ kind.index() as u64).wrapping_mul(PRIME);
+    features
+        .iter()
+        .fold(seed, |h, f| (h ^ f.to_bits()).wrapping_mul(PRIME))
+}
+
+impl CatalogStates {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// `true` for a table without entries.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The state of `node`, if it is a childless Table or Column node
+    /// equal, bit for bit, to one this table was built from.
+    #[inline]
+    pub fn get(&self, node: &GraphNode) -> Option<&[f64]> {
+        if self.keys.is_empty() || !node.kind.is_catalog_leaf() || !node.children.is_empty() {
+            return None;
+        }
+        let hash = leaf_hash(node.kind, &node.features);
+        let entry = self.find(hash, node.kind, &node.features).ok()?;
+        Some(&self.states[entry * self.hidden..(entry + 1) * self.hidden])
+    }
+
+    /// The entry holding `(kind, features)`, or the free slot it would
+    /// take.  Needs a non-empty `slots`.
+    fn find(&self, hash: u64, kind: NodeKind, features: &[f64]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the product's high half depends on every bit
+        // of the hash.
+        let mut slot = (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask;
+        while let Some(entry) = self.slots[slot].checked_sub(1) {
+            let key = &self.keys[entry as usize];
+            let equal = key.hash == hash
+                && key.kind == kind
+                && key.features.len() == features.len()
+                && key
+                    .features
+                    .iter()
+                    .zip(features)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            if equal {
+                return Ok(entry as usize);
+            }
+            slot = (slot + 1) & mask;
+        }
+        Err(slot)
+    }
 }
 
 /// The zero-shot cost model.
@@ -195,66 +375,65 @@ impl ZeroShotCostModel {
     /// Predict the log-runtime of a featurized plan (the model's native
     /// output space).
     pub fn predict_log(&self, graph: &PlanGraph) -> f64 {
-        self.predict_log_with(graph, &mut InferenceScratch::default())
+        self.predict_log_with(
+            graph,
+            &CatalogStates::default(),
+            &mut InferenceScratch::default(),
+        )
     }
 
     /// Allocation-free runtime prediction with caller-provided scratch
-    /// buffers (the serving hot path).  Bit-identical to
-    /// [`ZeroShotCostModel::predict`].
+    /// buffers.  Bit-identical to [`ZeroShotCostModel::predict`].
     pub fn predict_with(&self, graph: &PlanGraph, scratch: &mut InferenceScratch) -> f64 {
-        self.predict_log_with(graph, scratch).exp()
+        self.predict_log_with(graph, &CatalogStates::default(), scratch)
+            .exp()
     }
 
     /// Allocation-free log-runtime prediction with caller-provided scratch
-    /// buffers.
+    /// buffers (the serving hot path): the state of every node `catalog`
+    /// holds is copied from it, every other node's is computed.  Equal
+    /// bits with any table, the empty one included (see the module docs,
+    /// "Catalog leaves").
     ///
     /// Performs the same floating-point operations in the same order as
     /// the training-time forward pass, but skips every backprop cache —
     /// no per-layer activation snapshots, no per-node `MlpCache` — which
     /// is what makes concurrent shared-read inference cheap.
-    pub fn predict_log_with(&self, graph: &PlanGraph, scratch: &mut InferenceScratch) -> f64 {
+    pub fn predict_log_with(
+        &self,
+        graph: &PlanGraph,
+        catalog: &CatalogStates,
+        scratch: &mut InferenceScratch,
+    ) -> f64 {
         let h = self.config.hidden_dim;
         let kind = active_kernel();
+        let InferenceScratch {
+            states,
+            mlp,
+            combine_input,
+        } = scratch;
         // Flat node-state buffer, stride `h`.  Every slot a parent reads is
         // fully overwritten earlier in this same pass (children precede
         // parents), so stale values from previous graphs are never read
         // and the buffer only ever *grows* to the high-water mark.
         let needed = graph.len() * h;
-        if scratch.states.len() < needed {
-            scratch.states.resize(needed, 0.0);
+        if states.len() < needed {
+            states.resize(needed, 0.0);
         }
 
         for (idx, node) in graph.nodes.iter().enumerate() {
-            // Own encoding, then the DeepSets sum of child states, laid out
-            // back-to-back as the combine MLP's input.
-            let combine_input = &mut scratch.combine_input;
-            combine_input.clear();
-            combine_input.reserve(2 * h);
-            combine_input.extend_from_slice(self.encoder.encoders[node.kind.index()].forward_into(
-                kind,
-                &node.features,
-                &mut scratch.mlp,
-            ));
-            combine_input.resize(2 * h, 0.0);
-            let (_, sum) = combine_input.split_at_mut(h);
-            for &c in &node.children {
-                for (s, v) in sum.iter_mut().zip(&scratch.states[c * h..(c + 1) * h]) {
-                    *s += v;
-                }
-            }
-            let state = self
-                .encoder
-                .combine
-                .forward_into(kind, combine_input, &mut scratch.mlp);
-            scratch.states[idx * h..(idx + 1) * h].copy_from_slice(state);
+            let state = match catalog.get(node) {
+                Some(state) => state,
+                None => self
+                    .encoder
+                    .node_state(kind, node, states, mlp, combine_input),
+            };
+            states[idx * h..(idx + 1) * h].copy_from_slice(state);
         }
 
         let root = graph.root;
-        self.output.forward_into(
-            kind,
-            &scratch.states[root * h..(root + 1) * h],
-            &mut scratch.mlp,
-        )[0]
+        self.output
+            .forward_into(kind, &states[root * h..(root + 1) * h], mlp)[0]
     }
 
     fn forward(&self, graph: &PlanGraph) -> ForwardTrace {
@@ -462,7 +641,9 @@ mod tests {
             assert_eq!(fresh.to_bits(), reused.to_bits());
             assert_eq!(
                 model.predict_log(g).to_bits(),
-                model.predict_log_with(g, &mut scratch).to_bits()
+                model
+                    .predict_log_with(g, &CatalogStates::default(), &mut scratch)
+                    .to_bits()
             );
         }
     }

@@ -26,7 +26,9 @@
 use crate::sample::{operator_node_indices, MultiTaskSample};
 use serde::{Deserialize, Serialize};
 use zsdb_core::features::PlanGraph;
-use zsdb_core::{BatchSchedule, EncoderTrace, NodeStates, PlanEncoder};
+use zsdb_core::{
+    BatchSchedule, CatalogStates, EncodeScratch, EncoderTrace, NodeStates, PlanEncoder,
+};
 use zsdb_nn::{Activation, Batch, BatchBackwardScratch, Mlp};
 
 /// Hyper-parameters of the multi-task model, including the per-task loss
@@ -229,11 +231,25 @@ impl MultiTaskModel {
     /// pass.  Deterministic, and bit-identical to single-graph
     /// [`MultiTaskModel::predict`] per graph.
     pub fn predict_batch(&self, graphs: &[&PlanGraph]) -> Vec<MultiTaskPrediction> {
+        self.predict_batch_with(graphs, &CatalogStates::default())
+    }
+
+    /// [`MultiTaskModel::predict_batch`] copying the state of every
+    /// catalog leaf `catalog` holds instead of computing it — bit-identical
+    /// for every head (`zsdb_core::model`, "Catalog leaves").
+    pub fn predict_batch_with(
+        &self,
+        graphs: &[&PlanGraph],
+        catalog: &CatalogStates,
+    ) -> Vec<MultiTaskPrediction> {
         if graphs.is_empty() {
             return Vec::new();
         }
         let schedule = BatchSchedule::build(graphs);
-        let states = self.encoder.encode_batch(graphs, &schedule);
+        let mut scratch = EncodeScratch::default();
+        self.encoder
+            .encode_batch_into(graphs, &schedule, catalog, &mut scratch);
+        let states = scratch.states();
         let root_states = states.gather(schedule.roots());
         let (op_flats, op_offsets) = Self::operator_flats(graphs, &schedule);
         let op_states = states.gather(&op_flats);

@@ -22,7 +22,7 @@
 use crate::provenance::ProvenanceSeed;
 use crate::server::{BatchTicket, Placement, Servable, ServedModel, Server, Ticket};
 use std::time::Duration;
-use zsdb_core::{FeaturizerConfig, PlanGraph};
+use zsdb_core::{CatalogStates, FeaturizerConfig, PlanEncoder, PlanGraph};
 use zsdb_multitask::{MultiTaskPrediction, TaskHead, TrainedMultiTaskModel};
 use zsdb_obs::FlightClass;
 
@@ -85,12 +85,28 @@ impl Servable for TrainedMultiTaskModel {
         self.featurizer
     }
 
-    fn forward(&self, graph: &PlanGraph, _scratch: &mut ()) -> MultiTaskPrediction {
-        self.model.predict(graph)
+    fn encoder(&self) -> &PlanEncoder {
+        self.model.encoder()
     }
 
-    fn forward_batch(&self, graphs: &[&PlanGraph]) -> Vec<MultiTaskPrediction> {
-        self.model.predict_batch(graphs)
+    fn forward(
+        &self,
+        graph: &PlanGraph,
+        catalog: &CatalogStates,
+        _scratch: &mut (),
+    ) -> MultiTaskPrediction {
+        self.model
+            .predict_batch_with(&[graph], catalog)
+            .pop()
+            .expect("one graph in, one prediction out")
+    }
+
+    fn forward_batch(
+        &self,
+        graphs: &[&PlanGraph],
+        catalog: &CatalogStates,
+    ) -> Vec<MultiTaskPrediction> {
+        self.model.predict_batch_with(graphs, catalog)
     }
 
     /// Cost, root cardinality, then every operator's cardinality.

@@ -245,6 +245,26 @@ fn error_frame(request_id: u64, code: ErrorCode, message: impl Into<String>) -> 
     )
 }
 
+/// What answers a request whose model output is not a finite number.
+const NON_FINITE: &str = "the model predicted a non-finite runtime";
+
+/// The reply frame of one served prediction.  JSON has no non-finite
+/// numbers: the encoder writes `null`, the client cannot decode that into
+/// an `f64`, and a frame it cannot decode ends the connection with every
+/// request in flight on it.  A non-finite prediction therefore answers its
+/// own request with an `Internal` error.
+fn predict_reply(id: u64, trace_id: u64, prediction: &crate::Prediction) -> Frame {
+    if prediction.runtime_secs.is_finite() {
+        Frame::traced(
+            id,
+            trace_id,
+            Message::PredictOk(wire_prediction(prediction)),
+        )
+    } else {
+        error_frame(id, ErrorCode::Internal, NON_FINITE)
+    }
+}
+
 fn wire_prediction(p: &crate::Prediction) -> WirePrediction {
     WirePrediction {
         runtime_secs: p.runtime_secs,
@@ -1162,14 +1182,7 @@ fn responder_loop(rx: &mpsc::Receiver<Outbound>, stream: TcpStream, shared: &Net
                     Ok((prediction, trace)) => {
                         tenant.completed.fetch_add(1, Ordering::Relaxed);
                         tenant.record_latency(accepted.elapsed(), 1);
-                        emit(
-                            &Frame::traced(
-                                id,
-                                trace_id,
-                                Message::PredictOk(wire_prediction(&prediction)),
-                            ),
-                            &mut socket_dead,
-                        );
+                        emit(&predict_reply(id, trace_id, &prediction), &mut socket_dead);
                         finish_trace(trace, &tenant, Some(prediction.provenance_seed()));
                     }
                     Err(e) => emit(
@@ -1192,14 +1205,7 @@ fn responder_loop(rx: &mpsc::Receiver<Outbound>, stream: TcpStream, shared: &Net
                         tenant.completed.fetch_add(n as u64, Ordering::Relaxed);
                         tenant.record_latency(accepted.elapsed(), n);
                         for (id, prediction) in ids.iter().zip(&predictions) {
-                            emit(
-                                &Frame::traced(
-                                    *id,
-                                    trace_id,
-                                    Message::PredictOk(wire_prediction(prediction)),
-                                ),
-                                &mut socket_dead,
-                            );
+                            emit(&predict_reply(*id, trace_id, prediction), &mut socket_dead);
                         }
                         // The group shares one trace/span; its provenance
                         // is seeded from the first member (same shard,
@@ -1233,11 +1239,13 @@ fn responder_loop(rx: &mpsc::Receiver<Outbound>, stream: TcpStream, shared: &Net
                     Ok((predictions, trace)) => {
                         tenant.completed.fetch_add(n, Ordering::Relaxed);
                         tenant.record_latency(accepted.elapsed(), n as usize);
-                        let wire = predictions.iter().map(wire_prediction).collect();
-                        emit(
-                            &Frame::traced(id, trace_id, Message::PredictBatchOk(wire)),
-                            &mut socket_dead,
-                        );
+                        let frame = if predictions.iter().all(|p| p.runtime_secs.is_finite()) {
+                            let wire = predictions.iter().map(wire_prediction).collect();
+                            Frame::traced(id, trace_id, Message::PredictBatchOk(wire))
+                        } else {
+                            error_frame(id, ErrorCode::Internal, NON_FINITE)
+                        };
+                        emit(&frame, &mut socket_dead);
                         finish_trace(
                             trace,
                             &tenant,

@@ -54,7 +54,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use zsdb_core::features::PlanGraph;
 use zsdb_core::fingerprint::graph_fingerprint;
-use zsdb_core::{FeaturizerConfig, Trainable, Trained};
+use zsdb_core::{CatalogStates, FeaturizerConfig, Trainable, Trained};
 
 /// On-disk artifact format version understood by this build.
 ///
@@ -464,12 +464,13 @@ impl ModelRegistry {
     }
 }
 
-/// The bit patterns of every head of `trained`'s output on `graph`.
+/// The bit patterns of every head of `trained`'s output on `graph`.  A
+/// probe has no catalog, so it forwards without catalog states.
 fn probe_bits<M: Trainable>(trained: &Trained<M>, graph: &PlanGraph) -> Vec<Vec<u64>>
 where
     Trained<M>: Servable,
 {
-    let output = trained.forward(graph, &mut Default::default());
+    let output = trained.forward(graph, &CatalogStates::default(), &mut Default::default());
     Trained::<M>::head_bits(&output)
 }
 

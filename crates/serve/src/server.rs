@@ -43,6 +43,12 @@
 //!   the model's [`Servable::Scratch`] — zero for
 //!   [`TrainedModel`]'s [`InferenceScratch`], not for a model whose
 //!   scratch is `()`.
+//! * **Catalog leaves once per version** — a Table or Column node's state
+//!   depends only on the catalog and the weights, so [`ServedModel`]
+//!   carries a [`CatalogStates`] built from the model's [`PlanEncoder`]
+//!   before the version is published (at start and in
+//!   [`Server::swap_model`]); both forwards copy those states instead of
+//!   computing them, with the same bits.
 //! * **Deterministic results** — workers featurize with the model's own
 //!   [`FeaturizerConfig`] and run the same floating-point operations as
 //!   the single-threaded path, so a served answer is bit-identical to
@@ -74,7 +80,7 @@ use zsdb_core::features::{featurize_plan_into, PlanGraph};
 use zsdb_core::fingerprint::plan_fingerprint;
 use zsdb_core::model::InferenceScratch;
 use zsdb_core::train::TrainedModel;
-use zsdb_core::{FeaturizerConfig, GraphArena};
+use zsdb_core::{CatalogStates, FeaturizerConfig, GraphArena, PlanEncoder};
 use zsdb_engine::PlanNode;
 use zsdb_obs::{ActiveTrace, FlightClass, FlightRecorder, Gauge, Trace, Tracer};
 use zsdb_protocol::{ProvenanceRecord, WireSloStatus};
@@ -170,11 +176,21 @@ pub trait Servable: Send + Sync + Sized + 'static {
 
     /// The featurization requests must be given to match training.
     fn featurizer(&self) -> FeaturizerConfig;
-    /// Forward one featurized plan through the worker's scratch.
-    fn forward(&self, graph: &PlanGraph, scratch: &mut Self::Scratch) -> Self::Output;
+    /// The shared plan encoder: the engine builds each version's
+    /// [`CatalogStates`] from it.
+    fn encoder(&self) -> &PlanEncoder;
+    /// Forward one featurized plan through the worker's scratch, copying
+    /// the state of every node `catalog` holds.  Bit-identical with any
+    /// table, the empty one included.
+    fn forward(
+        &self,
+        graph: &PlanGraph,
+        catalog: &CatalogStates,
+        scratch: &mut Self::Scratch,
+    ) -> Self::Output;
     /// Forward a batch in one pass, bit-identical per graph to
     /// [`Servable::forward`], outputs in input order.
-    fn forward_batch(&self, graphs: &[&PlanGraph]) -> Vec<Self::Output>;
+    fn forward_batch(&self, graphs: &[&PlanGraph], catalog: &CatalogStates) -> Vec<Self::Output>;
     /// `f64::to_bits` of an output, one list per head in
     /// [`Servable::TASK_HEADS`] order: what the registry's integrity
     /// probes record and re-verify.
@@ -243,12 +259,21 @@ impl Servable for TrainedModel {
         self.featurizer
     }
 
-    fn forward(&self, graph: &PlanGraph, scratch: &mut InferenceScratch) -> f64 {
-        self.model.predict_with(graph, scratch)
+    fn encoder(&self) -> &PlanEncoder {
+        self.model.encoder()
     }
 
-    fn forward_batch(&self, graphs: &[&PlanGraph]) -> Vec<f64> {
-        self.model.predict_batch(graphs)
+    fn forward(
+        &self,
+        graph: &PlanGraph,
+        catalog: &CatalogStates,
+        scratch: &mut InferenceScratch,
+    ) -> f64 {
+        self.model.predict_log_with(graph, catalog, scratch).exp()
+    }
+
+    fn forward_batch(&self, graphs: &[&PlanGraph], catalog: &CatalogStates) -> Vec<f64> {
+        self.model.predict_batch_with(graphs, catalog)
     }
 
     fn head_bits(runtime_secs: &f64) -> Vec<Vec<u64>> {
@@ -287,6 +312,23 @@ pub struct ServedModel<M> {
     pub version: u32,
     /// The model itself.
     pub model: M,
+    /// The hidden states of the catalog's Table and Column nodes under
+    /// this version's weights, built before the version is published:
+    /// every request pinned to this version copies its leaves from here
+    /// and from no other version's table.
+    pub catalog_states: CatalogStates,
+}
+
+impl<M: Servable> ServedModel<M> {
+    /// Version `version` of `model`, ready to serve plans of `catalog`.
+    fn new(model: M, version: u32, catalog: &SchemaCatalog) -> Self {
+        let catalog_states = model.encoder().catalog_states(catalog, model.featurizer());
+        ServedModel {
+            version,
+            model,
+            catalog_states,
+        }
+    }
 }
 
 /// Claim ticket for an in-flight request; redeem with [`Ticket::wait`].
@@ -654,7 +696,7 @@ impl<M: Servable> Server<M> {
             .map(|i| Shard::new(shard_queue, shard_cache, metrics.shard_queue_gauge(i)))
             .collect();
         let shared = Arc::new(Shared {
-            model: RwLock::new(Arc::new(ServedModel { version, model })),
+            model: RwLock::new(Arc::new(ServedModel::new(model, version, &catalog))),
             catalog,
             shards,
             metrics,
@@ -871,9 +913,10 @@ impl<M: Servable> Server<M> {
     /// that featurizes differently can never be served a stale graph;
     /// the swap additionally clears the cache so the old version's
     /// entries don't linger as dead weight.  Submission is never paused
-    /// and no queued request is lost.
+    /// and no queued request is lost.  The new version's catalog states
+    /// are built before it is published.
     pub fn swap_model(&self, model: M, version: u32) {
-        let next = Arc::new(ServedModel { version, model });
+        let next = Arc::new(ServedModel::new(model, version, &self.shared.catalog));
         *self
             .shared
             .model
@@ -1124,8 +1167,9 @@ fn process_job<M: Servable>(
                 t.mark(STAGE_CACHE_LOOKUP);
             }
             let cache_hit = cached.is_some();
+            let catalog = &served.catalog_states;
             let output = match cached {
-                Some(graph) => served.model.forward(&graph, &mut state.scratch),
+                Some(graph) => served.model.forward(&graph, catalog, &mut state.scratch),
                 None => {
                     featurize_plan_into(
                         &shared.catalog,
@@ -1143,7 +1187,9 @@ fn process_job<M: Servable>(
                     if let Some(t) = trace.as_mut() {
                         t.mark(STAGE_FEATURIZE);
                     }
-                    served.model.forward(&state.graph, &mut state.scratch)
+                    served
+                        .model
+                        .forward(&state.graph, catalog, &mut state.scratch)
                 }
             };
             if let Some(t) = trace.as_mut() {
@@ -1202,7 +1248,7 @@ fn process_job<M: Servable>(
                 t.mark(STAGE_FEATURIZE);
             }
             let refs: Vec<&PlanGraph> = state.graphs.iter().map(|g| g.as_ref()).collect();
-            let outputs = served.model.forward_batch(&refs);
+            let outputs = served.model.forward_batch(&refs, &served.catalog_states);
             if let Some(t) = trace.as_mut() {
                 t.mark(STAGE_FORWARD);
             }

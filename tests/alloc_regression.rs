@@ -2,8 +2,9 @@
 //!
 //! The raw-speed inference path promises that a **warm** request —
 //! featurization into arena-backed scratch, a cache hit on the slab LRU,
-//! and the forward pass through caller-provided [`InferenceScratch`] —
-//! performs **zero heap allocations**.  This test enforces it with a
+//! and the served forward through caller-provided [`InferenceScratch`]
+//! and the model version's catalog leaf states — performs **zero heap
+//! allocations**.  This test enforces it with a
 //! counting `#[global_allocator]`: warm the buffers to their high-water
 //! mark, then replay the hot path and assert the allocation counter does
 //! not move.
@@ -21,7 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use zero_shot_db::catalog::presets;
-use zero_shot_db::serve::FeatureCache;
+use zero_shot_db::serve::{FeatureCache, Servable};
 use zero_shot_db::storage::Database;
 use zero_shot_db::zeroshot::features::featurize_plan_into;
 use zero_shot_db::zeroshot::{plan_fingerprint, GraphArena, InferenceScratch};
@@ -84,6 +85,13 @@ fn warm_inference_hot_path_does_not_allocate() {
     let mut graph = arena.take_graph();
     let mut scratch = InferenceScratch::default();
     let cache = FeatureCache::new(16);
+    // What a server builds per model version: the forward copies every
+    // Table and Column state from it.
+    let catalog = model
+        .model
+        .encoder()
+        .catalog_states(db.catalog(), featurizer);
+    assert!(!catalog.is_empty());
 
     // Warm-up: every buffer (arena node pools, flat state vector, MLP
     // ping-pong buffers, cache slab) grows to its high-water mark here.
@@ -96,14 +104,14 @@ fn warm_inference_hot_path_does_not_allocate() {
             if cache.get(1, fingerprint).is_none() {
                 cache.insert(1, fingerprint, std::sync::Arc::new(graph.clone()));
             }
-            let prediction = model.model.predict_with(&graph, &mut scratch);
+            let prediction = model.forward(&graph, &catalog, &mut scratch);
             assert!(prediction.is_finite());
         }
     }
 
     // Measured section: the exact per-request hot path of a serving
-    // worker — featurize into warm scratch, slab-cache hit, forward
-    // pass — must not touch the allocator at all.
+    // worker — featurize into warm scratch, slab-cache hit, the served
+    // forward — must not touch the allocator at all.
     let mut checksum = 0.0;
     let before = allocations();
     for _ in 0..50 {
@@ -113,7 +121,7 @@ fn warm_inference_hot_path_does_not_allocate() {
             let cached = cache
                 .get(1, fingerprint)
                 .expect("warmed shape must be cached");
-            checksum += model.model.predict_with(&cached, &mut scratch);
+            checksum += model.forward(&cached, &catalog, &mut scratch);
         }
     }
     let after = allocations();

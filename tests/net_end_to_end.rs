@@ -631,3 +631,86 @@ fn hostile_handshakes_are_refused_and_the_gateway_survives() {
         .expect("prediction after the attack");
     assert!(served.runtime_secs.is_finite());
 }
+
+/// Set `path` (object keys, then array indices as decimal strings) of a
+/// JSON value to `to`.
+fn set_json(value: &mut serde::Value, path: &[&str], to: serde::Value) {
+    let Some((step, rest)) = path.split_first() else {
+        *value = to;
+        return;
+    };
+    let next = match value {
+        serde::Value::Object(fields) => fields
+            .iter_mut()
+            .find(|(key, _)| key == step)
+            .map(|(_, v)| v),
+        serde::Value::Array(items) => step.parse().ok().and_then(|i: usize| items.get_mut(i)),
+        _ => None,
+    };
+    set_json(
+        next.unwrap_or_else(|| panic!("no {step} in the model JSON")),
+        rest,
+        to,
+    );
+}
+
+/// A prediction that overflows to infinity has no JSON encoding: the
+/// gateway answers that request (or that batch) with an `Internal` error,
+/// and the connection stays up for the next request.
+#[test]
+fn a_non_finite_prediction_fails_its_request_not_the_connection() {
+    let db = Database::generate(presets::imdb_like(0.02), 11);
+    let (healthy, plans) = tiny_serving_fixture(&db, 10, 5);
+
+    // An output bias of 800: exp(log-runtime) overflows for every plan.
+    let mut json = serde_json::parse_value(&healthy.model.to_json()).expect("model JSON");
+    let last_layer = "1"; // the output head is [hidden, 32, 1]
+    set_json(
+        &mut json,
+        &["output", "layers", last_layer, "b", "data"],
+        serde::Value::Array(vec![serde::Value::Float(800.0)]),
+    );
+    let mut overflowing = healthy.clone();
+    overflowing.model = serde::Deserialize::from_value(&json).expect("edited model");
+    let graph = zero_shot_db::zeroshot::features::featurize_plan(
+        db.catalog(),
+        &plans[0],
+        overflowing.featurizer,
+    );
+    assert_eq!(overflowing.predict(&graph), f64::INFINITY);
+
+    let gateway = NetServer::start(
+        "127.0.0.1:0",
+        PredictionServer::start(overflowing, db.catalog().clone(), ServerConfig::default()),
+        NetServerConfig::default(),
+    )
+    .expect("bind gateway");
+    let client = Client::connect(gateway.local_addr(), ClientConfig::tenant("t")).expect("connect");
+
+    // Two requests in flight on the one connection, then a batch: each
+    // fails on its own, with a structured error.
+    let pending: Vec<_> = plans[..2]
+        .iter()
+        .map(|p| client.submit(p).expect("submit"))
+        .collect();
+    for ticket in pending {
+        match ticket.wait() {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Internal),
+            other => panic!("a non-finite prediction answered {other:?}"),
+        }
+    }
+    match client.predict_batch(&plans) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Internal),
+        other => panic!("a batch with non-finite predictions answered {other:?}"),
+    }
+
+    // The same connection serves the next request.
+    gateway.server().swap_model(healthy.clone(), 2);
+    let answer = client.predict(&plans[0]).expect("the connection survived");
+    assert_eq!(answer.model_version, 2);
+    assert_eq!(
+        answer.runtime_secs.to_bits(),
+        healthy.predict(&graph).to_bits()
+    );
+    assert_eq!(gateway.gateway_metrics().connections_total, 1);
+}
