@@ -27,13 +27,17 @@
 //! therefore **bit-identical** to per-example predictions — the guarantee
 //! the serving layer and the equivalence tests rely on.
 //!
-//! [`PlanEncoder::encode_batch_into`] takes a [`CatalogStates`]: a level-0
-//! Table or Column member the table holds gets its state copied, and only
-//! the members it does not hold go through the encoder and combine MLPs
-//! (a level-0 member has no children, so its combine input is `[encoding
-//! ‖ 0]`).  The copy keeps every bit because the table was filled by the
+//! [`PlanEncoder::encode_batch_into`] takes a [`CatalogStates`] and keeps
+//! one table entry per flat node.  Groups run in level order, so a
+//! member's children are resolved before it: a member the table holds
+//! over its children's entries gets its state copied, and only the members
+//! it does not hold go through the encoder and combine MLPs, each over its
+//! own children.  A group whose every member is found — a level-0 Table or
+//! Column group, a level-1 Predicate or Aggregation group of the table's
+//! catalog — runs no MLP at all; a group mixing catalogs runs its misses
+//! only.  The copy keeps every bit because the table was filled by the
 //! per-example forward, which the batched one matches (see `model`'s
-//! "Catalog leaves").  [`PlanEncoder::encode_batch_cached`], the training
+//! "Catalog nodes").  [`PlanEncoder::encode_batch_cached`], the training
 //! forward, takes no table: the weights move every step.
 //!
 //! Gradient accumulation in [`ZeroShotCostModel::accumulate_gradients_batch`]
@@ -67,7 +71,7 @@
 //! (`tests/alloc_regression.rs` counts it).
 
 use crate::features::{NodeKind, PlanGraph};
-use crate::model::{CatalogStates, PlanEncoder, ZeroShotCostModel};
+use crate::model::{CatalogStates, PlanEncoder, ZeroShotCostModel, NO_ENTRY};
 use zsdb_nn::{active_kernel, Batch, BatchBackwardScratch, BatchForwardScratch, MlpBatchCache};
 
 /// Number of node kinds: (level, kind) bucket `b` holds kind `b % KINDS`
@@ -487,8 +491,12 @@ pub struct EncodeScratch {
     combine_fwd: BatchForwardScratch,
     /// Node-major child-sum accumulator (`h × group members`).
     sums: Vec<f64>,
-    /// A level-0 leaf group's members the catalog table does not hold.
-    misses: Vec<(usize, usize)>,
+    /// The [`CatalogStates`] entry of each flat node, or [`NO_ENTRY`]
+    /// where the node was computed.
+    entries: Vec<u32>,
+    /// One group's members the catalog table does not hold, as indices
+    /// into the schedule's concatenated members.
+    misses: Vec<usize>,
     /// The encoded node states (output of the pass).
     states: NodeStates,
     /// Root states gathered for the output head.
@@ -529,17 +537,20 @@ pub struct TrainScratch {
 }
 
 impl PlanEncoder {
-    /// Gather the feature vectors of a group into a reusable batch.
+    /// Gather the feature vectors of `n` group members (member `e` is
+    /// `member(e)`) into a reusable batch.
     fn group_features_into(
         &self,
         graphs: &[&PlanGraph],
         kind: usize,
-        members: &[(usize, usize)],
+        n: usize,
+        member: impl Fn(usize) -> (usize, usize),
         out: &mut Batch,
     ) {
         let dim = NodeKind::ALL[kind].feature_dim();
-        out.resize(dim, members.len());
-        for (e, &(gi, ni)) in members.iter().enumerate() {
+        out.resize(dim, n);
+        for e in 0..n {
+            let (gi, ni) = member(e);
             out.set_example(e, &graphs[gi].nodes[ni].features);
         }
     }
@@ -584,16 +595,18 @@ impl PlanEncoder {
     }
 
     /// Scatter a group's combine output columns back into the node-major
-    /// state rows of `members` (one transpose pass per group).
+    /// state rows of its `n` members (member `e` is `member(e)`; one
+    /// transpose pass per group).
     fn scatter_group_states(
         &self,
         schedule: &BatchSchedule,
-        members: &[(usize, usize)],
+        n: usize,
+        member: impl Fn(usize) -> (usize, usize),
         out: &Batch,
         states: &mut NodeStates,
     ) {
-        for (e, &member) in members.iter().enumerate() {
-            let row = states.row_mut(schedule.flat(member));
+        for e in 0..n {
+            let row = states.row_mut(schedule.flat(member(e)));
             for (f, s) in row.iter_mut().enumerate() {
                 *s = out.get(f, e);
             }
@@ -602,10 +615,10 @@ impl PlanEncoder {
 
     /// Batched encoder forward, no backprop caches (the inference path):
     /// one hidden state per node lands in `scratch.states()`, bit-identical
-    /// per node to the per-example message passing.  The state of a
-    /// level-0 member `catalog` holds is copied from it (see the module
-    /// docs).  Every intermediate batch is recycled, so warm calls perform
-    /// zero heap allocations.
+    /// per node to the per-example message passing.  The state of a member
+    /// `catalog` holds is copied from it, and only a group's other members
+    /// are computed (see the module docs).  Every intermediate batch is
+    /// recycled, so warm calls perform zero heap allocations.
     pub fn encode_batch_into(
         &self,
         graphs: &[&PlanGraph],
@@ -620,53 +633,44 @@ impl PlanEncoder {
             combine_in,
             combine_fwd,
             sums,
+            entries,
             misses,
             states,
             ..
         } = scratch;
         states.resize(self.hidden_dim, schedule.total_nodes);
+        // Every entry a parent reads is written by an earlier group.
+        if entries.len() < schedule.total_nodes {
+            entries.resize(schedule.total_nodes, NO_ENTRY);
+        }
         for group in &schedule.groups {
-            let mut members = schedule.members(group);
-            let leaves = group.bucket < KINDS
-                && NodeKind::ALL[group.kind].is_catalog_leaf()
-                && !catalog.is_empty();
-            if leaves {
-                misses.clear();
-                for &(gi, ni) in members {
-                    match catalog.get(&graphs[gi].nodes[ni]) {
-                        Some(state) => states
-                            .row_mut(schedule.flat((gi, ni)))
-                            .copy_from_slice(state),
-                        None => misses.push((gi, ni)),
-                    }
-                }
-                if misses.is_empty() {
-                    continue;
-                }
-                members = misses;
-            }
-            self.group_features_into(graphs, group.kind, members, features);
-            let enc_out = self.encoders[group.kind].forward_batch_into(kind, features, enc_fwd);
-            // Level-0 members have no children.
-            let children = |e| {
-                if leaves {
-                    &[][..]
+            misses.clear();
+            for m in group.start..group.end {
+                let (gi, ni) = schedule.members[m];
+                let base = schedule.offsets[gi];
+                let entry = catalog.resolve(&graphs[gi].nodes[ni], &entries[base..]);
+                entries[base + ni] = entry;
+                if entry == NO_ENTRY {
+                    misses.push(m);
                 } else {
-                    schedule.children(group.start + e)
+                    states
+                        .row_mut(base + ni)
+                        .copy_from_slice(catalog.state(entry));
                 }
-            };
-            self.group_combine_input_into(
-                members.len(),
-                children,
-                enc_out,
-                states,
-                sums,
-                combine_in,
-            );
+            }
+            if misses.is_empty() {
+                continue;
+            }
+            let n = misses.len();
+            let member = |e: usize| schedule.members[misses[e]];
+            self.group_features_into(graphs, group.kind, n, member, features);
+            let enc_out = self.encoders[group.kind].forward_batch_into(kind, features, enc_fwd);
+            let children = |e: usize| schedule.children(misses[e]);
+            self.group_combine_input_into(n, children, enc_out, states, sums, combine_in);
             let out = self
                 .combine
                 .forward_batch_into(kind, combine_in, combine_fwd);
-            self.scatter_group_states(schedule, members, out, states);
+            self.scatter_group_states(schedule, n, member, out, states);
         }
     }
 
@@ -691,20 +695,14 @@ impl PlanEncoder {
         for group in &schedule.groups {
             let GroupTrace { enc, combine } = &mut slots[group.bucket];
             let members = schedule.members(group);
-            self.group_features_into(graphs, group.kind, members, enc.input_mut());
+            let (n, member) = (members.len(), |e: usize| members[e]);
+            self.group_features_into(graphs, group.kind, n, member, enc.input_mut());
             let enc_out = self.encoders[group.kind].forward_batch_cached_into(kind, enc);
             let combine_in = combine.input_mut();
             let children = |e| schedule.children(group.start + e);
-            self.group_combine_input_into(
-                members.len(),
-                children,
-                enc_out,
-                states,
-                sums,
-                combine_in,
-            );
+            self.group_combine_input_into(n, children, enc_out, states, sums, combine_in);
             let out = self.combine.forward_batch_cached_into(kind, combine);
-            self.scatter_group_states(schedule, members, out, states);
+            self.scatter_group_states(schedule, n, member, out, states);
         }
     }
 
@@ -822,7 +820,7 @@ impl ZeroShotCostModel {
     }
 
     /// [`ZeroShotCostModel::predict_log_batch`] copying the state of every
-    /// level-0 node `catalog` holds — bit-identical.
+    /// node `catalog` holds — bit-identical.
     fn predict_log_batch_with(&self, graphs: &[&PlanGraph], catalog: &CatalogStates) -> Vec<f64> {
         if graphs.is_empty() {
             return Vec::new();
@@ -835,7 +833,7 @@ impl ZeroShotCostModel {
     }
 
     /// [`ZeroShotCostModel::predict_log_batch`] with a prebuilt schedule,
-    /// copying the state of every level-0 node `catalog` holds, through
+    /// copying the state of every node `catalog` holds, through
     /// reusable scratch buffers: predictions are written into `out`
     /// (cleared first).  With a warm [`EncodeScratch`], a
     /// rebuilt [`BatchSchedule`] and a pre-grown `out`, the whole batched
@@ -870,7 +868,7 @@ impl ZeroShotCostModel {
     }
 
     /// [`ZeroShotCostModel::predict_batch`] copying the state of every
-    /// level-0 node `catalog` holds — bit-identical (the served batched
+    /// node `catalog` holds — bit-identical (the served batched
     /// forward).
     pub fn predict_batch_with(&self, graphs: &[&PlanGraph], catalog: &CatalogStates) -> Vec<f64> {
         self.predict_log_batch_with(graphs, catalog)

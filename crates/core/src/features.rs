@@ -22,10 +22,10 @@
 
 use crate::arena::GraphArena;
 use serde::{Deserialize, Serialize};
-use zsdb_catalog::{ColumnId, ColumnRef, SchemaCatalog, TableId};
+use zsdb_catalog::{ColumnId, ColumnRef, SchemaCatalog, TableId, Value};
 use zsdb_engine::fingerprint::Fnv64;
 use zsdb_engine::{ExecutedNode, PhysOperator, PhysOperatorKind, PlanNode, QueryExecution};
-use zsdb_query::{Aggregate, CmpOp, Predicate};
+use zsdb_query::{AggFunc, Aggregate, CmpOp, Predicate};
 
 /// Which cardinalities annotate the plan-operator nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -84,12 +84,6 @@ impl NodeKind {
             NodeKind::Predicate => 3,
             NodeKind::Aggregation => 4,
         }
-    }
-
-    /// Whether nodes of this kind describe the catalog alone (tables and
-    /// columns): no children, features read from catalog statistics only.
-    pub fn is_catalog_leaf(self) -> bool {
-        matches!(self, NodeKind::Table | NodeKind::Column)
     }
 
     /// Dimension of the feature vector of this node kind.
@@ -273,13 +267,27 @@ pub fn featurize_plan_into(
     graph.runtime_secs = None;
 }
 
-/// Every Table and Column node the featurizer can emit for `catalog`
-/// under `config`: each table's node followed by its columns' nodes, in
-/// table order.  They come from the same builders as every plan graph's
-/// leaves, so any Table or Column node of a graph featurized against
-/// `catalog` in `config`'s feature mode equals one of them, feature bit
-/// for feature bit.  (The cardinality mode touches operators only.)
-pub fn catalog_leaves(catalog: &SchemaCatalog, config: FeaturizerConfig) -> Vec<GraphNode> {
+/// Every node without a plan operator below it that the featurizer can
+/// emit for `catalog` under `config`, children before parents (children
+/// index into the returned list, as in a [`PlanGraph`]).  Per table: its
+/// node, then per column the column's node, a Predicate node for every
+/// [`CmpOp`] × one literal of each [`Value`] variant, and an Aggregation
+/// node for every [`AggFunc`]; last, every `AggFunc` without a column.
+///
+/// They come from the same builders as every plan graph's nodes, and a
+/// predicate's features hold its operator and its literal's type, never
+/// the literal: so any Table, Column, Predicate or Aggregation node of a
+/// graph featurized against `catalog` in `config`'s feature mode equals
+/// one of them, feature bit for feature bit and child for child.  (The
+/// cardinality mode touches operators only.)  Equal nodes can repeat.
+pub fn catalog_nodes(catalog: &SchemaCatalog, config: FeaturizerConfig) -> Vec<GraphNode> {
+    const LITERALS: [Value; 5] = [
+        Value::Null,
+        Value::Int(0),
+        Value::Float(0.0),
+        Value::Cat(0),
+        Value::Bool(false),
+    ];
     let mut arena = GraphArena::new();
     let mut nodes = Vec::new();
     let mut builder = GraphBuilder {
@@ -291,8 +299,20 @@ pub fn catalog_leaves(catalog: &SchemaCatalog, config: FeaturizerConfig) -> Vec<
     for (table, meta) in catalog.iter_tables() {
         builder.table_node(table);
         for column in 0..meta.columns.len() {
-            builder.column_node(ColumnRef::new(table, ColumnId(column as u32)));
+            let column = ColumnRef::new(table, ColumnId(column as u32));
+            builder.column_node(column);
+            for op in CmpOp::ALL {
+                for value in LITERALS {
+                    builder.predicate_node(&Predicate::new(column, op, value));
+                }
+            }
+            for func in AggFunc::ALL {
+                builder.aggregation_node(&Aggregate::over(func, column));
+            }
         }
+    }
+    for func in AggFunc::ALL {
+        builder.aggregation_node(&Aggregate { func, column: None });
     }
     nodes
 }

@@ -16,28 +16,38 @@
 //! the combine/encoder MLPs by traversing the DAG in reverse topological
 //! order.
 //!
-//! # Catalog leaves
+//! # Catalog nodes
 //!
 //! A Table or Column node has no children, and its features are the
-//! catalog's statistics.  Its hidden state, `combine([encoder(features) ‖
-//! 0])`, is therefore a function of the catalog and the weights alone: the
-//! same for every plan that reads the table or column.  [`CatalogStates`]
-//! holds those states for one catalog and one set of weights, keyed by
-//! node kind and exact feature bits, and both inference forwards
-//! ([`ZeroShotCostModel::predict_log_with`] and
-//! [`PlanEncoder::encode_batch_into`]) copy a state they find there instead
-//! of running two MLPs for it.
+//! catalog's statistics.  A Predicate node is featurized by its comparison
+//! operator and its literal's data type, never the literal, and its one
+//! child is a Column; an Aggregation node by its function, over one Column
+//! or none.  So the hidden state of every node without a plan operator
+//! below it is a function of the catalog and the weights alone: the same
+//! for every plan that reads the table or filters or aggregates the
+//! column that way.  [`CatalogStates`] holds those states for one catalog
+//! and one set of weights — every Table, Column, Predicate and Aggregation
+//! node a plan over the catalog can produce, as enumerated by
+//! [`catalog_nodes`] — keyed by node kind, exact feature bits and the
+//! entry of the node's child.  Both inference
+//! forwards ([`ZeroShotCostModel::predict_log_with`] and
+//! [`PlanEncoder::encode_batch_into`]) resolve a node's entry from its
+//! children's entries, children first, and copy the state of a node they
+//! find instead of running two MLPs for it: a served forward computes its
+//! plan operators alone.
 //!
 //! The copy is bit-exact.  The table's states come from the per-example
-//! forward's own per-node step, and the batched forward is bit-identical
-//! to the per-example one; a lookup compares every feature bit, and a node
-//! the table does not hold is computed as without a table.  So an answer
-//! never depends on which catalog its graph came from.  A server builds
-//! one table per model version, before the version serves.  Training never
-//! uses a table: its weights move every step, and a table is only the
-//! states of the weights it was built from.
+//! forward's own per-node step, each derived node's from its child's
+//! tabled state, and the batched forward is bit-identical to the
+//! per-example one; a lookup compares every feature bit and the child's
+//! entry, and a node the table does not hold — an operator, a node of
+//! another catalog, a node over a computed child — is computed as without
+//! a table.  So an answer never depends on which catalog its graph came
+//! from.  A server builds one table per model version, before the version
+//! serves.  Training never uses a table: its weights move every step, and
+//! a table is only the states of the weights it was built from.
 
-use crate::features::{catalog_leaves, FeaturizerConfig, GraphNode, NodeKind, PlanGraph};
+use crate::features::{catalog_nodes, FeaturizerConfig, GraphNode, NodeKind, PlanGraph};
 use serde::{Deserialize, Serialize};
 use zsdb_catalog::SchemaCatalog;
 use zsdb_nn::{active_kernel, Activation, ForwardScratch, KernelKind, Mlp, MlpCache};
@@ -140,15 +150,15 @@ impl PlanEncoder {
     }
 
     /// One node's hidden state, `combine([encoder(features) ‖ Σ child
-    /// states])`, with the children's rows of `states` (stride
-    /// `hidden_dim`) summed in `node.children` order: the per-example
-    /// forward's one per-node step, and the one
-    /// [`PlanEncoder::catalog_states`] fills its table with.
-    fn node_state<'s>(
+    /// states])`, with its children's states (`children`, in
+    /// `node.children` order) summed: the per-example forward's one
+    /// per-node step, and the one [`PlanEncoder::catalog_states`] fills its
+    /// table with.
+    fn node_state<'s, 'c>(
         &self,
         kind: KernelKind,
         node: &GraphNode,
-        states: &[f64],
+        children: impl Iterator<Item = &'c [f64]>,
         mlp: &'s mut ForwardScratch,
         combine_input: &mut Vec<f64>,
     ) -> &'s [f64] {
@@ -164,66 +174,85 @@ impl PlanEncoder {
         ));
         combine_input.resize(2 * h, 0.0);
         let (_, sum) = combine_input.split_at_mut(h);
-        for &c in &node.children {
-            for (s, v) in sum.iter_mut().zip(&states[c * h..(c + 1) * h]) {
+        for child in children {
+            for (s, v) in sum.iter_mut().zip(child) {
                 *s += v;
             }
         }
         self.combine.forward_into(kind, combine_input, mlp)
     }
 
-    /// The hidden state, under these weights, of every Table and Column
-    /// node `catalog` yields in `featurizer`'s feature mode (see the
-    /// module docs, "Catalog leaves").  Sized by the catalog: one entry per
-    /// distinct leaf.
+    /// The hidden state, under these weights, of every node without a plan
+    /// operator below it that `catalog` yields in `featurizer`'s feature
+    /// mode (see the module docs, "Catalog nodes").  Sized by the catalog:
+    /// one entry per distinct node.
     pub fn catalog_states(
         &self,
         catalog: &SchemaCatalog,
         featurizer: FeaturizerConfig,
     ) -> CatalogStates {
-        let leaves = catalog_leaves(catalog, featurizer);
+        let nodes = catalog_nodes(catalog, featurizer);
+        let h = self.hidden_dim;
         let mut table = CatalogStates {
-            hidden: self.hidden_dim,
-            keys: Vec::with_capacity(leaves.len()),
-            states: Vec::with_capacity(leaves.len() * self.hidden_dim),
-            slots: vec![0; (2 * leaves.len()).next_power_of_two()],
+            hidden: h,
+            keys: Vec::with_capacity(nodes.len()),
+            states: Vec::with_capacity(nodes.len() * h),
+            slots: vec![0; (2 * nodes.len()).next_power_of_two()],
         };
         let kind = active_kernel();
         let (mut mlp, mut combine_input) = (ForwardScratch::default(), Vec::new());
-        for node in leaves {
-            let hash = leaf_hash(node.kind, &node.features);
-            // Two columns with equal statistics are one entry.
-            let Err(slot) = table.find(hash, node.kind, &node.features) else {
-                continue;
+        // The entry of every enumerated node, as the forwards resolve it.
+        let mut entries = Vec::with_capacity(nodes.len());
+        for node in nodes {
+            let child = child_key(&node, &entries)
+                .expect("an enumerated node's child is enumerated before it");
+            let hash = node_hash(node.kind, child, &node.features);
+            // Equal nodes (two columns with equal statistics, their
+            // predicates, a NULL and an integer literal) are one entry.
+            let entry = match table.find(hash, node.kind, child, &node.features) {
+                Ok(entry) => entry,
+                Err(slot) => {
+                    let children = node.children.iter().map(|&c| table.state(entries[c]));
+                    let state =
+                        self.node_state(kind, &node, children, &mut mlp, &mut combine_input);
+                    table.states.extend_from_slice(state);
+                    table.keys.push(NodeKey {
+                        hash,
+                        kind: node.kind,
+                        child,
+                        features: node.features,
+                    });
+                    table.slots[slot] = table.keys.len() as u32;
+                    table.keys.len() - 1
+                }
             };
-            let state = self.node_state(kind, &node, &[], &mut mlp, &mut combine_input);
-            table.states.extend_from_slice(state);
-            table.keys.push(LeafKey {
-                hash,
-                kind: node.kind,
-                features: node.features,
-            });
-            table.slots[slot] = table.keys.len() as u32;
+            entries.push(entry as u32);
         }
         table
     }
 }
 
-/// The hidden states of a catalog's Table and Column nodes under one set
-/// of encoder weights, built by [`PlanEncoder::catalog_states`] (see the
-/// module docs, "Catalog leaves").
+/// The entry id of a node a [`CatalogStates`] does not hold, and the child
+/// of a key without one.
+pub(crate) const NO_ENTRY: u32 = u32::MAX;
+
+/// The hidden states of a catalog's Table, Column, Predicate and
+/// Aggregation nodes under one set of encoder weights, built by
+/// [`PlanEncoder::catalog_states`] (see the module docs, "Catalog nodes").
 ///
-/// A lookup hashes the node's kind and feature bits, then compares every
-/// bit, so only an equal node is ever found.  Lookups never insert, so no
-/// request can lengthen a probe beyond what the catalog's own entries
-/// built.  The default table is empty: every lookup misses, and a forward
-/// through it computes every node.
+/// An entry is keyed by node kind, exact feature bits and the entry of the
+/// node's one child (none for a childless node).  A lookup hashes
+/// the key, then compares every bit, so only an equal node over an equal
+/// child is ever found.  Lookups never insert, so no request can lengthen
+/// a probe beyond what the catalog's own entries built.  The default
+/// table is empty: every lookup misses, and a forward through it computes
+/// every node.
 #[derive(Debug, Clone, Default)]
 pub struct CatalogStates {
     /// State dimension of the encoder the table was built from.
     hidden: usize,
     /// What each entry is the state of.
-    keys: Vec<LeafKey>,
+    keys: Vec<NodeKey>,
     /// Entry `i`'s state is `states[i * hidden..(i + 1) * hidden]`.
     states: Vec<f64>,
     /// Open-addressing index over `keys`, probed linearly: `entry + 1`,
@@ -234,16 +263,32 @@ pub struct CatalogStates {
 
 /// The node a [`CatalogStates`] entry is the state of.
 #[derive(Debug, Clone)]
-struct LeafKey {
+struct NodeKey {
     hash: u64,
     kind: NodeKind,
+    /// The entry of the node's one child, or [`NO_ENTRY`] for none.
+    child: u32,
     features: Vec<f64>,
 }
 
-/// A word-wise FNV-1a over a leaf's kind and feature bits.
-fn leaf_hash(kind: NodeKind, features: &[f64]) -> u64 {
+/// The child part of `node`'s key, its children's entries being
+/// `entries[c]`: [`NO_ENTRY`] for a childless node, its one child's entry
+/// if the table holds that child, and `None` — not in any table — for a
+/// node with a computed child or with more than one.
+#[inline]
+fn child_key(node: &GraphNode, entries: &[u32]) -> Option<u32> {
+    match node.children[..] {
+        [] => Some(NO_ENTRY),
+        [c] if entries[c] != NO_ENTRY => Some(entries[c]),
+        _ => None,
+    }
+}
+
+/// A word-wise FNV-1a over a node's kind, child entry and feature bits.
+fn node_hash(kind: NodeKind, child: u32, features: &[f64]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let seed = (0xcbf2_9ce4_8422_2325 ^ kind.index() as u64).wrapping_mul(PRIME);
+    let seed = (seed ^ u64::from(child)).wrapping_mul(PRIME);
     features
         .iter()
         .fold(seed, |h, f| (h ^ f.to_bits()).wrapping_mul(PRIME))
@@ -260,21 +305,52 @@ impl CatalogStates {
         self.keys.is_empty()
     }
 
-    /// The state of `node`, if it is a childless Table or Column node
-    /// equal, bit for bit, to one this table was built from.
+    /// The state of entry `entry`.
     #[inline]
-    pub fn get(&self, node: &GraphNode) -> Option<&[f64]> {
-        if self.keys.is_empty() || !node.kind.is_catalog_leaf() || !node.children.is_empty() {
-            return None;
-        }
-        let hash = leaf_hash(node.kind, &node.features);
-        let entry = self.find(hash, node.kind, &node.features).ok()?;
-        Some(&self.states[entry * self.hidden..(entry + 1) * self.hidden])
+    pub fn state(&self, entry: u32) -> &[f64] {
+        let entry = entry as usize;
+        &self.states[entry * self.hidden..(entry + 1) * self.hidden]
     }
 
-    /// The entry holding `(kind, features)`, or the free slot it would
-    /// take.  Needs a non-empty `slots`.
-    fn find(&self, hash: u64, kind: NodeKind, features: &[f64]) -> Result<usize, usize> {
+    /// The entry of every node of `graph` (`None` where it misses), as
+    /// both forwards resolve them: children first, a node found only over
+    /// a found child.
+    pub fn entries(&self, graph: &PlanGraph) -> Vec<Option<u32>> {
+        let mut entries = Vec::with_capacity(graph.len());
+        for node in &graph.nodes {
+            let entry = self.resolve(node, &entries);
+            entries.push(entry);
+        }
+        entries
+            .into_iter()
+            .map(|e| (e != NO_ENTRY).then_some(e))
+            .collect()
+    }
+
+    /// The entry holding `node`, whose children's entries are
+    /// `entries[c]`, or [`NO_ENTRY`].
+    #[inline]
+    pub(crate) fn resolve(&self, node: &GraphNode, entries: &[u32]) -> u32 {
+        if self.keys.is_empty() {
+            return NO_ENTRY;
+        }
+        let Some(child) = child_key(node, entries) else {
+            return NO_ENTRY;
+        };
+        let hash = node_hash(node.kind, child, &node.features);
+        self.find(hash, node.kind, child, &node.features)
+            .map_or(NO_ENTRY, |entry| entry as u32)
+    }
+
+    /// The entry holding `(kind, child, features)`, or the free slot it
+    /// would take.  Needs a non-empty `slots`.
+    fn find(
+        &self,
+        hash: u64,
+        kind: NodeKind,
+        child: u32,
+        features: &[f64],
+    ) -> Result<usize, usize> {
         let mask = self.slots.len() - 1;
         // Fibonacci hashing: the product's high half depends on every bit
         // of the hash.
@@ -283,6 +359,7 @@ impl CatalogStates {
             let key = &self.keys[entry as usize];
             let equal = key.hash == hash
                 && key.kind == kind
+                && key.child == child
                 && key.features.len() == features.len()
                 && key
                     .features
@@ -321,6 +398,9 @@ pub struct InferenceScratch {
     /// `hidden_dim` (node `i`'s state is `states[i*h..(i+1)*h]`) — a
     /// single reusable allocation instead of one `Vec` per node.
     states: Vec<f64>,
+    /// The [`CatalogStates`] entry of each node, or [`NO_ENTRY`] where the
+    /// node was computed: how a parent finds its child's entry.
+    entries: Vec<u32>,
     /// Ping-pong buffers for the encoder/combine/output MLPs.
     mlp: ForwardScratch,
     /// `[own encoding ‖ sum of child states]` input of the combine MLP.
@@ -331,8 +411,6 @@ pub struct InferenceScratch {
 struct ForwardTrace {
     /// Encoder output and cache per node.
     encoder: Vec<(Vec<f64>, MlpCache)>,
-    /// Child-state sum per node.
-    child_sums: Vec<Vec<f64>>,
     /// Combine output and cache per node.
     combine: Vec<(Vec<f64>, MlpCache)>,
     /// Output MLP cache.
@@ -393,7 +471,7 @@ impl ZeroShotCostModel {
     /// buffers (the serving hot path): the state of every node `catalog`
     /// holds is copied from it, every other node's is computed.  Equal
     /// bits with any table, the empty one included (see the module docs,
-    /// "Catalog leaves").
+    /// "Catalog nodes").
     ///
     /// Performs the same floating-point operations in the same order as
     /// the training-time forward pass, but skips every backprop cache —
@@ -409,24 +487,32 @@ impl ZeroShotCostModel {
         let kind = active_kernel();
         let InferenceScratch {
             states,
+            entries,
             mlp,
             combine_input,
         } = scratch;
-        // Flat node-state buffer, stride `h`.  Every slot a parent reads is
-        // fully overwritten earlier in this same pass (children precede
-        // parents), so stale values from previous graphs are never read
-        // and the buffer only ever *grows* to the high-water mark.
+        // Flat node-state buffer, stride `h`, and one entry per node.
+        // Every slot a parent reads is fully overwritten earlier in this
+        // same pass (children precede parents), so stale values from
+        // previous graphs are never read and the buffers only ever *grow*
+        // to the high-water mark.
         let needed = graph.len() * h;
         if states.len() < needed {
             states.resize(needed, 0.0);
         }
+        if entries.len() < graph.len() {
+            entries.resize(graph.len(), NO_ENTRY);
+        }
 
         for (idx, node) in graph.nodes.iter().enumerate() {
-            let state = match catalog.get(node) {
-                Some(state) => state,
-                None => self
-                    .encoder
-                    .node_state(kind, node, states, mlp, combine_input),
+            let entry = catalog.resolve(node, entries);
+            entries[idx] = entry;
+            let state = if entry == NO_ENTRY {
+                let children = node.children.iter().map(|&c| &states[c * h..(c + 1) * h]);
+                self.encoder
+                    .node_state(kind, node, children, mlp, combine_input)
+            } else {
+                catalog.state(entry)
             };
             states[idx * h..(idx + 1) * h].copy_from_slice(state);
         }
@@ -439,7 +525,6 @@ impl ZeroShotCostModel {
     fn forward(&self, graph: &PlanGraph) -> ForwardTrace {
         let h = self.config.hidden_dim;
         let mut encoder = Vec::with_capacity(graph.len());
-        let mut child_sums = Vec::with_capacity(graph.len());
         let mut combine: Vec<(Vec<f64>, MlpCache)> = Vec::with_capacity(graph.len());
 
         for node in &graph.nodes {
@@ -456,14 +541,12 @@ impl ZeroShotCostModel {
             combine_input.extend_from_slice(&sum);
             let comb = self.encoder.combine.forward_cached(&combine_input);
             encoder.push(enc);
-            child_sums.push(sum);
             combine.push(comb);
         }
 
         let (out, output_cache) = self.output.forward_cached(&combine[graph.root].0);
         ForwardTrace {
             encoder,
-            child_sums,
             combine,
             output_cache,
             prediction: out[0],
@@ -506,9 +589,6 @@ impl ZeroShotCostModel {
                     *acc += g;
                 }
             }
-            // Silence the unused-field warning: child_sums are only needed
-            // for debugging numerical issues.
-            let _ = &trace.child_sums[idx];
         }
         loss
     }

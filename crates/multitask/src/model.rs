@@ -235,8 +235,8 @@ impl MultiTaskModel {
     }
 
     /// [`MultiTaskModel::predict_batch`] copying the state of every
-    /// catalog leaf `catalog` holds instead of computing it — bit-identical
-    /// for every head (`zsdb_core::model`, "Catalog leaves").
+    /// node `catalog` holds instead of computing it — bit-identical for
+    /// every head (`zsdb_core::model`, "Catalog nodes").
     pub fn predict_batch_with(
         &self,
         graphs: &[&PlanGraph],

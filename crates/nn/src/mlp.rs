@@ -320,14 +320,15 @@ impl Linear {
     /// batch (each cell reduced over examples in the canonical 4-lane
     /// order of [`kernel::sum`] / [`kernel::dot`] — deterministic for any
     /// batch) and, when `dx` is given, write the input gradients to it.
-    /// `dy_t` is the SIMD path's buffer for `dy` transposed.
+    /// `dy_t` is the buffer for `dy` transposed, `seed` the scalar path's
+    /// copy of one gradient row.
     fn backward_batch(
         &mut self,
         kind: KernelKind,
         x: &Batch,
         dy: &Batch,
         dx: Option<&mut Batch>,
-        dy_t: &mut Vec<f64>,
+        (dy_t, seed): (&mut Vec<f64>, &mut Vec<f64>),
     ) {
         // Hard assert, as in `Linear::backward`: in release a `dy` wider
         // than `x` would otherwise be truncated into a wrong gradient.
@@ -356,9 +357,9 @@ impl Linear {
         // sequentially in ascending `o` under either kernel — the sum
         // runs over *output units*, not lanes, so it keeps the
         // pre-existing sequential order).
+        transpose_into(dy.data(), out_dim, n, dy_t);
         match kind {
             KernelKind::Simd => {
-                transpose_into(dy.data(), out_dim, n, dy_t);
                 match n {
                     1 => self.weight_grad_rows::<1>(x, dy_t),
                     2 => self.weight_grad_rows::<2>(x, dy_t),
@@ -375,16 +376,15 @@ impl Linear {
                 }
             }
             KernelKind::Scalar => {
-                let dy_t = transpose(dy.data(), out_dim, n);
-                let mut seed = vec![0.0; out_dim];
+                seed.resize(out_dim, 0.0);
                 for i in 0..self.in_dim {
                     let grad_row = &mut self.w.grad[i * out_dim..(i + 1) * out_dim];
                     seed.copy_from_slice(grad_row);
                     let x_row = x.feature_row(i);
                     kernel::affine_layer(
                         kind,
-                        &dy_t,
-                        &seed,
+                        dy_t,
+                        seed,
                         n,
                         |e| x_row[e],
                         |o, run| grad_row[o..o + run.len()].copy_from_slice(run),
@@ -555,12 +555,14 @@ impl MlpBatchCache {
 
 /// Reusable buffers of the batched backward ([`Mlp::backward_batch_into`],
 /// [`Mlp::backward_batch_params_into`]): the layers' input gradients,
-/// ping-ponged, and `dy` transposed for the weight gradient.
+/// ping-ponged, `dy` transposed for the weight gradient, and the scalar
+/// kernel's copy of one weight-gradient row.
 #[derive(Debug, Clone, Default)]
 pub struct BatchBackwardScratch {
     a: Batch,
     b: Batch,
     dy_t: Vec<f64>,
+    seed: Vec<f64>,
 }
 
 /// A multi-layer perceptron: `dims[0] → dims[1] → … → dims[last]`, with the
@@ -844,6 +846,9 @@ impl Mlp {
         scratch
             .dy_t
             .reserve(dy_t.saturating_sub(scratch.dy_t.len()));
+        scratch
+            .seed
+            .reserve(widest_out.saturating_sub(scratch.seed.len()));
     }
 
     /// Batched backpropagation: push `d_out` (gradient w.r.t. the batched
@@ -900,7 +905,7 @@ impl Mlp {
         scratch: &mut BatchBackwardScratch,
         input_grad: bool,
     ) -> bool {
-        let BatchBackwardScratch { a, b, dy_t } = scratch;
+        let BatchBackwardScratch { a, b, dy_t, seed } = scratch;
         if self.layers.is_empty() {
             a.resize(d_out.dim(), d_out.n());
             a.data_mut().copy_from_slice(d_out.data());
@@ -923,11 +928,11 @@ impl Mlp {
             };
             let x = &cache.inputs[l];
             if l == 0 && !input_grad {
-                layer.backward_batch(kind, x, dy, None, dy_t);
+                layer.backward_batch(kind, x, dy, None, (dy_t, seed));
                 break;
             }
             dx.resize(layer.in_dim, x.n());
-            layer.backward_batch(kind, x, dy, Some(&mut *dx), dy_t);
+            layer.backward_batch(kind, x, dy, Some(&mut *dx), (dy_t, seed));
             if l > 0 {
                 // `x` is layer `l - 1`'s post-activation output: same sign
                 // as its pre-activation, so the same derivative.
@@ -1518,9 +1523,15 @@ mod tests {
             let mut layer = fresh.clone();
             let mut dx = Batch::zeros(in_dim, n);
             dx.data_mut().fill(f64::NAN);
-            layer.backward_batch(kind, x, dy, Some(&mut dx), &mut Vec::new());
+            layer.backward_batch(
+                kind,
+                x,
+                dy,
+                Some(&mut dx),
+                (&mut Vec::new(), &mut Vec::new()),
+            );
             let mut params_only = fresh.clone();
-            params_only.backward_batch(kind, x, dy, None, &mut Vec::new());
+            params_only.backward_batch(kind, x, dy, None, (&mut Vec::new(), &mut Vec::new()));
             assert_eq!(bits(&params_only.w.grad), bits(&layer.w.grad), "{shape}");
             assert_eq!(bits(&params_only.b.grad), bits(&layer.b.grad), "{shape}");
             for o in 0..out_dim {
@@ -1615,7 +1626,13 @@ mod tests {
             }
             assert_batched_backward_matches_definitions(&fresh, &x, &dy);
             let mut layer = fresh.clone();
-            layer.backward_batch(KernelKind::Simd, &x, &dy, None, &mut Vec::new());
+            layer.backward_batch(
+                KernelKind::Simd,
+                &x,
+                &dy,
+                None,
+                (&mut Vec::new(), &mut Vec::new()),
+            );
             assert!(
                 layer.w.grad.iter().all(|g| g.to_bits() == 0),
                 "n={n}: -0.0 + (0.0 + -0.0) must be +0.0"
@@ -1644,7 +1661,7 @@ mod tests {
             &Batch::zeros(3, 5),
             &Batch::zeros(4, 6),
             Some(&mut Batch::zeros(3, 5)),
-            &mut Vec::new(),
+            (&mut Vec::new(), &mut Vec::new()),
         );
     }
 

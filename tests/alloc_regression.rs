@@ -3,7 +3,7 @@
 //! The raw-speed inference path promises that a **warm** request —
 //! featurization into arena-backed scratch, a cache hit on the slab LRU,
 //! and the served forward through caller-provided [`InferenceScratch`]
-//! and the model version's catalog leaf states — performs **zero heap
+//! and the model version's catalog node states — performs **zero heap
 //! allocations**.  This test enforces it with a
 //! counting `#[global_allocator]`: warm the buffers to their high-water
 //! mark, then replay the hot path and assert the allocation counter does
@@ -86,7 +86,7 @@ fn warm_inference_hot_path_does_not_allocate() {
     let mut scratch = InferenceScratch::default();
     let cache = FeatureCache::new(16);
     // What a server builds per model version: the forward copies every
-    // Table and Column state from it.
+    // Table, Column, Predicate and Aggregation state from it.
     let catalog = model
         .model
         .encoder()
