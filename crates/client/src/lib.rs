@@ -43,12 +43,12 @@ use zsdb_engine::PlanNode;
 use zsdb_protocol::{
     encode_frame, read_frame, ErrorCode, ExplainRequest, Frame, GatewayMetrics, HealthResponse,
     HelloRequest, Message, ProtocolError, ProvenanceRecord, SlowLogRequest, WirePrediction,
-    WireSloStatus, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    WireSloStatus, PROTOCOL_VERSION,
 };
 
 /// Client-side trace-id mint: nonzero, process-wide unique.  The id is
-/// attached to request frames on protocol-v2 connections so the server's
-/// tracer records the request under an id the client already knows.
+/// attached to prediction request frames so the server's tracer records
+/// the request under an id the client already knows.
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
 fn mint_trace_id() -> u64 {
@@ -83,9 +83,6 @@ pub enum ClientError {
         /// What actually arrived.
         got: &'static str,
     },
-    /// The connection negotiated an older protocol version that cannot
-    /// express the request (e.g. `MetricsText` against a v1 server).
-    Unsupported(String),
 }
 
 impl fmt::Display for ClientError {
@@ -101,12 +98,6 @@ impl fmt::Display for ClientError {
             ClientError::ConnectionLost => write!(f, "connection lost with request in flight"),
             ClientError::UnexpectedResponse { expected, got } => {
                 write!(f, "expected a {expected} response, got {got}")
-            }
-            ClientError::Unsupported(detail) => {
-                write!(
-                    f,
-                    "unsupported on the negotiated protocol version: {detail}"
-                )
             }
         }
     }
@@ -184,8 +175,8 @@ pub struct RemotePrediction {
     /// Version of the model that answered.
     pub model_version: u32,
     /// Trace id echoed on the response frame — the id the server's
-    /// tracer recorded this request under.  `0` when the connection
-    /// negotiated protocol v1 or the server's tracer was disabled.
+    /// tracer recorded this request under.  `0` when the server's tracer
+    /// was disabled.
     pub trace_id: u64,
 }
 
@@ -215,33 +206,11 @@ struct Connection {
     reader: Mutex<Option<std::thread::JoinHandle<()>>>,
     model_version: u32,
     tenant_quota: u64,
-    /// Protocol version the server acknowledged; trace ids ride on
-    /// request frames only when this is ≥ 2.
-    protocol_version: u8,
 }
 
 impl Connection {
-    /// Open and handshake, falling back to the oldest supported protocol
-    /// version when the server rejects the current one — a new client
-    /// keeps working against an old server (it simply cannot carry trace
-    /// ids on the wire).
+    /// Open and handshake.
     fn open(addr: SocketAddr, config: &ClientConfig) -> Result<Arc<Connection>, ClientError> {
-        match Connection::open_with_version(addr, config, PROTOCOL_VERSION) {
-            Err(ClientError::Handshake(detail))
-                if detail.contains("unsupported protocol version")
-                    && MIN_PROTOCOL_VERSION < PROTOCOL_VERSION =>
-            {
-                Connection::open_with_version(addr, config, MIN_PROTOCOL_VERSION)
-            }
-            other => other,
-        }
-    }
-
-    fn open_with_version(
-        addr: SocketAddr,
-        config: &ClientConfig,
-        protocol_version: u8,
-    ) -> Result<Arc<Connection>, ClientError> {
         let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
         stream.set_nodelay(true)?;
 
@@ -252,7 +221,7 @@ impl Connection {
         let hello = Frame::new(
             0,
             Message::Hello(HelloRequest {
-                protocol_version,
+                protocol_version: PROTOCOL_VERSION,
                 tenant: config.tenant.clone(),
             }),
         );
@@ -266,15 +235,8 @@ impl Connection {
                 ))
             }
         };
-        let (model_version, tenant_quota, protocol_version) = match ack.message {
-            // Trust the ack's version but never exceed what we asked for:
-            // an old server that blindly echoes a newer number must not
-            // trick the client into v2 framing.
-            Message::HelloAck(ack) => (
-                ack.model_version,
-                ack.tenant_quota,
-                ack.protocol_version.min(protocol_version),
-            ),
+        let (model_version, tenant_quota) = match ack.message {
+            Message::HelloAck(ack) => (ack.model_version, ack.tenant_quota),
             Message::Error(e) => {
                 return Err(ClientError::Handshake(format!(
                     "{:?}: {}",
@@ -298,7 +260,6 @@ impl Connection {
             reader: Mutex::new(None),
             model_version,
             tenant_quota,
-            protocol_version,
         });
         let reader_conn = Arc::clone(&conn);
         let handle = std::thread::Builder::new()
@@ -309,8 +270,8 @@ impl Connection {
         Ok(conn)
     }
 
-    /// Write one request frame (carrying `trace_id` when nonzero and the
-    /// connection speaks v2) and register a reply slot for its id.
+    /// Write one request frame (carrying `trace_id` when nonzero) and
+    /// register a reply slot for its id.
     fn send(
         self: &Arc<Connection>,
         message: Message,
@@ -319,11 +280,6 @@ impl Connection {
         if !self.alive.load(Ordering::Acquire) {
             return Err(ClientError::ConnectionLost);
         }
-        let trace_id = if self.protocol_version >= 2 {
-            trace_id
-        } else {
-            0
-        };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
         self.pending.lock().expect("pending lock").insert(id, tx);
@@ -539,13 +495,6 @@ impl Client {
         Ok(self.connection()?.tenant_quota)
     }
 
-    /// Protocol version negotiated by the most recently opened
-    /// connection's handshake.  `2` means request frames carry trace ids;
-    /// `1` means the client fell back for an older server.
-    pub fn negotiated_protocol_version(&self) -> Result<u8, ClientError> {
-        Ok(self.connection()?.protocol_version)
-    }
-
     fn connection_for_slot(&self, slot: usize) -> Result<Arc<Connection>, ClientError> {
         let mut guard = self.slots[slot].lock().expect("pool slot lock");
         if let Some(conn) = guard.as_ref() {
@@ -567,8 +516,7 @@ impl Client {
 
     /// Send one request, retrying once on a fresh connection if the
     /// failure was connection-level (the send never reached the server).
-    /// A nonzero `trace_id` rides on the request frame when the
-    /// connection negotiated protocol v2.
+    /// A nonzero `trace_id` rides on the request frame.
     fn send(&self, make: impl Fn() -> Message, trace_id: u64) -> Result<PendingReply, ClientError> {
         let mut last_err = None;
         for _attempt in 0..2 {
@@ -597,9 +545,9 @@ impl Client {
     }
 
     /// Enqueue one prediction without waiting — the pipelined entry
-    /// point.  Many pending tickets can share one connection.  On a
-    /// protocol-v2 connection the request carries a fresh trace id; the
-    /// server echoes it on the response
+    /// point.  Many pending tickets can share one connection.  The
+    /// request carries a fresh trace id; the server echoes it on the
+    /// response
     /// ([`RemotePrediction::trace_id`]) and records the per-stage trace
     /// under it.
     pub fn submit(&self, plan: &PlanNode) -> Result<PendingPrediction, ClientError> {
@@ -645,11 +593,8 @@ impl Client {
     }
 
     /// Fetch the Prometheus text exposition of the gateway + serving
-    /// metrics.  Requires a protocol-v2 server — against a v1 server the
-    /// call fails client-side with [`ClientError::Unsupported`] instead
-    /// of sending an op the server would treat as an unreadable frame.
+    /// metrics.
     pub fn metrics_text(&self) -> Result<String, ClientError> {
-        self.require_v2("MetricsText")?;
         let (message, _) = self.send(|| Message::MetricsText, 0)?.wait_message()?;
         match message {
             Message::MetricsTextOk(text) => Ok(text),
@@ -664,27 +609,12 @@ impl Client {
         }
     }
 
-    /// Fail with [`ClientError::Unsupported`] when the negotiated
-    /// protocol predates `op` (a v2 extension) — refusing locally keeps
-    /// the op off a wire the server cannot frame.
-    fn require_v2(&self, op: &str) -> Result<(), ClientError> {
-        let conn = self.connection()?;
-        if conn.protocol_version < 2 {
-            return Err(ClientError::Unsupported(format!(
-                "{op} needs protocol v2, server negotiated v{}",
-                conn.protocol_version
-            )));
-        }
-        Ok(())
-    }
-
     /// Fetch the full provenance of one served prediction by its trace
     /// id (see [`RemotePrediction::trace_id`]): plan fingerprint, model
     /// name/version, cache hit, shard placement and the per-stage
-    /// latency breakdown.  Requires a protocol-v2 server; the server
-    /// answers `BadRequest` when no record with that id is retained.
+    /// latency breakdown.  The server answers `BadRequest` when no record
+    /// with that id is retained.
     pub fn explain(&self, trace_id: u64) -> Result<ProvenanceRecord, ClientError> {
-        self.require_v2("Explain")?;
         let (message, _) = self
             .send(|| Message::Explain(ExplainRequest { trace_id }), 0)?
             .wait_message()?;
@@ -703,9 +633,8 @@ impl Client {
 
     /// Fetch the server's slow-request log: the retained slow/failed
     /// requests' provenance, worst (longest total latency) first, up to
-    /// `limit` records.  Requires a protocol-v2 server.
+    /// `limit` records.
     pub fn slow_log(&self, limit: u64) -> Result<Vec<ProvenanceRecord>, ClientError> {
-        self.require_v2("SlowLog")?;
         let (message, _) = self
             .send(|| Message::SlowLog(SlowLogRequest { limit }), 0)?
             .wait_message()?;
@@ -724,9 +653,8 @@ impl Client {
 
     /// Fetch the server's SLO burn-rate position: configured objective +
     /// target and the rolling windows' good/bad counts, error rates and
-    /// burn rates.  Requires a protocol-v2 server.
+    /// burn rates.
     pub fn slo_status(&self) -> Result<WireSloStatus, ClientError> {
-        self.require_v2("SloStatus")?;
         let (message, _) = self.send(|| Message::SloStatus, 0)?.wait_message()?;
         match message {
             Message::SloStatusOk(status) => Ok(status),
@@ -840,136 +768,6 @@ mod tests {
                 other.map(|_| "MetricsOk")
             ),
         }
-        server.join().expect("fake server thread");
-    }
-
-    #[test]
-    fn new_client_falls_back_to_a_v1_only_server() {
-        use zsdb_catalog::TableId;
-        use zsdb_engine::PhysOperator;
-        use zsdb_protocol::{write_frame, ErrorResponse, HelloAck};
-
-        // A fake pre-trace-extension server: it only accepts protocol
-        // version 1, answers Predict with a plain (untraced) v1 frame and
-        // has never heard of MetricsText.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake server");
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            // First connection: reject the v2 Hello the way the old
-            // server did.
-            let (mut stream, _) = listener.accept().expect("accept v2 attempt");
-            let hello = read_frame(&mut stream).expect("read hello").expect("hello");
-            let version = match &hello.message {
-                Message::Hello(h) => h.protocol_version,
-                other => panic!("expected Hello, got {}", other.op_name()),
-            };
-            assert_eq!(version, PROTOCOL_VERSION, "client leads with the newest");
-            write_frame(
-                &mut stream,
-                &Frame::new(
-                    hello.request_id,
-                    Message::Error(ErrorResponse {
-                        code: ErrorCode::BadRequest,
-                        message: format!(
-                            "unsupported protocol version {version} (server speaks 1)"
-                        ),
-                    }),
-                ),
-            )
-            .expect("reject");
-            drop(stream);
-
-            // Second connection: the fallback handshake, now at v1.
-            let (mut stream, _) = listener.accept().expect("accept v1 fallback");
-            let hello = read_frame(&mut stream).expect("read hello").expect("hello");
-            match &hello.message {
-                Message::Hello(h) => assert_eq!(h.protocol_version, 1, "fallback speaks v1"),
-                other => panic!("expected Hello, got {}", other.op_name()),
-            }
-            write_frame(
-                &mut stream,
-                &Frame::new(
-                    hello.request_id,
-                    Message::HelloAck(HelloAck {
-                        protocol_version: 1,
-                        model_version: 3,
-                        tenant_quota: 9,
-                    }),
-                ),
-            )
-            .expect("ack");
-
-            let request = read_frame(&mut stream).expect("read request").expect("req");
-            assert_eq!(
-                request.trace_id, 0,
-                "a v1 connection must never carry trace ids"
-            );
-            assert!(matches!(request.message, Message::Predict(_)));
-            write_frame(
-                &mut stream,
-                &Frame::new(
-                    request.request_id,
-                    Message::PredictOk(WirePrediction {
-                        runtime_secs: 0.25,
-                        fingerprint: 42,
-                        cache_hit: false,
-                        server_latency_micros: 10,
-                        model_version: 3,
-                    }),
-                ),
-            )
-            .expect("answer");
-            stream.flush().expect("flush");
-        });
-
-        let client = Client::connect(
-            addr,
-            ClientConfig {
-                request_timeout: Duration::from_secs(5),
-                ..ClientConfig::tenant("t")
-            },
-        )
-        .expect("fallback handshake succeeds");
-        assert_eq!(client.negotiated_protocol_version().unwrap(), 1);
-        assert_eq!(client.handshake_model_version().unwrap(), 3);
-
-        let plan = PlanNode {
-            op: PhysOperator::SeqScan {
-                table: TableId(0),
-                predicates: vec![],
-            },
-            children: vec![],
-            est_cardinality: 1.0,
-            est_cost: 1.0,
-            output_width: 1.0,
-        };
-        // MetricsText cannot be expressed at v1: the client refuses
-        // locally instead of poisoning the connection.  Checked before
-        // the predict round-trip — the refusal puts nothing on the wire,
-        // and afterwards the fake server has hung up, which would race
-        // the client's dead-connection detection into a reconnect error.
-        assert!(matches!(
-            client.metrics_text(),
-            Err(ClientError::Unsupported(_))
-        ));
-        // The provenance/SLO ops are v2 extensions too: all refused
-        // locally, nothing on the wire.
-        assert!(matches!(
-            client.explain(1),
-            Err(ClientError::Unsupported(_))
-        ));
-        assert!(matches!(
-            client.slow_log(10),
-            Err(ClientError::Unsupported(_))
-        ));
-        assert!(matches!(
-            client.slo_status(),
-            Err(ClientError::Unsupported(_))
-        ));
-
-        let prediction = client.predict(&plan).expect("v1 predict works");
-        assert_eq!(prediction.fingerprint, 42);
-        assert_eq!(prediction.trace_id, 0, "no trace id over a v1 connection");
         server.join().expect("fake server thread");
     }
 

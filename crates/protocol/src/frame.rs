@@ -12,18 +12,12 @@ use zsdb_engine::PlanNode;
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"ZSDB";
 
-/// Highest protocol version this build speaks.  Version 2 adds the
-/// [`FLAG_TRACE_ID`] header extension; frames without a trace id are
-/// still emitted as version 1 so old peers interoperate.
+/// The one protocol version this build speaks: every frame carries it,
+/// and a frame or `Hello` of any other version is refused.
 pub const PROTOCOL_VERSION: u8 = 2;
 
-/// Baseline protocol version: the fixed 20-byte header with zero flags
-/// and no extensions.  Always accepted, and always emitted when a frame
-/// carries no trace id.
-pub const MIN_PROTOCOL_VERSION: u8 = 1;
-
-/// Version-2 flag bit: an 8-byte little-endian trace id immediately
-/// follows the fixed header, before the payload.
+/// Flag bit: an 8-byte little-endian trace id immediately follows the
+/// fixed header, before the payload.
 pub const FLAG_TRACE_ID: u16 = 0x0001;
 
 /// Size of the trace-id header extension selected by [`FLAG_TRACE_ID`].
@@ -51,15 +45,14 @@ pub struct Frame {
     /// in-flight requests can share one connection.
     pub request_id: u64,
     /// Request-scoped trace id propagated end to end; 0 means untraced.
-    /// Non-zero ids ride in a version-2 header extension
-    /// ([`FLAG_TRACE_ID`]), so untraced frames stay version-1 compatible.
+    /// Non-zero ids ride in a header extension ([`FLAG_TRACE_ID`]).
     pub trace_id: u64,
     /// The typed message body.
     pub message: Message,
 }
 
 impl Frame {
-    /// Build an untraced frame (encoded as protocol version 1).
+    /// Build an untraced frame (no header extension).
     pub fn new(request_id: u64, message: Message) -> Self {
         Frame {
             request_id,
@@ -68,8 +61,8 @@ impl Frame {
         }
     }
 
-    /// Build a frame carrying a trace id (encoded as protocol version 2
-    /// when `trace_id` is non-zero).
+    /// Build a frame carrying a trace id (in the [`FLAG_TRACE_ID`]
+    /// extension when `trace_id` is non-zero).
     pub fn traced(request_id: u64, trace_id: u64, message: Message) -> Self {
         Frame {
             request_id,
@@ -164,35 +157,29 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, ProtocolError> {
             limit: MAX_PAYLOAD_LEN,
         });
     }
-    // Untraced frames stay on the baseline version so version-1 peers
-    // keep decoding them; only a trace id needs the v2 extension.
-    let (version, flags) = if frame.trace_id == 0 {
-        (MIN_PROTOCOL_VERSION, 0u16)
-    } else {
-        (PROTOCOL_VERSION, FLAG_TRACE_ID)
-    };
-    let ext_len = if flags & FLAG_TRACE_ID != 0 {
-        TRACE_ID_EXT_LEN
-    } else {
+    let flags = if frame.trace_id == 0 {
         0
+    } else {
+        FLAG_TRACE_ID
     };
+    let ext_len = header_ext_len(flags);
     let mut out = Vec::with_capacity(HEADER_LEN + ext_len + payload.len());
     out.extend_from_slice(&MAGIC);
-    out.push(version);
+    out.push(PROTOCOL_VERSION);
     out.push(frame.message.opcode());
     out.extend_from_slice(&flags.to_le_bytes());
     out.extend_from_slice(&frame.request_id.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    if flags & FLAG_TRACE_ID != 0 {
+    if ext_len != 0 {
         out.extend_from_slice(&frame.trace_id.to_le_bytes());
     }
     out.extend_from_slice(payload);
     Ok(out)
 }
 
-/// Bytes of header extension selected by a frame's version + flags.
-fn header_ext_len(version: u8, flags: u16) -> usize {
-    if version >= 2 && flags & FLAG_TRACE_ID != 0 {
+/// Bytes of header extension selected by a frame's flags.
+fn header_ext_len(flags: u16) -> usize {
+    if flags & FLAG_TRACE_ID != 0 {
         TRACE_ID_EXT_LEN
     } else {
         0
@@ -218,17 +205,15 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtocolError>
     if buf[..4] != MAGIC {
         return Err(ProtocolError::BadMagic([buf[0], buf[1], buf[2], buf[3]]));
     }
-    let version = buf[4];
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-        return Err(ProtocolError::UnsupportedVersion(version));
+    if buf[4] != PROTOCOL_VERSION {
+        return Err(ProtocolError::UnsupportedVersion(buf[4]));
     }
     let opcode = buf[5];
     let flags = u16::from_le_bytes([buf[6], buf[7]]);
-    let known_flags = if version >= 2 { FLAG_TRACE_ID } else { 0 };
-    if flags & !known_flags != 0 {
+    if flags & !FLAG_TRACE_ID != 0 {
         return Err(ProtocolError::NonZeroFlags(flags));
     }
-    let ext_len = header_ext_len(version, flags);
+    let ext_len = header_ext_len(flags);
     let request_id = u64::from_le_bytes(buf[8..16].try_into().expect("8-byte slice"));
     let payload_len = u32::from_le_bytes(buf[16..20].try_into().expect("4-byte slice"));
     if payload_len > MAX_PAYLOAD_LEN {
@@ -291,7 +276,7 @@ pub fn read_frame_limited<R: Read>(
             Ok(Some(frame))
         }
         None => {
-            let ext_len = header_ext_len(header[4], u16::from_le_bytes([header[6], header[7]]));
+            let ext_len = header_ext_len(u16::from_le_bytes([header[6], header[7]]));
             let declared = u32::from_le_bytes(header[16..20].try_into().expect("4-byte slice"));
             if declared > payload_limit {
                 return Err(ProtocolError::PayloadTooLarge {
@@ -513,11 +498,12 @@ mod tests {
             Err(ProtocolError::UnsupportedVersion(99))
         ));
 
+        // Bit 0 is the trace flag; bit 1 is undefined.
         let mut wrong_flags = bytes.clone();
-        wrong_flags[6] = 1;
+        wrong_flags[6] = 0x02;
         assert!(matches!(
             decode_frame(&wrong_flags),
-            Err(ProtocolError::NonZeroFlags(1))
+            Err(ProtocolError::NonZeroFlags(0x02))
         ));
 
         let mut wrong_opcode = bytes.clone();
@@ -563,12 +549,9 @@ mod tests {
     }
 
     #[test]
-    fn untraced_frames_stay_on_the_baseline_version() {
-        // Compatibility contract: a frame without a trace id must be
-        // byte-identical to what a version-1 build emits, so old peers
-        // keep decoding everything an untracing client sends.
+    fn untraced_frames_carry_the_version_and_no_extension() {
         let bytes = encode_frame(&Frame::new(5, Message::Health)).unwrap();
-        assert_eq!(bytes[4], MIN_PROTOCOL_VERSION);
+        assert_eq!(bytes[4], PROTOCOL_VERSION);
         assert_eq!(u16::from_le_bytes([bytes[6], bytes[7]]), 0);
         assert_eq!(bytes.len(), HEADER_LEN);
     }
@@ -608,17 +591,6 @@ mod tests {
         write_frame(&mut stream, &frame).unwrap();
         let mut cursor = std::io::Cursor::new(stream);
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), frame);
-    }
-
-    #[test]
-    fn trace_flag_on_a_v1_frame_is_rejected() {
-        let mut bytes = encode_frame(&Frame::new(1, Message::Health)).unwrap();
-        assert_eq!(bytes[4], MIN_PROTOCOL_VERSION);
-        bytes[6] = FLAG_TRACE_ID as u8; // v1 knows no flags at all
-        assert!(matches!(
-            decode_frame(&bytes),
-            Err(ProtocolError::NonZeroFlags(_))
-        ));
     }
 
     #[test]

@@ -14,21 +14,20 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"ZSDB"
-//! 4       1     protocol version (1 or 2)
+//! 4       1     protocol version (always 2)
 //! 5       1     opcode (see Message::opcode)
-//! 6       2     flags (little endian) — zero in version 1
+//! 6       2     flags (little endian)
 //! 8       8     request id (little endian)
 //! 16      4     payload length n (little endian)
 //! 20      8     trace id (little endian) — only when flag 0x0001 is set
 //! 20|28   n     payload — UTF-8 JSON of the op's payload type
 //! ```
 //!
-//! Version 2 defines flag bit `0x0001` ([`FLAG_TRACE_ID`]): an 8-byte
+//! Flag bit `0x0001` ([`FLAG_TRACE_ID`]) is the only flag: an 8-byte
 //! request-scoped trace id follows the fixed header, letting a client
-//! correlate its request with the server-side per-stage trace.  Frames
-//! without a trace id are emitted as version 1 regardless of the build,
-//! so tracing-unaware peers interoperate untouched; decoders accept both
-//! versions and reject unknown flag bits.
+//! correlate its request with the server-side per-stage trace.  Decoders
+//! reject any other version ([`PROTOCOL_VERSION`] is the only one) and
+//! any other flag bit.
 //!
 //! Request ids are chosen by the client and echoed verbatim by the
 //! server, so many in-flight requests can share one connection
@@ -53,12 +52,11 @@
 //! * [`Message::Explain`] / [`Message::ExplainOk`] — full provenance of
 //!   one served prediction by trace id: plan fingerprint, model
 //!   name/version, cache hit, shard placement, per-stage breakdown
-//!   (protocol v2; older servers answer `Error(BadRequest)`).
+//!   (`Error(BadRequest)` when no record with that id is retained).
 //! * [`Message::SlowLog`] / [`Message::SlowLogOk`] — the slowest
-//!   retained requests from the flight recorder, worst first
-//!   (protocol v2).
+//!   retained requests from the flight recorder, worst first.
 //! * [`Message::SloStatus`] / [`Message::SloStatusOk`] — SLO burn-rate
-//!   position over the server's rolling windows (protocol v2).
+//!   position over the server's rolling windows.
 //! * [`Message::Error`] — structured failure (code + human message) for
 //!   any request; carries the rejected request's id.
 //!
@@ -75,8 +73,8 @@ pub mod message;
 pub use error::ProtocolError;
 pub use frame::{
     decode_frame, encode_frame, read_frame, read_frame_limited, write_frame, Frame, FLAG_TRACE_ID,
-    HEADER_LEN, MAGIC, MAX_HANDSHAKE_PAYLOAD_LEN, MAX_PAYLOAD_LEN, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION, TRACE_ID_EXT_LEN,
+    HEADER_LEN, MAGIC, MAX_HANDSHAKE_PAYLOAD_LEN, MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
+    TRACE_ID_EXT_LEN,
 };
 pub use message::{
     ErrorCode, ErrorResponse, ExplainRequest, GatewayMetrics, HealthResponse, HelloAck,

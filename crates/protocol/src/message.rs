@@ -92,7 +92,7 @@ pub struct HealthResponse {
 /// `admitted = completed + in_flight` at all times; rejections are *not*
 /// admitted.  Latency percentiles are over the tenant's recent completed
 /// requests and are `0.0` until the tenant completes one.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantMetrics {
     /// Tenant identifier from the handshake.
     pub tenant: String,
@@ -123,60 +123,11 @@ pub struct TenantMetrics {
     pub latency_max_ms: f64,
 }
 
-/// Deserialization helper: read a struct field, substituting the type's
-/// default when the field is absent.  Lets this build decode metrics
-/// payloads from servers predating the field (the reverse direction is
-/// free — old builds ignore unknown fields).
-fn field_or_default<T: serde::Deserialize + Default>(
-    value: &serde::Value,
-    name: &str,
-) -> Result<T, serde::Error> {
-    let entries = value
-        .as_object()
-        .ok_or_else(|| serde::Error::custom(format!("expected object, found {}", value.kind())))?;
-    match entries.iter().find(|(k, _)| k == name) {
-        Some((_, v)) => T::from_value(v),
-        None => Ok(T::default()),
-    }
-}
-
-impl serde::Deserialize for TenantMetrics {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(TenantMetrics {
-            tenant: serde::Deserialize::from_value(serde::__field(value, "tenant")?)?,
-            admitted: serde::Deserialize::from_value(serde::__field(value, "admitted")?)?,
-            completed: serde::Deserialize::from_value(serde::__field(value, "completed")?)?,
-            rejected_quota: serde::Deserialize::from_value(serde::__field(
-                value,
-                "rejected_quota",
-            )?)?,
-            rejected_shed: serde::Deserialize::from_value(serde::__field(value, "rejected_shed")?)?,
-            in_flight: serde::Deserialize::from_value(serde::__field(value, "in_flight")?)?,
-            quota: serde::Deserialize::from_value(serde::__field(value, "quota")?)?,
-            latency_p50_ms: serde::Deserialize::from_value(serde::__field(
-                value,
-                "latency_p50_ms",
-            )?)?,
-            latency_p95_ms: serde::Deserialize::from_value(serde::__field(
-                value,
-                "latency_p95_ms",
-            )?)?,
-            latency_p99_ms: serde::Deserialize::from_value(serde::__field(
-                value,
-                "latency_p99_ms",
-            )?)?,
-            // Added after protocol v1 shipped; absent from old servers.
-            latency_min_ms: field_or_default(value, "latency_min_ms")?,
-            latency_max_ms: field_or_default(value, "latency_max_ms")?,
-        })
-    }
-}
-
 /// Gateway-wide metrics: the network front-end's view of the serving
 /// stack, including every tenant's accounting.  All floats are finite
 /// (empty percentiles are reported as `0.0`) so the payload always
 /// round-trips through JSON.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GatewayMetrics {
     /// Connections accepted over the gateway's lifetime.
     pub connections_total: u64,
@@ -212,54 +163,6 @@ pub struct GatewayMetrics {
     pub window_occupancy: u64,
     /// Total latency-window capacity across recording threads.
     pub window_capacity: u64,
-}
-
-impl serde::Deserialize for GatewayMetrics {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(GatewayMetrics {
-            connections_total: serde::Deserialize::from_value(serde::__field(
-                value,
-                "connections_total",
-            )?)?,
-            connections_active: serde::Deserialize::from_value(serde::__field(
-                value,
-                "connections_active",
-            )?)?,
-            server_total_requests: serde::Deserialize::from_value(serde::__field(
-                value,
-                "server_total_requests",
-            )?)?,
-            server_rejected_requests: serde::Deserialize::from_value(serde::__field(
-                value,
-                "server_rejected_requests",
-            )?)?,
-            server_throughput_qps: serde::Deserialize::from_value(serde::__field(
-                value,
-                "server_throughput_qps",
-            )?)?,
-            server_latency_p50_ms: serde::Deserialize::from_value(serde::__field(
-                value,
-                "server_latency_p50_ms",
-            )?)?,
-            server_latency_p95_ms: serde::Deserialize::from_value(serde::__field(
-                value,
-                "server_latency_p95_ms",
-            )?)?,
-            server_latency_p99_ms: serde::Deserialize::from_value(serde::__field(
-                value,
-                "server_latency_p99_ms",
-            )?)?,
-            model_version: serde::Deserialize::from_value(serde::__field(value, "model_version")?)?,
-            tenants: serde::Deserialize::from_value(serde::__field(value, "tenants")?)?,
-            // Added after protocol v1 shipped; absent from old servers.
-            uptime_seconds: field_or_default(value, "uptime_seconds")?,
-            queue_depth: field_or_default(value, "queue_depth")?,
-            server_latency_min_ms: field_or_default(value, "server_latency_min_ms")?,
-            server_latency_max_ms: field_or_default(value, "server_latency_max_ms")?,
-            window_occupancy: field_or_default(value, "window_occupancy")?,
-            window_capacity: field_or_default(value, "window_capacity")?,
-        })
-    }
 }
 
 /// One pipeline stage of a [`ProvenanceRecord`]: the name the serving
@@ -386,17 +289,15 @@ pub enum Message {
     Health,
     /// Answer to [`Message::Health`].
     HealthOk(HealthResponse),
-    /// Request the provenance of one served prediction by trace id
-    /// (protocol v2; v1 servers answer [`Message::Error`] with
-    /// [`ErrorCode::BadRequest`]).
+    /// Request the provenance of one served prediction by trace id.
     Explain(ExplainRequest),
     /// Answer to [`Message::Explain`] when the trace is retained.
     ExplainOk(Box<ProvenanceRecord>),
-    /// Request the slowest retained requests, worst first (protocol v2).
+    /// Request the slowest retained requests, worst first.
     SlowLog(SlowLogRequest),
     /// Answer to [`Message::SlowLog`].
     SlowLogOk(Vec<ProvenanceRecord>),
-    /// Request the server's SLO burn-rate status (protocol v2).
+    /// Request the server's SLO burn-rate status.
     SloStatus,
     /// Answer to [`Message::SloStatus`].
     SloStatusOk(WireSloStatus),
@@ -632,39 +533,6 @@ mod tests {
             window_occupancy: 0,
             window_capacity: 0,
         }
-    }
-
-    #[test]
-    fn metrics_payloads_from_old_servers_still_deserialize() {
-        // A server predating this build omits the fields added alongside
-        // tracing; decoding must substitute defaults, not fail.
-        let old_tenant = r#"{
-            "tenant": "t", "admitted": 5, "completed": 4,
-            "rejected_quota": 1, "rejected_shed": 0, "in_flight": 1,
-            "quota": 8, "latency_p50_ms": 1.5, "latency_p95_ms": 2.0,
-            "latency_p99_ms": 3.0
-        }"#;
-        let tenant: TenantMetrics = serde_json::from_str(old_tenant).unwrap();
-        assert_eq!(tenant.latency_min_ms, 0.0);
-        assert_eq!(tenant.latency_max_ms, 0.0);
-        assert_eq!(tenant.latency_p99_ms, 3.0);
-
-        let old_gateway = format!(
-            r#"{{
-                "connections_total": 2, "connections_active": 1,
-                "server_total_requests": 10, "server_rejected_requests": 0,
-                "server_throughput_qps": 100.0,
-                "server_latency_p50_ms": 1.0, "server_latency_p95_ms": 2.0,
-                "server_latency_p99_ms": 3.0, "model_version": 7,
-                "tenants": [{old_tenant}]
-            }}"#
-        );
-        let gateway: GatewayMetrics = serde_json::from_str(&old_gateway).unwrap();
-        assert_eq!(gateway.uptime_seconds, 0.0);
-        assert_eq!(gateway.queue_depth, 0);
-        assert_eq!(gateway.window_capacity, 0);
-        assert_eq!(gateway.server_total_requests, 10);
-        assert_eq!(gateway.tenants.len(), 1);
     }
 
     #[test]

@@ -55,7 +55,7 @@ use zsdb_obs::{ActiveTrace, LatencyWindow, Trace, Tracer};
 use zsdb_protocol::{
     decode_frame, encode_frame, ErrorCode, ErrorResponse, Frame, GatewayMetrics, HealthResponse,
     HelloAck, Message, ProtocolError, TenantMetrics, WirePrediction, MAX_HANDSHAKE_PAYLOAD_LEN,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 
 /// Per-tenant latency samples retained for the percentile estimates
@@ -612,7 +612,7 @@ enum Outbound {
         ticket: PredictionTicket,
         tenant: Arc<TenantState>,
         accepted: Instant,
-        /// Trace id echoed on the response frame (0 = untraced wire).
+        /// Trace id echoed on the response frame (0 = untraced).
         trace_id: u64,
     },
     /// A coalesced group of pipelined singles answered by one batch
@@ -623,7 +623,7 @@ enum Outbound {
         tenant: Arc<TenantState>,
         accepted: Instant,
         /// The group shares one batched span, so every member's response
-        /// echoes the group's trace id (0 = untraced wire).
+        /// echoes the group's trace id (0 = untraced).
         trace_id: u64,
     },
     /// One admitted client batch answered as `PredictBatchOk`.
@@ -633,7 +633,7 @@ enum Outbound {
         ticket: BatchPredictionTicket,
         tenant: Arc<TenantState>,
         accepted: Instant,
-        /// Trace id echoed on the response frame (0 = untraced wire).
+        /// Trace id echoed on the response frame (0 = untraced).
         trace_id: u64,
     },
     /// A client batch whose admission failed part-way: the admitted
@@ -679,12 +679,7 @@ fn serve_connection(shared: &Arc<NetShared>, mut stream: TcpStream) -> io::Resul
         }
     };
     let tenant = match hello.message {
-        // Anything in [MIN_PROTOCOL_VERSION, PROTOCOL_VERSION] is spoken
-        // here; the ack echoes the client's version so an older client
-        // proceeds on the wire format it understands.
-        Message::Hello(h)
-            if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&h.protocol_version) =>
-        {
+        Message::Hello(h) if h.protocol_version != PROTOCOL_VERSION => {
             write_frame_ignore_proto(
                 &mut stream,
                 &error_frame(
@@ -709,7 +704,7 @@ fn serve_connection(shared: &Arc<NetShared>, mut stream: TcpStream) -> io::Resul
             );
             return Ok(());
         }
-        Message::Hello(h) => (h.tenant, h.protocol_version),
+        Message::Hello(h) => h.tenant,
         other => {
             write_frame_ignore_proto(
                 &mut stream,
@@ -722,7 +717,6 @@ fn serve_connection(shared: &Arc<NetShared>, mut stream: TcpStream) -> io::Resul
             return Ok(());
         }
     };
-    let (tenant, negotiated_version) = tenant;
     let tenant = match shared.tenant_state(&tenant) {
         Some(state) => state,
         None => {
@@ -742,18 +736,13 @@ fn serve_connection(shared: &Arc<NetShared>, mut stream: TcpStream) -> io::Resul
         &Frame::new(
             hello.request_id,
             Message::HelloAck(HelloAck {
-                protocol_version: negotiated_version,
+                protocol_version: PROTOCOL_VERSION,
                 model_version: shared.server.model_version(),
                 tenant_quota: tenant.quota,
             }),
         ),
     );
     stream.set_read_timeout(None)?;
-
-    // Trace ids ride a v2 frame extension, so they are echoed only to
-    // clients that negotiated v2; a v1 client gets byte-identical v1
-    // frames (server-side traces still run, they just stay server-side).
-    let wire_traces = negotiated_version >= 2;
 
     // --- Steady state: reader (this thread) + responder ------------------
     let (out_tx, out_rx) = mpsc::channel::<Outbound>();
@@ -764,7 +753,7 @@ fn serve_connection(shared: &Arc<NetShared>, mut stream: TcpStream) -> io::Resul
             .name("zsdb-net-respond".into())
             .spawn(move || responder_loop(&out_rx, write_stream, &resp_shared))?
     };
-    read_requests(shared, &stream, &tenant, &out_tx, wire_traces);
+    read_requests(shared, &stream, &tenant, &out_tx);
     drop(out_tx); // responder drains what is left, then exits
     let _ = responder.join();
     Ok(())
@@ -777,7 +766,6 @@ fn read_requests(
     stream: &TcpStream,
     tenant: &Arc<TenantState>,
     out: &mpsc::Sender<Outbound>,
-    wire_traces: bool,
 ) {
     let mut buf: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut scratch = [0u8; 16 * 1024];
@@ -812,9 +800,7 @@ fn read_requests(
         // when one rode the frame header (the tracer mints one otherwise).
         let tracer = shared.server.tracer();
         let begin_trace = |trace_id: u64| -> Option<ActiveTrace> {
-            tracer
-                .enabled()
-                .then(|| tracer.begin_with_id(if wire_traces { trace_id } else { 0 }))
+            tracer.enabled().then(|| tracer.begin_with_id(trace_id))
         };
         match frame.message {
             Message::Predict(plan) => {
@@ -828,19 +814,11 @@ fn read_requests(
                         format!("tenant {:?}", tenant.name),
                     );
                 }
-                admit_group(shared, tenant, out, group, trace, wire_traces);
+                admit_group(shared, tenant, out, group, trace);
             }
             Message::PredictBatch(plans) => {
                 let trace = begin_trace(frame.trace_id);
-                admit_batch(
-                    shared,
-                    tenant,
-                    out,
-                    frame.request_id,
-                    plans,
-                    trace,
-                    wire_traces,
-                )
+                admit_batch(shared, tenant, out, frame.request_id, plans, trace)
             }
             Message::Metrics => {
                 let _ = out.send(Outbound::Ready(Frame::new(
@@ -942,7 +920,6 @@ fn admit_group(
     out: &mpsc::Sender<Outbound>,
     group: Vec<(u64, PlanNode)>,
     mut trace: Option<ActiveTrace>,
-    wire_traces: bool,
 ) {
     let accepted = Instant::now();
     let mut ids = Vec::with_capacity(group.len());
@@ -970,10 +947,7 @@ fn admit_group(
     if let Some(t) = trace.as_mut() {
         t.mark(STAGE_ADMISSION);
     }
-    let trace_id = match (&trace, wire_traces) {
-        (Some(t), true) => t.id(),
-        _ => 0,
-    };
+    let trace_id = trace.as_ref().map_or(0, ActiveTrace::id);
     if ids.len() == 1 {
         match shared
             .server
@@ -1044,7 +1018,6 @@ fn admit_group(
 
 /// Admit one explicit client batch (`PredictBatch`): the whole batch
 /// charges the quota at once and answers with one frame.
-#[allow(clippy::too_many_arguments)]
 fn admit_batch(
     shared: &Arc<NetShared>,
     tenant: &Arc<TenantState>,
@@ -1052,7 +1025,6 @@ fn admit_batch(
     id: u64,
     plans: Vec<PlanNode>,
     mut trace: Option<ActiveTrace>,
-    wire_traces: bool,
 ) {
     let accepted = Instant::now();
     let n = plans.len() as u64;
@@ -1078,10 +1050,7 @@ fn admit_batch(
     if let Some(t) = trace.as_mut() {
         t.mark(STAGE_ADMISSION);
     }
-    let trace_id = match (&trace, wire_traces) {
-        (Some(t), true) => t.id(),
-        _ => 0,
-    };
+    let trace_id = trace.as_ref().map_or(0, ActiveTrace::id);
     match shared.server.try_submit_batch_traced(plans, trace) {
         Ok(ticket) => {
             tenant.admitted.fetch_add(n, Ordering::Relaxed);

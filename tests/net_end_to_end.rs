@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use zero_shot_db::catalog::presets;
 use zero_shot_db::client::{Client, ClientConfig, ClientError};
-use zero_shot_db::protocol::{ErrorCode, GatewayMetrics, TenantMetrics, PROTOCOL_VERSION};
+use zero_shot_db::protocol::{ErrorCode, GatewayMetrics, TenantMetrics};
 use zero_shot_db::serve::{
     NetServer, NetServerConfig, PredictionServer, ServerConfig, TenantPolicy, STAGE_ADMISSION,
     STAGE_FEATURIZE, STAGE_FORWARD, STAGE_QUEUE_WAIT, STAGE_RESPOND,
@@ -232,7 +232,7 @@ fn quota_rejections_are_retryable_structured_errors_and_counted() {
 }
 
 /// ISSUE 7 acceptance: a remote `predict` yields an end-to-end trace.
-/// The client mints a trace id, the id rides the v2 frame header both
+/// The client mints a trace id, the id rides the frame header both
 /// ways, and the gateway's tracer decomposes the request into named
 /// pipeline stages whose durations tile — and therefore sum to — the
 /// reported end-to-end latency.
@@ -259,18 +259,13 @@ fn remote_predict_trace_decomposes_end_to_end_latency() {
 
     let client =
         Client::connect(gateway.local_addr(), ClientConfig::tenant("obs")).expect("connect");
-    assert_eq!(
-        client.negotiated_protocol_version().unwrap(),
-        PROTOCOL_VERSION,
-        "a current client against a current server negotiates v2"
-    );
 
     let started = Instant::now();
     let remote = client.predict(&plans[0]).expect("remote predict");
     let wall_ns = started.elapsed().as_nanos() as u64;
     assert_ne!(
         remote.trace_id, 0,
-        "v2 connections mint a trace id per request"
+        "the client mints a trace id per request"
     );
 
     // The responder finishes the trace just *after* writing the response
@@ -393,7 +388,7 @@ fn slow_requests_are_retrievable_and_explainable_over_the_wire() {
     // The deliberately slow request: a cold cache forces featurization,
     // and the 1ns threshold guarantees retention in the slow ring.
     let remote = client.predict(&plans[0]).expect("remote predict");
-    assert_ne!(remote.trace_id, 0, "v2 connection mints a trace id");
+    assert_ne!(remote.trace_id, 0, "the client mints a trace id");
 
     // The responder assembles provenance just after writing the
     // response, so poll briefly for the record to land.
@@ -577,7 +572,7 @@ fn hostile_handshakes_are_refused_and_the_gateway_survives() {
     use std::io::Write;
     use std::net::TcpStream;
     use zero_shot_db::protocol::{
-        read_frame, Message, HEADER_LEN, MAGIC, MAX_HANDSHAKE_PAYLOAD_LEN,
+        read_frame, Message, HEADER_LEN, MAGIC, MAX_HANDSHAKE_PAYLOAD_LEN, PROTOCOL_VERSION,
     };
 
     let db = Database::generate(presets::imdb_like(0.02), 11);
@@ -596,13 +591,13 @@ fn hostile_handshakes_are_refused_and_the_gateway_survives() {
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        // A version-1 `Hello` (opcode 0x01) header, request id 7.  The
+        // A `Hello` (opcode 0x01) header, request id 7.  The
         // oversized frame stops after its header: the refusal must not
         // wait for a payload, and with nothing left unread the gateway's
         // close cannot reset the connection under its own error frame.
         let mut frame = Vec::with_capacity(HEADER_LEN + sent_len);
         frame.extend_from_slice(&MAGIC);
-        frame.extend_from_slice(&[1, 0x01, 0, 0]);
+        frame.extend_from_slice(&[PROTOCOL_VERSION, 0x01, 0, 0]);
         frame.extend_from_slice(&7u64.to_le_bytes());
         frame.extend_from_slice(&(declared_len as u32).to_le_bytes());
         assert_eq!(frame.len(), HEADER_LEN);
