@@ -117,6 +117,27 @@ impl SchemaCatalog {
         &self.tables[id.index()]
     }
 
+    /// Table metadata by id, or [`CatalogError::UnknownTable`] when the id
+    /// is out of range (for ids from untrusted input).
+    pub fn try_table(&self, id: TableId) -> Result<&TableMeta, CatalogError> {
+        self.tables
+            .get(id.index())
+            .ok_or_else(|| CatalogError::UnknownTable(format!("{id}")))
+    }
+
+    /// Column metadata by reference, or an [`CatalogError::UnknownTable`] /
+    /// [`CatalogError::UnknownColumn`] when either id is out of range.
+    pub fn try_column(&self, r: ColumnRef) -> Result<&ColumnMeta, CatalogError> {
+        let table = self.try_table(r.table)?;
+        table
+            .columns
+            .get(r.column.index())
+            .ok_or_else(|| CatalogError::UnknownColumn {
+                table: table.name.clone(),
+                column: format!("{}", r.column),
+            })
+    }
+
     /// Mutable table metadata by id (used by the storage layer to refresh
     /// statistics after data generation).
     pub fn table_mut(&mut self, id: TableId) -> &mut TableMeta {

@@ -7,7 +7,7 @@
 //! represents a physical operator" design.
 
 use serde::{Deserialize, Serialize};
-use zsdb_catalog::{ColumnRef, TableId};
+use zsdb_catalog::{CatalogError, ColumnRef, SchemaCatalog, TableId};
 use zsdb_query::{Aggregate, Predicate};
 
 /// Kind of a physical operator, used for one-hot featurization and
@@ -179,6 +179,45 @@ impl PlanNode {
         PlanIter { stack: vec![self] }
     }
 
+    /// Check the plan against a catalog: every scanned table and every
+    /// column it names (index columns, join keys, predicate and aggregate
+    /// columns) must exist — the bounds checks of `Query::validate`.
+    /// Featurizing a plan that fails this would index out of bounds, so a
+    /// plan from untrusted input is validated before it is served.
+    pub fn validate(&self, catalog: &SchemaCatalog) -> Result<(), CatalogError> {
+        for node in self.iter() {
+            if let Some(table) = node.op.scanned_table() {
+                catalog.try_table(table)?;
+            }
+            for predicate in node.op.predicates() {
+                catalog.try_column(predicate.column)?;
+            }
+            match &node.op {
+                PhysOperator::IndexScan { index_column, .. } => {
+                    catalog.try_column(*index_column)?;
+                }
+                PhysOperator::HashJoin {
+                    build_key: a,
+                    probe_key: b,
+                }
+                | PhysOperator::NestedLoopJoin {
+                    outer_key: a,
+                    inner_key: b,
+                } => {
+                    catalog.try_column(*a)?;
+                    catalog.try_column(*b)?;
+                }
+                PhysOperator::Aggregate { aggregates } => {
+                    for column in aggregates.iter().filter_map(|a| a.column) {
+                        catalog.try_column(column)?;
+                    }
+                }
+                PhysOperator::SeqScan { .. } => {}
+            }
+        }
+        Ok(())
+    }
+
     /// All base tables scanned anywhere in the subtree.
     pub fn scanned_tables(&self) -> Vec<TableId> {
         let mut tables: Vec<TableId> = self.iter().filter_map(|n| n.op.scanned_table()).collect();
@@ -299,6 +338,58 @@ mod tests {
         assert!(text.contains("Aggregate"));
         assert!(text.contains("Hash Join"));
         assert_eq!(text.matches("Seq Scan").count(), 2);
+    }
+
+    #[test]
+    fn validate_checks_every_table_and_column_the_plan_names() {
+        use zsdb_query::{AggFunc, CmpOp};
+        let catalog = zsdb_catalog::presets::imdb_like(0.02);
+        assert!(sample_plan().validate(&catalog).is_ok());
+        let (t0, ok) = (TableId(0), ColumnRef::new(TableId(0), ColumnId(0)));
+        let table = TableId(catalog.num_tables() as u32);
+        let column = ColumnRef::new(t0, ColumnId(catalog.table(t0).num_columns() as u32));
+        let leaf = |op| PlanNode::leaf(op, 1.0, 1.0, 8.0);
+        let seq = |table, predicates| leaf(PhysOperator::SeqScan { table, predicates });
+        let over = |op, child| PlanNode {
+            children: vec![child],
+            ..leaf(op)
+        };
+        let predicate = Predicate::new(column, CmpOp::Eq, zsdb_catalog::Value::Int(1));
+        let aggregate = |a| PhysOperator::Aggregate {
+            aggregates: vec![a],
+        };
+        for plan in [
+            seq(table, vec![]),
+            seq(t0, vec![predicate]),
+            leaf(PhysOperator::IndexScan {
+                table: t0,
+                index_column: column,
+                lo: None,
+                hi: None,
+                residual: vec![],
+            }),
+            over(
+                PhysOperator::HashJoin {
+                    build_key: ok,
+                    probe_key: column,
+                },
+                seq(t0, vec![]),
+            ),
+            over(
+                PhysOperator::NestedLoopJoin {
+                    outer_key: column,
+                    inner_key: ok,
+                },
+                seq(t0, vec![]),
+            ),
+            over(
+                aggregate(Aggregate::over(AggFunc::Sum, column)),
+                seq(t0, vec![]),
+            ),
+            over(aggregate(Aggregate::count_star()), seq(table, vec![])),
+        ] {
+            assert!(plan.validate(&catalog).is_err(), "{plan:?} passed");
+        }
     }
 
     #[test]

@@ -111,21 +111,10 @@ impl Query {
             return Err(CatalogError::UnknownTable("<empty FROM clause>".into()));
         }
         for &t in &self.tables {
-            if t.index() >= catalog.num_tables() {
-                return Err(CatalogError::UnknownTable(format!("{t}")));
-            }
+            catalog.try_table(t)?;
         }
         for col in self.referenced_columns() {
-            if col.table.index() >= catalog.num_tables() {
-                return Err(CatalogError::UnknownTable(format!("{}", col.table)));
-            }
-            let table = catalog.table(col.table);
-            if col.column.index() >= table.num_columns() {
-                return Err(CatalogError::UnknownColumn {
-                    table: table.name.clone(),
-                    column: format!("{}", col.column),
-                });
-            }
+            catalog.try_column(col)?;
             if !self.involves(col.table) {
                 return Err(CatalogError::UnknownTable(format!(
                     "column {col} references a table outside the FROM clause"

@@ -14,9 +14,11 @@
 //!   bytes.  Unknown tenants (when no default policy is configured) and
 //!   empty tenant ids are turned away with `Unauthenticated` before any
 //!   prediction work is possible.
-//! * **Two-level admission control** — each request first charges the
-//!   tenant's in-flight quota ([`TenantPolicy::max_in_flight`], answered
-//!   with `QuotaExceeded` when full), then enters the worker pool
+//! * **Two-level admission control** — a plan naming a table or column
+//!   outside the served catalog is answered `BadRequest`.  Every other
+//!   request first charges the tenant's in-flight quota
+//!   ([`TenantPolicy::max_in_flight`], answered with `QuotaExceeded`
+//!   when full), then enters the worker pool
 //!   through the non-blocking `try_submit` path (answered with
 //!   `Overloaded` when the bounded queue sheds it).  The reader thread
 //!   never blocks on the queue, so one overloaded tenant cannot stall
@@ -912,8 +914,9 @@ fn coalesce_predicts(buf: &mut Vec<u8>, max_coalesce: usize, group: &mut Vec<(u6
     }
 }
 
-/// Admit a group of pipelined single predictions: per-request quota
-/// charge, then one atomic queue submission for the whole group.
+/// Admit a group of pipelined single predictions: per-request catalog
+/// check and quota charge, then one atomic queue submission for the
+/// whole group.
 fn admit_group(
     shared: &Arc<NetShared>,
     tenant: &Arc<TenantState>,
@@ -925,7 +928,15 @@ fn admit_group(
     let mut ids = Vec::with_capacity(group.len());
     let mut plans = Vec::with_capacity(group.len());
     for (id, plan) in group {
-        if tenant.try_reserve(1) {
+        // A table or column outside the catalog would index out of bounds
+        // in the featurizer and kill the worker.
+        if let Err(e) = plan.validate(shared.server.catalog()) {
+            let _ = out.send(Outbound::Ready(error_frame(
+                id,
+                ErrorCode::BadRequest,
+                e.to_string(),
+            )));
+        } else if tenant.try_reserve(1) {
             ids.push(id);
             plans.push(plan);
         } else {
@@ -1016,8 +1027,9 @@ fn admit_group(
     }
 }
 
-/// Admit one explicit client batch (`PredictBatch`): the whole batch
-/// charges the quota at once and answers with one frame.
+/// Admit one explicit client batch (`PredictBatch`): the whole batch is
+/// checked against the catalog, charges the quota at once and answers
+/// with one frame.
 fn admit_batch(
     shared: &Arc<NetShared>,
     tenant: &Arc<TenantState>,
@@ -1032,6 +1044,15 @@ fn admit_batch(
         let _ = out.send(Outbound::Ready(Frame::new(
             id,
             Message::PredictBatchOk(Vec::new()),
+        )));
+        return;
+    }
+    let catalog = shared.server.catalog();
+    if let Err(e) = plans.iter().try_for_each(|plan| plan.validate(catalog)) {
+        let _ = out.send(Outbound::Ready(error_frame(
+            id,
+            ErrorCode::BadRequest,
+            e.to_string(),
         )));
         return;
     }

@@ -565,8 +565,9 @@ fn concurrent_recording_under_snapshot_pressure_loses_nothing() {
 /// `MAX_HANDSHAKE_PAYLOAD_LEN` bytes for it.  The frame that used to
 /// abort the process — a 2 MB `Hello` of `[` — is refused from its header
 /// alone, a nested payload that fits the cap gets the parser's depth
-/// error, and in both cases the connection is closed and the gateway
-/// keeps serving.
+/// error, a well-formed `Hello` of the refused protocol version 1 gets
+/// `BadRequest`, and in every case the connection is closed and the
+/// gateway keeps serving.
 #[test]
 fn hostile_handshakes_are_refused_and_the_gateway_survives() {
     use std::io::Write;
@@ -586,7 +587,12 @@ fn hostile_handshakes_are_refused_and_the_gateway_survives() {
     let addr = gateway.local_addr();
 
     let within_cap = MAX_HANDSHAKE_PAYLOAD_LEN as usize - 1;
-    for (declared_len, sent_len) in [(2_000_000, 0), (within_cap, within_cap)] {
+    let v1_hello = br#"{"protocol_version":1,"tenant":"alpha"}"#.to_vec();
+    for (declared_len, payload) in [
+        (2_000_000, vec![]),
+        (within_cap, vec![b'['; within_cap]),
+        (v1_hello.len(), v1_hello),
+    ] {
         let mut stream = TcpStream::connect(addr).expect("connect raw");
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -595,13 +601,13 @@ fn hostile_handshakes_are_refused_and_the_gateway_survives() {
         // oversized frame stops after its header: the refusal must not
         // wait for a payload, and with nothing left unread the gateway's
         // close cannot reset the connection under its own error frame.
-        let mut frame = Vec::with_capacity(HEADER_LEN + sent_len);
+        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
         frame.extend_from_slice(&MAGIC);
         frame.extend_from_slice(&[PROTOCOL_VERSION, 0x01, 0, 0]);
         frame.extend_from_slice(&7u64.to_le_bytes());
         frame.extend_from_slice(&(declared_len as u32).to_le_bytes());
         assert_eq!(frame.len(), HEADER_LEN);
-        frame.resize(HEADER_LEN + sent_len, b'[');
+        frame.extend_from_slice(&payload);
         stream.write_all(&frame).expect("send hello");
 
         let reply = read_frame(&mut stream)
@@ -708,4 +714,78 @@ fn a_non_finite_prediction_fails_its_request_not_the_connection() {
         healthy.predict(&graph).to_bits()
     );
     assert_eq!(gateway.gateway_metrics().connections_total, 1);
+}
+
+/// A plan naming a table or column outside the served catalog used to
+/// index out of bounds in a worker's featurizer: the worker died, its
+/// requests and every later one timed out, and shutdown hung. The
+/// gateway now checks every decoded plan against the catalog and answers
+/// `BadRequest` — per request id inside a coalesced group, and for the
+/// whole frame of a `PredictBatch`.
+#[test]
+fn plans_outside_the_catalog_are_bad_requests_and_kill_no_worker() {
+    use zero_shot_db::catalog::{ColumnId, ColumnRef, TableId, Value};
+    use zero_shot_db::engine::{PhysOperator, PlanNode};
+    use zero_shot_db::query::{CmpOp, Predicate};
+
+    let db = Database::generate(presets::imdb_like(0.02), 29);
+    let (model, plans) = tiny_serving_fixture(&db, 8, 3);
+    let gateway = NetServer::start(
+        "127.0.0.1:0",
+        PredictionServer::start(
+            model,
+            db.catalog().clone(),
+            ServerConfig {
+                workers: 2,
+                ..ServerConfig::default()
+            },
+        ),
+        NetServerConfig::default(),
+    )
+    .expect("bind gateway");
+    let client = Client::connect(gateway.local_addr(), ClientConfig::tenant("t")).expect("connect");
+
+    let scan = |table, predicates| {
+        PlanNode::leaf(PhysOperator::SeqScan { table, predicates }, 1.0, 1.0, 8.0)
+    };
+    let unknown_table = scan(TableId(9999), vec![]);
+    let column = ColumnRef::new(TableId(0), ColumnId(9999));
+    let unknown_column = scan(
+        TableId(0),
+        vec![Predicate::new(column, CmpOp::Eq, Value::Int(1))],
+    );
+    let bad_request = |result: Result<(), ClientError>, what: &str| match result {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::BadRequest, "{what}: {message}");
+            assert!(message.contains("unknown"), "{what}: {message}");
+        }
+        other => panic!("{what} answered {other:?}"),
+    };
+    bad_request(client.predict(&unknown_table).map(drop), "unknown table");
+    bad_request(client.predict(&unknown_column).map(drop), "unknown column");
+    let mut batch = plans.clone();
+    batch.insert(1, unknown_column);
+    bad_request(client.predict_batch(&batch).map(drop), "batch");
+
+    // Pipelined singles may coalesce into one group: only the bad
+    // request's id fails.
+    let group = [&plans[0], &unknown_table, &plans[1]].map(|p| client.submit(p).expect("submit"));
+    let [first, bad, second] = group.map(|t| t.wait());
+    bad_request(bad.map(drop), "in a group");
+    let pipelined = [first, second].map(|r| r.expect("good member of the group"));
+
+    // Every fixture plan still answers, bit-identically to in process.
+    for (i, plan) in plans.iter().enumerate() {
+        let remote = client.predict(plan).expect("served after the bad plans");
+        let local = gateway
+            .server()
+            .predict_blocking(plan.clone())
+            .expect("in-process");
+        assert_eq!(remote.runtime_secs.to_bits(), local.runtime_secs.to_bits());
+        if let Some(member) = pipelined.get(i) {
+            assert_eq!(member.runtime_secs.to_bits(), local.runtime_secs.to_bits());
+        }
+    }
+    drop(client);
+    gateway.shutdown();
 }
