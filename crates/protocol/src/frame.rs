@@ -113,6 +113,22 @@ fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, ProtocolError> 
             detail: e.to_string(),
         })
     }
+    // A request without a body carries an empty payload; bytes there mean
+    // the frame is not what its opcode says (e.g. a flipped opcode bit).
+    fn bodiless(
+        op: &'static str,
+        payload: &[u8],
+        message: Message,
+    ) -> Result<Message, ProtocolError> {
+        if payload.is_empty() {
+            Ok(message)
+        } else {
+            Err(ProtocolError::MalformedPayload {
+                op,
+                detail: format!("expected an empty payload, found {} bytes", payload.len()),
+            })
+        }
+    }
     Ok(match opcode {
         0x01 => Message::Hello(parse::<HelloRequest>("Hello", payload)?),
         0x02 => Message::HelloAck(parse::<HelloAck>("HelloAck", payload)?),
@@ -120,9 +136,9 @@ fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, ProtocolError> 
         0x11 => Message::PredictBatch(parse::<Vec<PlanNode>>("PredictBatch", payload)?),
         0x12 => Message::PredictOk(parse::<WirePrediction>("PredictOk", payload)?),
         0x13 => Message::PredictBatchOk(parse::<Vec<WirePrediction>>("PredictBatchOk", payload)?),
-        0x20 => Message::Metrics,
+        0x20 => bodiless("Metrics", payload, Message::Metrics)?,
         0x21 => Message::MetricsOk(Box::new(parse::<GatewayMetrics>("MetricsOk", payload)?)),
-        0x22 => Message::MetricsText,
+        0x22 => bodiless("MetricsText", payload, Message::MetricsText)?,
         0x23 => Message::MetricsTextOk(
             std::str::from_utf8(payload)
                 .map_err(|e| ProtocolError::MalformedPayload {
@@ -131,13 +147,13 @@ fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, ProtocolError> 
                 })?
                 .to_string(),
         ),
-        0x30 => Message::Health,
+        0x30 => bodiless("Health", payload, Message::Health)?,
         0x31 => Message::HealthOk(parse::<HealthResponse>("HealthOk", payload)?),
         0x40 => Message::Explain(parse::<ExplainRequest>("Explain", payload)?),
         0x41 => Message::ExplainOk(Box::new(parse::<ProvenanceRecord>("ExplainOk", payload)?)),
         0x42 => Message::SlowLog(parse::<SlowLogRequest>("SlowLog", payload)?),
         0x43 => Message::SlowLogOk(parse::<Vec<ProvenanceRecord>>("SlowLogOk", payload)?),
-        0x44 => Message::SloStatus,
+        0x44 => bodiless("SloStatus", payload, Message::SloStatus)?,
         0x45 => Message::SloStatusOk(parse::<WireSloStatus>("SloStatusOk", payload)?),
         0x3F => Message::Error(parse::<ErrorResponse>("Error", payload)?),
         other => return Err(ProtocolError::UnknownOpcode(other)),
@@ -491,12 +507,14 @@ mod tests {
         let frame = Frame::new(1, Message::Health);
         let bytes = encode_frame(&frame).unwrap();
 
-        let mut wrong_version = bytes.clone();
-        wrong_version[4] = 99;
-        assert!(matches!(
-            decode_frame(&wrong_version),
-            Err(ProtocolError::UnsupportedVersion(99))
-        ));
+        for version in [1, 99] {
+            let mut wrong_version = bytes.clone();
+            wrong_version[4] = version;
+            assert!(matches!(
+                decode_frame(&wrong_version),
+                Err(ProtocolError::UnsupportedVersion(v)) if v == version
+            ));
+        }
 
         // Bit 0 is the trace flag; bit 1 is undefined.
         let mut wrong_flags = bytes.clone();

@@ -1,15 +1,23 @@
 //! Fuzz-ish property suite: `decode(encode(x)) == x` for arbitrary
 //! frames, including frames carrying randomly generated plan trees, and
-//! streaming decode over arbitrarily chunked concatenations.
+//! streaming decode over arbitrarily chunked concatenations; plus a
+//! decoder abuse suite (truncation, every single-bit flip of one frame
+//! per op, every op's header over every other op's payload) in which no
+//! input panics either decoder.
 
 use proptest::prelude::*;
 use zsdb_catalog::{ColumnId, ColumnRef, TableId, Value};
 use zsdb_engine::{PhysOperator, PlanNode};
 use zsdb_protocol::{
-    decode_frame, encode_frame, ErrorCode, ErrorResponse, Frame, GatewayMetrics, HealthResponse,
-    HelloAck, HelloRequest, Message, TenantMetrics, WirePrediction, PROTOCOL_VERSION,
+    decode_frame, encode_frame, read_frame, ErrorCode, ErrorResponse, ExplainRequest, Frame,
+    GatewayMetrics, HealthResponse, HelloAck, HelloRequest, Message, ProtocolError,
+    ProvenanceRecord, ProvenanceStage, SlowLogRequest, TenantMetrics, WirePrediction,
+    WireSloStatus, WireSloWindow, HEADER_LEN, PROTOCOL_VERSION,
 };
 use zsdb_query::{Aggregate, CmpOp, Predicate};
+
+/// Number of ops (opcodes) the protocol defines.
+const OPS: u64 = 19;
 
 /// Deterministic SplitMix64 — a self-contained value generator so one
 /// sampled `u64` seed expands into an arbitrarily complex frame.
@@ -133,8 +141,35 @@ impl Gen {
             .collect()
     }
 
+    fn provenance(&mut self) -> ProvenanceRecord {
+        ProvenanceRecord {
+            trace_id: self.next(),
+            fingerprint: self.next(),
+            model_name: self.tenant_name(),
+            model_version: self.next() as u32,
+            cache_hit: self.next().is_multiple_of(2),
+            home_shard: self.below(8) as u32,
+            executed_shard: self.below(8) as u32,
+            stolen: self.next().is_multiple_of(2),
+            predicted_secs: self.finite_f64(),
+            total_ns: self.next(),
+            flight_class: self.tenant_name(),
+            stages: vec![ProvenanceStage {
+                name: self.tenant_name(),
+                duration_ns: self.next(),
+            }],
+        }
+    }
+
+    /// A message of a random op.
     fn message(&mut self) -> Message {
-        match self.below(13) {
+        let op = self.below(OPS);
+        self.message_of(op)
+    }
+
+    /// A random message of op number `op` in `0..OPS`, one per opcode.
+    fn message_of(&mut self, op: u64) -> Message {
+        match op {
             0 => Message::Hello(HelloRequest {
                 protocol_version: PROTOCOL_VERSION,
                 tenant: self.tenant_name(),
@@ -193,6 +228,26 @@ impl Gen {
                 healthy: self.next().is_multiple_of(2),
                 model_version: self.next() as u32,
             }),
+            10 => Message::Explain(ExplainRequest {
+                trace_id: self.next(),
+            }),
+            13 => Message::ExplainOk(Box::new(self.provenance())),
+            14 => Message::SlowLog(SlowLogRequest { limit: self.next() }),
+            15 => Message::SlowLogOk((0..self.below(3)).map(|_| self.provenance()).collect()),
+            16 => Message::SloStatus,
+            17 => Message::SloStatusOk(WireSloStatus {
+                latency_objective_ns: self.next(),
+                target: self.finite_f64(),
+                windows: (0..self.below(3))
+                    .map(|_| WireSloWindow {
+                        window_secs: self.next(),
+                        good: self.next(),
+                        bad: self.next(),
+                        error_rate: self.finite_f64(),
+                        burn_rate: self.finite_f64(),
+                    })
+                    .collect(),
+            }),
             _ => Message::Error(ErrorResponse {
                 code: [
                     ErrorCode::Unauthenticated,
@@ -217,8 +272,8 @@ proptest! {
         request_id in 0u64..u64::MAX,
         trace_id in 0u64..u64::MAX,
     ) {
-        // trace_id 0 exercises the baseline v1 encoding, everything else
-        // the v2 trace-id extension.
+        // trace_id 0 exercises the header without extension, everything
+        // else the trace-id extension.
         let trace_id = if seed.is_multiple_of(2) { 0 } else { trace_id };
         let frame = Frame::traced(request_id, trace_id, Gen(seed).message());
         let bytes = encode_frame(&frame).expect("encode");
@@ -268,6 +323,83 @@ proptest! {
                 // means the frame was empty-payload and cut == len.
                 prop_assert_eq!(used, cut);
                 prop_assert_eq!(decoded, frame);
+            }
+        }
+    }
+}
+
+/// Both decoders on hostile bytes: `decode_frame` yields a frame inside
+/// the buffer, asks for more bytes, or fails with a structured error, and
+/// the streaming `read_frame` agrees — the same frame, `Truncated` where
+/// more bytes were wanted, the same error otherwise.  Neither panics.
+fn assert_decodes_or_fails_cleanly(bytes: &[u8]) {
+    let streamed = read_frame(&mut &bytes[..]);
+    match (decode_frame(bytes), streamed) {
+        (Ok(Some((frame, used))), Ok(Some(read))) => {
+            assert!(used <= bytes.len());
+            assert_eq!(frame, read);
+        }
+        (Ok(None), Err(ProtocolError::Truncated)) => {}
+        (Err(decoded), Err(read)) => assert_eq!(
+            std::mem::discriminant(&decoded),
+            std::mem::discriminant(&read),
+            "decode_frame said {decoded}, read_frame said {read}"
+        ),
+        (decoded, read) => panic!("decoders disagree: {decoded:?} vs {read:?}"),
+    }
+}
+
+#[test]
+fn every_single_bit_flip_decodes_or_fails_cleanly() {
+    let mut gen = Gen(7);
+    let mut opcodes = std::collections::BTreeSet::new();
+    for op in 0..OPS {
+        let message = gen.message_of(op);
+        opcodes.insert(message.opcode());
+        for trace_id in [0, 0xDEAD_BEEF_CAFE_F00D] {
+            let frame = Frame::traced(op + 1, trace_id, message.clone());
+            let bytes = encode_frame(&frame).expect("encode");
+            assert_decodes_or_fails_cleanly(&bytes);
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_decodes_or_fails_cleanly(&flipped);
+            }
+        }
+    }
+    assert_eq!(opcodes.len(), OPS as usize, "one frame per op");
+}
+
+#[test]
+fn every_op_header_over_every_other_ops_payload_fails_as_that_op() {
+    let mut gen = Gen(11);
+    let messages: Vec<Message> = (0..OPS).map(|op| gen.message_of(op)).collect();
+    let frames: Vec<Vec<u8>> = messages
+        .iter()
+        .map(|m| encode_frame(&Frame::new(3, m.clone())).expect("encode"))
+        .collect();
+    for (header, frame) in messages.iter().zip(&frames) {
+        for other in &frames {
+            let payload = &other[HEADER_LEN..];
+            let mut bytes = frame[..HEADER_LEN].to_vec();
+            bytes[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(payload);
+            assert_decodes_or_fails_cleanly(&bytes);
+            let bodiless = frame.len() == HEADER_LEN;
+            match decode_frame(&bytes) {
+                Ok(Some((decoded, used))) => {
+                    assert_eq!(used, bytes.len());
+                    assert_eq!(decoded.message.opcode(), header.opcode());
+                    assert!(
+                        !bodiless || payload.is_empty(),
+                        "{} took a payload",
+                        header.op_name()
+                    );
+                }
+                Err(ProtocolError::MalformedPayload { op, .. }) => {
+                    assert_eq!(op, header.op_name())
+                }
+                other => panic!("{} header: {other:?}", header.op_name()),
             }
         }
     }
