@@ -11,7 +11,7 @@
 //! comparison the paper draws.
 
 use serde::{Deserialize, Serialize};
-use zsdb_core::features::{featurize_execution, FeatureMode, FeaturizerConfig};
+use zsdb_core::features::{featurize_execution, FeatureMode, FeaturizerConfig, PlanGraph};
 use zsdb_core::model::{ModelConfig, ZeroShotCostModel};
 use zsdb_core::{CardinalityMode, Trainable};
 use zsdb_engine::QueryExecution;
@@ -56,23 +56,18 @@ impl E2EModel {
             .iter()
             .map(|e| featurize_execution(db.catalog(), e, self.featurizer))
             .collect();
+        let refs: Vec<&PlanGraph> = graphs.iter().collect();
+        let targets: Vec<f64> = graphs
+            .iter()
+            .map(|g| g.runtime_secs.expect("labelled"))
+            .collect();
         let mut adam = Adam::new(self.learning_rate);
         for _ in 0..self.epochs {
-            self.model.zero_grad();
-            let mut in_batch = 0usize;
-            for g in &graphs {
-                self.model
-                    .accumulate_gradients(g, g.runtime_secs.expect("labelled"));
-                in_batch += 1;
-                if in_batch == 16 {
-                    self.model.apply_step(&mut adam);
-                    self.model.zero_grad();
-                    in_batch = 0;
-                }
-            }
-            if in_batch > 0 {
-                self.model.apply_step(&mut adam);
+            // One Adam step per consecutive chunk of 16 executions.
+            for (chunk, chunk_targets) in refs.chunks(16).zip(targets.chunks(16)) {
                 self.model.zero_grad();
+                self.model.accumulate_gradients_batch(chunk, chunk_targets);
+                self.model.apply_step(&mut adam);
             }
         }
     }

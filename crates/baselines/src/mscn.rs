@@ -10,7 +10,10 @@
 use serde::{Deserialize, Serialize};
 use zsdb_catalog::{ColumnRef, SchemaCatalog};
 use zsdb_engine::QueryExecution;
-use zsdb_nn::{Activation, Adam, Mlp};
+use zsdb_nn::{
+    active_kernel, Activation, Adam, Batch, BatchBackwardScratch, BatchForwardScratch,
+    ForwardScratch, Mlp, MlpBatchCache,
+};
 use zsdb_query::{CmpOp, Query};
 
 /// Hyper-parameters of the MSCN baseline.
@@ -81,88 +84,88 @@ impl MscnModel {
         }
     }
 
-    fn table_vectors(&self, catalog: &SchemaCatalog, query: &Query) -> Vec<Vec<f64>> {
-        query
-            .tables
-            .iter()
-            .map(|t| {
-                let mut v = vec![0.0; self.num_tables + 1];
-                v[t.index()] = 1.0;
-                // MSCN also feeds a size hint per table sample bitmap; we use
-                // the (log) table size as the simplest analogue.
-                v[self.num_tables] = (catalog.table(*t).num_tuples as f64 + 1.0).ln() / 20.0;
-                v
-            })
-            .collect()
-    }
-
-    fn join_vectors(&self, catalog: &SchemaCatalog, query: &Query) -> Vec<Vec<f64>> {
-        if query.joins.is_empty() {
-            return vec![vec![0.0; self.num_joins]];
+    /// The table set, one column per scanned table.
+    fn table_set(&self, catalog: &SchemaCatalog, query: &Query) -> Batch {
+        let mut set = Batch::zeros(self.num_tables + 1, query.tables.len());
+        for (e, t) in query.tables.iter().enumerate() {
+            set.set(t.index(), e, 1.0);
+            // MSCN also feeds a size hint per table sample bitmap; we use
+            // the (log) table size as the simplest analogue.
+            let size = (catalog.table(*t).num_tuples as f64 + 1.0).ln() / 20.0;
+            set.set(self.num_tables, e, size);
         }
-        query
-            .joins
-            .iter()
-            .map(|j| {
-                let mut v = vec![0.0; self.num_joins];
-                if let Some(pos) = catalog
-                    .foreign_keys()
-                    .iter()
-                    .position(|fk| fk.connects(j.left.table, j.right.table))
-                {
-                    v[pos] = 1.0;
-                }
-                v
-            })
-            .collect()
+        set
     }
 
-    fn predicate_vectors(&self, catalog: &SchemaCatalog, query: &Query) -> Vec<Vec<f64>> {
+    /// The join set, one column per join (one zero column for none).
+    fn join_set(&self, catalog: &SchemaCatalog, query: &Query) -> Batch {
+        let mut set = Batch::zeros(self.num_joins, query.joins.len().max(1));
+        for (e, j) in query.joins.iter().enumerate() {
+            if let Some(pos) = catalog
+                .foreign_keys()
+                .iter()
+                .position(|fk| fk.connects(j.left.table, j.right.table))
+            {
+                set.set(pos, e, 1.0);
+            }
+        }
+        set
+    }
+
+    /// The predicate set, one column per predicate (one zero column for
+    /// none).
+    fn predicate_set(&self, catalog: &SchemaCatalog, query: &Query) -> Batch {
         let dim = self.columns.len() + CmpOp::ALL.len() + 1;
-        if query.predicates.is_empty() {
-            return vec![vec![0.0; dim]];
+        let mut set = Batch::zeros(dim, query.predicates.len().max(1));
+        for (e, p) in query.predicates.iter().enumerate() {
+            if let Some(pos) = self.columns.iter().position(|c| *c == p.column) {
+                set.set(pos, e, 1.0);
+            }
+            set.set(self.columns.len() + p.op.index(), e, 1.0);
+            // Literal normalised into [0, 1] by the column's domain —
+            // exactly the database-specific encoding the paper calls out.
+            let stats = &catalog.column(p.column).stats;
+            let lo = stats.min.unwrap_or(0.0);
+            let hi = stats.max.unwrap_or(1.0).max(lo + 1e-9);
+            let lit = p.value.as_f64().unwrap_or(lo);
+            set.set(dim - 1, e, ((lit - lo) / (hi - lo)).clamp(0.0, 1.0));
         }
-        query
-            .predicates
-            .iter()
-            .map(|p| {
-                let mut v = vec![0.0; dim];
-                if let Some(pos) = self.columns.iter().position(|c| *c == p.column) {
-                    v[pos] = 1.0;
-                }
-                v[self.columns.len() + p.op.index()] = 1.0;
-                // Literal normalised into [0, 1] by the column's domain —
-                // exactly the database-specific encoding the paper calls out.
-                let stats = &catalog.column(p.column).stats;
-                let lo = stats.min.unwrap_or(0.0);
-                let hi = stats.max.unwrap_or(1.0).max(lo + 1e-9);
-                let lit = p.value.as_f64().unwrap_or(lo);
-                v[dim - 1] = ((lit - lo) / (hi - lo)).clamp(0.0, 1.0);
-                v
-            })
-            .collect()
+        set
+    }
+
+    /// The three sets of `query`, in the order of [`MscnModel::set_mlps`].
+    fn sets(&self, catalog: &SchemaCatalog, query: &Query) -> [Batch; 3] {
+        [
+            self.table_set(catalog, query),
+            self.join_set(catalog, query),
+            self.predicate_set(catalog, query),
+        ]
+    }
+
+    /// The per-set MLPs: tables, joins, predicates.
+    fn set_mlps(&mut self) -> [&mut Mlp; 3] {
+        [
+            &mut self.table_mlp,
+            &mut self.join_mlp,
+            &mut self.predicate_mlp,
+        ]
     }
 
     /// Forward pass: mean-pool each set through its MLP, concatenate and
     /// decode to a log-runtime.
     fn forward(&self, catalog: &SchemaCatalog, query: &Query) -> f64 {
-        let pooled = |mlp: &Mlp, items: &[Vec<f64>]| -> Vec<f64> {
-            let mut acc = vec![0.0; self.config.hidden_dim];
-            for item in items {
-                let out = mlp.forward(item);
-                for (a, o) in acc.iter_mut().zip(&out) {
-                    *a += o / items.len() as f64;
-                }
-            }
-            acc
-        };
-        let mut features = pooled(&self.table_mlp, &self.table_vectors(catalog, query));
-        features.extend(pooled(&self.join_mlp, &self.join_vectors(catalog, query)));
-        features.extend(pooled(
-            &self.predicate_mlp,
-            &self.predicate_vectors(catalog, query),
-        ));
-        self.output_mlp.forward(&features)[0]
+        let kind = active_kernel();
+        let mut scratch = BatchForwardScratch::default();
+        let mut features = Vec::with_capacity(3 * self.config.hidden_dim);
+        let mlps = [&self.table_mlp, &self.join_mlp, &self.predicate_mlp];
+        for (mlp, set) in mlps.into_iter().zip(self.sets(catalog, query)) {
+            mean_pool_into(
+                mlp.forward_batch_into(kind, &set, &mut scratch),
+                &mut features,
+            );
+        }
+        self.output_mlp
+            .forward_into(kind, &features, &mut ForwardScratch::default())[0]
     }
 
     /// Predict the runtime (seconds) of a query.
@@ -192,51 +195,52 @@ impl MscnModel {
     /// One backpropagation step for a single example (gradient
     /// accumulation only).
     fn train_step(&mut self, catalog: &SchemaCatalog, execution: &QueryExecution) {
-        let query = &execution.query;
-        let table_items = self.table_vectors(catalog, query);
-        let join_items = self.join_vectors(catalog, query);
-        let pred_items = self.predicate_vectors(catalog, query);
+        let kind = active_kernel();
         let h = self.config.hidden_dim;
+        let sets = self.sets(catalog, &execution.query);
+        let sizes = sets.each_ref().map(Batch::n);
 
-        // Forward with caches.
-        let pool = |mlp: &Mlp, items: &[Vec<f64>]| {
-            let mut caches = Vec::with_capacity(items.len());
-            let mut acc = vec![0.0; h];
-            for item in items {
-                let (out, cache) = mlp.forward_cached(item);
-                for (a, o) in acc.iter_mut().zip(&out) {
-                    *a += o / items.len() as f64;
-                }
-                caches.push(cache);
-            }
-            (acc, caches)
-        };
-        let (t_pool, t_caches) = pool(&self.table_mlp, &table_items);
-        let (j_pool, j_caches) = pool(&self.join_mlp, &join_items);
-        let (p_pool, p_caches) = pool(&self.predicate_mlp, &pred_items);
-        let mut features = t_pool;
-        features.extend(j_pool);
-        features.extend(p_pool);
-        let (out, out_cache) = self.output_mlp.forward_cached(&features);
+        // Forward with caches, each set one batch.
+        let mut caches: [MlpBatchCache; 3] = Default::default();
+        let mut features = Vec::with_capacity(3 * h);
+        for ((mlp, set), cache) in self.set_mlps().into_iter().zip(sets).zip(&mut caches) {
+            *cache.input_mut() = set;
+            mean_pool_into(mlp.forward_batch_cached_into(kind, cache), &mut features);
+        }
+        let mut out_cache = MlpBatchCache::default();
+        *out_cache.input_mut() = Batch::from_examples(3 * h, std::iter::once(features.as_slice()));
+        let out = self
+            .output_mlp
+            .forward_batch_cached_into(kind, &mut out_cache);
 
         let target = execution.runtime_secs.max(1e-9).ln();
-        let d_out = vec![2.0 * (out[0] - target)];
-        let d_features = self.output_mlp.backward(&out_cache, &d_out);
+        let mut d_out = Batch::zeros(1, 1);
+        d_out.set(0, 0, 2.0 * (out.get(0, 0) - target));
+        let mut scratch = BatchBackwardScratch::default();
+        let d_features = self
+            .output_mlp
+            .backward_batch_into(kind, &out_cache, &d_out, &mut scratch)
+            .example(0);
 
         // Split the gradient back onto the three pooled vectors and push it
         // through every set element (mean pooling → divide by set size).
-        let backprop_set =
-            |mlp: &mut Mlp, caches: &[zsdb_nn::MlpCache], offset: usize, n: usize| {
-                let grad = &d_features[offset..offset + h];
-                for cache in caches {
-                    let scaled: Vec<f64> = grad.iter().map(|g| g / n as f64).collect();
-                    mlp.backward(cache, &scaled);
-                }
-            };
-        backprop_set(&mut self.table_mlp, &t_caches, 0, table_items.len());
-        backprop_set(&mut self.join_mlp, &j_caches, h, join_items.len());
-        backprop_set(&mut self.predicate_mlp, &p_caches, 2 * h, pred_items.len());
+        for (s, (mlp, cache)) in self.set_mlps().into_iter().zip(&caches).enumerate() {
+            let n = sizes[s];
+            let mut d_set = Batch::zeros(h, n);
+            for (f, g) in d_features[s * h..(s + 1) * h].iter().enumerate() {
+                d_set.feature_row_mut(f).fill(g / n as f64);
+            }
+            mlp.backward_batch_params_into(kind, cache, &d_set, &mut scratch);
+        }
     }
+}
+
+/// Append the mean of `set`'s columns, one value per feature and the
+/// columns added in example order, to `features`.
+fn mean_pool_into(set: &Batch, features: &mut Vec<f64>) {
+    let n = set.n() as f64;
+    features
+        .extend((0..set.dim()).map(|f| set.feature_row(f).iter().fold(0.0, |acc, v| acc + v / n)));
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Batched execution of the shared plan-graph encoder over mini-batches of
 //! plan graphs.
 //!
-//! The per-example path walks one DAG at a time, calling the encoder and
-//! combine MLPs once **per node** — thousands of tiny mat-vec products and
-//! heap allocations per training step.  This module restructures the same
+//! Walking one DAG at a time calls the encoder and combine MLPs once **per
+//! node** — thousands of tiny mat-vec products per training step.  This
+//! module restructures the same
 //! computation around a [`BatchSchedule`]: all nodes of a mini-batch are
 //! grouped by *(topological level, [`NodeKind`])*, and each group is
 //! pushed through the node-type encoder and the combine MLP in **one
@@ -41,10 +41,11 @@
 //! forward, takes no table: the weights move every step.
 //!
 //! Gradient accumulation in [`ZeroShotCostModel::accumulate_gradients_batch`]
-//! uses a fixed reduction order (groups in reverse schedule order, examples
-//! ascending), so batched training is deterministic; it is *not* required
-//! to be bit-identical to per-example gradient accumulation (the summation
-//! order across examples necessarily differs).
+//! is the workspace's one backpropagation through the plan DAG.  It uses a
+//! fixed reduction order (groups in reverse schedule order, examples
+//! ascending), so training is deterministic.  The tests keep a per-example
+//! DAG walk as its reference, equal up to rounding: the summation order
+//! across examples necessarily differs.
 //!
 //! # A training step without allocation
 //!
@@ -801,8 +802,7 @@ impl PlanEncoder {
 
 /// Result of one batched gradient-accumulation pass.
 pub struct BatchBackprop {
-    /// Summed squared error on `ln(runtime)` over the mini-batch (same
-    /// convention as per-example [`ZeroShotCostModel::accumulate_gradients`]).
+    /// Summed squared error on `ln(runtime)` over the mini-batch.
     pub loss: f64,
     /// Per-graph runtime predictions (seconds) from the training forward
     /// pass, bit-identical to [`ZeroShotCostModel::predict`] under the
@@ -903,8 +903,7 @@ impl ZeroShotCostModel {
     /// Batched training step contribution: forward the whole mini-batch,
     /// compute the squared error on `ln(runtime)` per graph, backpropagate
     /// and **accumulate** gradients (no optimizer step).  Returns the
-    /// summed squared error — the same loss convention as calling
-    /// [`ZeroShotCostModel::accumulate_gradients`] per graph.
+    /// squared error summed over the graphs.
     ///
     /// The gradient reduction order is fixed (groups in reverse schedule
     /// order, examples ascending within a group), making the accumulated
@@ -1012,6 +1011,7 @@ mod tests {
     use crate::train::Trainable;
     use zsdb_catalog::presets;
     use zsdb_engine::QueryRunner;
+    use zsdb_nn::ForwardScratch;
     use zsdb_query::WorkloadGenerator;
     use zsdb_storage::Database;
 
@@ -1127,10 +1127,87 @@ mod tests {
         // model's own predictions bit for bit.
         for (gi, g) in refs.iter().enumerate() {
             let flat = schedule.offsets()[gi] + g.root;
-            let root = states.row(flat).to_vec();
-            let out = model.output.forward(&root);
+            let mut scratch = ForwardScratch::default();
+            let out = model
+                .output
+                .forward_into(active_kernel(), states.row(flat), &mut scratch);
             assert_eq!(out[0].to_bits(), model.predict_log(g).to_bits());
         }
+    }
+
+    /// The per-example reference of the batched backward: one node at a
+    /// time in topological order going forward and in reverse going back,
+    /// every MLP call over a one-example batch.  Accumulates `model`'s
+    /// gradients of `(prediction − ln target)²` and returns that loss.
+    fn accumulate_per_example(
+        model: &mut ZeroShotCostModel,
+        graph: &PlanGraph,
+        target: f64,
+    ) -> f64 {
+        let kind = active_kernel();
+        let h = model.config.hidden_dim;
+        let column = |x: &[f64]| Batch::from_examples(x.len(), std::iter::once(x));
+        let cached = |mlp: &zsdb_nn::Mlp, x: &[f64]| {
+            let mut cache = MlpBatchCache::default();
+            *cache.input_mut() = column(x);
+            let out = mlp.forward_batch_cached_into(kind, &mut cache).example(0);
+            (out, cache)
+        };
+
+        // Forward: every node's encoder and combine caches and its state.
+        let (mut states, mut enc_caches, mut combine_caches) = (vec![], vec![], vec![]);
+        for node in &graph.nodes {
+            let (mut combine_in, enc) =
+                cached(&model.encoder.encoders[node.kind.index()], &node.features);
+            let mut sum = vec![0.0; h];
+            // Children precede parents, so their states exist.
+            for &c in &node.children {
+                for (s, v) in sum.iter_mut().zip(&states[c]) {
+                    *s += v;
+                }
+            }
+            combine_in.extend_from_slice(&sum);
+            let (state, combine) = cached(&model.encoder.combine, &combine_in);
+            states.push(state);
+            enc_caches.push(enc);
+            combine_caches.push(combine);
+        }
+        let (out, out_cache) = cached(&model.output, &states[graph.root]);
+        let error = out[0] - target.max(1e-9).ln();
+
+        // Backward: a node's state gradient is the sum over its parents
+        // (sum pooling hands every child the parent's child-sum gradient).
+        let mut scratch = BatchBackwardScratch::default();
+        let mut d_states = vec![vec![0.0; h]; graph.len()];
+        d_states[graph.root] = model
+            .output
+            .backward_batch_into(kind, &out_cache, &column(&[2.0 * error]), &mut scratch)
+            .example(0);
+        for (idx, node) in graph.nodes.iter().enumerate().rev() {
+            let d_combine_in = model
+                .encoder
+                .combine
+                .backward_batch_into(
+                    kind,
+                    &combine_caches[idx],
+                    &column(&d_states[idx]),
+                    &mut scratch,
+                )
+                .example(0);
+            let (d_enc, d_children_sum) = d_combine_in.split_at(h);
+            model.encoder.encoders[node.kind.index()].backward_batch_params_into(
+                kind,
+                &enc_caches[idx],
+                &column(d_enc),
+                &mut scratch,
+            );
+            for &c in &node.children {
+                for (acc, g) in d_states[c].iter_mut().zip(d_children_sum) {
+                    *acc += g;
+                }
+            }
+        }
+        error * error
     }
 
     #[test]
@@ -1143,7 +1220,7 @@ mod tests {
         per_example.zero_grad();
         let mut ref_loss = 0.0;
         for (g, t) in refs.iter().zip(&targets) {
-            ref_loss += per_example.accumulate_gradients(g, *t);
+            ref_loss += accumulate_per_example(&mut per_example, g, *t);
         }
         let mut ref_grads = Vec::new();
         per_example.export_gradients(&mut ref_grads);

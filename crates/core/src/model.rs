@@ -12,9 +12,11 @@
 //! 3. the root's hidden state is fed into an output MLP that predicts the
 //!    runtime (in log space).
 //!
-//! Training uses plain MSE on `ln(runtime)`; gradients flow back through
-//! the combine/encoder MLPs by traversing the DAG in reverse topological
-//! order.
+//! Training uses plain MSE on `ln(runtime)` over a mini-batch
+//! ([`ZeroShotCostModel::accumulate_gradients_batch`], in [`crate::batch`]):
+//! gradients flow back through the output, combine and encoder MLPs by
+//! walking the batch's (level, kind) schedule in reverse, one batched
+//! backward per group of nodes.
 //!
 //! # Catalog nodes
 //!
@@ -50,7 +52,7 @@
 use crate::features::{catalog_nodes, FeaturizerConfig, GraphNode, NodeKind, PlanGraph};
 use serde::{Deserialize, Serialize};
 use zsdb_catalog::SchemaCatalog;
-use zsdb_nn::{active_kernel, Activation, ForwardScratch, KernelKind, Mlp, MlpCache};
+use zsdb_nn::{active_kernel, Activation, ForwardScratch, KernelKind, Mlp};
 
 /// Hyper-parameters of the zero-shot cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -407,18 +409,6 @@ pub struct InferenceScratch {
     combine_input: Vec<f64>,
 }
 
-/// Per-graph forward caches needed for backpropagation.
-struct ForwardTrace {
-    /// Encoder output and cache per node.
-    encoder: Vec<(Vec<f64>, MlpCache)>,
-    /// Combine output and cache per node.
-    combine: Vec<(Vec<f64>, MlpCache)>,
-    /// Output MLP cache.
-    output_cache: MlpCache,
-    /// Predicted log runtime.
-    prediction: f64,
-}
-
 impl ZeroShotCostModel {
     /// Create a freshly initialised model.
     pub fn new(config: ModelConfig) -> Self {
@@ -474,9 +464,8 @@ impl ZeroShotCostModel {
     /// "Catalog nodes").
     ///
     /// Performs the same floating-point operations in the same order as
-    /// the training-time forward pass, but skips every backprop cache —
-    /// no per-layer activation snapshots, no per-node `MlpCache` — which
-    /// is what makes concurrent shared-read inference cheap.
+    /// the training-time forward pass, but records no backprop cache,
+    /// which is what makes concurrent shared-read inference cheap.
     pub fn predict_log_with(
         &self,
         graph: &PlanGraph,
@@ -520,77 +509,6 @@ impl ZeroShotCostModel {
         let root = graph.root;
         self.output
             .forward_into(kind, &states[root * h..(root + 1) * h], mlp)[0]
-    }
-
-    fn forward(&self, graph: &PlanGraph) -> ForwardTrace {
-        let h = self.config.hidden_dim;
-        let mut encoder = Vec::with_capacity(graph.len());
-        let mut combine: Vec<(Vec<f64>, MlpCache)> = Vec::with_capacity(graph.len());
-
-        for node in &graph.nodes {
-            let enc = self.encoder.encoders[node.kind.index()].forward_cached(&node.features);
-            // Children appear before parents, so their combined states exist.
-            let mut sum = vec![0.0; h];
-            for &c in &node.children {
-                let child_state: &Vec<f64> = &combine[c].0;
-                for (s, v) in sum.iter_mut().zip(child_state) {
-                    *s += v;
-                }
-            }
-            let mut combine_input = enc.0.clone();
-            combine_input.extend_from_slice(&sum);
-            let comb = self.encoder.combine.forward_cached(&combine_input);
-            encoder.push(enc);
-            combine.push(comb);
-        }
-
-        let (out, output_cache) = self.output.forward_cached(&combine[graph.root].0);
-        ForwardTrace {
-            encoder,
-            combine,
-            output_cache,
-            prediction: out[0],
-        }
-    }
-
-    /// One training example: forward, compute the squared error on
-    /// `ln(runtime)`, backpropagate and *accumulate* gradients (no
-    /// optimizer step).  Returns the squared error.
-    pub fn accumulate_gradients(&mut self, graph: &PlanGraph, target_runtime_secs: f64) -> f64 {
-        let trace = self.forward(graph);
-        let target = target_runtime_secs.max(1e-9).ln();
-        let error = trace.prediction - target;
-        let loss = error * error;
-
-        // d loss / d prediction
-        let d_pred = 2.0 * error;
-        let d_root_state = self.output.backward(&trace.output_cache, &[d_pred]);
-
-        // Gradient w.r.t. each node's combined state, accumulated from all
-        // parents (reverse topological order = reverse index order).
-        let h = self.config.hidden_dim;
-        let mut d_state: Vec<Vec<f64>> = vec![vec![0.0; h]; graph.len()];
-        d_state[graph.root] = d_root_state;
-
-        for idx in (0..graph.len()).rev() {
-            let node = &graph.nodes[idx];
-            let grad = std::mem::take(&mut d_state[idx]);
-            if grad.iter().all(|g| *g == 0.0) {
-                continue;
-            }
-            // Backprop through the combine MLP of this node.
-            let d_combine_input = self.encoder.combine.backward(&trace.combine[idx].1, &grad);
-            let (d_enc, d_children_sum) = d_combine_input.split_at(h);
-            // Encoder gradient.
-            self.encoder.encoders[node.kind.index()].backward(&trace.encoder[idx].1, d_enc);
-            // Each child receives the same gradient (sum pooling).
-            for &c in &node.children {
-                for (acc, g) in d_state[c].iter_mut().zip(d_children_sum) {
-                    *acc += g;
-                }
-            }
-        }
-        loss
     }
 
     /// Serialize the model to a JSON string.
@@ -640,13 +558,13 @@ mod tests {
         // Sanity check of the whole forward/backward path: training on a
         // handful of graphs must drive the error down dramatically.
         let graphs = graphs();
+        let refs: Vec<&PlanGraph> = graphs.iter().collect();
+        let targets: Vec<f64> = graphs.iter().map(|g| g.runtime_secs.unwrap()).collect();
         let mut model = ZeroShotCostModel::new(ModelConfig::tiny());
         let mut adam = Adam::new(3e-3);
         for _ in 0..150 {
             model.zero_grad();
-            for g in &graphs {
-                model.accumulate_gradients(g, g.runtime_secs.unwrap());
-            }
+            model.accumulate_gradients_batch(&refs, &targets);
             model.apply_step(&mut adam);
         }
         let median_q = {
@@ -673,7 +591,7 @@ mod tests {
         let mut model = ZeroShotCostModel::new(ModelConfig::tiny());
 
         model.zero_grad();
-        model.accumulate_gradients(g, target);
+        model.accumulate_gradients_batch(&[g], &[target]);
         // Pick one parameter of the output MLP and compare with a finite
         // difference of the loss.
         let analytic = param(&mut model.output).grad[0];

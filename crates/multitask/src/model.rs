@@ -29,7 +29,9 @@ use zsdb_core::features::PlanGraph;
 use zsdb_core::{
     BatchSchedule, CatalogStates, EncodeScratch, EncoderTrace, NodeStates, PlanEncoder,
 };
-use zsdb_nn::{Activation, Batch, BatchBackwardScratch, Mlp};
+use zsdb_nn::{
+    active_kernel, Activation, Batch, BatchBackwardScratch, BatchForwardScratch, Mlp, MlpBatchCache,
+};
 
 /// Hyper-parameters of the multi-task model, including the per-task loss
 /// weights used during joint training.
@@ -253,9 +255,14 @@ impl MultiTaskModel {
         let root_states = states.gather(schedule.roots());
         let (op_flats, op_offsets) = Self::operator_flats(graphs, &schedule);
         let op_states = states.gather(&op_flats);
-        let cost_out = self.cost_head.forward_batch(&root_states);
-        let root_out = self.root_card_head.forward_batch(&root_states);
-        let op_out = self.op_card_head.forward_batch(&op_states);
+        let kind = active_kernel();
+        let forward = |head: &Mlp, x: &Batch| {
+            head.forward_batch_into(kind, x, &mut BatchForwardScratch::default())
+                .clone()
+        };
+        let cost_out = forward(&self.cost_head, &root_states);
+        let root_out = forward(&self.root_card_head, &root_states);
+        let op_out = forward(&self.op_card_head, &op_states);
         Self::assemble_predictions(&cost_out, &root_out, &op_out, &op_offsets)
     }
 
@@ -301,9 +308,16 @@ impl MultiTaskModel {
         let root_states = states.gather(schedule.roots());
         let (op_flats, op_offsets) = Self::operator_flats(&graphs, &schedule);
         let op_states = states.gather(&op_flats);
-        let (cost_out, cost_cache) = self.cost_head.forward_batch_cached(root_states.clone());
-        let (root_out, root_cache) = self.root_card_head.forward_batch_cached(root_states);
-        let (op_out, op_cache) = self.op_card_head.forward_batch_cached(op_states);
+        let kind = active_kernel();
+        let forward_cached = |head: &Mlp, x: Batch| {
+            let mut cache = MlpBatchCache::default();
+            *cache.input_mut() = x;
+            let out = head.forward_batch_cached_into(kind, &mut cache).clone();
+            (out, cache)
+        };
+        let (cost_out, cost_cache) = forward_cached(&self.cost_head, root_states.clone());
+        let (root_out, root_cache) = forward_cached(&self.root_card_head, root_states);
+        let (op_out, op_cache) = forward_cached(&self.op_card_head, op_states);
 
         // ---- Losses --------------------------------------------------
         let n = samples.len();
@@ -349,14 +363,17 @@ impl MultiTaskModel {
         let predictions = Self::assemble_predictions(&cost_out, &root_out, &op_out, &op_offsets);
 
         // ---- Backward ------------------------------------------------
-        let d_root_state_cost = self.cost_head.backward_batch(&cost_cache, &d_cost);
-        let d_root_state_card = self.root_card_head.backward_batch(&root_cache, &d_root);
-        let d_op_state = self.op_card_head.backward_batch(&op_cache, &d_op);
-        let mut d_states = NodeStates::zeros(h, schedule.num_nodes());
-        d_states.scatter_add(schedule.roots(), &d_root_state_cost);
-        d_states.scatter_add(schedule.roots(), &d_root_state_card);
-        d_states.scatter_add(&op_flats, &d_op_state);
         let mut backward = BatchBackwardScratch::default();
+        let mut d_states = NodeStates::zeros(h, schedule.num_nodes());
+        let roots = schedule.roots();
+        for (head, cache, d_out, flats) in [
+            (&mut self.cost_head, &cost_cache, &d_cost, roots),
+            (&mut self.root_card_head, &root_cache, &d_root, roots),
+            (&mut self.op_card_head, &op_cache, &d_op, &op_flats[..]),
+        ] {
+            let d_state = head.backward_batch_into(kind, cache, d_out, &mut backward);
+            d_states.scatter_add(flats, d_state);
+        }
         self.encoder
             .backward_batch(&schedule, &mut trace, &mut d_states, &mut backward);
 

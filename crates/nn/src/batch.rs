@@ -3,14 +3,14 @@
 //! A [`Batch`] holds `n` example vectors of dimension `dim` in a single
 //! flat allocation, stored **feature-major** (`data[f * n + e]` is feature
 //! `f` of example `e`).  The layout is chosen for the batched backward of
-//! [`Mlp::backward_batch`](crate::Mlp::backward_batch), whose reductions
+//! [`Mlp::backward_batch_into`](crate::Mlp::backward_batch_into), whose reductions
 //! and register tiles run over *examples*: a feature row is one
 //! contiguous slice, so the weight gradient reads `x[i][·]` and the bias
 //! gradient `dy[o][·]` as they lie, and the input-gradient tiles load
 //! eight neighbouring examples of a `dy` row as one vector.  The batched
 //! forward reads a column in place, one strided load per input, and hands
 //! it to the very kernel call of the per-example
-//! [`Mlp::forward`](crate::Mlp::forward) — which is what makes batched
+//! [`Mlp::forward_into`](crate::Mlp::forward_into) — which is what makes batched
 //! inference bit-identical to per-example inference.
 
 /// A batch of `n` example vectors of dimension `dim`, feature-major.

@@ -1,17 +1,20 @@
 //! Dense layers and multi-layer perceptrons with manual backpropagation.
 //!
-//! Every MLP offers two execution modes:
+//! An [`Mlp`] has five entry points, every one through buffers the caller
+//! keeps:
 //!
-//! * **per-example** (`forward`, `forward_cached`, `backward`) — one
-//!   vector at a time, the original training/inference path;
-//! * **batched** (`forward_batch`, `forward_batch_cached`,
-//!   `backward_batch`) — a whole [`Batch`] of examples per layer call.
-//!   Each column goes through the very kernel call the per-example path
-//!   makes, so batched *forward* outputs are bit-identical to per-example
-//!   outputs; what batching buys is one schedule, one cache and one
-//!   backward per group of examples instead of one per example.
+//! * [`Mlp::forward_into`] — one vector at a time, serving's
+//!   per-example inference;
+//! * [`Mlp::forward_batch_into`] — a whole [`Batch`] of examples per
+//!   layer call.  Each column goes through the very kernel call the
+//!   per-example forward makes, so batched outputs are bit-identical to
+//!   per-example outputs;
+//! * [`Mlp::forward_batch_cached_into`], [`Mlp::backward_batch_into`] and
+//!   [`Mlp::backward_batch_params_into`] — training: the batched forward
+//!   recording what the backward needs, and the one backpropagation, over
+//!   a batch of any width (one example is a batch of one).
 //!
-//! Every dot product in both modes reduces in the canonical 4-lane order
+//! Every dot product reduces in the canonical 4-lane order
 //! of [`crate::kernel`], executed by either the SIMD-shaped or the scalar
 //! micro-kernels — the two are bit-identical, and the process-wide choice
 //! comes from the `ZSDB_KERNEL` environment variable (see
@@ -87,7 +90,7 @@
 //! exactly when `pre > 0` and the derivative is the same number.
 
 use crate::batch::Batch;
-use crate::kernel::{self, active_kernel, KernelKind};
+use crate::kernel::{self, KernelKind};
 use crate::param::ParamBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -119,17 +122,22 @@ impl Activation {
         }
     }
 
-    fn derivative(self, pre: f64) -> f64 {
+    /// The derivative at a unit whose **post**-activation is `post`.  The
+    /// backward reads it off the cached layer output, which keeps no
+    /// pre-activation: every activation here keeps the sign, so `post > 0`
+    /// exactly when the pre-activation is, and the derivative is the same
+    /// number.
+    fn derivative(self, post: f64) -> f64 {
         match self {
             Activation::Relu => {
-                if pre > 0.0 {
+                if post > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
             Activation::LeakyRelu => {
-                if pre > 0.0 {
+                if post > 0.0 {
                     1.0
                 } else {
                     0.01
@@ -266,29 +274,6 @@ impl Linear {
         );
     }
 
-    /// Accumulate parameter gradients for this layer given the input `x`
-    /// and the gradient w.r.t. the (pre-activation) output `dy`; returns
-    /// the gradient w.r.t. the input.
-    fn backward(&mut self, x: &[f64], dy: &[f64]) -> Vec<f64> {
-        // Hard assert: a short `dy` would otherwise silently skip gradient
-        // accumulation for the tail output units in release builds.
-        assert_eq!(dy.len(), self.out_dim);
-        for (bg, &g) in self.b.grad.iter_mut().zip(dy) {
-            *bg += g;
-        }
-        // `dx[i]` sums over output units sequentially in ascending `o`.
-        let mut dx = vec![0.0; self.in_dim];
-        for (i, dxi) in dx.iter_mut().enumerate() {
-            let run = i * self.out_dim..(i + 1) * self.out_dim;
-            let wgrad = &mut self.w.grad[run.clone()];
-            for ((wg, &w_io), &g) in wgrad.iter_mut().zip(&self.w.data[run]).zip(dy) {
-                *wg += g * x[i];
-                *dxi += g * w_io;
-            }
-        }
-        dx
-    }
-
     /// Batched forward: `out[o][e] = b[o] + dot(w[·][o], x[·][e])`, every
     /// column through the same [`kernel::affine_layer`] call as the
     /// per-example [`Linear::forward`] (the column is read in place, no
@@ -330,8 +315,8 @@ impl Linear {
         dx: Option<&mut Batch>,
         (dy_t, seed): (&mut Vec<f64>, &mut Vec<f64>),
     ) {
-        // Hard assert, as in `Linear::backward`: in release a `dy` wider
-        // than `x` would otherwise be truncated into a wrong gradient.
+        // Hard assert: in release a `dy` wider than `x` would otherwise be
+        // truncated into a wrong gradient.
         let dx_shape = dx
             .as_ref()
             .map_or((self.in_dim, x.n()), |dx| (dx.dim(), dx.n()));
@@ -520,17 +505,7 @@ pub struct BatchForwardScratch {
     b: Batch,
 }
 
-/// Forward-pass cache needed for backpropagation through an [`Mlp`].
-#[derive(Debug, Clone, Default)]
-pub struct MlpCache {
-    /// Input and all post-activation vectors, layer by layer
-    /// (`activations[0]` is the input).
-    activations: Vec<Vec<f64>>,
-    /// Pre-activation vectors per layer.
-    pre_activations: Vec<Vec<f64>>,
-}
-
-/// Batched forward-pass cache needed by [`Mlp::backward_batch`]: every
+/// Batched forward-pass cache needed by [`Mlp::backward_batch_into`]: every
 /// layer's input and the last layer's output.  Reusable: a long-lived
 /// cache filled by [`Mlp::forward_batch_cached_into`] keeps its buffers.
 #[derive(Debug, Clone, Default)]
@@ -605,23 +580,14 @@ impl Mlp {
         self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
     }
 
-    /// Forward pass without keeping a cache (inference).
+    /// Allocation-free forward pass of one example under kernel `kind`
+    /// (callers pass [`active_kernel`](crate::kernel::active_kernel)):
+    /// ping-pongs between the two scratch buffers instead of allocating
+    /// per layer, and returns a slice into the scratch holding the output
+    /// activations.
     ///
-    /// Convenience wrapper around [`Mlp::forward_into`] that allocates a
-    /// fresh scratch per call; hot paths should hold a [`ForwardScratch`]
-    /// and call `forward_into` directly.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut scratch = ForwardScratch::default();
-        self.forward_into(active_kernel(), x, &mut scratch).to_vec()
-    }
-
-    /// Allocation-free forward pass under kernel `kind` (callers pass
-    /// [`active_kernel`]): ping-pongs between the two scratch buffers
-    /// instead of allocating per layer, and returns a slice into the
-    /// scratch holding the output activations.
-    ///
-    /// Produces bit-identical results to [`Mlp::forward`] and to the
-    /// output of [`Mlp::forward_cached`] (same operations in the same
+    /// Bit-identical to the example's column of [`Mlp::forward_batch_into`]
+    /// and [`Mlp::forward_batch_cached_into`] (same operations in the same
     /// order), under either kernel (the `simd ≡ scalar` contract).
     pub fn forward_into<'s>(
         &self,
@@ -665,69 +631,15 @@ impl Mlp {
         }
     }
 
-    /// Forward pass that records the cache needed by [`Mlp::backward`].
-    pub fn forward_cached(&self, x: &[f64]) -> (Vec<f64>, MlpCache) {
-        let mut cache = MlpCache {
-            activations: vec![x.to_vec()],
-            pre_activations: Vec::with_capacity(self.layers.len()),
-        };
-        let mut current = x.to_vec();
-        let mut buffer = Vec::new();
-        let kind = active_kernel();
-        for (i, layer) in self.layers.iter().enumerate() {
-            layer.forward(kind, &current, &mut buffer);
-            cache.pre_activations.push(buffer.clone());
-            let is_last = i + 1 == self.layers.len();
-            current = if is_last {
-                buffer.clone()
-            } else {
-                buffer.iter().map(|&v| self.activation.apply(v)).collect()
-            };
-            cache.activations.push(current.clone());
-        }
-        (current, cache)
-    }
-
-    /// Backpropagate `d_out` (gradient w.r.t. the MLP output) through the
-    /// network, accumulating parameter gradients, and return the gradient
-    /// w.r.t. the input.
-    pub fn backward(&mut self, cache: &MlpCache, d_out: &[f64]) -> Vec<f64> {
-        let mut grad = d_out.to_vec();
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            let is_last = i + 1 == cache.pre_activations.len();
-            if !is_last {
-                let pre = &cache.pre_activations[i];
-                for (g, p) in grad.iter_mut().zip(pre) {
-                    *g *= self.activation.derivative(*p);
-                }
-            }
-            let input = &cache.activations[i];
-            grad = layer.backward(input, &grad);
-        }
-        grad
-    }
-
-    /// Batched inference: push a whole [`Batch`] through the network.
+    /// Allocation-free batched inference under kernel `kind`: pushes a
+    /// whole [`Batch`] through the network, ping-ponging between two
+    /// reusable scratch batches, and returns a reference into the scratch
+    /// holding the output batch.
     ///
     /// Column `e` of the result is **bit-identical** to
-    /// `self.forward(x.example(e))` — the batched layer loops perform the
-    /// same floating-point operations in the same order per example (see
-    /// [`Batch`] for the layout argument).
-    ///
-    /// Convenience wrapper around [`Mlp::forward_batch_into`] with a fresh
-    /// scratch, like [`Mlp::forward`].
-    pub fn forward_batch(&self, x: &Batch) -> Batch {
-        let mut scratch = BatchForwardScratch::default();
-        self.forward_batch_into(active_kernel(), x, &mut scratch)
-            .clone()
-    }
-
-    /// Allocation-free batched inference: like [`Mlp::forward_batch`] but
-    /// ping-pongs between two reusable scratch batches, under kernel
-    /// `kind`.
-    /// Returns a reference into the scratch holding the output batch.
-    /// Bit-identical to [`Mlp::forward_batch`] (identical layer kernels;
-    /// buffer identity never affects the arithmetic).
+    /// [`Mlp::forward_into`] of `x.example(e)` — every column goes through
+    /// the per-example layer kernel call (see [`Batch`] for the layout
+    /// argument); buffer identity never affects the arithmetic.
     pub fn forward_batch_into<'s>(
         &self,
         kind: KernelKind,
@@ -772,24 +684,11 @@ impl Mlp {
     }
 
     /// Batched forward pass recording the cache needed by
-    /// [`Mlp::backward_batch`].  Takes the input by value (callers build
-    /// mini-batch inputs fresh per call) — it becomes part of the cache
-    /// without a copy.  Outputs are bit-identical to
-    /// [`Mlp::forward_batch`] (and therefore to per-example forwards).
-    pub fn forward_batch_cached(&self, x: Batch) -> (Batch, MlpBatchCache) {
-        let mut cache = MlpBatchCache {
-            inputs: vec![x],
-            output: Batch::default(),
-        };
-        self.forward_batch_cached_into(active_kernel(), &mut cache);
-        (std::mem::take(&mut cache.output), cache)
-    }
-
-    /// Batched forward pass through a reusable cache: reads the input the
-    /// caller wrote into [`MlpBatchCache::input_mut`], records every
-    /// layer's input in place and returns the output (kept in the cache).
-    /// Bit-identical to [`Mlp::forward_batch_cached`]; with a cache sized
-    /// by [`Mlp::reserve_cache`] it performs no heap allocation.
+    /// [`Mlp::backward_batch_into`]: reads the input the caller wrote into
+    /// [`MlpBatchCache::input_mut`], records every layer's input in place
+    /// and returns the output (kept in the cache).  Bit-identical to
+    /// [`Mlp::forward_batch_into`]; with a cache sized by
+    /// [`Mlp::reserve_cache`] it performs no heap allocation.
     pub fn forward_batch_cached_into<'c>(
         &self,
         kind: KernelKind,
@@ -851,19 +750,11 @@ impl Mlp {
             .reserve(widest_out.saturating_sub(scratch.seed.len()));
     }
 
-    /// Batched backpropagation: push `d_out` (gradient w.r.t. the batched
-    /// output) back through the network, accumulating parameter gradients
-    /// with a fixed lane-split reduction order, and return the gradient
-    /// w.r.t. the input batch.
-    pub fn backward_batch(&mut self, cache: &MlpBatchCache, d_out: &Batch) -> Batch {
-        let mut scratch = BatchBackwardScratch::default();
-        let in_a = self.backward_layers(active_kernel(), cache, d_out, &mut scratch, true);
-        std::mem::take(if in_a { &mut scratch.a } else { &mut scratch.b })
-    }
-
-    /// [`Mlp::backward_batch`] through reusable buffers: the input
-    /// gradient is returned from `scratch`.  Bit-identical to
-    /// [`Mlp::backward_batch`]; with a scratch sized by
+    /// Batched backpropagation under kernel `kind`: push `d_out` (gradient
+    /// w.r.t. the batched output of the forward that filled `cache`) back
+    /// through the network, accumulating parameter gradients with a fixed
+    /// lane-split reduction order, and return the gradient w.r.t. the
+    /// input batch from `scratch`.  With a scratch sized by
     /// [`Mlp::reserve_backward`] it performs no heap allocation.
     pub fn backward_batch_into<'s>(
         &mut self,
@@ -969,42 +860,79 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::active_kernel;
 
     /// Parameter buffer `k` in [`Mlp::params_mut`] order.
     fn param(mlp: &mut Mlp, k: usize) -> &mut ParamBuf {
         mlp.params_mut().nth(k).expect("parameter buffer")
     }
 
-    /// Numerical gradient check: compare analytic input/parameter gradients
-    /// against central finite differences on a scalar loss.
-    #[test]
-    fn gradient_check_against_finite_differences() {
-        let mut mlp = Mlp::new(&[4, 8, 1], Activation::LeakyRelu, 3);
-        let x = vec![0.3, -0.7, 1.2, 0.05];
-        let target = 0.8;
+    /// [`Mlp::forward_into`] of one example through a fresh scratch.
+    fn forward(mlp: &Mlp, x: &[f64]) -> Vec<f64> {
+        mlp.forward_into(active_kernel(), x, &mut ForwardScratch::default())
+            .to_vec()
+    }
 
-        // Analytic gradients.
-        mlp.zero_grad();
-        let (out, cache) = mlp.forward_cached(&x);
-        let d_out = vec![2.0 * (out[0] - target)];
-        mlp.backward(&cache, &d_out);
-        let analytic: Vec<f64> = mlp.params().flat_map(|p| p.grad.clone()).collect();
+    /// [`Mlp::forward_batch_into`] through a fresh scratch.
+    fn forward_batch(mlp: &Mlp, x: &Batch) -> Batch {
+        mlp.forward_batch_into(active_kernel(), x, &mut BatchForwardScratch::default())
+            .clone()
+    }
 
-        // Finite differences.
+    /// `Σ_e (out[0][e] − targets[e])²` of `mlp` over `batch`.
+    fn squared_error(mlp: &Mlp, batch: &Batch, targets: &[f64]) -> f64 {
+        let out = forward_batch(mlp, batch);
+        let errors = targets.iter().enumerate().map(|(e, t)| out.get(0, e) - t);
+        errors.map(|err| err * err).sum()
+    }
+
+    /// Accumulate the parameter gradients of [`squared_error`] through the
+    /// batched backward and return its input gradient.
+    fn squared_error_backward(mlp: &mut Mlp, batch: &Batch, targets: &[f64]) -> Batch {
+        let kind = active_kernel();
+        let (out, cache) = forward_cached_with(mlp, kind, batch.clone());
+        let mut d_out = Batch::zeros(1, targets.len());
+        for (e, t) in targets.iter().enumerate() {
+            d_out.set(0, e, 2.0 * (out.get(0, e) - t));
+        }
+        backward_with(mlp, kind, &cache, &d_out)
+    }
+
+    /// Central finite differences of `loss` in every parameter of `mlp`,
+    /// in [`Mlp::params`] order.
+    fn numeric_param_gradients(mlp: &mut Mlp, loss: impl Fn(&Mlp) -> f64) -> Vec<f64> {
         let eps = 1e-6;
-        let mut numeric = Vec::with_capacity(analytic.len());
-        let num_params: Vec<usize> = mlp.params().map(|p| p.len()).collect();
-        for (pi, &len) in num_params.iter().enumerate() {
+        let lens: Vec<usize> = mlp.params().map(|p| p.len()).collect();
+        let mut numeric = Vec::new();
+        for (pi, &len) in lens.iter().enumerate() {
             for j in 0..len {
-                let orig = param(&mut mlp, pi).data[j];
-                param(&mut mlp, pi).data[j] = orig + eps;
-                let up = (mlp.forward(&x)[0] - target).powi(2);
-                param(&mut mlp, pi).data[j] = orig - eps;
-                let down = (mlp.forward(&x)[0] - target).powi(2);
-                param(&mut mlp, pi).data[j] = orig;
+                let orig = param(mlp, pi).data[j];
+                param(mlp, pi).data[j] = orig + eps;
+                let up = loss(mlp);
+                param(mlp, pi).data[j] = orig - eps;
+                let down = loss(mlp);
+                param(mlp, pi).data[j] = orig;
                 numeric.push((up - down) / (2.0 * eps));
             }
         }
+        numeric
+    }
+
+    /// Numerical gradient check: the batched backward's parameter
+    /// gradients of `Σ_e (out_e − t_e)²` over a batch of 6 against central
+    /// finite differences of that loss.
+    #[test]
+    fn gradient_check_against_finite_differences() {
+        let mut mlp = Mlp::new(&[4, 8, 1], Activation::LeakyRelu, 3);
+        let examples = trial_examples(4, 6);
+        let batch = Batch::from_examples(4, examples.iter().map(|v| v.as_slice()));
+        let targets: Vec<f64> = (0..6).map(|e| (e as f64 * 0.37).cos()).collect();
+
+        mlp.zero_grad();
+        squared_error_backward(&mut mlp, &batch, &targets);
+        let analytic: Vec<f64> = mlp.params().flat_map(|p| p.grad.clone()).collect();
+        let numeric = numeric_param_gradients(&mut mlp, |m| squared_error(m, &batch, &targets));
+        assert_eq!(analytic.len(), numeric.len());
         for (a, n) in analytic.iter().zip(&numeric) {
             assert!(
                 (a - n).abs() < 1e-5 * (1.0 + a.abs().max(n.abs())),
@@ -1013,35 +941,36 @@ mod tests {
         }
     }
 
-    /// The input gradient returned by [`Mlp::backward`] must also match
-    /// central finite differences (it is what upstream graph models chain
-    /// through).
+    /// The input gradient the batched backward returns must also match
+    /// central finite differences, for every example of the batch (it is
+    /// what upstream graph models chain through).
     #[test]
     fn input_gradient_matches_finite_differences() {
         let mut mlp = Mlp::new(&[3, 6, 6, 1], Activation::LeakyRelu, 11);
-        let x = vec![0.9, -0.4, 0.2];
-        let target = -0.3;
+        let n = 4;
+        let examples = trial_examples(3, n);
+        let batch = Batch::from_examples(3, examples.iter().map(|v| v.as_slice()));
+        let targets: Vec<f64> = (0..n).map(|e| 0.2 * e as f64 - 0.3).collect();
 
         mlp.zero_grad();
-        let (out, cache) = mlp.forward_cached(&x);
-        let d_out = vec![2.0 * (out[0] - target)];
-        let analytic = mlp.backward(&cache, &d_out);
-        assert_eq!(analytic.len(), x.len());
+        let analytic = squared_error_backward(&mut mlp, &batch, &targets);
+        assert_eq!((analytic.dim(), analytic.n()), (3, n));
 
         let eps = 1e-6;
-        for i in 0..x.len() {
-            let mut up_x = x.clone();
-            up_x[i] += eps;
-            let mut down_x = x.clone();
-            down_x[i] -= eps;
-            let up = (mlp.forward(&up_x)[0] - target).powi(2);
-            let down = (mlp.forward(&down_x)[0] - target).powi(2);
-            let numeric = (up - down) / (2.0 * eps);
-            assert!(
-                (analytic[i] - numeric).abs() < 1e-5 * (1.0 + numeric.abs()),
-                "input grad {i}: analytic {} vs numeric {numeric}",
-                analytic[i]
-            );
+        for e in 0..n {
+            for i in 0..3 {
+                let loss_at = |delta: f64| {
+                    let mut moved = batch.clone();
+                    moved.set(i, e, batch.get(i, e) + delta);
+                    squared_error(&mlp, &moved, &targets)
+                };
+                let numeric = (loss_at(eps) - loss_at(-eps)) / (2.0 * eps);
+                assert!(
+                    (analytic.get(i, e) - numeric).abs() < 1e-5 * (1.0 + numeric.abs()),
+                    "input grad ({i},{e}): analytic {} vs numeric {numeric}",
+                    analytic.get(i, e)
+                );
+            }
         }
     }
 
@@ -1057,49 +986,20 @@ mod tests {
             let mut mlp = Mlp::new(&[2, 4, 1], activation, 23);
             // Offset inputs away from ReLU kinks so finite differences are
             // well-defined.
-            let x = vec![0.37, -0.61];
+            let x = Batch::from_examples(2, std::iter::once([0.37, -0.61].as_slice()));
+            let kind = active_kernel();
             mlp.zero_grad();
-            let (out, cache) = mlp.forward_cached(&x);
-            mlp.backward(&cache, &[1.0]);
+            let (_, cache) = forward_cached_with(&mlp, kind, x.clone());
+            let mut d_out = Batch::zeros(1, 1);
+            d_out.set(0, 0, 1.0);
+            backward_with(&mut mlp, kind, &cache, &d_out);
             let analytic: Vec<f64> = mlp.params().flat_map(|p| p.grad.clone()).collect();
-
-            let eps = 1e-6;
-            let num_params: Vec<usize> = mlp.params().map(|p| p.len()).collect();
-            let mut k = 0;
-            for (pi, &len) in num_params.iter().enumerate() {
-                for j in 0..len {
-                    let orig = param(&mut mlp, pi).data[j];
-                    param(&mut mlp, pi).data[j] = orig + eps;
-                    let up = mlp.forward(&x)[0];
-                    param(&mut mlp, pi).data[j] = orig - eps;
-                    let down = mlp.forward(&x)[0];
-                    param(&mut mlp, pi).data[j] = orig;
-                    let numeric = (up - down) / (2.0 * eps);
-                    assert!(
-                        (analytic[k] - numeric).abs() < 1e-5 * (1.0 + numeric.abs()),
-                        "{activation:?} param {k}: analytic {} vs numeric {numeric}",
-                        analytic[k]
-                    );
-                    k += 1;
-                }
-            }
-            let _ = out;
-        }
-    }
-
-    #[test]
-    fn forward_into_matches_forward_bit_for_bit() {
-        let mlp = Mlp::new(&[5, 9, 7, 2], Activation::LeakyRelu, 17);
-        let mut scratch = ForwardScratch::default();
-        for trial in 0..10 {
-            let x: Vec<f64> = (0..5).map(|i| (i as f64 - trial as f64) * 0.37).collect();
-            let allocating = mlp.forward(&x);
-            let (cached_out, _) = mlp.forward_cached(&x);
-            let scratch_out = mlp.forward_into(active_kernel(), &x, &mut scratch);
-            assert_eq!(scratch_out.len(), allocating.len());
-            for ((a, b), c) in allocating.iter().zip(scratch_out).zip(&cached_out) {
-                assert_eq!(a.to_bits(), b.to_bits());
-                assert_eq!(a.to_bits(), c.to_bits());
+            let numeric = numeric_param_gradients(&mut mlp, |m| forward_batch(m, &x).get(0, 0));
+            for (k, (a, n)) in analytic.iter().zip(&numeric).enumerate() {
+                assert!(
+                    (a - n).abs() < 1e-5 * (1.0 + n.abs()),
+                    "{activation:?} param {k}: analytic {a} vs numeric {n}"
+                );
             }
         }
     }
@@ -1109,8 +1009,8 @@ mod tests {
         let narrow = Mlp::new(&[2, 3, 1], Activation::Relu, 1);
         let wide = Mlp::new(&[4, 32, 32, 2], Activation::Relu, 2);
         let mut scratch = ForwardScratch::default();
-        let narrow_expected = narrow.forward(&[0.5, -0.5]);
-        let wide_expected = wide.forward(&[1.0, 2.0, 3.0, 4.0]);
+        let narrow_expected = forward(&narrow, &[0.5, -0.5]);
+        let wide_expected = forward(&wide, &[1.0, 2.0, 3.0, 4.0]);
         for _ in 0..3 {
             assert_eq!(
                 narrow.forward_into(active_kernel(), &[0.5, -0.5], &mut scratch),
@@ -1126,14 +1026,23 @@ mod tests {
     #[test]
     fn single_layer_mlp_forward_into() {
         // One linear layer: no activation is applied (the last layer is
-        // linear by convention), and only one scratch buffer is used.
-        let mlp = Mlp::new(&[3, 2], Activation::LeakyRelu, 4);
-        let mut scratch = ForwardScratch::default();
+        // linear by convention), so every output is the layer's
+        // definition, `b[o] + dot(w[·][o], x)`, bit for bit.
+        let mut mlp = Mlp::new(&[3, 2], Activation::LeakyRelu, 4);
+        param(&mut mlp, 1).data.copy_from_slice(&[0.25, -0.5]);
+        let layer = &mlp.layers[0];
         let x = [0.1, -0.2, 0.3];
-        assert_eq!(
-            mlp.forward_into(active_kernel(), &x, &mut scratch),
-            &mlp.forward(&x)[..]
-        );
+        let expected: Vec<f64> = (0..2)
+            .map(|o| {
+                let column: Vec<f64> = (0..3).map(|i| layer.w.data[i * 2 + o]).collect();
+                layer.b.data[o] + kernel::dot(KernelKind::Scalar, &column, &x)
+            })
+            .collect();
+        let mut scratch = ForwardScratch::default();
+        for kind in [KernelKind::Simd, KernelKind::Scalar] {
+            let got = mlp.forward_into(kind, &x, &mut scratch);
+            assert_eq!(bits(got), bits(&expected), "{kind:?}");
+        }
     }
 
     #[test]
@@ -1142,8 +1051,8 @@ mod tests {
         let b = Mlp::new(&[3, 5, 2], Activation::Relu, 7);
         let c = Mlp::new(&[3, 5, 2], Activation::Relu, 8);
         let x = [1.0, 2.0, 3.0];
-        assert_eq!(a.forward(&x), b.forward(&x));
-        assert_ne!(a.forward(&x), c.forward(&x));
+        assert_eq!(forward(&a, &x), forward(&b, &x));
+        assert_ne!(forward(&a, &x), forward(&c, &x));
     }
 
     #[test]
@@ -1152,37 +1061,7 @@ mod tests {
         assert_eq!(mlp.input_dim(), 6);
         assert_eq!(mlp.output_dim(), 1);
         assert_eq!(mlp.num_parameters(), 6 * 16 + 16 + 16 * 16 + 16 + 16 + 1);
-        assert_eq!(mlp.forward(&[0.0; 6]).len(), 1);
-    }
-
-    #[test]
-    fn mlp_learns_a_simple_function() {
-        // Fit y = 2*x0 - x1 with Adam; should get close within a few
-        // hundred steps.
-        let mut mlp = Mlp::new(&[2, 16, 1], Activation::LeakyRelu, 5);
-        let mut adam = crate::optim::Adam::new(0.01);
-        let data: Vec<([f64; 2], f64)> = (0..64)
-            .map(|i| {
-                let x0 = (i % 8) as f64 / 8.0;
-                let x1 = (i / 8) as f64 / 8.0;
-                ([x0, x1], 2.0 * x0 - x1)
-            })
-            .collect();
-        for _ in 0..400 {
-            mlp.zero_grad();
-            for (x, y) in &data {
-                let (out, cache) = mlp.forward_cached(x);
-                let d = vec![2.0 * (out[0] - y) / data.len() as f64];
-                mlp.backward(&cache, &d);
-            }
-            adam.step(mlp.params_mut());
-        }
-        let mse: f64 = data
-            .iter()
-            .map(|(x, y)| (mlp.forward(x)[0] - y).powi(2))
-            .sum::<f64>()
-            / data.len() as f64;
-        assert!(mse < 0.01, "mse = {mse}");
+        assert_eq!(forward(&mlp, &[0.0; 6]).len(), 1);
     }
 
     #[test]
@@ -1212,10 +1091,10 @@ mod tests {
             for n in [1, 2, 5, 32] {
                 let examples = trial_examples(7, n);
                 let batch = Batch::from_examples(7, examples.iter().map(|v| v.as_slice()));
-                let out = mlp.forward_batch(&batch);
-                let (cached_out, _) = mlp.forward_batch_cached(batch.clone());
+                let out = forward_batch(&mlp, &batch);
+                let (cached_out, _) = forward_cached_with(&mlp, active_kernel(), batch.clone());
                 for (e, x) in examples.iter().enumerate() {
-                    let reference = mlp.forward(x);
+                    let reference = forward(&mlp, x);
                     for (f, r) in reference.iter().enumerate() {
                         assert_eq!(out.get(f, e).to_bits(), r.to_bits());
                         assert_eq!(cached_out.get(f, e).to_bits(), r.to_bits());
@@ -1226,74 +1105,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_backward_gradients_match_summed_per_example_gradients() {
-        // The batched backward must compute the same *mathematical*
-        // gradient as accumulating per-example backwards (the summation
-        // order differs, so compare with a tolerance, not bits).
-        let n = 6;
-        let examples = trial_examples(4, n);
-        let targets: Vec<f64> = (0..n).map(|e| (e as f64 * 0.37).cos()).collect();
-
-        let mut per_example = Mlp::new(&[4, 8, 1], Activation::LeakyRelu, 3);
-        per_example.zero_grad();
-        for (x, t) in examples.iter().zip(&targets) {
-            let (out, cache) = per_example.forward_cached(x);
-            per_example.backward(&cache, &[2.0 * (out[0] - t)]);
-        }
-        let reference: Vec<f64> = per_example.params().flat_map(|p| p.grad.clone()).collect();
-
-        let mut batched = Mlp::new(&[4, 8, 1], Activation::LeakyRelu, 3);
-        batched.zero_grad();
-        let batch = Batch::from_examples(4, examples.iter().map(|v| v.as_slice()));
-        let (out, cache) = batched.forward_batch_cached(batch.clone());
-        let mut d_out = Batch::zeros(1, n);
-        for (e, t) in targets.iter().enumerate() {
-            d_out.set(0, e, 2.0 * (out.get(0, e) - t));
-        }
-        let d_in = batched.backward_batch(&cache, &d_out);
-        assert_eq!(d_in.dim(), 4);
-        assert_eq!(d_in.n(), n);
-        let got: Vec<f64> = batched.params().flat_map(|p| p.grad.clone()).collect();
-
-        assert_eq!(reference.len(), got.len());
-        for (r, g) in reference.iter().zip(&got) {
-            assert!(
-                (r - g).abs() < 1e-10 * (1.0 + r.abs()),
-                "per-example {r} vs batched {g}"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_input_gradient_matches_per_example_input_gradient() {
-        let mlp_ref = Mlp::new(&[3, 6, 2], Activation::LeakyRelu, 11);
-        let mut mlp = mlp_ref.clone();
-        let examples = trial_examples(3, 4);
-        let batch = Batch::from_examples(3, examples.iter().map(|v| v.as_slice()));
-        let (_, cache) = mlp.forward_batch_cached(batch.clone());
-        let mut d_out = Batch::zeros(2, 4);
-        for e in 0..4 {
-            d_out.set(0, e, 1.0);
-            d_out.set(1, e, -0.5);
-        }
-        let d_in = mlp.backward_batch(&cache, &d_out);
-
-        for (e, x) in examples.iter().enumerate() {
-            let mut single = mlp_ref.clone();
-            let (_, cache) = single.forward_cached(x);
-            let d = single.backward(&cache, &[1.0, -0.5]);
-            for (f, dv) in d.iter().enumerate() {
-                assert!(
-                    (d_in.get(f, e) - dv).abs() < 1e-12 * (1.0 + dv.abs()),
-                    "input grad ({f},{e})"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn batched_training_learns_the_same_simple_function() {
-        // The batched fit counterpart of `mlp_learns_a_simple_function`.
+        // Fit y = 2*x0 - x1 with Adam, one batch of all 64 points per
+        // step; should get close within a few hundred steps.
         let mut mlp = Mlp::new(&[2, 16, 1], Activation::LeakyRelu, 5);
         let mut adam = crate::optim::Adam::new(0.01);
         let data: Vec<([f64; 2], f64)> = (0..64)
@@ -1304,19 +1118,20 @@ mod tests {
             })
             .collect();
         let batch = Batch::from_examples(2, data.iter().map(|(x, _)| x.as_slice()));
+        let kind = active_kernel();
         for _ in 0..400 {
             mlp.zero_grad();
-            let (out, cache) = mlp.forward_batch_cached(batch.clone());
+            let (out, cache) = forward_cached_with(&mlp, kind, batch.clone());
             let mut d_out = Batch::zeros(1, data.len());
             for (e, (_, y)) in data.iter().enumerate() {
                 d_out.set(0, e, 2.0 * (out.get(0, e) - y) / data.len() as f64);
             }
-            mlp.backward_batch(&cache, &d_out);
+            backward_with(&mut mlp, kind, &cache, &d_out);
             adam.step(mlp.params_mut());
         }
         let mse: f64 = data
             .iter()
-            .map(|(x, y)| (mlp.forward(x)[0] - y).powi(2))
+            .map(|(x, y)| (forward(&mlp, x)[0] - y).powi(2))
             .sum::<f64>()
             / data.len() as f64;
         assert!(mse < 0.01, "mse = {mse}");
@@ -1352,8 +1167,6 @@ mod tests {
                 let scalar = mlp
                     .forward_batch_into(KernelKind::Scalar, &batch, &mut bs)
                     .clone();
-                let allocating = mlp.forward_batch(&batch);
-                assert_eq!(allocating, simd, "forward_batch {dims:?} n={n}");
                 assert_eq!(simd.data().len(), scalar.data().len());
                 for (a, b) in simd.data().iter().zip(scalar.data()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "batched {dims:?} n={n}");
@@ -1371,8 +1184,9 @@ mod tests {
         }
     }
 
-    /// [`Mlp::forward_batch_cached`] under kernel `kind`: the cached
-    /// forward of `x` and a cache for [`backward_with`].
+    /// [`Mlp::forward_batch_cached_into`] under kernel `kind` through a
+    /// fresh cache: the cached forward of `x` and the cache for
+    /// [`backward_with`].
     fn forward_cached_with(mlp: &Mlp, kind: KernelKind, x: Batch) -> (Batch, MlpBatchCache) {
         let mut cache = MlpBatchCache::default();
         *cache.input_mut() = x;
@@ -1380,7 +1194,8 @@ mod tests {
         (out, cache)
     }
 
-    /// [`Mlp::backward_batch`] under kernel `kind`.
+    /// [`Mlp::backward_batch_into`] under kernel `kind` through a fresh
+    /// scratch: the input gradient.
     fn backward_with(
         mlp: &mut Mlp,
         kind: KernelKind,
@@ -1422,7 +1237,7 @@ mod tests {
     }
 
     /// One reused cache and backward scratch, across batches of different
-    /// widths, give the bits of fresh allocating calls; without the input
+    /// widths, give the bits of calls through fresh ones; without the input
     /// gradient the parameter gradients are the same bits.
     #[test]
     fn reused_cache_and_backward_scratch_match_fresh_calls() {
@@ -1435,11 +1250,11 @@ mod tests {
         for n in [11, 1, 19, 4] {
             let batch = spread_batch(7, n, n as u64);
             let d_out = spread_batch(3, n, n as u64 + 1);
-            let mut fresh = template.clone();
-            let (out, fresh_cache) = fresh.forward_batch_cached(batch.clone());
-            let dx = fresh.backward_batch(&fresh_cache, &d_out);
-
             let kind = active_kernel();
+            let mut fresh = template.clone();
+            let (out, fresh_cache) = forward_cached_with(&fresh, kind, batch.clone());
+            let dx = backward_with(&mut fresh, kind, &fresh_cache, &d_out);
+
             let mut reused = template.clone();
             cache.input_mut().clone_from(&batch);
             let reused_out = reused.forward_batch_cached_into(kind, &mut cache);
@@ -1762,7 +1577,7 @@ mod tests {
         // JSON may lose the last bit of a float, so compare behaviour, not
         // bit-exact structure.
         let x = [0.5, -1.0, 2.0];
-        let (a, b) = (mlp.forward(&x)[0], back.forward(&x)[0]);
+        let (a, b) = (forward(&mlp, &x)[0], forward(&back, &x)[0]);
         assert!((a - b).abs() < 1e-9);
         assert_eq!(back.num_parameters(), mlp.num_parameters());
     }
