@@ -183,39 +183,41 @@ impl PlanNode {
     /// column it names (index columns, join keys, predicate and aggregate
     /// columns) must exist — the bounds checks of `Query::validate`.
     /// Featurizing a plan that fails this would index out of bounds, so a
-    /// plan from untrusted input is validated before it is served.
+    /// plan from untrusted input is validated before it is served.  Walks
+    /// the tree by recursion, in pre-order, so a valid plan costs no heap
+    /// allocation.
     pub fn validate(&self, catalog: &SchemaCatalog) -> Result<(), CatalogError> {
-        for node in self.iter() {
-            if let Some(table) = node.op.scanned_table() {
-                catalog.try_table(table)?;
-            }
-            for predicate in node.op.predicates() {
-                catalog.try_column(predicate.column)?;
-            }
-            match &node.op {
-                PhysOperator::IndexScan { index_column, .. } => {
-                    catalog.try_column(*index_column)?;
-                }
-                PhysOperator::HashJoin {
-                    build_key: a,
-                    probe_key: b,
-                }
-                | PhysOperator::NestedLoopJoin {
-                    outer_key: a,
-                    inner_key: b,
-                } => {
-                    catalog.try_column(*a)?;
-                    catalog.try_column(*b)?;
-                }
-                PhysOperator::Aggregate { aggregates } => {
-                    for column in aggregates.iter().filter_map(|a| a.column) {
-                        catalog.try_column(column)?;
-                    }
-                }
-                PhysOperator::SeqScan { .. } => {}
-            }
+        if let Some(table) = self.op.scanned_table() {
+            catalog.try_table(table)?;
         }
-        Ok(())
+        for predicate in self.op.predicates() {
+            catalog.try_column(predicate.column)?;
+        }
+        match &self.op {
+            PhysOperator::IndexScan { index_column, .. } => {
+                catalog.try_column(*index_column)?;
+            }
+            PhysOperator::HashJoin {
+                build_key: a,
+                probe_key: b,
+            }
+            | PhysOperator::NestedLoopJoin {
+                outer_key: a,
+                inner_key: b,
+            } => {
+                catalog.try_column(*a)?;
+                catalog.try_column(*b)?;
+            }
+            PhysOperator::Aggregate { aggregates } => {
+                for column in aggregates.iter().filter_map(|a| a.column) {
+                    catalog.try_column(column)?;
+                }
+            }
+            PhysOperator::SeqScan { .. } => {}
+        }
+        self.children
+            .iter()
+            .try_for_each(|child| child.validate(catalog))
     }
 
     /// All base tables scanned anywhere in the subtree.

@@ -1,6 +1,7 @@
 //! Error type shared by the registry and the prediction server.
 
 use std::fmt;
+use zsdb_catalog::CatalogError;
 
 /// Everything that can go wrong while registering, loading or serving a
 /// model.
@@ -44,6 +45,9 @@ pub enum ServeError {
     /// The request queue is full (backpressure): the caller should retry
     /// later or shed load.
     Overloaded,
+    /// A submitted plan names a table or column outside the served
+    /// catalog; it was refused before it reached the queue.
+    InvalidPlan(CatalogError),
     /// The server has shut down and can no longer accept or answer
     /// requests.
     Closed,
@@ -75,6 +79,7 @@ impl fmt::Display for ServeError {
                 "model '{name}' has no earlier promoted version to roll back to"
             ),
             ServeError::Overloaded => write!(f, "request queue is full"),
+            ServeError::InvalidPlan(e) => write!(f, "plan outside the served catalog: {e}"),
             ServeError::Closed => write!(f, "prediction server is shut down"),
         }
     }
@@ -85,6 +90,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Io(e) => Some(e),
             ServeError::Json(e) => Some(e),
+            ServeError::InvalidPlan(e) => Some(e),
             _ => None,
         }
     }

@@ -233,6 +233,7 @@ fn error_code_of(reason: &ServeError) -> ErrorCode {
     match reason {
         ServeError::Overloaded => ErrorCode::Overloaded,
         ServeError::Closed => ErrorCode::Closed,
+        ServeError::InvalidPlan(_) => ErrorCode::BadRequest,
         _ => ErrorCode::Internal,
     }
 }

@@ -396,8 +396,8 @@ impl<P> BatchTicket<P> {
 pub struct RejectedRequest {
     /// The plan that was not enqueued.
     pub plan: Box<PlanNode>,
-    /// Why it was rejected ([`ServeError::Overloaded`] or
-    /// [`ServeError::Closed`]).
+    /// Why it was rejected ([`ServeError::Overloaded`],
+    /// [`ServeError::Closed`] or [`ServeError::InvalidPlan`]).
     pub reason: ServeError,
 }
 
@@ -423,8 +423,9 @@ impl std::error::Error for RejectedRequest {
 pub struct RejectedBatch<P> {
     /// The plans that were not enqueued, in submission order.
     pub plans: Vec<PlanNode>,
-    /// Why admission stopped ([`ServeError::Overloaded`] or
-    /// [`ServeError::Closed`]).
+    /// Why admission stopped ([`ServeError::Overloaded`],
+    /// [`ServeError::Closed`], or [`ServeError::InvalidPlan`] for a batch
+    /// holding a plan outside the catalog, refused whole).
     pub reason: ServeError,
     /// Ticket for the prefix of the batch that was admitted before the
     /// rejection, if any.
@@ -719,14 +720,24 @@ impl<M: Servable> Server<M> {
         }
     }
 
-    /// The one admission path for single requests: `wait` blocks on a
-    /// full shard, `!wait` sheds (and counts the rejection).
+    /// The one admission path for single requests: a plan outside the
+    /// served catalog is refused, then `wait` blocks on a full shard and
+    /// `!wait` sheds (and counts the rejection).
     fn enqueue(
         &self,
         plan: PlanNode,
         trace: Option<ActiveTrace>,
         wait: bool,
     ) -> Result<Ticket<M::Prediction>, RejectedRequest> {
+        // A table or column outside the catalog would index out of bounds
+        // in the featurizer and kill the worker.  Not load shedding, so
+        // not counted as a rejection.
+        if let Err(e) = plan.validate(&self.shared.catalog) {
+            return Err(RejectedRequest {
+                plan: Box::new(plan),
+                reason: ServeError::InvalidPlan(e),
+            });
+        }
         // The fingerprint both routes the request (cache affinity) and
         // keys the cache — computed once here, carried in the job.
         let fingerprint = plan_fingerprint(&plan);
@@ -762,6 +773,15 @@ impl<M: Servable> Server<M> {
         mut trace: Option<ActiveTrace>,
         wait: bool,
     ) -> Result<BatchTicket<M::Prediction>, RejectedBatch<M::Prediction>> {
+        // One plan outside the catalog refuses the whole batch.
+        let catalog = &self.shared.catalog;
+        if let Err(e) = plans.iter().try_for_each(|plan| plan.validate(catalog)) {
+            return Err(RejectedBatch {
+                plans,
+                reason: ServeError::InvalidPlan(e),
+                answered: None,
+            });
+        }
         // Split oversized submissions into max_batch_size chunks, each a
         // bounded-queue entry of its own: queue_capacity keeps bounding
         // in-flight work, and an over-large batch experiences the same
@@ -1386,6 +1406,61 @@ mod tests {
         let slo = server.slo_status();
         assert!(!slo.windows.is_empty());
         assert_eq!(slo.windows[0].good + slo.windows[0].bad, 1);
+    }
+
+    /// A plan naming a table or column outside the served catalog is
+    /// refused at admission — single, batched, blocking or not — and
+    /// never reaches a worker, which keeps answering valid plans.
+    #[test]
+    fn plans_outside_the_catalog_are_refused_at_admission() {
+        use zsdb_catalog::{ColumnId, ColumnRef, TableId, Value};
+        use zsdb_engine::PhysOperator;
+        use zsdb_query::{CmpOp, Predicate};
+        let (model, catalog, plans) = tiny_server_fixture();
+        let server = PredictionServer::start(
+            model,
+            catalog,
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        );
+        let scan = |table, predicates| {
+            PlanNode::leaf(PhysOperator::SeqScan { table, predicates }, 1.0, 1.0, 8.0)
+        };
+        let unknown_table = scan(TableId(9999), vec![]);
+        let column = ColumnRef::new(TableId(0), ColumnId(9999));
+        let unknown_column = scan(
+            TableId(0),
+            vec![Predicate::new(column, CmpOp::Eq, Value::Int(1))],
+        );
+        let invalid = |r: &ServeError| matches!(r, ServeError::InvalidPlan(_));
+        for bad in [&unknown_table, &unknown_column] {
+            let err = server.predict_blocking(bad.clone()).unwrap_err();
+            assert!(invalid(&err), "{err}");
+            let rejected = server.try_submit(bad.clone()).unwrap_err();
+            assert!(invalid(&rejected.reason), "{rejected}");
+            let mut batch = plans[..3].to_vec();
+            batch.insert(1, bad.clone());
+            let Err(err) = server.submit_batch(batch.clone()) else {
+                panic!("a batch holding a bad plan was admitted")
+            };
+            assert!(invalid(&err), "{err}");
+            let Err(rejected) = server.try_submit_batch(batch) else {
+                panic!("a batch holding a bad plan was admitted")
+            };
+            assert!(invalid(&rejected.reason) && rejected.answered.is_none());
+            assert_eq!(rejected.plans.len(), 4, "refused whole");
+        }
+        assert_eq!(server.metrics().rejected_requests, 0, "not load shedding");
+        let answers = server.submit_batch(plans.clone()).unwrap().wait().unwrap();
+        for (plan, batched) in plans.iter().zip(answers) {
+            let single = server.predict_blocking(plan.clone()).unwrap();
+            assert_eq!(
+                single.runtime_secs.to_bits(),
+                batched.runtime_secs.to_bits()
+            );
+        }
     }
 
     #[test]
