@@ -540,6 +540,9 @@ mod tests {
         mlp.params_mut().next().expect("an MLP has parameters")
     }
 
+    /// Layer 0's weight 0 of every head and of the encoder's combine MLP:
+    /// the analytic gradient against a central finite difference of the
+    /// joint weighted loss.
     #[test]
     fn cost_head_gradients_match_finite_differences() {
         let samples = samples();
@@ -547,25 +550,39 @@ mod tests {
         let mut model = MultiTaskModel::new(MultiTaskConfig::tiny());
         model.zero_grad();
         model.accumulate_gradients_batch(&refs);
-        let analytic = param(&mut model.cost_head).grad[0];
-        let orig = param(&mut model.cost_head).data[0];
-        let eps = 1e-6;
         let loss_at = |m: &mut MultiTaskModel| {
             m.zero_grad();
             let bp = m.accumulate_gradients_batch(&refs);
             m.zero_grad();
-            m.config.cost_weight * bp.cost_loss
+            bp.loss
         };
-        param(&mut model.cost_head).data[0] = orig + eps;
-        let up = loss_at(&mut model);
-        param(&mut model.cost_head).data[0] = orig - eps;
-        let down = loss_at(&mut model);
-        param(&mut model.cost_head).data[0] = orig;
-        let numeric = (up - down) / (2.0 * eps);
-        assert!(
-            (analytic - numeric).abs() < 1e-4 * (1.0 + numeric.abs()),
-            "analytic {analytic} vs numeric {numeric}"
-        );
+        type Select = fn(&mut MultiTaskModel) -> &mut zsdb_nn::ParamBuf;
+        let selects: [(&str, Select); 4] = [
+            ("cost_head", |m| param(&mut m.cost_head)),
+            ("root_card_head", |m| param(&mut m.root_card_head)),
+            ("op_card_head", |m| param(&mut m.op_card_head)),
+            // The combine MLP comes last in the encoder's parameters: its
+            // two layers are the last four buffers.
+            ("combine", |m| {
+                let k = m.encoder.params().count() - 4;
+                m.encoder.params_mut().nth(k).expect("combine layer 0")
+            }),
+        ];
+        let analytic: Vec<f64> = selects.iter().map(|(_, p)| p(&mut model).grad[0]).collect();
+        let eps = 1e-6;
+        for ((name, p), analytic) in selects.iter().zip(analytic) {
+            let orig = p(&mut model).data[0];
+            p(&mut model).data[0] = orig + eps;
+            let up = loss_at(&mut model);
+            p(&mut model).data[0] = orig - eps;
+            let down = loss_at(&mut model);
+            p(&mut model).data[0] = orig;
+            let numeric = (up - down) / (2.0 * eps);
+            assert!(
+                (analytic - numeric).abs() < 1e-4 * (1.0 + numeric.abs()),
+                "{name}: analytic {analytic} vs numeric {numeric}"
+            );
+        }
     }
 
     #[test]
