@@ -27,13 +27,13 @@ use zsdb_cardest::{
     CardinalityEstimator, HistogramEstimator, PostgresLikeEstimator, SamplingEstimator,
 };
 use zsdb_core::dataset::{collect_training_corpus, TrainingDataConfig};
-use zsdb_core::{qerror_percentiles, FeaturizerConfig, ModelConfig, Trainer, TrainingConfig};
+use zsdb_core::{FeaturizerConfig, ModelConfig, Trainer, TrainingConfig};
 use zsdb_engine::{EngineConfig, HardwareProfile, Optimizer, QueryExecution, QueryRunner};
 use zsdb_multitask::{
     samples_from_executions, LearnedCardEstimator, MultiTaskConfig, MultiTaskSample,
     MultiTaskTrainer,
 };
-use zsdb_nn::q_error;
+use zsdb_nn::{median, percentile, q_error};
 use zsdb_query::WorkloadGenerator;
 use zsdb_storage::Database;
 
@@ -74,10 +74,9 @@ struct QErrorReport {
 }
 
 fn qerrors(qs: &[f64]) -> QErrorReport {
-    let p = qerror_percentiles(qs);
     QErrorReport {
-        median: p.p50,
-        p95: p.p95,
+        median: median(qs),
+        p95: percentile(qs, 95.0),
     }
 }
 

@@ -10,11 +10,13 @@
 use zsdb_baselines::{E2EModel, MscnConfig, MscnModel, ScaledOptimizerCost};
 use zsdb_bench::{benchmark_executions, evaluation_database, train_zero_shot, ExperimentScale};
 use zsdb_core::dataset::{collect_for_database, workload_execution_hours};
-use zsdb_core::{evaluate, median_qerror_of, FeaturizerConfig, ModelConfig};
+use zsdb_core::{evaluate, FeaturizerConfig, ModelConfig};
+use zsdb_nn::QErrorSummary;
 use zsdb_query::{WorkloadKind, WorkloadSpec};
 
 fn main() {
     let scale = ExperimentScale::from_args();
+    let median_qerror = |pairs: &[(f64, f64)]| QErrorSummary::from_predictions(pairs).median;
     println!("# Figure 3 reproduction (scale: {scale:?})\n");
 
     // 1. Zero-shot models trained on synthetic databases only.
@@ -58,7 +60,7 @@ fn main() {
             let train_slice = &baseline_pool[..n.min(baseline_pool.len())];
 
             let opt = ScaledOptimizerCost::fit(train_slice);
-            let opt_q = median_qerror_of(
+            let opt_q = median_qerror(
                 &eval
                     .iter()
                     .map(|e| (opt.predict(e), e.runtime_secs))
@@ -67,7 +69,7 @@ fn main() {
 
             let mut mscn = MscnModel::new(db.catalog(), MscnConfig::default());
             mscn.train(db.catalog(), train_slice);
-            let mscn_q = median_qerror_of(
+            let mscn_q = median_qerror(
                 &eval
                     .iter()
                     .map(|e| (mscn.predict(db.catalog(), &e.query), e.runtime_secs))
@@ -76,7 +78,7 @@ fn main() {
 
             let mut e2e = E2EModel::new(ModelConfig::default(), scale.epochs, 1.5e-3);
             e2e.train(&db, train_slice);
-            let e2e_q = median_qerror_of(
+            let e2e_q = median_qerror(
                 &eval
                     .iter()
                     .map(|e| (e2e.predict(&db, e), e.runtime_secs))

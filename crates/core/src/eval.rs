@@ -4,45 +4,8 @@ use crate::features::{featurize_execution, PlanGraph};
 use crate::train::{Trainable, TrainedModel};
 use serde::{Deserialize, Serialize};
 use zsdb_engine::QueryExecution;
-use zsdb_nn::{percentile, q_error, QErrorSummary};
+use zsdb_nn::QErrorSummary;
 use zsdb_storage::Database;
-
-/// Q-error percentiles of a prediction stream: the p50/p95/max triple the
-/// paper reports, computed from raw `(predicted, actual)` pairs.
-///
-/// Experiment binaries should use these helpers instead of re-deriving
-/// medians by hand so every table in the repo slices the distribution the
-/// same way.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QErrorPercentiles {
-    /// Median (50th percentile) Q-error.
-    pub p50: f64,
-    /// 95th-percentile Q-error.
-    pub p95: f64,
-    /// Maximum observed Q-error.
-    pub max: f64,
-}
-
-/// Q-error percentiles of raw q-error samples.
-pub fn qerror_percentiles(qerrors: &[f64]) -> QErrorPercentiles {
-    QErrorPercentiles {
-        p50: percentile(qerrors, 50.0),
-        p95: percentile(qerrors, 95.0),
-        max: qerrors.iter().copied().fold(f64::NAN, f64::max),
-    }
-}
-
-/// Q-error percentiles of `(predicted, actual)` pairs.
-pub fn qerror_percentiles_of(pairs: &[(f64, f64)]) -> QErrorPercentiles {
-    let qs: Vec<f64> = pairs.iter().map(|(p, a)| q_error(*p, *a)).collect();
-    qerror_percentiles(&qs)
-}
-
-/// Median Q-error of `(predicted, actual)` pairs — the single number most
-/// experiment tables report per cell.
-pub fn median_qerror_of(pairs: &[(f64, f64)]) -> f64 {
-    qerror_percentiles_of(pairs).p50
-}
 
 /// Q-error report of one model on one workload, in the format of the
 /// paper's Table 1.
@@ -144,24 +107,6 @@ mod tests {
     use crate::train::{Trainer, TrainingConfig};
     use zsdb_catalog::presets;
     use zsdb_query::WorkloadSpec;
-
-    #[test]
-    fn qerror_percentile_helpers_match_summary() {
-        let pairs = [(1.0, 1.0), (2.0, 1.0), (1.0, 4.0), (8.0, 1.0)];
-        let p = qerror_percentiles_of(&pairs);
-        let s = QErrorSummary::from_predictions(&pairs);
-        assert_eq!(p.p50, s.median);
-        assert_eq!(p.p95, s.p95);
-        assert_eq!(p.max, s.max);
-        assert_eq!(median_qerror_of(&pairs), s.median);
-        assert!(p.max >= p.p95 && p.p95 >= p.p50);
-    }
-
-    #[test]
-    fn qerror_percentiles_empty_input_is_nan() {
-        let p = qerror_percentiles(&[]);
-        assert!(p.p50.is_nan() && p.p95.is_nan() && p.max.is_nan());
-    }
 
     #[test]
     fn evaluation_report_formats() {

@@ -43,8 +43,7 @@ pub use batch::{
 };
 pub use dataset::{collect_for_database, collect_training_corpus, TrainingDataConfig};
 pub use eval::{
-    evaluate, evaluate_graphs, evaluate_predictions, median_qerror_of, predict_runtime,
-    qerror_percentiles, qerror_percentiles_of, EvaluationReport, QErrorPercentiles,
+    evaluate, evaluate_graphs, evaluate_predictions, predict_runtime, EvaluationReport,
 };
 pub use features::{
     featurize_execution_into, featurize_plan_into, CardinalityMode, FeatureMode, FeaturizerConfig,

@@ -30,7 +30,7 @@ pub mod param;
 
 pub use batch::Batch;
 pub use kernel::{active_kernel, KernelKind};
-pub use metrics::{median, percentile, q_error, QErrorSummary};
+pub use metrics::{median, percentile, percentile_of_sorted, q_error, QErrorSummary};
 pub use mlp::{
     Activation, BatchBackwardScratch, BatchForwardScratch, ForwardScratch, Mlp, MlpBatchCache,
 };

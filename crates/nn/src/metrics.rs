@@ -25,11 +25,17 @@ pub fn median(values: &[f64]) -> f64 {
 /// The `p`-th percentile (0–100) of a sample using linear interpolation
 /// between closest ranks.  Returns `NaN` for empty input.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
     let mut sorted = values.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    percentile_of_sorted(&sorted, p)
+}
+
+/// [`percentile`] of an already-sorted sample, without the clone and the
+/// sort.  Returns `NaN` for empty input.
+pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
     let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;

@@ -16,6 +16,7 @@ use crate::provenance::{ProvenanceLog, ProvenanceSeed};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+use zsdb_nn::percentile_of_sorted;
 use zsdb_obs::{
     render_prometheus, sanitize_metric_name, Counter, FlightClass, FlightRecorder,
     FlightRecorderConfig, Gauge, Histogram, LatencyWindow, Registry, SloConfig, SloTracker, Trace,
@@ -483,24 +484,6 @@ impl ServeMetrics {
     }
 }
 
-/// Linear-interpolation percentile of an already-sorted sample (same
-/// definition as [`zsdb_nn::percentile`], without the per-call clone and
-/// sort).  Returns `NaN` for empty input.
-pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
-
 impl Default for ServeMetrics {
     fn default() -> Self {
         ServeMetrics::new()
@@ -719,20 +702,6 @@ mod tests {
         assert_eq!(a.latency_max_ms, b.latency_max_ms);
         assert_eq!(a.window_occupancy, b.window_occupancy);
         assert_eq!(b.window_capacity, 4 * LATENCY_WINDOW, "one ring per thread");
-    }
-
-    #[test]
-    fn percentile_of_sorted_matches_nn_percentile() {
-        let samples = [5.0, 1.0, 4.0, 2.0, 3.0, 9.0, 0.5];
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for p in [0.0, 25.0, 50.0, 95.0, 99.0, 100.0] {
-            assert_eq!(
-                percentile_of_sorted(&sorted, p),
-                zsdb_nn::percentile(&samples, p)
-            );
-        }
-        assert!(percentile_of_sorted(&[], 50.0).is_nan());
     }
 
     #[test]

@@ -40,8 +40,8 @@
 
 use crate::error::ServeError;
 use crate::metrics::{
-    percentile_of_sorted, STAGE_ADMISSION, STAGE_CACHE_LOOKUP, STAGE_FEATURIZE, STAGE_FORWARD,
-    STAGE_QUEUE_WAIT, STAGE_RESPOND,
+    STAGE_ADMISSION, STAGE_CACHE_LOOKUP, STAGE_FEATURIZE, STAGE_FORWARD, STAGE_QUEUE_WAIT,
+    STAGE_RESPOND,
 };
 use crate::provenance::ProvenanceSeed;
 use crate::server::{BatchPredictionTicket, PredictionServer, PredictionTicket};
@@ -53,6 +53,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use zsdb_engine::PlanNode;
+use zsdb_nn::percentile_of_sorted;
 use zsdb_obs::{ActiveTrace, LatencyWindow, Trace, Tracer};
 use zsdb_protocol::{
     decode_frame, encode_frame, ErrorCode, ErrorResponse, Frame, GatewayMetrics, HealthResponse,
