@@ -23,8 +23,10 @@ pub enum ProtocolError {
         /// The enforced limit.
         limit: u32,
     },
-    /// The payload bytes are not valid UTF-8 JSON for the opcode's
-    /// payload type.
+    /// The payload bytes do not parse as the opcode's payload (the
+    /// binary plan layout for `Predict`/`PredictBatch`, UTF-8 JSON for
+    /// the other ops).  The header before it was valid, so
+    /// [`decode_header`](crate::decode_header) still frames it.
     MalformedPayload {
         /// Human-readable opcode name.
         op: &'static str,

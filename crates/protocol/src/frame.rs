@@ -6,15 +6,17 @@ use crate::message::{
     ErrorResponse, ExplainRequest, GatewayMetrics, HealthResponse, HelloAck, HelloRequest, Message,
     ProvenanceRecord, SlowLogRequest, WirePrediction, WireSloStatus,
 };
+use crate::plan_codec;
 use std::io::{Read, Write};
-use zsdb_engine::PlanNode;
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"ZSDB";
 
 /// The one protocol version this build speaks: every frame carries it,
-/// and a frame or `Hello` of any other version is refused.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// and a frame or `Hello` of any other version is refused.  Version 3
+/// carries `Predict`/`PredictBatch` plans in the binary plan layout;
+/// version 2 carried them as JSON.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Flag bit: an 8-byte little-endian trace id immediately follows the
 /// fixed header, before the payload.
@@ -72,34 +74,45 @@ impl Frame {
     }
 }
 
-fn payload_json(message: &Message) -> Result<String, ProtocolError> {
-    let encode = |r: Result<String, serde_json::Error>| {
-        r.map_err(|e| ProtocolError::MalformedPayload {
-            op: message.op_name(),
-            detail: e.to_string(),
-        })
-    };
-    Ok(match message {
-        Message::Hello(m) => encode(serde_json::to_string(m))?,
-        Message::HelloAck(m) => encode(serde_json::to_string(m))?,
-        Message::Predict(plan) => encode(serde_json::to_string(plan.as_ref()))?,
-        Message::PredictBatch(plans) => encode(serde_json::to_string(plans))?,
-        Message::PredictOk(m) => encode(serde_json::to_string(m))?,
-        Message::PredictBatchOk(m) => encode(serde_json::to_string(m))?,
-        Message::Metrics | Message::MetricsText | Message::Health | Message::SloStatus => {
-            String::new()
+/// Append `message`'s payload to `out`: the binary plan codec for
+/// `Predict`/`PredictBatch`, raw text for `MetricsTextOk`, JSON otherwise.
+fn encode_payload(message: &Message, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+    let json = match message {
+        Message::Predict(plan) => {
+            plan_codec::encode_plan(plan, out);
+            return Ok(());
         }
-        Message::MetricsOk(m) => encode(serde_json::to_string(m.as_ref()))?,
+        Message::PredictBatch(plans) => {
+            plan_codec::encode_plans(plans, out);
+            return Ok(());
+        }
+        Message::Metrics | Message::MetricsText | Message::Health | Message::SloStatus => {
+            return Ok(())
+        }
         // Raw Prometheus exposition text, not JSON.
-        Message::MetricsTextOk(text) => text.clone(),
-        Message::HealthOk(m) => encode(serde_json::to_string(m))?,
-        Message::Explain(m) => encode(serde_json::to_string(m))?,
-        Message::ExplainOk(m) => encode(serde_json::to_string(m.as_ref()))?,
-        Message::SlowLog(m) => encode(serde_json::to_string(m))?,
-        Message::SlowLogOk(m) => encode(serde_json::to_string(m))?,
-        Message::SloStatusOk(m) => encode(serde_json::to_string(m))?,
-        Message::Error(m) => encode(serde_json::to_string(m))?,
-    })
+        Message::MetricsTextOk(text) => {
+            out.extend_from_slice(text.as_bytes());
+            return Ok(());
+        }
+        Message::Hello(m) => serde_json::to_string(m),
+        Message::HelloAck(m) => serde_json::to_string(m),
+        Message::PredictOk(m) => serde_json::to_string(m),
+        Message::PredictBatchOk(m) => serde_json::to_string(m),
+        Message::MetricsOk(m) => serde_json::to_string(m.as_ref()),
+        Message::HealthOk(m) => serde_json::to_string(m),
+        Message::Explain(m) => serde_json::to_string(m),
+        Message::ExplainOk(m) => serde_json::to_string(m.as_ref()),
+        Message::SlowLog(m) => serde_json::to_string(m),
+        Message::SlowLogOk(m) => serde_json::to_string(m),
+        Message::SloStatusOk(m) => serde_json::to_string(m),
+        Message::Error(m) => serde_json::to_string(m),
+    };
+    let json = json.map_err(|e| ProtocolError::MalformedPayload {
+        op: message.op_name(),
+        detail: e.to_string(),
+    })?;
+    out.extend_from_slice(json.as_bytes());
+    Ok(())
 }
 
 fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, ProtocolError> {
@@ -112,6 +125,10 @@ fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, ProtocolError> 
             op,
             detail: e.to_string(),
         })
+    }
+    // The plan codec reports a bare detail; this names the op.
+    fn binary(op: &'static str) -> impl Fn(String) -> ProtocolError {
+        move |detail| ProtocolError::MalformedPayload { op, detail }
     }
     // A request without a body carries an empty payload; bytes there mean
     // the frame is not what its opcode says (e.g. a flipped opcode bit).
@@ -132,8 +149,12 @@ fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, ProtocolError> 
     Ok(match opcode {
         0x01 => Message::Hello(parse::<HelloRequest>("Hello", payload)?),
         0x02 => Message::HelloAck(parse::<HelloAck>("HelloAck", payload)?),
-        0x10 => Message::Predict(Box::new(parse::<PlanNode>("Predict", payload)?)),
-        0x11 => Message::PredictBatch(parse::<Vec<PlanNode>>("PredictBatch", payload)?),
+        0x10 => Message::Predict(Box::new(
+            plan_codec::decode_plan(payload).map_err(binary("Predict"))?,
+        )),
+        0x11 => Message::PredictBatch(
+            plan_codec::decode_plans(payload).map_err(binary("PredictBatch"))?,
+        ),
         0x12 => Message::PredictOk(parse::<WirePrediction>("PredictOk", payload)?),
         0x13 => Message::PredictBatchOk(parse::<Vec<WirePrediction>>("PredictBatchOk", payload)?),
         0x20 => bodiless("Metrics", payload, Message::Metrics)?,
@@ -160,36 +181,38 @@ fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, ProtocolError> 
     })
 }
 
-/// Encode one frame into bytes (header + JSON payload).
+/// Encode one frame into bytes (header, extension, payload).
 ///
 /// Fails only when the payload would exceed [`MAX_PAYLOAD_LEN`] — e.g. an
 /// absurdly large `PredictBatch`.
 pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, ProtocolError> {
-    let payload = payload_json(&frame.message)?;
-    let payload = payload.as_bytes();
-    if payload.len() as u64 > MAX_PAYLOAD_LEN as u64 {
-        return Err(ProtocolError::PayloadTooLarge {
-            declared: payload.len() as u32,
-            limit: MAX_PAYLOAD_LEN,
-        });
-    }
     let flags = if frame.trace_id == 0 {
         0
     } else {
         FLAG_TRACE_ID
     };
     let ext_len = header_ext_len(flags);
-    let mut out = Vec::with_capacity(HEADER_LEN + ext_len + payload.len());
+    let payload_at = HEADER_LEN + ext_len;
+    // Room for a typical plan; the length field is filled in last.
+    let mut out = Vec::with_capacity(payload_at + 512);
     out.extend_from_slice(&MAGIC);
     out.push(PROTOCOL_VERSION);
     out.push(frame.message.opcode());
     out.extend_from_slice(&flags.to_le_bytes());
     out.extend_from_slice(&frame.request_id.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes());
     if ext_len != 0 {
         out.extend_from_slice(&frame.trace_id.to_le_bytes());
     }
-    out.extend_from_slice(payload);
+    encode_payload(&frame.message, &mut out)?;
+    let payload_len = out.len() - payload_at;
+    if payload_len as u64 > MAX_PAYLOAD_LEN as u64 {
+        return Err(ProtocolError::PayloadTooLarge {
+            declared: u32::try_from(payload_len).unwrap_or(u32::MAX),
+            limit: MAX_PAYLOAD_LEN,
+        });
+    }
+    out[16..20].copy_from_slice(&(payload_len as u32).to_le_bytes());
     Ok(out)
 }
 
@@ -202,13 +225,34 @@ fn header_ext_len(flags: u16) -> usize {
     }
 }
 
-/// Decode the first frame of `buf`.
+/// The fixed header of a frame, checked: enough to find the frame's end
+/// and to answer it before (or without) parsing its payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    /// The opcode byte (not yet checked against the known ops).
+    pub opcode: u8,
+    /// Flags; only [`FLAG_TRACE_ID`] may be set.
+    pub flags: u16,
+    /// Client-chosen request id.
+    pub request_id: u64,
+    /// Declared payload length, at most [`MAX_PAYLOAD_LEN`].
+    pub payload_len: u32,
+}
+
+impl FrameHeader {
+    /// Bytes of the whole frame: header, extension and payload.
+    pub fn frame_len(&self) -> usize {
+        HEADER_LEN + header_ext_len(self.flags) + self.payload_len as usize
+    }
+}
+
+/// Check the fixed header at the start of `buf`.
 ///
-/// Returns `Ok(Some((frame, consumed)))` when a complete frame starts the
-/// buffer (`consumed` bytes of it), `Ok(None)` when the buffer holds only
-/// a prefix of a frame (read more bytes and retry), and an error when the
-/// bytes can never become a valid frame.
-pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtocolError> {
+/// Returns `Ok(None)` while fewer than [`HEADER_LEN`] bytes are buffered
+/// (failing early, though, on a prefix that cannot become the magic), and
+/// an error for a bad magic, another version, an unknown flag or an
+/// oversize payload — bytes that can never become a frame.
+pub fn decode_header(buf: &[u8]) -> Result<Option<FrameHeader>, ProtocolError> {
     if buf.len() < HEADER_LEN {
         // Reject garbage as early as its first bytes arrive.
         if !MAGIC.starts_with(&buf[..buf.len().min(4)]) {
@@ -224,13 +268,10 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtocolError>
     if buf[4] != PROTOCOL_VERSION {
         return Err(ProtocolError::UnsupportedVersion(buf[4]));
     }
-    let opcode = buf[5];
     let flags = u16::from_le_bytes([buf[6], buf[7]]);
     if flags & !FLAG_TRACE_ID != 0 {
         return Err(ProtocolError::NonZeroFlags(flags));
     }
-    let ext_len = header_ext_len(flags);
-    let request_id = u64::from_le_bytes(buf[8..16].try_into().expect("8-byte slice"));
     let payload_len = u32::from_le_bytes(buf[16..20].try_into().expect("4-byte slice"));
     if payload_len > MAX_PAYLOAD_LEN {
         return Err(ProtocolError::PayloadTooLarge {
@@ -238,21 +279,45 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtocolError>
             limit: MAX_PAYLOAD_LEN,
         });
     }
-    let total = HEADER_LEN + ext_len + payload_len as usize;
+    Ok(Some(FrameHeader {
+        opcode: buf[5],
+        flags,
+        request_id: u64::from_le_bytes(buf[8..16].try_into().expect("8-byte slice")),
+        payload_len,
+    }))
+}
+
+/// Decode the first frame of `buf`.
+///
+/// Returns `Ok(Some((frame, consumed)))` when a complete frame starts the
+/// buffer (`consumed` bytes of it), `Ok(None)` when the buffer holds only
+/// a prefix of a frame (read more bytes and retry), and an error when the
+/// bytes can never become a valid frame.  A
+/// [`ProtocolError::MalformedPayload`] comes only from a whole frame behind
+/// a valid header: [`decode_header`] then says which bytes to skip.
+pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtocolError> {
+    let Some(header) = decode_header(buf)? else {
+        return Ok(None);
+    };
+    let total = header.frame_len();
     if buf.len() < total {
         return Ok(None);
     }
-    let trace_id = if ext_len == TRACE_ID_EXT_LEN {
+    let payload_at = total - header.payload_len as usize;
+    let trace_id = if header.flags & FLAG_TRACE_ID != 0 {
         u64::from_le_bytes(
-            buf[HEADER_LEN..HEADER_LEN + TRACE_ID_EXT_LEN]
+            buf[HEADER_LEN..payload_at]
                 .try_into()
                 .expect("8-byte slice"),
         )
     } else {
         0
     };
-    let message = decode_payload(opcode, &buf[HEADER_LEN + ext_len..total])?;
-    Ok(Some((Frame::traced(request_id, trace_id, message), total)))
+    let message = decode_payload(header.opcode, &buf[payload_at..total])?;
+    Ok(Some((
+        Frame::traced(header.request_id, trace_id, message),
+        total,
+    )))
 }
 
 /// Read one frame from a blocking stream.
@@ -284,37 +349,25 @@ pub fn read_frame_limited<R: Read>(
         }
         filled += n;
     }
-    // Validate the header alone first (payload length is at a fixed
-    // offset), then read exactly the payload.
-    match decode_frame(&header)? {
-        Some((frame, consumed)) => {
-            debug_assert_eq!(consumed, HEADER_LEN, "empty-payload frame");
-            Ok(Some(frame))
-        }
-        None => {
-            let ext_len = header_ext_len(u16::from_le_bytes([header[6], header[7]]));
-            let declared = u32::from_le_bytes(header[16..20].try_into().expect("4-byte slice"));
-            if declared > payload_limit {
-                return Err(ProtocolError::PayloadTooLarge {
-                    declared,
-                    limit: payload_limit,
-                });
-            }
-            let payload_len = declared as usize;
-            let mut buf = Vec::with_capacity(HEADER_LEN + ext_len + payload_len);
-            buf.extend_from_slice(&header);
-            buf.resize(HEADER_LEN + ext_len + payload_len, 0);
-            reader
-                .read_exact(&mut buf[HEADER_LEN..])
-                .map_err(|e| match e.kind() {
-                    std::io::ErrorKind::UnexpectedEof => ProtocolError::Truncated,
-                    _ => ProtocolError::Io(e),
-                })?;
-            match decode_frame(&buf)? {
-                Some((frame, _)) => Ok(Some(frame)),
-                None => unreachable!("header + full payload must decode"),
-            }
-        }
+    // Validate the header alone first, then read exactly the rest.
+    let checked = decode_header(&header)?.expect("a whole header");
+    if checked.payload_len > payload_limit {
+        return Err(ProtocolError::PayloadTooLarge {
+            declared: checked.payload_len,
+            limit: payload_limit,
+        });
+    }
+    let mut buf = vec![0; checked.frame_len()];
+    buf[..HEADER_LEN].copy_from_slice(&header);
+    reader
+        .read_exact(&mut buf[HEADER_LEN..])
+        .map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => ProtocolError::Truncated,
+            _ => ProtocolError::Io(e),
+        })?;
+    match decode_frame(&buf)? {
+        Some((frame, _)) => Ok(Some(frame)),
+        None => unreachable!("header + full payload must decode"),
     }
 }
 
@@ -649,6 +702,25 @@ mod tests {
             Err(ProtocolError::MalformedPayload { op, .. }) => assert_eq!(op, "HealthOk"),
             other => panic!("expected MalformedPayload, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_malformed_payloads_header_still_frames_it() {
+        let mut bytes = encode_frame(&Frame::traced(77, 5, Message::PredictBatch(vec![]))).unwrap();
+        bytes.push(0); // a trailing byte after the batch
+        bytes[16..20].copy_from_slice(&5u32.to_le_bytes());
+        assert!(matches!(
+            decode_frame(&bytes),
+            Err(ProtocolError::MalformedPayload {
+                op: "PredictBatch",
+                ..
+            })
+        ));
+        let header = decode_header(&bytes).unwrap().expect("a whole header");
+        assert_eq!((header.opcode, header.request_id), (0x11, 77));
+        assert_eq!(header.frame_len(), bytes.len());
+        // Fewer bytes than a header are incomplete, not an error.
+        assert_eq!(decode_header(&bytes[..HEADER_LEN - 1]).unwrap(), None);
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! streaming decode over arbitrarily chunked concatenations; plus a
 //! decoder abuse suite (truncation, every single-bit flip of one frame
 //! per op, every op's header over every other op's payload) in which no
-//! input panics either decoder.
+//! input panics either decoder; plus the binary plan payload's own
+//! contract: every `f64` bit pattern crosses exactly, plans deeper than
+//! `MAX_PLAN_DEPTH` are refused, and a huge declared count in a short
+//! payload fails without allocating for it.
 
 use proptest::prelude::*;
 use zsdb_catalog::{ColumnId, ColumnRef, TableId, Value};
@@ -12,7 +15,7 @@ use zsdb_protocol::{
     decode_frame, encode_frame, read_frame, ErrorCode, ErrorResponse, ExplainRequest, Frame,
     GatewayMetrics, HealthResponse, HelloAck, HelloRequest, Message, ProtocolError,
     ProvenanceRecord, ProvenanceStage, SlowLogRequest, TenantMetrics, WirePrediction,
-    WireSloStatus, WireSloWindow, HEADER_LEN, PROTOCOL_VERSION,
+    WireSloStatus, WireSloWindow, HEADER_LEN, MAX_PLAN_DEPTH, PROTOCOL_VERSION,
 };
 use zsdb_query::{Aggregate, CmpOp, Predicate};
 
@@ -402,5 +405,350 @@ fn every_op_header_over_every_other_ops_payload_fails_as_that_op() {
                 other => panic!("{} header: {other:?}", header.op_name()),
             }
         }
+    }
+}
+
+/// Largest single allocation the calling thread has asked for — per
+/// thread, because libtest runs this file's tests in parallel and the
+/// bit-flip suite legitimately buffers payloads of up to `MAX_PAYLOAD_LEN`.
+mod largest_allocation {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    struct Tracking;
+
+    thread_local! {
+        // Const-initialised and without a destructor, so touching it from
+        // inside the allocator never allocates.
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn note(size: usize) {
+        // `try_with`: a thread tearing down may allocate after its
+        // thread-locals are gone.
+        let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+    }
+
+    unsafe impl GlobalAlloc for Tracking {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Tracking = Tracking;
+
+    /// Run `f` and return the largest allocation it made on this thread.
+    pub fn during(f: impl FnOnce()) -> usize {
+        LARGEST.with(|largest| largest.set(0));
+        f();
+        LARGEST.with(Cell::get)
+    }
+}
+
+/// Any `f64` at all, weighted towards the bit patterns text formats lose:
+/// NaNs with payloads and either sign, ±inf, −0.0 and subnormals.
+fn any_f64(gen: &mut Gen) -> f64 {
+    let bits = gen.next();
+    f64::from_bits(match gen.below(6) {
+        0 => 0x7FF0_0000_0000_0000 | (bits & 0x800F_FFFF_FFFF_FFFF) | 1, // NaN
+        1 => (bits & 0x8000_0000_0000_0000) | 0x7FF0_0000_0000_0000,     // ±inf
+        2 => 0x8000_0000_0000_0000,                                      // −0.0
+        3 => bits & 0x800F_FFFF_FFFF_FFFF,                               // ±subnormal or ±0
+        _ => bits,
+    })
+}
+
+/// Overwrite every float of `plan` with [`any_f64`].
+fn wild_floats(plan: &mut PlanNode, gen: &mut Gen) {
+    let wild_predicates = |predicates: &mut Vec<Predicate>, gen: &mut Gen| {
+        for p in predicates {
+            if let Value::Float(v) = &mut p.value {
+                *v = any_f64(gen);
+            }
+        }
+    };
+    match &mut plan.op {
+        PhysOperator::SeqScan { predicates, .. } => wild_predicates(predicates, gen),
+        PhysOperator::IndexScan {
+            lo, hi, residual, ..
+        } => {
+            for bound in [lo, hi] {
+                if bound.is_some() {
+                    *bound = Some(any_f64(gen));
+                }
+            }
+            wild_predicates(residual, gen);
+        }
+        _ => {}
+    }
+    plan.est_cardinality = any_f64(gen);
+    plan.est_cost = any_f64(gen);
+    plan.output_width = any_f64(gen);
+    for child in &mut plan.children {
+        wild_floats(child, gen);
+    }
+}
+
+/// Every field of `plan` in pre-order, floats as their bits: equal
+/// vectors mean equal plans bit for bit, where `PartialEq` fails on NaN.
+fn plan_bits(plan: &PlanNode, out: &mut Vec<u64>) {
+    let column = |c: &ColumnRef, out: &mut Vec<u64>| {
+        out.extend([c.table.0 as u64, c.column.0 as u64]);
+    };
+    let predicates = |ps: &[Predicate], out: &mut Vec<u64>| {
+        out.push(ps.len() as u64);
+        for p in ps {
+            column(&p.column, out);
+            out.push(p.op.index() as u64);
+            out.extend(match p.value {
+                Value::Null => [0, 0],
+                Value::Int(v) => [1, v as u64],
+                Value::Float(v) => [2, v.to_bits()],
+                Value::Cat(v) => [3, v as u64],
+                Value::Bool(v) => [4, v as u64],
+            });
+        }
+    };
+    out.push(plan.op.kind().index() as u64);
+    match &plan.op {
+        PhysOperator::SeqScan {
+            table,
+            predicates: ps,
+        } => {
+            out.push(table.0 as u64);
+            predicates(ps, out);
+        }
+        PhysOperator::IndexScan {
+            table,
+            index_column,
+            lo,
+            hi,
+            residual,
+        } => {
+            out.push(table.0 as u64);
+            column(index_column, out);
+            for bound in [lo, hi] {
+                out.extend(bound.map_or([0, 0], |v| [1, v.to_bits()]));
+            }
+            predicates(residual, out);
+        }
+        PhysOperator::HashJoin {
+            build_key: a,
+            probe_key: b,
+        }
+        | PhysOperator::NestedLoopJoin {
+            outer_key: a,
+            inner_key: b,
+        } => {
+            column(a, out);
+            column(b, out);
+        }
+        PhysOperator::Aggregate { aggregates } => {
+            out.push(aggregates.len() as u64);
+            for a in aggregates {
+                out.push(a.func.index() as u64);
+                match &a.column {
+                    None => out.push(0),
+                    Some(c) => {
+                        out.push(1);
+                        column(c, out);
+                    }
+                }
+            }
+        }
+    }
+    out.extend([
+        plan.est_cardinality.to_bits(),
+        plan.est_cost.to_bits(),
+        plan.output_width.to_bits(),
+        plan.children.len() as u64,
+    ]);
+    for child in &plan.children {
+        plan_bits(child, out);
+    }
+}
+
+fn bits_of(plans: &[PlanNode]) -> Vec<u64> {
+    let mut out = Vec::new();
+    for plan in plans {
+        plan_bits(plan, &mut out);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn every_float_bit_pattern_crosses_exactly(seed in 0u64..u64::MAX, batch in 0u64..4) {
+        let mut gen = Gen(seed);
+        let mut plans: Vec<PlanNode> = (0..batch.max(1)).map(|_| gen.plan(3)).collect();
+        for plan in &mut plans {
+            wild_floats(plan, &mut gen);
+        }
+        let message = if batch == 0 {
+            Message::Predict(Box::new(plans[0].clone()))
+        } else {
+            Message::PredictBatch(plans.clone())
+        };
+        let bytes = encode_frame(&Frame::new(1, message)).expect("encode");
+        let (back, used) = decode_frame(&bytes).expect("decode").expect("whole frame");
+        prop_assert_eq!(used, bytes.len());
+        let decoded = match back.message {
+            Message::Predict(plan) => vec![*plan],
+            Message::PredictBatch(plans) => plans,
+            other => panic!("decoded a {}", other.op_name()),
+        };
+        prop_assert_eq!(bits_of(&decoded), bits_of(&plans));
+    }
+}
+
+/// JSON wrote a NaN bound as `null` and read it back as `None`: a
+/// different plan.  The binary payload keeps it `Some(NaN)`, bits and all.
+#[test]
+fn a_nan_index_bound_stays_some() {
+    let nan = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+    let plan = PlanNode::leaf(
+        PhysOperator::IndexScan {
+            table: TableId(1),
+            index_column: ColumnRef::new(TableId(1), ColumnId(0)),
+            lo: Some(nan),
+            hi: Some(-0.0),
+            residual: vec![],
+        },
+        f64::NAN,
+        f64::INFINITY,
+        8.0,
+    );
+    let bytes = encode_frame(&Frame::new(1, Message::Predict(Box::new(plan.clone())))).unwrap();
+    let (back, _) = decode_frame(&bytes).unwrap().unwrap();
+    let Message::Predict(back) = back.message else {
+        panic!("not a Predict")
+    };
+    assert_eq!(bits_of(std::slice::from_ref(&*back)), bits_of(&[plan]));
+    let PhysOperator::IndexScan { lo, hi, .. } = back.op else {
+        panic!("not an IndexScan")
+    };
+    assert_eq!(lo.map(f64::to_bits), Some(nan.to_bits()));
+    assert_eq!(hi.map(f64::to_bits), Some((-0.0f64).to_bits()));
+}
+
+/// `message`'s header (length patched) over `payload`.
+fn frame_over(message: Message, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = encode_frame(&Frame::new(5, message)).expect("encode")[..HEADER_LEN].to_vec();
+    bytes[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// The encoding of an `Aggregate` node of no aggregates, as laid out in
+/// the crate docs, declaring `children` children.
+fn aggregate_node(children: u32) -> Vec<u8> {
+    let mut node = vec![4];
+    node.extend_from_slice(&0u32.to_le_bytes());
+    for v in [1.0f64, 2.0, 8.0] {
+        node.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    node.extend_from_slice(&children.to_le_bytes());
+    node
+}
+
+/// A chain of `levels` aggregate nodes, each the only child of the one
+/// before.
+fn chain_payload(levels: usize) -> Vec<u8> {
+    (0..levels)
+        .flat_map(|level| aggregate_node(u32::from(level + 1 < levels)))
+        .collect()
+}
+
+fn assert_malformed(bytes: &[u8], op: &str) {
+    assert_decodes_or_fails_cleanly(bytes);
+    match decode_frame(bytes) {
+        Err(ProtocolError::MalformedPayload { op: got, .. }) => assert_eq!(got, op),
+        other => panic!("expected a malformed {op}, got {other:?}"),
+    }
+    assert!(matches!(
+        read_frame(&mut &bytes[..]),
+        Err(ProtocolError::MalformedPayload { .. })
+    ));
+}
+
+#[test]
+fn plans_deeper_than_the_bound_are_refused_without_recursing() {
+    let predict = || Message::Predict(Box::new(Gen(1).plan(0)));
+    let deepest = frame_over(predict(), &chain_payload(MAX_PLAN_DEPTH));
+    let (frame, _) = decode_frame(&deepest).unwrap().expect("whole frame");
+    let Message::Predict(plan) = &frame.message else {
+        panic!("not a Predict")
+    };
+    assert_eq!(plan.depth(), MAX_PLAN_DEPTH);
+    assert_eq!(read_frame(&mut &deepest[..]).unwrap(), Some(frame.clone()));
+    // The hand-built bytes are what the encoder writes for that plan.
+    assert_eq!(encode_frame(&frame).unwrap(), deepest);
+
+    // One level deeper, and ten thousand levels (a payload an unbounded
+    // recursive decoder would follow all the way down), fail as payloads,
+    // alone and inside a batch.
+    for levels in [MAX_PLAN_DEPTH + 1, 10_000] {
+        let chain = chain_payload(levels);
+        assert_malformed(&frame_over(predict(), &chain), "Predict");
+        let mut batch = 1u32.to_le_bytes().to_vec();
+        batch.extend_from_slice(&chain);
+        assert_malformed(
+            &frame_over(Message::PredictBatch(vec![]), &batch),
+            "PredictBatch",
+        );
+    }
+}
+
+#[test]
+fn huge_counts_in_short_payloads_fail_without_allocating_for_them() {
+    let huge = u32::MAX.to_le_bytes();
+    // An aggregate node declaring u32::MAX children, then a few bytes.
+    let mut children = aggregate_node(u32::MAX);
+    children.extend_from_slice(&[0; 64]);
+    // A SeqScan of table 0 declaring u32::MAX predicates.
+    let mut predicates = vec![0, 0, 0, 0, 0];
+    predicates.extend_from_slice(&huge);
+    predicates.extend_from_slice(&[0; 64]);
+    // An Aggregate declaring u32::MAX aggregates.
+    let mut aggregates = vec![4];
+    aggregates.extend_from_slice(&huge);
+    aggregates.extend_from_slice(&[0; 64]);
+    // A batch declaring u32::MAX plans, holding one.
+    let mut batch = huge.to_vec();
+    batch.extend_from_slice(&aggregate_node(0));
+    let predict = || Message::Predict(Box::new(Gen(1).plan(0)));
+    for (bytes, op) in [
+        (frame_over(predict(), &children), "Predict"),
+        (frame_over(predict(), &predicates), "Predict"),
+        (frame_over(predict(), &aggregates), "Predict"),
+        (
+            frame_over(Message::PredictBatch(vec![]), &batch),
+            "PredictBatch",
+        ),
+    ] {
+        let largest = largest_allocation::during(|| assert_malformed(&bytes, op));
+        assert!(
+            largest < 64 * 1024,
+            "a {}-byte {op} frame allocated {largest} bytes at once",
+            bytes.len()
+        );
     }
 }

@@ -56,9 +56,9 @@ use zsdb_engine::PlanNode;
 use zsdb_nn::percentile_of_sorted;
 use zsdb_obs::{ActiveTrace, LatencyWindow, Trace, Tracer};
 use zsdb_protocol::{
-    decode_frame, encode_frame, ErrorCode, ErrorResponse, Frame, GatewayMetrics, HealthResponse,
-    HelloAck, Message, ProtocolError, TenantMetrics, WirePrediction, MAX_HANDSHAKE_PAYLOAD_LEN,
-    PROTOCOL_VERSION,
+    decode_frame, decode_header, encode_frame, ErrorCode, ErrorResponse, Frame, GatewayMetrics,
+    HealthResponse, HelloAck, Message, ProtocolError, TenantMetrics, WirePrediction,
+    MAX_HANDSHAKE_PAYLOAD_LEN, PROTOCOL_VERSION,
 };
 
 /// Per-tenant latency samples retained for the percentile estimates
@@ -786,6 +786,20 @@ fn read_requests(
                     Ok(_) => {}
                 },
                 Err(e) => {
+                    // A payload that does not parse sits behind a valid
+                    // header: answer that frame alone, on its own id, skip
+                    // exactly its bytes and read on.
+                    if let (ProtocolError::MalformedPayload { .. }, Ok(Some(header))) =
+                        (&e, decode_header(&buf))
+                    {
+                        buf.drain(..header.frame_len());
+                        let _ = out.send(Outbound::Ready(error_frame(
+                            header.request_id,
+                            ErrorCode::BadRequest,
+                            e.to_string(),
+                        )));
+                        continue;
+                    }
                     // Unframeable bytes: tell the client why, then hang
                     // up.  Request ids are unrecoverable at this point, so
                     // the error goes out on the reserved id 0 (client ids

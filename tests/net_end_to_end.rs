@@ -565,8 +565,8 @@ fn concurrent_recording_under_snapshot_pressure_loses_nothing() {
 /// `MAX_HANDSHAKE_PAYLOAD_LEN` bytes for it.  The frame that used to
 /// abort the process — a 2 MB `Hello` of `[` — is refused from its header
 /// alone, a nested payload that fits the cap gets the parser's depth
-/// error, a well-formed `Hello` of the refused protocol version 1 gets
-/// `BadRequest`, and in every case the connection is closed and the
+/// error, a well-formed `Hello` of the refused protocol versions 1 and 2
+/// gets `BadRequest` (version 2 also in a version-2 frame), and in every case the connection is closed and the
 /// gateway keeps serving.
 #[test]
 fn hostile_handshakes_are_refused_and_the_gateway_survives() {
@@ -588,10 +588,15 @@ fn hostile_handshakes_are_refused_and_the_gateway_survives() {
 
     let within_cap = MAX_HANDSHAKE_PAYLOAD_LEN as usize - 1;
     let v1_hello = br#"{"protocol_version":1,"tenant":"alpha"}"#.to_vec();
-    for (declared_len, payload) in [
-        (2_000_000, vec![]),
-        (within_cap, vec![b'['; within_cap]),
-        (v1_hello.len(), v1_hello),
+    let v2_hello = br#"{"protocol_version":2,"tenant":"alpha"}"#.to_vec();
+    for (version, declared_len, payload) in [
+        (PROTOCOL_VERSION, 2_000_000, vec![]),
+        (PROTOCOL_VERSION, within_cap, vec![b'['; within_cap]),
+        (PROTOCOL_VERSION, v1_hello.len(), v1_hello),
+        // A version-2 build's frame: refused from its header alone, so
+        // (like the oversized frame) it stops there.
+        (2, v2_hello.len(), vec![]),
+        (PROTOCOL_VERSION, v2_hello.len(), v2_hello),
     ] {
         let mut stream = TcpStream::connect(addr).expect("connect raw");
         stream
@@ -603,7 +608,7 @@ fn hostile_handshakes_are_refused_and_the_gateway_survives() {
         // close cannot reset the connection under its own error frame.
         let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
         frame.extend_from_slice(&MAGIC);
-        frame.extend_from_slice(&[PROTOCOL_VERSION, 0x01, 0, 0]);
+        frame.extend_from_slice(&[version, 0x01, 0, 0]);
         frame.extend_from_slice(&7u64.to_le_bytes());
         frame.extend_from_slice(&(declared_len as u32).to_le_bytes());
         assert_eq!(frame.len(), HEADER_LEN);
@@ -788,4 +793,141 @@ fn plans_outside_the_catalog_are_bad_requests_and_kill_no_worker() {
     }
     drop(client);
     gateway.shutdown();
+}
+
+/// Open a raw, handshaken connection to `addr` as tenant `t`.
+fn raw_connection(addr: std::net::SocketAddr) -> std::net::TcpStream {
+    use std::io::Write;
+    use zero_shot_db::protocol::{
+        encode_frame, read_frame, Frame, HelloRequest, Message, PROTOCOL_VERSION,
+    };
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let hello = Message::Hello(HelloRequest {
+        protocol_version: PROTOCOL_VERSION,
+        tenant: "t".into(),
+    });
+    stream
+        .write_all(&encode_frame(&Frame::new(1, hello)).unwrap())
+        .expect("send hello");
+    match read_frame(&mut stream).expect("handshake reply") {
+        Some(Frame {
+            message: Message::HelloAck(_),
+            ..
+        }) => stream,
+        other => panic!("handshake answered {other:?}"),
+    }
+}
+
+/// A payload that does not parse behind a valid header used to be
+/// answered on id 0 with the connection closed under every request in
+/// flight.  Only that frame fails now: pipelined between two valid plans
+/// on one connection, it gets `BadRequest` on its own id, the plans on
+/// both sides of it are answered bit-identically to in process, and the
+/// connection serves on.
+#[test]
+fn a_malformed_payload_fails_its_frame_not_the_connection() {
+    use std::io::Write;
+    use zero_shot_db::protocol::{encode_frame, read_frame, Frame, Message, HEADER_LEN};
+
+    let db = Database::generate(presets::imdb_like(0.02), 11);
+    let (model, plans) = tiny_serving_fixture(&db, 4, 5);
+    let gateway = NetServer::start(
+        "127.0.0.1:0",
+        PredictionServer::start(model, db.catalog().clone(), ServerConfig::default()),
+        NetServerConfig::default(),
+    )
+    .expect("bind gateway");
+    let mut stream = raw_connection(gateway.local_addr());
+
+    let predict = |id, plan: &zero_shot_db::engine::PlanNode| {
+        encode_frame(&Frame::new(id, Message::Predict(Box::new(plan.clone())))).unwrap()
+    };
+    // A `Predict` header over bytes that are no plan (operator tag 9).
+    let garbage = b"\x09 is not an operator";
+    let mut bad = predict(3, &plans[1])[..HEADER_LEN].to_vec();
+    bad[16..20].copy_from_slice(&(garbage.len() as u32).to_le_bytes());
+    bad.extend_from_slice(garbage);
+    let mut wire = predict(2, &plans[0]);
+    wire.extend_from_slice(&bad);
+    wire.extend_from_slice(&predict(4, &plans[2]));
+    stream.write_all(&wire).expect("send three frames at once");
+
+    let in_process = |plan: &zero_shot_db::engine::PlanNode| {
+        gateway
+            .server()
+            .predict_blocking(plan.clone())
+            .expect("in-process")
+            .runtime_secs
+            .to_bits()
+    };
+    let mut answered = HashMap::new();
+    for _ in 0..3 {
+        let frame = read_frame(&mut stream).expect("a reply").expect("open");
+        answered.insert(frame.request_id, frame.message);
+    }
+    for (id, plan) in [(2, &plans[0]), (4, &plans[2])] {
+        match &answered[&id] {
+            Message::PredictOk(p) => assert_eq!(p.runtime_secs.to_bits(), in_process(plan)),
+            other => panic!("valid plan {id} answered {other:?}"),
+        }
+    }
+    match &answered[&3] {
+        Message::Error(e) => {
+            assert_eq!(e.code, ErrorCode::BadRequest, "{e:?}");
+            assert!(e.message.contains("malformed Predict payload"), "{e:?}");
+        }
+        other => panic!("the malformed frame answered {other:?}"),
+    }
+
+    // The same connection serves the next request.
+    stream.write_all(&predict(5, &plans[3])).expect("send");
+    let next = read_frame(&mut stream).expect("a reply").expect("open");
+    assert_eq!(next.request_id, 5);
+    match next.message {
+        Message::PredictOk(p) => assert_eq!(p.runtime_secs.to_bits(), in_process(&plans[3])),
+        other => panic!("the next plan answered {other:?}"),
+    }
+    assert_eq!(gateway.gateway_metrics().connections_total, 1);
+}
+
+/// A NaN estimate crosses the wire as its bits (JSON wrote it as `null`,
+/// and the gateway's failed decode closed the connection under every
+/// request in flight).  Pipelined between two valid plans, the NaN plan
+/// is answered on its own id exactly as in process — the fingerprint,
+/// which hashes the estimate's bits, shows the NaN payload arrived — and
+/// its neighbours are answered bit-identically on the same connection.
+/// (The featurizer clamps the NaN to 0, so the prediction is finite and
+/// no `Internal` error arises.)
+#[test]
+fn a_nan_estimate_crosses_exactly_and_answers_only_its_own_request() {
+    use zero_shot_db::zeroshot::plan_fingerprint;
+
+    let db = Database::generate(presets::imdb_like(0.02), 11);
+    let (model, plans) = tiny_serving_fixture(&db, 4, 5);
+    let gateway = NetServer::start(
+        "127.0.0.1:0",
+        PredictionServer::start(model, db.catalog().clone(), ServerConfig::default()),
+        NetServerConfig::default(),
+    )
+    .expect("bind gateway");
+    let client = Client::connect(gateway.local_addr(), ClientConfig::tenant("t")).expect("connect");
+
+    let mut nan_plan = plans[1].clone();
+    nan_plan.est_cardinality = f64::from_bits(0x7FF8_0000_0000_0BAD);
+    let sent = [&plans[0], &nan_plan, &plans[2]];
+    let pending = sent.map(|p| client.submit(p).expect("submit"));
+    for (ticket, plan) in pending.into_iter().zip(sent) {
+        let remote = ticket.wait().expect("answered on its own id");
+        let local = gateway
+            .server()
+            .predict_blocking(plan.clone())
+            .expect("in-process");
+        assert_eq!(remote.runtime_secs.to_bits(), local.runtime_secs.to_bits());
+        assert_eq!(remote.fingerprint, plan_fingerprint(plan));
+    }
+    assert_ne!(plan_fingerprint(&nan_plan), plan_fingerprint(&plans[1]));
+    assert_eq!(gateway.gateway_metrics().connections_total, 1);
 }
