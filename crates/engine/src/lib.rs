@@ -55,7 +55,7 @@ pub use fingerprint::plan_fingerprint;
 pub use observation::{Observation, ObservationLog};
 pub use observed::QueryExecution;
 pub use optimizer::Optimizer;
-pub use physical::{PhysOperator, PhysOperatorKind, PlanNode};
+pub use physical::{PhysOperator, PhysOperatorKind, PlanError, PlanNode};
 pub use runner::QueryRunner;
 pub use runtime::HardwareProfile;
 pub use whatif::WhatIfPlanner;

@@ -152,6 +152,45 @@ pub struct PlanNode {
     pub output_width: f64,
 }
 
+/// Why [`PlanNode::validate`] refused a plan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PlanError {
+    /// The plan names a table or column outside the catalog.
+    Catalog(CatalogError),
+    /// A node's estimated cardinality or output width is NaN or infinite.
+    /// The featurizer reads both, and would turn a NaN into a confident
+    /// answer and an infinity into a non-finite one.
+    NonFiniteEstimate {
+        /// Operator of the offending node.
+        operator: &'static str,
+        /// `"est_cardinality"` or `"output_width"`.
+        field: &'static str,
+        /// The value found.
+        value: f64,
+    },
+}
+
+impl From<CatalogError> for PlanError {
+    fn from(e: CatalogError) -> Self {
+        PlanError::Catalog(e)
+    }
+}
+
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PlanError::Catalog(e) => e.fmt(f),
+            PlanError::NonFiniteEstimate {
+                operator,
+                field,
+                value,
+            } => write!(f, "non-finite {field} {value} on a {operator} node"),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
+
 impl PlanNode {
     /// Create a leaf node.
     pub fn leaf(op: PhysOperator, est_cardinality: f64, est_cost: f64, output_width: f64) -> Self {
@@ -181,12 +220,25 @@ impl PlanNode {
 
     /// Check the plan against a catalog: every scanned table and every
     /// column it names (index columns, join keys, predicate and aggregate
-    /// columns) must exist — the bounds checks of `Query::validate`.
-    /// Featurizing a plan that fails this would index out of bounds, so a
-    /// plan from untrusted input is validated before it is served.  Walks
-    /// the tree by recursion, in pre-order, so a valid plan costs no heap
-    /// allocation.
-    pub fn validate(&self, catalog: &SchemaCatalog) -> Result<(), CatalogError> {
+    /// columns) must exist — the bounds checks of `Query::validate` — and
+    /// every node's `est_cardinality` and `output_width` must be finite.
+    /// Featurizing a plan that fails this would index out of bounds or
+    /// answer from a garbage feature, so a plan from untrusted input is
+    /// validated before it is served.  Walks the tree by recursion, in
+    /// pre-order, so a valid plan costs no heap allocation.
+    pub fn validate(&self, catalog: &SchemaCatalog) -> Result<(), PlanError> {
+        for (field, value) in [
+            ("est_cardinality", self.est_cardinality),
+            ("output_width", self.output_width),
+        ] {
+            if !value.is_finite() {
+                return Err(PlanError::NonFiniteEstimate {
+                    operator: self.op.kind().name(),
+                    field,
+                    value,
+                });
+            }
+        }
         if let Some(table) = self.op.scanned_table() {
             catalog.try_table(table)?;
         }
@@ -389,6 +441,17 @@ mod tests {
                 seq(t0, vec![]),
             ),
             over(aggregate(Aggregate::count_star()), seq(table, vec![])),
+            PlanNode {
+                est_cardinality: f64::NAN,
+                ..seq(t0, vec![])
+            },
+            over(
+                aggregate(Aggregate::count_star()),
+                PlanNode {
+                    output_width: f64::INFINITY,
+                    ..seq(t0, vec![])
+                },
+            ),
         ] {
             assert!(plan.validate(&catalog).is_err(), "{plan:?} passed");
         }

@@ -1,40 +1,34 @@
-//! Slow-request flight recorder: bounded rings of fully-materialized
-//! traces with threshold- and percentile-triggered retention.
+//! Slow-request flight recorder: the warm-path classifier that decides
+//! which finished requests are worth keeping for post-hoc diagnosis.
 //!
-//! The recorder answers the operator question "show me the worst
-//! requests and why they were slow" without keeping every trace forever.
-//! It holds two bounded rings:
+//! The recorder answers "is this request anomalous?" for every completion
+//! — failed, over an absolute latency threshold, or in the slow tail of
+//! the live latency population (above a configured percentile) — so the
+//! serving layer can retain the interesting requests in a slow ring that
+//! a burst of normal traffic cannot flush.  It stores no requests itself:
+//! the serving layer's provenance log holds the retained records, sized
+//! by this recorder's [`FlightRecorderConfig`] capacities.
 //!
-//! * a **recent** ring every offered trace passes through (normal
-//!   requests age out of it quickly), and
-//! * a **slow** ring that only retains anomalous requests — failed ones,
-//!   ones over an absolute latency threshold, and ones in the slow tail
-//!   of the live latency population (above a configured percentile) —
-//!   so a burst of normal traffic cannot evict the interesting entries.
-//!
-//! The warm-path half, [`FlightRecorder::classify`], is wait-free and
-//! performs **zero heap allocations**: it maintains the latency
-//! population in a fixed array of log₂ buckets (plain shared atomics, no
-//! per-thread lazy shard setup) and returns the retention decision.
-//! Materializing a [`FlightRecord`] ([`FlightRecorder::offer`]) clones a
-//! finished [`Trace`] and takes a ring lock — that is the cold path,
-//! taken only for traced or retained requests.
+//! [`FlightRecorder::classify`] is wait-free and performs **zero heap
+//! allocations**: it maintains the latency population in a fixed array
+//! of log₂ buckets (plain shared atomics, no per-thread lazy shard setup)
+//! and returns the retention decision.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use serde::Serialize;
 
 use crate::metrics::{log2_bucket, HISTOGRAM_BUCKETS};
-use crate::trace::Trace;
 
 /// Tunables of a [`FlightRecorder`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlightRecorderConfig {
-    /// Capacity of the slow ring (retained anomalous requests).
+    /// Capacity of the slow ring: how many retained (anomalous) requests
+    /// the serving layer keeps.
     pub slow_capacity: usize,
-    /// Capacity of the recent ring (every offered trace, ages out fast).
+    /// Capacity of the recent ring: how many finished traced requests of
+    /// any class the serving layer keeps (they age out fast).
     pub recent_capacity: usize,
     /// Absolute retention trigger: a request at or above this latency
     /// (nanoseconds) is kept.  `0` disables the threshold trigger.
@@ -63,7 +57,7 @@ impl Default for FlightRecorderConfig {
 /// Why a request was (or was not) retained in the slow ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FlightClass {
-    /// Unremarkable request: passes through the recent ring only.
+    /// Unremarkable request: kept in the recent ring only.
     Normal,
     /// At or above the absolute [`FlightRecorderConfig::slow_threshold_ns`].
     SlowThreshold,
@@ -91,16 +85,6 @@ impl FlightClass {
     }
 }
 
-/// One retained flight: a fully-materialized trace plus its retention
-/// class.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FlightRecord {
-    /// The finished per-stage trace.
-    pub trace: Trace,
-    /// Why the recorder kept (or aged) it.
-    pub class: FlightClass,
-}
-
 #[derive(Debug)]
 struct FlightInner {
     config: FlightRecorderConfig,
@@ -110,8 +94,6 @@ struct FlightInner {
     /// warm path never allocates — not even on a thread's first call.
     population: [AtomicU64; HISTOGRAM_BUCKETS],
     observed: AtomicU64,
-    slow: Mutex<VecDeque<FlightRecord>>,
-    recent: Mutex<VecDeque<FlightRecord>>,
 }
 
 /// The slow-request flight recorder (see module docs).  Cloning shares
@@ -121,33 +103,17 @@ pub struct FlightRecorder {
     inner: Arc<FlightInner>,
 }
 
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        FlightRecorder::new(FlightRecorderConfig::default())
-    }
-}
-
 impl FlightRecorder {
-    /// Create a recorder with the given retention configuration (ring
-    /// capacities are clamped to at least 1).
-    pub fn new(mut config: FlightRecorderConfig) -> Self {
-        config.slow_capacity = config.slow_capacity.max(1);
-        config.recent_capacity = config.recent_capacity.max(1);
+    /// Create a recorder with the given retention configuration.
+    pub fn new(config: FlightRecorderConfig) -> Self {
         FlightRecorder {
             inner: Arc::new(FlightInner {
                 config,
                 enabled: AtomicBool::new(true),
                 population: std::array::from_fn(|_| AtomicU64::new(0)),
                 observed: AtomicU64::new(0),
-                slow: Mutex::new(VecDeque::with_capacity(config.slow_capacity)),
-                recent: Mutex::new(VecDeque::with_capacity(config.recent_capacity)),
             }),
         }
-    }
-
-    /// The recorder's configuration.
-    pub fn config(&self) -> &FlightRecorderConfig {
-        &self.inner.config
     }
 
     /// Whether the recorder is currently on.
@@ -156,11 +122,10 @@ impl FlightRecorder {
     }
 
     /// Turn the recorder on or off.  While off, [`classify`] always
-    /// answers [`FlightClass::Normal`] without touching the population
-    /// and [`offer`] drops the trace.
+    /// answers [`FlightClass::Normal`] without touching the population,
+    /// so nothing is retained.
     ///
     /// [`classify`]: FlightRecorder::classify
-    /// [`offer`]: FlightRecorder::offer
     pub fn set_enabled(&self, enabled: bool) {
         self.inner.enabled.store(enabled, Ordering::Relaxed);
     }
@@ -170,10 +135,10 @@ impl FlightRecorder {
         self.inner.observed.load(Ordering::Relaxed)
     }
 
-    /// Warm-path half: fold one request's latency into the live
-    /// population and decide whether it should be retained.  Wait-free,
-    /// zero heap allocations — safe to call on the zero-allocation
-    /// serving path for every request.
+    /// Fold one request's latency into the live population and decide
+    /// whether it should be retained.  Wait-free, zero heap allocations —
+    /// safe to call on the zero-allocation serving path for every
+    /// request.
     pub fn classify(&self, latency_ns: u64, ok: bool) -> FlightClass {
         if !self.enabled() {
             return FlightClass::Normal;
@@ -217,135 +182,38 @@ impl FlightRecorder {
         }
         Some(HISTOGRAM_BUCKETS - 1)
     }
-
-    /// Cold-path half: materialize a finished trace into the rings.
-    /// Every offered trace enters the recent ring; a retained class
-    /// ([`FlightClass::retained`]) also enters the slow ring.  Allocates
-    /// (trace clone + ring bookkeeping) — never call on the warm path.
-    pub fn offer(&self, trace: Trace, class: FlightClass) {
-        if !self.enabled() {
-            return;
-        }
-        let record = FlightRecord { trace, class };
-        if class.retained() {
-            let mut slow = self.inner.slow.lock().expect("slow ring poisoned");
-            if slow.len() == self.inner.config.slow_capacity {
-                slow.pop_front();
-            }
-            slow.push_back(record.clone());
-        }
-        let mut recent = self.inner.recent.lock().expect("recent ring poisoned");
-        if recent.len() == self.inner.config.recent_capacity {
-            recent.pop_front();
-        }
-        recent.push_back(record);
-    }
-
-    /// The retained (slow/failed) records, worst first (longest total
-    /// duration), up to `limit`.
-    pub fn slow(&self, limit: usize) -> Vec<FlightRecord> {
-        let mut records: Vec<FlightRecord> = self
-            .inner
-            .slow
-            .lock()
-            .expect("slow ring poisoned")
-            .iter()
-            .cloned()
-            .collect();
-        records.sort_by_key(|r| std::cmp::Reverse((r.trace.total_ns, r.trace.seq)));
-        records.truncate(limit);
-        records
-    }
-
-    /// The most recently offered records (any class), newest first, up
-    /// to `limit`.
-    pub fn recent(&self, limit: usize) -> Vec<FlightRecord> {
-        let mut records: Vec<FlightRecord> = self
-            .inner
-            .recent
-            .lock()
-            .expect("recent ring poisoned")
-            .iter()
-            .cloned()
-            .collect();
-        records.sort_by_key(|r| std::cmp::Reverse(r.trace.seq));
-        records.truncate(limit);
-        records
-    }
-
-    /// Look up a record by trace id — the slow ring first (retained
-    /// entries outlive the recent ring), then the recent ring; the most
-    /// recently finished match wins.
-    pub fn find(&self, trace_id: u64) -> Option<FlightRecord> {
-        let best_of = |ring: &Mutex<VecDeque<FlightRecord>>| {
-            ring.lock()
-                .expect("flight ring poisoned")
-                .iter()
-                .filter(|r| r.trace.id == trace_id)
-                .max_by_key(|r| r.trace.seq)
-                .cloned()
-        };
-        match (best_of(&self.inner.slow), best_of(&self.inner.recent)) {
-            (Some(a), Some(b)) => Some(if a.trace.seq >= b.trace.seq { a } else { b }),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Number of records currently retained in the slow ring.
-    pub fn slow_len(&self) -> usize {
-        self.inner.slow.lock().expect("slow ring poisoned").len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Tracer;
-
-    fn finished_trace(tracer: &Tracer, id: u64, sleep_ms: u64) -> Trace {
-        let mut t = tracer.begin_with_id(id);
-        if sleep_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
-        }
-        t.mark("work");
-        tracer.finish(t)
-    }
 
     #[test]
-    fn threshold_trigger_retains_and_normal_requests_age_out() {
+    fn threshold_trigger_flags_requests_at_or_above_it() {
         let recorder = FlightRecorder::new(FlightRecorderConfig {
-            slow_capacity: 4,
-            recent_capacity: 2,
             slow_threshold_ns: 1_000_000,
             percentile: 0.0,
             min_samples: 0,
+            ..FlightRecorderConfig::default()
         });
-        let tracer = Tracer::new(16);
-        // One slow request, then a burst of fast ones.
         assert_eq!(
             recorder.classify(5_000_000, true),
             FlightClass::SlowThreshold
         );
-        recorder.offer(finished_trace(&tracer, 1, 0), FlightClass::SlowThreshold);
-        for i in 2..10u64 {
-            assert_eq!(recorder.classify(10, true), FlightClass::Normal);
-            recorder.offer(finished_trace(&tracer, i, 0), FlightClass::Normal);
-        }
-        // The fast burst evicted everything from the tiny recent ring,
-        // but the slow request is still held in the slow ring.
-        let kept = recorder.find(1).expect("slow request kept");
-        assert_eq!(kept.class, FlightClass::SlowThreshold);
-        assert_eq!(recorder.slow(10).len(), 1);
-        assert!(recorder.recent(10).len() <= 2);
+        assert_eq!(
+            recorder.classify(1_000_000, true),
+            FlightClass::SlowThreshold
+        );
+        assert_eq!(recorder.classify(10, true), FlightClass::Normal);
+        assert_eq!(recorder.observed(), 3);
     }
 
     #[test]
     fn failures_are_always_retained() {
         let recorder = FlightRecorder::new(FlightRecorderConfig::default());
         assert_eq!(recorder.classify(1, false), FlightClass::Failed);
-        let tracer = Tracer::new(4);
-        recorder.offer(finished_trace(&tracer, 7, 0), FlightClass::Failed);
-        assert_eq!(recorder.find(7).unwrap().class, FlightClass::Failed);
+        assert!(FlightClass::Failed.retained());
+        assert!(!FlightClass::Normal.retained());
     }
 
     #[test]
@@ -370,31 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn slow_is_sorted_worst_first_and_bounded() {
-        let recorder = FlightRecorder::new(FlightRecorderConfig {
-            slow_capacity: 2,
-            recent_capacity: 8,
-            slow_threshold_ns: 1,
-            percentile: 0.0,
-            min_samples: 0,
-        });
-        let tracer = Tracer::new(16);
-        recorder.offer(finished_trace(&tracer, 1, 1), FlightClass::SlowThreshold);
-        recorder.offer(finished_trace(&tracer, 2, 5), FlightClass::SlowThreshold);
-        recorder.offer(finished_trace(&tracer, 3, 2), FlightClass::SlowThreshold);
-        let slow = recorder.slow(10);
-        assert_eq!(slow.len(), 2, "slow ring is bounded");
-        assert!(
-            slow[0].trace.total_ns >= slow[1].trace.total_ns,
-            "worst first"
-        );
-        assert!(
-            slow.iter().all(|r| r.trace.id != 1),
-            "oldest slow entry evicted from the slow ring"
-        );
-    }
-
-    #[test]
     fn disabled_recorder_is_inert() {
         let recorder = FlightRecorder::new(FlightRecorderConfig {
             slow_threshold_ns: 1,
@@ -402,9 +245,6 @@ mod tests {
         });
         recorder.set_enabled(false);
         assert_eq!(recorder.classify(u64::MAX, false), FlightClass::Normal);
-        let tracer = Tracer::new(4);
-        recorder.offer(finished_trace(&tracer, 9, 0), FlightClass::Failed);
-        assert!(recorder.find(9).is_none());
         assert_eq!(recorder.observed(), 0);
     }
 }

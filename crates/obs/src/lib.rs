@@ -20,10 +20,12 @@
 //!   [`ActiveTrace`] through the pipeline, each layer `mark`s its stage,
 //!   and the stage durations tile the end-to-end interval exactly.
 //!   Trace ids are `u64`s sized to ride in a frame-header extension.
-//! * [`flight`] — a [`FlightRecorder`]: bounded rings of
-//!   fully-materialized traces with threshold- and percentile-triggered
-//!   retention, so slow and failed requests are kept for post-hoc
-//!   diagnosis while normal ones age out.
+//!   [`Tracer::finish`] returns the finished [`Trace`] and stores nothing;
+//!   the tracer keeps only standalone [`TraceEvent`]s.
+//! * [`flight`] — a [`FlightRecorder`]: the wait-free, allocation-free
+//!   classifier that flags slow (threshold- or percentile-triggered) and
+//!   failed requests, so the serving layer can retain them for post-hoc
+//!   diagnosis while normal ones age out.  It stores no requests.
 //! * [`slo`] — an [`SloTracker`]: rolling multi-window good/bad counters
 //!   with burn-rate computation against a configured latency objective.
 //! * [`expo`] — Prometheus text-format exposition of a registry
@@ -42,7 +44,7 @@ pub mod trace;
 pub mod window;
 
 pub use expo::{render_prometheus, sanitize_metric_name};
-pub use flight::{FlightClass, FlightRecord, FlightRecorder, FlightRecorderConfig};
+pub use flight::{FlightClass, FlightRecorder, FlightRecorderConfig};
 pub use metrics::{
     bucket_upper_bound, log2_bucket, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
     RegistrySnapshot, HISTOGRAM_BUCKETS,

@@ -214,8 +214,9 @@ impl Histogram {
 
     /// [`Histogram::record`] that also stamps `trace_id` as the bucket's
     /// exemplar (ignored when 0), linking the latency bucket to a recent
-    /// trace retrievable from the tracer or flight recorder.  Same
-    /// wait-free cost as a plain record.
+    /// request whose trace the caller keeps (the serving layer answers it
+    /// by id through its provenance log).  Same wait-free cost as a plain
+    /// record.
     pub fn record_with_exemplar(&self, value: u64, trace_id: u64) {
         self.shards.with_local(|s| {
             let bucket = log2_bucket(value);

@@ -10,10 +10,12 @@
 //!
 //! Trace ids are plain `u64`s so they fit in a frame-header extension and
 //! can be minted on either side of the wire; id 0 means "untraced".
-//! Finished traces land in per-thread bounded rings (same striping as the
-//! metric shards), and the tracer doubles as a sink for standalone
+//! [`Tracer::finish`] hands the finished [`Trace`] back and keeps nothing:
+//! the caller decides where it goes (the serving layer's stage histograms
+//! and provenance log).  The tracer doubles as a sink for standalone
 //! structured [`TraceEvent`]s — drift scores, model swaps — that are not
-//! tied to a single request.
+//! tied to a single request, kept in per-thread bounded rings (same
+//! striping as the metric shards).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,8 +44,6 @@ pub struct Trace {
     pub total_ns: u64,
     /// The stages, in completion order; their durations sum to `total_ns`.
     pub stages: Vec<TraceStage>,
-    /// Monotonic completion sequence number (for "most recent" queries).
-    pub seq: u64,
 }
 
 impl Trace {
@@ -115,11 +115,6 @@ impl ActiveTrace {
 }
 
 #[derive(Debug, Default)]
-struct TraceShard {
-    finished: Mutex<VecDeque<Trace>>,
-}
-
-#[derive(Debug, Default)]
 struct EventShard {
     events: Mutex<VecDeque<TraceEvent>>,
 }
@@ -129,9 +124,8 @@ struct TracerInner {
     enabled: AtomicBool,
     next_id: AtomicU64,
     seq: AtomicU64,
-    /// Finished traces / events kept per recording thread.
+    /// Events kept per recording thread.
     capacity: usize,
-    traces: ShardSet<TraceShard>,
     events: ShardSet<EventShard>,
 }
 
@@ -142,8 +136,8 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Create a tracer keeping up to `capacity` finished traces (and as
-    /// many events) per recording thread.
+    /// Create a tracer keeping up to `capacity` events per recording
+    /// thread.
     pub fn new(capacity: usize) -> Self {
         Tracer {
             inner: Arc::new(TracerInner {
@@ -151,7 +145,6 @@ impl Tracer {
                 next_id: AtomicU64::new(1),
                 seq: AtomicU64::new(0),
                 capacity: capacity.max(1),
-                traces: ShardSet::default(),
                 events: ShardSet::default(),
             }),
         }
@@ -196,26 +189,14 @@ impl Tracer {
     }
 
     /// Finish a trace: total time is start → last checkpoint, so the
-    /// stage durations sum to it exactly.  The finished trace is stored
-    /// in the calling thread's bounded ring and also returned, so callers
-    /// can feed per-stage histograms without re-reading the ring.
+    /// stage durations sum to it exactly.  Nothing is stored: the caller
+    /// owns the returned trace.
     pub fn finish(&self, active: ActiveTrace) -> Trace {
-        let total_ns = active.stages.iter().map(|s| s.duration_ns).sum();
-        let trace = Trace {
+        Trace {
             id: active.id,
-            total_ns,
+            total_ns: active.stages.iter().map(|s| s.duration_ns).sum(),
             stages: active.stages,
-            seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
-        };
-        let capacity = self.inner.capacity;
-        self.inner.traces.with_local(|shard| {
-            let mut ring = shard.finished.lock().expect("trace ring poisoned");
-            if ring.len() == capacity {
-                ring.pop_front();
-            }
-            ring.push_back(trace.clone());
-        });
-        trace
+        }
     }
 
     /// Record a standalone structured event.
@@ -237,31 +218,6 @@ impl Tracer {
             }
             ring.push_back(event);
         });
-    }
-
-    /// Look up a finished trace by id (most recent finish wins).
-    pub fn find(&self, id: u64) -> Option<Trace> {
-        self.inner.traces.fold(None::<Trace>, |best, shard| {
-            let ring = shard.finished.lock().expect("trace ring poisoned");
-            let candidate = ring.iter().filter(|t| t.id == id).max_by_key(|t| t.seq);
-            match (best, candidate) {
-                (Some(b), Some(c)) if c.seq > b.seq => Some(c.clone()),
-                (None, Some(c)) => Some(c.clone()),
-                (best, _) => best,
-            }
-        })
-    }
-
-    /// The most recently finished traces, newest first, up to `limit`.
-    pub fn recent(&self, limit: usize) -> Vec<Trace> {
-        let mut all = self.inner.traces.fold(Vec::new(), |mut acc, shard| {
-            let ring = shard.finished.lock().expect("trace ring poisoned");
-            acc.extend(ring.iter().cloned());
-            acc
-        });
-        all.sort_by_key(|t| std::cmp::Reverse(t.seq));
-        all.truncate(limit);
-        all
     }
 
     /// The most recent structured events, newest first, up to `limit`.
@@ -317,84 +273,13 @@ mod tests {
     }
 
     #[test]
-    fn find_returns_the_trace_for_a_wire_id() {
-        let tracer = Tracer::new(8);
-        let mut t = tracer.begin_with_id(77);
-        t.mark("respond");
-        tracer.finish(t);
-        let found = tracer.find(77).expect("stored");
-        assert_eq!(found.id, 77);
-        assert!(tracer.find(78).is_none());
-    }
-
-    #[test]
-    fn finished_ring_is_bounded_per_thread() {
+    fn event_ring_is_bounded_per_thread() {
         let tracer = Tracer::new(3);
         for i in 0..10 {
-            let mut t = tracer.begin_with_id(100 + i);
-            t.mark("only");
-            tracer.finish(t);
+            tracer.event("tick", f64::from(i), "");
         }
-        let recent = tracer.recent(100);
-        assert_eq!(recent.len(), 3, "per-thread ring keeps the newest 3");
-        assert_eq!(recent[0].id, 109);
-    }
-
-    #[test]
-    fn find_returns_none_for_an_evicted_id_after_wraparound() {
-        // Ring capacity 3: ids 1..=3 are evicted once 4..=6 finish.
-        let tracer = Tracer::new(3);
-        for id in 1..=6u64 {
-            let mut t = tracer.begin_with_id(id);
-            t.mark("only");
-            tracer.finish(t);
-        }
-        for evicted in 1..=3u64 {
-            assert!(
-                tracer.find(evicted).is_none(),
-                "evicted id {evicted} must answer None, not a stale entry"
-            );
-        }
-        for kept in 4..=6u64 {
-            assert_eq!(tracer.find(kept).expect("retained").id, kept);
-        }
-    }
-
-    #[test]
-    fn reused_id_after_wraparound_answers_the_newest_trace_only() {
-        // The same wire id can legitimately recur (a client reusing its
-        // id space).  After the older trace is evicted, find must answer
-        // the newer one — and even while both are resident, the newest
-        // (highest seq) wins.
-        let tracer = Tracer::new(2);
-        let mut first = tracer.begin_with_id(42);
-        first.mark("old");
-        tracer.finish(first);
-        let mut second = tracer.begin_with_id(42);
-        second.mark("new");
-        tracer.finish(second);
-        let found = tracer.find(42).expect("resident");
-        assert_eq!(found.stages[0].name, "new", "newest finish wins");
-        // One more finish evicts the older duplicate entirely.
-        let mut third = tracer.begin_with_id(7);
-        third.mark("filler");
-        tracer.finish(third);
-        let found = tracer.find(42).expect("newer entry still resident");
-        assert_eq!(found.stages[0].name, "new");
-    }
-
-    #[test]
-    fn recent_never_returns_evicted_traces_after_wraparound() {
-        let tracer = Tracer::new(4);
-        for id in 1..=20u64 {
-            let mut t = tracer.begin_with_id(id);
-            t.mark("only");
-            tracer.finish(t);
-        }
-        let recent = tracer.recent(100);
-        assert_eq!(recent.len(), 4);
-        let ids: Vec<u64> = recent.iter().map(|t| t.id).collect();
-        assert_eq!(ids, vec![20, 19, 18, 17], "newest first, no stale ids");
+        let values: Vec<f64> = tracer.events(100).iter().map(|e| e.value).collect();
+        assert_eq!(values, vec![9.0, 8.0, 7.0], "newest 3, newest first");
     }
 
     #[test]

@@ -98,7 +98,7 @@
 //!   name/version, cache hit, shard placement, per-stage breakdown
 //!   (`Error(BadRequest)` when no record with that id is retained).
 //! * [`Message::SlowLog`] / [`Message::SlowLogOk`] — the slowest
-//!   retained requests from the flight recorder, worst first.
+//!   requests the flight recorder flagged for retention, worst first.
 //! * [`Message::SloStatus`] / [`Message::SloStatusOk`] — SLO burn-rate
 //!   position over the server's rolling windows.
 //! * [`Message::Error`] — structured failure (code + human message) for

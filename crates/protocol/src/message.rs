@@ -204,8 +204,9 @@ pub struct ProvenanceRecord {
     pub predicted_secs: f64,
     /// End-to-end server-side latency in nanoseconds.
     pub total_ns: u64,
-    /// Why the flight recorder retained the request:
-    /// `normal`, `slow_threshold`, `slow_tail`, or `failed`.
+    /// How the flight recorder classified the request (every class but
+    /// `normal` is retained in the slow log): `normal`,
+    /// `slow_threshold`, `slow_tail`, or `failed`.
     pub flight_class: String,
     /// Per-stage latency breakdown; durations sum to `total_ns`.
     pub stages: Vec<ProvenanceStage>,

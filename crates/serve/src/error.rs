@@ -1,7 +1,7 @@
 //! Error type shared by the registry and the prediction server.
 
 use std::fmt;
-use zsdb_catalog::CatalogError;
+use zsdb_engine::PlanError;
 
 /// Everything that can go wrong while registering, loading or serving a
 /// model.
@@ -46,8 +46,9 @@ pub enum ServeError {
     /// later or shed load.
     Overloaded,
     /// A submitted plan names a table or column outside the served
-    /// catalog; it was refused before it reached the queue.
-    InvalidPlan(CatalogError),
+    /// catalog, or carries a non-finite estimate; it was refused before
+    /// it reached the queue.
+    InvalidPlan(PlanError),
     /// The server has shut down and can no longer accept or answer
     /// requests.
     Closed,
@@ -79,7 +80,7 @@ impl fmt::Display for ServeError {
                 "model '{name}' has no earlier promoted version to roll back to"
             ),
             ServeError::Overloaded => write!(f, "request queue is full"),
-            ServeError::InvalidPlan(e) => write!(f, "plan outside the served catalog: {e}"),
+            ServeError::InvalidPlan(e) => write!(f, "invalid plan: {e}"),
             ServeError::Closed => write!(f, "prediction server is shut down"),
         }
     }

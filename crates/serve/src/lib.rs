@@ -39,16 +39,19 @@
 //!   pipeline stages (`admission → queue_wait → cache_lookup/featurize →
 //!   forward → respond`), and the whole registry renders as
 //!   Prometheus-style text exposition alongside the JSON snapshot.  On
-//!   top ride the diagnosis surfaces: a flight recorder retaining slow
-//!   and failed traces, SLO burn-rate tracking against a latency
-//!   objective, and histogram exemplars linking buckets to trace ids.
+//!   top ride the diagnosis surfaces: a flight recorder classifying
+//!   slow and failed requests for retention, SLO burn-rate tracking
+//!   against a latency objective, and histogram exemplars linking
+//!   buckets to trace ids.
 //! * [`provenance`] — a [`ProvenanceRecord`](zsdb_protocol::ProvenanceRecord)
 //!   per traced prediction: plan fingerprint, serving model name +
 //!   version, cache hit/miss, home vs executing shard (work stealing is
 //!   visible), per-stage breakdown and the predicted value — queryable
 //!   in-process (`explain`/`slow_log`/`slo_status` on every [`Server`])
-//!   and over the wire via the v2 `Explain`/`SlowLog`/`SloStatus` ops.
-//!   Assembly is cold-path only; it adds no allocation to a warm
+//!   and over the wire via the `Explain`/`SlowLog`/`SloStatus` ops.  The
+//!   [`ProvenanceLog`] is the one store of finished traced requests,
+//!   keeping the slow and failed ones past the churn of normal traffic.
+//!   Storage is cold-path only; it adds no allocation to a warm
 //!   cache-hit request.
 //! * [`net`] — a TCP front-end over the worker pool: the framed
 //!   [`zsdb_protocol`] wire protocol, a tenant handshake, per-tenant

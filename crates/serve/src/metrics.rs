@@ -118,11 +118,12 @@ impl StageRecorder {
     }
 }
 
-/// Observability tunables of a server: flight-recorder retention and the
+/// Observability tunables of a server: slow-request retention and the
 /// SLO the burn-rate windows are measured against.
 #[derive(Debug, Clone, Default)]
 pub struct ObservabilityConfig {
-    /// Flight-recorder ring sizes and slow-request triggers.
+    /// Slow-request triggers of the flight recorder, and the ring sizes
+    /// of the provenance log that keeps finished traced requests.
     pub flight: FlightRecorderConfig,
     /// Latency/availability objective and rolling window lengths.
     pub slo: SloConfig,
@@ -151,11 +152,12 @@ pub struct ServeMetrics {
     registry: Registry,
     stages: StageRecorder,
     /// Slow-request flight recorder: classifies every completion on the
-    /// warm path, retains slow/failed traces on the cold path.
+    /// warm path.
     flight: FlightRecorder,
     /// Rolling good/bad windows against the configured latency SLO.
     slo: SloTracker,
-    /// Assembled provenance records of traced requests.
+    /// Provenance of traced requests — the one store of finished traced
+    /// requests, retaining the slow/failed classes.
     provenance: ProvenanceLog,
 }
 
@@ -179,7 +181,6 @@ impl ServeMetrics {
             "Model hot-swaps over the server lifetime",
         );
         let stages = StageRecorder::new(&registry);
-        let flight = FlightRecorder::new(config.flight);
         ServeMetrics {
             started: Instant::now(),
             first_request_ns: AtomicU64::new(0),
@@ -191,10 +192,10 @@ impl ServeMetrics {
             registry,
             stages,
             provenance: ProvenanceLog::new(
-                config.flight.recent_capacity.max(1),
-                config.flight.slow_capacity.max(1),
+                config.flight.recent_capacity,
+                config.flight.slow_capacity,
             ),
-            flight,
+            flight: FlightRecorder::new(config.flight),
             slo: SloTracker::new(config.slo),
         }
     }
@@ -249,16 +250,16 @@ impl ServeMetrics {
     }
 
     /// Cold-path bookkeeping for one finished traced request: feed the
-    /// stage histograms (with the trace id as exemplar), retain the trace
-    /// in the flight recorder under its classification, and assemble +
-    /// log the prediction's [`ProvenanceRecord`](zsdb_protocol::ProvenanceRecord).
+    /// stage histograms (with the trace id as exemplar), then store the
+    /// request in the provenance log, which retains it under its
+    /// classification and answers it as a
+    /// [`ProvenanceRecord`](zsdb_protocol::ProvenanceRecord).
     pub fn record_completed_trace(&self, seed: &ProvenanceSeed, done: &Trace) {
         self.stages.record_trace(done);
-        self.flight.offer(done.clone(), seed.class);
         self.provenance.record(seed, done);
     }
 
-    /// The slow-request flight recorder.
+    /// The slow-request flight recorder (the warm-path classifier).
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
     }
@@ -364,7 +365,6 @@ impl ServeMetrics {
         let slo = self.slo_status();
         MetricsSnapshot {
             total_requests,
-            elapsed_secs: elapsed,
             uptime_seconds: elapsed,
             rejected_requests: self.rejected.value(),
             throughput_qps: if active_secs > 0.0 {
@@ -396,7 +396,7 @@ impl ServeMetrics {
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
-            slow_requests_retained: self.flight.slow_len() as u64,
+            slow_requests_retained: self.provenance.slow_len() as u64,
             slo_latency_objective_ns: slo.latency_objective_ns,
             slo_target: slo.target,
             slo_windows: slo.windows,
@@ -503,10 +503,6 @@ pub struct MetricsSnapshot {
     /// since the server started.
     pub rejected_requests: u64,
     /// Wall-clock seconds since the server started.
-    pub elapsed_secs: f64,
-    /// Wall-clock seconds since the server started (same clock as
-    /// `elapsed_secs`; kept as its own field so wire consumers get the
-    /// conventional name).
     pub uptime_seconds: f64,
     /// Completed requests per second, measured from the first completed
     /// request (0 before any traffic) — idle time before the first
@@ -550,7 +546,7 @@ pub struct MetricsSnapshot {
     /// size falls in `BATCH_SIZE_BUCKET_LABELS[i]` (single requests are
     /// size-1 batches).
     pub batch_size_histogram: Vec<u64>,
-    /// Slow/failed requests currently retained by the flight recorder
+    /// Slow/failed requests currently retained in the provenance log
     /// (answerable through the `SlowLog` op).
     pub slow_requests_retained: u64,
     /// Latency objective (nanoseconds) a request must meet to count as
@@ -932,8 +928,7 @@ mod tests {
         let record = metrics.provenance().find(321).expect("retained");
         assert_eq!(record.model_version, 2);
         assert!(record.stolen);
-        // Flight recorder kept the raw trace too.
-        assert_eq!(metrics.flight().slow_len(), 1);
+        assert_eq!(metrics.provenance().slow_len(), 1);
         // The stage histogram bucket carries the trace id as exemplar.
         let snap = metrics.registry().snapshot();
         let (_, forward) = snap
@@ -979,7 +974,7 @@ mod tests {
             metrics.record(Duration::from_micros(5));
         }
         let snap = metrics.snapshot(cache_stats(0, 0), 1);
-        let diluted = snap.total_requests as f64 / snap.elapsed_secs;
+        let diluted = snap.total_requests as f64 / snap.uptime_seconds;
         assert!(
             snap.throughput_qps > 10.0 * diluted,
             "active-window q/s ({}) should dwarf the lifetime rate ({diluted})",

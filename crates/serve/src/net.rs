@@ -15,7 +15,8 @@
 //!   empty tenant ids are turned away with `Unauthenticated` before any
 //!   prediction work is possible.
 //! * **Two-level admission control** — a plan naming a table or column
-//!   outside the served catalog is answered `BadRequest`.  Every other
+//!   outside the served catalog, or carrying a non-finite estimate, is
+//!   answered `BadRequest`.  Every other
 //!   request first charges the tenant's in-flight quota
 //!   ([`TenantPolicy::max_in_flight`], answered with `QuotaExceeded`
 //!   when full), then enters the worker pool
@@ -485,9 +486,10 @@ impl NetServer {
         self.shared.prometheus_text()
     }
 
-    /// The trace collector of the underlying worker pool: finished
-    /// per-request traces (locatable by the trace id echoed on response
-    /// frames) and standalone events.
+    /// The trace collector of the underlying worker pool.  A finished
+    /// request is found by the trace id echoed on its response frame
+    /// through [`Server::explain`](crate::Server::explain) (the `Explain`
+    /// op).
     pub fn tracer(&self) -> &Tracer {
         self.shared.server.tracer()
     }
@@ -1131,9 +1133,8 @@ fn responder_loop(rx: &mpsc::Receiver<Outbound>, stream: TcpStream, shared: &Net
     // Close the respond stage (response encode + write) and finish the
     // trace: per-stage histograms globally (with the trace id as
     // exemplar), stage sums per tenant — and, when the work carried a
-    // provenance seed, the assembled record enters the provenance log
-    // and the finished trace the flight recorder.  All of this is the
-    // cold (post-response) path.
+    // provenance seed, the request enters the provenance log.
+    // All of this is the cold (post-response) path.
     let finish_trace =
         |trace: Option<ActiveTrace>, tenant: &TenantState, seed: Option<ProvenanceSeed>| {
             if let Some(mut t) = trace {

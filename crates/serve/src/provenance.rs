@@ -3,14 +3,17 @@
 //! placement (home vs. stolen), the predicted value, and the per-stage
 //! latency breakdown of the finished trace.
 //!
-//! Assembly is cold-path only: a [`ProvenanceRecord`] is built when a
-//! traced request finishes (the gateway traces every request; the
-//! in-process warm path without a trace never allocates here).  Records
-//! live in two bounded rings mirroring the flight recorder's retention:
+//! Storage is cold-path only: a request enters the log when its trace
+//! finishes (the gateway traces every request; the in-process warm path
+//! without a trace never allocates here), as its `Copy` seed and the
+//! finished trace, and its [`ProvenanceRecord`] is assembled only when
+//! asked for.  The [`ProvenanceLog`] is the one store of finished traced
+//! requests, in two bounded rings sized by the
+//! [`FlightRecorderConfig`](zsdb_obs::FlightRecorderConfig) capacities:
 //! a *recent* ring holding the last N traced requests of any class, and
-//! a *slow* ring that only retained classes (threshold/tail-slow,
-//! failed) enter — so the interesting requests survive bursts of normal
-//! traffic that flush the recent ring.
+//! a *slow* ring that only the classes the flight recorder retains
+//! (threshold/tail-slow, failed) enter — so the interesting requests
+//! survive bursts of normal traffic that flush the recent ring.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -77,19 +80,23 @@ impl ProvenanceSeed {
     }
 }
 
+/// One stored request: its seed, its finished trace and its insertion
+/// sequence, which disambiguates recurring trace ids (newest wins) and
+/// breaks `slow_log` ties.
+type Entry = (ProvenanceSeed, Trace, u64);
+
 #[derive(Debug)]
 struct LogInner {
     recent_capacity: usize,
     slow_capacity: usize,
-    /// `(record, insertion sequence)` — the sequence disambiguates
-    /// recurring trace ids (newest wins) and orders `recent`.
-    recent: Mutex<VecDeque<(ProvenanceRecord, u64)>>,
-    slow: Mutex<VecDeque<(ProvenanceRecord, u64)>>,
+    recent: Mutex<VecDeque<Entry>>,
+    slow: Mutex<VecDeque<Entry>>,
     seq: std::sync::atomic::AtomicU64,
 }
 
-/// Bounded store of assembled [`ProvenanceRecord`]s (see module docs).
-/// Cloning shares the store; all methods are cold-path (mutex-guarded).
+/// Bounded store of finished traced requests, answered as
+/// [`ProvenanceRecord`]s (see module docs).  Cloning shares the store;
+/// all methods are cold-path (mutex-guarded).
 #[derive(Clone, Debug)]
 pub struct ProvenanceLog {
     inner: Arc<LogInner>,
@@ -110,26 +117,26 @@ impl ProvenanceLog {
         }
     }
 
-    /// Assemble and store the record for one finished traced request.
-    /// Retained classes additionally enter the slow ring.
+    /// Store one finished traced request.  Retained classes additionally
+    /// enter the slow ring.
     pub fn record(&self, seed: &ProvenanceSeed, done: &Trace) {
-        let record = seed.into_record(done);
         let seq = self
             .inner
             .seq
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let entry = (*seed, done.clone(), seq);
         if seed.class.retained() {
             let mut slow = self.inner.slow.lock().expect("slow ring poisoned");
             if slow.len() == self.inner.slow_capacity {
                 slow.pop_front();
             }
-            slow.push_back((record.clone(), seq));
+            slow.push_back(entry.clone());
         }
         let mut recent = self.inner.recent.lock().expect("recent ring poisoned");
         if recent.len() == self.inner.recent_capacity {
             recent.pop_front();
         }
-        recent.push_back((record, seq));
+        recent.push_back(entry);
     }
 
     /// Look up the provenance of a trace id, checking both rings (a
@@ -139,11 +146,11 @@ impl ProvenanceLog {
         let mut best: Option<(ProvenanceRecord, u64)> = None;
         for ring in [&self.inner.recent, &self.inner.slow] {
             let ring = ring.lock().expect("provenance ring poisoned");
-            for (record, seq) in ring.iter() {
-                if record.trace_id == trace_id
+            for (seed, trace, seq) in ring.iter() {
+                if trace.id == trace_id
                     && best.as_ref().is_none_or(|(_, best_seq)| *seq > *best_seq)
                 {
-                    best = Some((record.clone(), *seq));
+                    best = Some((seed.into_record(trace), *seq));
                 }
             }
         }
@@ -154,12 +161,12 @@ impl ProvenanceLog {
     /// first, up to `limit`.
     pub fn slow_log(&self, limit: usize) -> Vec<ProvenanceRecord> {
         let ring = self.inner.slow.lock().expect("slow ring poisoned");
-        let mut records: Vec<&(ProvenanceRecord, u64)> = ring.iter().collect();
-        records.sort_by_key(|(record, seq)| std::cmp::Reverse((record.total_ns, *seq)));
-        records
+        let mut entries: Vec<&Entry> = ring.iter().collect();
+        entries.sort_by_key(|(_, trace, seq)| std::cmp::Reverse((trace.total_ns, *seq)));
+        entries
             .into_iter()
             .take(limit)
-            .map(|(record, _)| record.clone())
+            .map(|(seed, trace, _)| seed.into_record(trace))
             .collect()
     }
 
@@ -213,40 +220,6 @@ mod tests {
             record.stages.iter().map(|s| s.duration_ns).sum::<u64>(),
             record.total_ns,
             "stages tile the end-to-end latency"
-        );
-    }
-
-    #[test]
-    fn retained_records_survive_recent_ring_churn() {
-        let log = ProvenanceLog::new(2, 4);
-        let tracer = Tracer::new(16);
-        let slow = finished(&tracer, 1, std::time::Duration::from_micros(10));
-        log.record(&seed(FlightClass::SlowThreshold), &slow);
-        for id in 2..=10 {
-            let done = finished(&tracer, id, std::time::Duration::ZERO);
-            log.record(&seed(FlightClass::Normal), &done);
-        }
-        // Flushed out of the 2-slot recent ring, still found via slow.
-        let kept = log.find(1).expect("retained record survives");
-        assert_eq!(kept.flight_class, "slow_threshold");
-        assert_eq!(log.slow_len(), 1);
-        assert!(log.find(5).is_none(), "normal records age out");
-    }
-
-    #[test]
-    fn slow_log_is_worst_first_and_bounded() {
-        let log = ProvenanceLog::new(16, 2);
-        let tracer = Tracer::new(16);
-        for (id, micros) in [(1u64, 30u64), (2, 10), (3, 20)] {
-            let done = finished(&tracer, id, std::time::Duration::from_micros(micros));
-            log.record(&seed(FlightClass::SlowTail), &done);
-        }
-        let slow = log.slow_log(10);
-        assert_eq!(slow.len(), 2, "slow ring bounded at 2");
-        assert!(slow[0].total_ns >= slow[1].total_ns, "worst first");
-        assert!(
-            slow.iter().all(|r| r.trace_id != 1),
-            "oldest entry evicted at capacity"
         );
     }
 

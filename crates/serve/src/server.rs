@@ -86,9 +86,9 @@ use zsdb_engine::PlanNode;
 use zsdb_obs::{ActiveTrace, FlightClass, FlightRecorder, Gauge, Trace, Tracer};
 use zsdb_protocol::{ProvenanceRecord, WireSloStatus};
 
-/// Finished traces (and standalone events) the server's [`Tracer`] keeps
-/// per recording thread.
-const TRACE_RING: usize = 256;
+/// Standalone events (model swaps, drift scores) the server's [`Tracer`]
+/// keeps per recording thread.
+const EVENT_RING: usize = 256;
 
 /// How long an idle worker parks on its own queue's condvar between
 /// steal passes.  Small enough that a job stuck in a busy neighbour's
@@ -702,7 +702,7 @@ impl<M: Servable> Server<M> {
             catalog,
             shards,
             metrics,
-            tracer: Tracer::new(TRACE_RING),
+            tracer: Tracer::new(EVENT_RING),
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -1001,24 +1001,27 @@ impl<M: Servable> Server<M> {
     }
 
     /// The server's trace collector: begin traces to attach to
-    /// [`submit_traced`](Server::submit_traced), look finished ones up by
-    /// id, and record standalone events.
+    /// [`submit_traced`](Server::submit_traced) and record standalone
+    /// events.  A finished trace is kept only as its provenance record
+    /// (see [`complete_traced`](Self::complete_traced)).
     pub fn tracer(&self) -> &Tracer {
         &self.shared.tracer
     }
 
-    /// The slow-request flight recorder: bounded rings of materialized
-    /// traces, retaining threshold-/tail-slow and failed requests past
-    /// the churn of normal traffic.
+    /// The slow-request flight recorder: classifies every completion as
+    /// threshold-/tail-slow or normal, which decides whether a traced
+    /// request's provenance record outlives the churn of normal traffic.
     pub fn flight_recorder(&self) -> &FlightRecorder {
         self.shared.metrics.flight()
     }
 
     /// Finish a traced request end to end: closes the trace, records its
-    /// per-stage breakdown (with exemplars), feeds the flight recorder
-    /// and assembles + stores the prediction's [`ProvenanceRecord`] —
-    /// afterwards [`explain`](Self::explain) can answer for the trace's
-    /// id.  Returns the finished trace.
+    /// per-stage breakdown (with exemplars) and stores the request in the
+    /// provenance log, the one store of finished traced requests —
+    /// afterwards [`explain`](Self::explain) answers the trace's id with
+    /// its [`ProvenanceRecord`], and [`slow_log`](Self::slow_log) lists
+    /// it too when the flight recorder flagged it.  Returns the finished
+    /// trace.
     pub fn complete_traced(&self, prediction: &M::Prediction, trace: ActiveTrace) -> Trace {
         let done = self.shared.tracer.finish(trace);
         self.shared
@@ -1408,9 +1411,10 @@ mod tests {
         assert_eq!(slo.windows[0].good + slo.windows[0].bad, 1);
     }
 
-    /// A plan naming a table or column outside the served catalog is
-    /// refused at admission — single, batched, blocking or not — and
-    /// never reaches a worker, which keeps answering valid plans.
+    /// A plan naming a table or column outside the served catalog, or
+    /// carrying a NaN estimate, is refused at admission — single,
+    /// batched, blocking or not — and never reaches a worker, which keeps
+    /// answering valid plans.
     #[test]
     fn plans_outside_the_catalog_are_refused_at_admission() {
         use zsdb_catalog::{ColumnId, ColumnRef, TableId, Value};
@@ -1434,8 +1438,12 @@ mod tests {
             TableId(0),
             vec![Predicate::new(column, CmpOp::Eq, Value::Int(1))],
         );
+        let nan_estimate = PlanNode {
+            est_cardinality: f64::NAN,
+            ..plans[0].clone()
+        };
         let invalid = |r: &ServeError| matches!(r, ServeError::InvalidPlan(_));
-        for bad in [&unknown_table, &unknown_column] {
+        for bad in [&unknown_table, &unknown_column, &nan_estimate] {
             let err = server.predict_blocking(bad.clone()).unwrap_err();
             assert!(invalid(&err), "{err}");
             let rejected = server.try_submit(bad.clone()).unwrap_err();

@@ -269,12 +269,12 @@ fn remote_predict_trace_decomposes_end_to_end_latency() {
     );
 
     // The responder finishes the trace just *after* writing the response
-    // frame, so the client can see its answer a beat before the trace
-    // lands in the ring — poll briefly.
+    // frame, so the client can see its answer a beat before the trace's
+    // provenance record lands in the log — poll briefly.
     let trace = {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            if let Some(t) = gateway.tracer().find(remote.trace_id) {
+            if let Some(t) = gateway.server().explain(remote.trace_id) {
                 break t;
             }
             assert!(
@@ -288,7 +288,7 @@ fn remote_predict_trace_decomposes_end_to_end_latency() {
 
     // At least four named stages decompose the request; a cold cache
     // makes featurization explicit.
-    let names: Vec<&str> = trace.stages.iter().map(|s| s.name).collect();
+    let names: Vec<&str> = trace.stages.iter().map(|s| s.name.as_str()).collect();
     assert!(
         names.len() >= 4,
         "expected >= 4 pipeline stages, got {names:?}"
@@ -896,13 +896,13 @@ fn a_malformed_payload_fails_its_frame_not_the_connection() {
 /// A NaN estimate crosses the wire as its bits (JSON wrote it as `null`,
 /// and the gateway's failed decode closed the connection under every
 /// request in flight).  Pipelined between two valid plans, the NaN plan
-/// is answered on its own id exactly as in process — the fingerprint,
-/// which hashes the estimate's bits, shows the NaN payload arrived — and
-/// its neighbours are answered bit-identically on the same connection.
-/// (The featurizer clamps the NaN to 0, so the prediction is finite and
-/// no `Internal` error arises.)
+/// is refused on its own id with `BadRequest` naming the NaN estimate —
+/// in process it is `InvalidPlan`, since the featurizer would read the
+/// NaN as 0 and serve a confident answer — and its neighbours are
+/// answered bit-identically on the same connection.
 #[test]
 fn a_nan_estimate_crosses_exactly_and_answers_only_its_own_request() {
+    use zero_shot_db::serve::ServeError;
     use zero_shot_db::zeroshot::plan_fingerprint;
 
     let db = Database::generate(presets::imdb_like(0.02), 11);
@@ -917,9 +917,21 @@ fn a_nan_estimate_crosses_exactly_and_answers_only_its_own_request() {
 
     let mut nan_plan = plans[1].clone();
     nan_plan.est_cardinality = f64::from_bits(0x7FF8_0000_0000_0BAD);
-    let sent = [&plans[0], &nan_plan, &plans[2]];
-    let pending = sent.map(|p| client.submit(p).expect("submit"));
-    for (ticket, plan) in pending.into_iter().zip(sent) {
+    let [first, nan, third] =
+        [&plans[0], &nan_plan, &plans[2]].map(|p| client.submit(p).expect("submit"));
+    match nan.wait() {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::BadRequest, "{message}");
+            assert!(message.contains("est_cardinality NaN"), "{message}");
+        }
+        other => panic!("the NaN plan answered {other:?}"),
+    }
+    let local = gateway.server().predict_blocking(nan_plan.clone());
+    assert!(
+        matches!(local, Err(ServeError::InvalidPlan(_))),
+        "{local:?}"
+    );
+    for (ticket, plan) in [(first, &plans[0]), (third, &plans[2])] {
         let remote = ticket.wait().expect("answered on its own id");
         let local = gateway
             .server()
@@ -928,6 +940,5 @@ fn a_nan_estimate_crosses_exactly_and_answers_only_its_own_request() {
         assert_eq!(remote.runtime_secs.to_bits(), local.runtime_secs.to_bits());
         assert_eq!(remote.fingerprint, plan_fingerprint(plan));
     }
-    assert_ne!(plan_fingerprint(&nan_plan), plan_fingerprint(&plans[1]));
     assert_eq!(gateway.gateway_metrics().connections_total, 1);
 }

@@ -9,8 +9,9 @@
 //! (c) the metrics snapshot, written as JSON, reports throughput and
 //!     p50/p95/p99 latency.
 //!
-//! One ignored test gates the cost of the tracer and the flight recorder
-//! on wall-clock throughput; run it in release, alone:
+//! One ignored test gates the cost of the tracer, and of the flight
+//! recorder with the provenance log, on wall-clock throughput; run it in
+//! release, alone:
 //! `cargo test --release --test serve_end_to_end -- --ignored`.
 
 use std::collections::HashMap;
@@ -317,7 +318,7 @@ fn backpressure_sheds_load_under_a_burst() {
 /// Fire `requests` traced predictions from `clients` threads through
 /// `server` and return the throughput.  A request that carries a trace is
 /// finished the way the network responder finishes it: into the stage
-/// histograms, and with `provenance` also through the flight recorder.
+/// histograms, and with `provenance` also into the provenance log.
 fn traced_pass(
     server: &PredictionServer,
     plans: &[PlanNode],
@@ -400,7 +401,7 @@ fn tracing_and_flight_recorder_cost_at_most_ten_percent() {
          recorder on {recorder:.0} req/s ({recorder_pct:+.1}%)"
     );
     assert!(
-        server.flight_recorder().slow_len() > 0,
+        server.metrics().slow_requests_retained > 0,
         "the recorder retained nothing while measured"
     );
     assert!(
